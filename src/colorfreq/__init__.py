@@ -34,21 +34,20 @@ from .core import (
     write_dataset,
     write_queries,
 )
-from .freq1d import Frequency1D, build_1d, query_interval, query_prefix
+from .freq1d import Frequency1D, build_1d
 from .dominance import (
     ColorAccumulator,
     DominanceTree,
     TreeStats,
-    accumulate,
+    box_fanout_bound,
+    box_space_bound,
     build_dominance,
     ceil_log,
     dominance_path_bound,
+    dominance_query_bound,
     dominance_space_bound,
-    drain_and_reset,
-    query_dominance,
-    stats,
 )
-from .boxes import BoxTree, build_box, query_box
+from .boxes import BoxTree, build_box
 from .offline import (
     OfflineJob,
     SweepSummary,
@@ -84,32 +83,28 @@ __all__ = [
     "TreeStats",
     "UnsupportedOperationError",
     "UnsupportedShapeError",
-    "accumulate",
     "answer_offline_3sided",
     "answer_offline_dominance",
     "brute_force",
     "brute_force_batch",
+    "box_fanout_bound",
+    "box_space_bound",
     "build_1d",
     "build_box",
     "build_dominance",
     "canonical_freq",
     "ceil_log",
     "dominance_path_bound",
+    "dominance_query_bound",
     "dominance_space_bound",
-    "drain_and_reset",
     "freq_total",
     "generate_points",
     "generate_queries",
     "normalize_query",
     "peak_space_report",
-    "query_box",
-    "query_dominance",
-    "query_interval",
-    "query_prefix",
     "rank_reduce",
     "read_dataset",
     "read_queries",
-    "stats",
     "write_dataset",
     "write_queries",
 ]

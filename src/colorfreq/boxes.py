@@ -28,8 +28,17 @@ from .core import (
     PointSet,
     QuerySession,
     UnsupportedShapeError,
+    count_le,
+    count_lt,
+    rank_order,
 )
-from .dominance import ColorAccumulator, DominanceTree, _check_fanout, _coerce_points
+from .dominance import (
+    ColorAccumulator,
+    DominanceTree,
+    _check_fanout,
+    _coerce_points,
+    _scan_range,
+)
 from .freq1d import _sort_charge
 
 _LAYER_LEAF = 2  # leaf capacity of layer trees; keeps copies within log2(n)+1
@@ -68,12 +77,6 @@ class _Layer:
         self.full_low = None
         self.full_high = None
 
-    def count_le(self, v: float) -> int:
-        return int(np.searchsorted(self.sorted_vals, v, side="right"))
-
-    def count_lt(self, v: float) -> int:
-        return int(np.searchsorted(self.sorted_vals, v, side="left"))
-
 
 class BoxTree:
     """Layered structure answering axis-aligned box frequency queries.
@@ -85,7 +88,7 @@ class BoxTree:
     """
 
     __slots__ = ("d", "s", "phi", "mode", "bounded_axes", "top",
-                 "stored_entries", "build_ops", "_session")
+                 "stored_entries", "build_ops")
 
     def __init__(self, points: PointSet, s: int, bounded_axes=()):
         ps = points
@@ -101,7 +104,6 @@ class BoxTree:
         self.bounded_axes = axes
         self.stored_entries = 0
         self.build_ops = 0
-        self._session = None
         self.top = self._build(ps.coords, ps.colors, ps.weight_list(), list(axes))
 
     # -- construction ----------------------------------------------------------
@@ -117,7 +119,7 @@ class BoxTree:
         axis, rest = layer_axes[0], layer_axes[1:]
         coords = np.asarray(coords, dtype=np.float64)
         n = len(coords)
-        order = np.lexsort((np.arange(n), coords[:, axis]))
+        order = rank_order(coords[:, axis])
         coords_r = coords[order]
         colors_r = np.asarray(colors, dtype=np.int64)[order]
         weights_r = [weights[i] for i in order]
@@ -151,8 +153,8 @@ class BoxTree:
 
     # -- queries -----------------------------------------------------------------
 
-    def new_session(self, track_partials: bool = False) -> QuerySession:
-        return QuerySession(ColorAccumulator(self.phi, self.mode), track_partials)
+    def new_session(self) -> QuerySession:
+        return QuerySession(ColorAccumulator(self.phi, self.mode))
 
     def query(self, q: BoxQuery, session: QuerySession | None = None) -> list:
         if not isinstance(q, BoxQuery):
@@ -168,10 +170,8 @@ class BoxTree:
                     f"rebuild with it in bounded_axes"
                 )
         if session is None:
-            if self._session is None:
-                self._session = self.new_session()
-            session = self._session
-        if session.accumulator is None:
+            session = self.new_session()
+        elif session.accumulator is None:
             session.accumulator = ColorAccumulator(self.phi, self.mode)
         session.reset()
         self._query_rec(self.top, list(q.bounds), session)
@@ -194,8 +194,8 @@ class BoxTree:
             nb[layer.axis] = (-INF, -lo)
             self._query_rec(layer.full_low, nb, session)
             return
-        rlo = layer.count_lt(lo)
-        rhi = layer.count_le(hi)
+        rlo = count_lt(layer.sorted_vals, lo)
+        rhi = count_le(layer.sorted_vals, hi)
         if rlo >= rhi:
             return  # empty slab on this axis
         # locate the highest node whose splitter falls inside the range;
@@ -210,7 +210,10 @@ class BoxTree:
             else:
                 break
         if node.is_leaf:
-            self._scan_layer_leaf(layer, node, bounds, session)
+            # the range falls inside a leaf gap: check its few points on every axis
+            session.fanout += 1
+            _scan_range(layer.coords_r, layer.colors_r, layer.weights_r,
+                        node.lo, node.hi, bounds, session.accumulator)
             return
         nb_low = list(bounds)
         nb_low[layer.axis] = (-INF, -lo)
@@ -219,21 +222,6 @@ class BoxTree:
         nb_high[layer.axis] = (-INF, hi)
         self._query_rec(node.inner_high, nb_high, session)
 
-    def _scan_layer_leaf(self, layer, node, bounds, session) -> None:
-        """Range inside a leaf gap: check the few leaf points against all sides."""
-        session.fanout += 1
-        acc = session.accumulator
-        coords = layer.coords_r
-        for pos in range(node.lo, node.hi):
-            ok = True
-            for axis, (lo, hi) in enumerate(bounds):
-                v = coords[pos, axis]
-                if v < lo or v > hi:
-                    ok = False
-                    break
-            if ok:
-                acc.add(int(layer.colors_r[pos]), layer.weights_r[pos])
-
 
 def build_box(points, d: int | None = None, s: int = 2, bounded_axes=(), mode=COUNT) -> BoxTree:
     """Build a box structure supporting two-sided bounds on ``bounded_axes``."""
@@ -241,7 +229,3 @@ def build_box(points, d: int | None = None, s: int = 2, bounded_axes=(), mode=CO
     if d is not None and d != ps.d:
         raise MalformedInputError(f"requested d={d} but points have d={ps.d}")
     return BoxTree(ps, s, bounded_axes)
-
-
-def query_box(t: BoxTree, q: BoxQuery, session: QuerySession | None = None) -> list:
-    return t.query(q, session)

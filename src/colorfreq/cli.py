@@ -38,8 +38,9 @@ from .core import (
 from .datagen import generate_points, generate_queries
 from .dominance import (
     DominanceTree,
-    ceil_log,
-    dominance_path_bound,
+    box_fanout_bound,
+    box_space_bound,
+    dominance_query_bound,
     dominance_space_bound,
 )
 from .offline import OfflineJob, answer_offline_3sided, answer_offline_dominance
@@ -138,7 +139,7 @@ def cmd_verify(args) -> int:
     probe_violations = 0
     first_diff = None
     count_mode = isinstance(ps.mode, CountMode)
-    path_bound = dominance_path_bound(ps.n, args.fanout) ** max(ps.d - 1, 1)
+    path_bound = dominance_query_bound(ps.n, args.fanout, ps.d)
     for qid, q in enumerate(queries):
         touch_before = acc.touch_ops
         entries = struct.query(q, session)
@@ -150,7 +151,7 @@ def cmd_verify(args) -> int:
             mismatches += 1
             if first_diff is None:
                 first_diff = (qid, q, entries, expected)
-        if count_mode and freq_total(entries) != int(q.mask(ps.coords).sum()):
+        if count_mode and freq_total(entries) != int(ps.weights[q.mask(ps.coords)].sum()):
             mismatches += 1
             if first_diff is None:
                 first_diff = (qid, q, entries, expected)
@@ -161,16 +162,14 @@ def cmd_verify(args) -> int:
             if acc.touch_ops - touch_before > max(k, 0) * path_bound:
                 probe_violations += 1
         else:
-            if session.fanout > 2 ** len(struct.bounded_axes):
+            if session.fanout > box_fanout_bound(len(struct.bounded_axes)):
                 probe_violations += 1
 
     stored = struct.stored_entries
     if isinstance(struct, DominanceTree):
         space_bound = dominance_space_bound(ps.n, args.fanout, ps.d)
     else:
-        space_bound = dominance_space_bound(ps.n, args.fanout, ps.d) * (
-            (ceil_log(2, max(ps.n, 1)) + 1) ** len(struct.bounded_axes)
-        )
+        space_bound = box_space_bound(ps.n, args.fanout, ps.d, len(struct.bounded_axes))
     space_ok = stored <= space_bound
 
     print(f"dataset: n={ps.n} d={ps.d} phi={ps.phi} mode={ps.mode.name}")

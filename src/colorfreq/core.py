@@ -16,6 +16,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 INF = math.inf
+INT64_MAX = 2**63 - 1
 
 
 class MalformedInputError(ValueError):
@@ -211,6 +212,21 @@ def normalize_query(q: BoxQuery, reflect: Sequence[bool]) -> BoxQuery:
 # ---------------------------------------------------------------------------
 
 
+def rank_order(values) -> np.ndarray:
+    """Rank -> index permutation of ``values``: ascending, ties by index."""
+    return np.argsort(values, kind="stable")
+
+
+def count_le(sorted_values, v: float) -> int:
+    """Number of entries <= v, that is, the rank range inside the closed upper bound v."""
+    return int(sorted_values.searchsorted(v, side="right"))
+
+
+def count_lt(sorted_values, v: float) -> int:
+    """Number of entries < v, the first rank inside the closed lower bound v."""
+    return int(sorted_values.searchsorted(v, side="left"))
+
+
 class RankMap:
     """Total order on one coordinate axis with index tie-break.
 
@@ -226,9 +242,8 @@ class RankMap:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise MalformedInputError("RankMap needs a 1-D coordinate array")
-        order = np.lexsort((np.arange(len(values)), values))
-        self.order = order  # rank -> original index
-        self.sorted_values = values[order]
+        self.order = rank_order(values)  # rank -> original index
+        self.sorted_values = values[self.order]
         self.order.setflags(write=False)
         self.sorted_values.setflags(write=False)
 
@@ -237,10 +252,10 @@ class RankMap:
         return len(self.order)
 
     def count_le(self, v: float) -> int:
-        return int(np.searchsorted(self.sorted_values, v, side="right"))
+        return count_le(self.sorted_values, v)
 
     def count_lt(self, v: float) -> int:
-        return int(np.searchsorted(self.sorted_values, v, side="left"))
+        return count_lt(self.sorted_values, v)
 
 
 def rank_reduce(points, axis: int = 0) -> RankMap:
@@ -289,8 +304,12 @@ class PointSet:
                 w = np.asarray(weights)
                 if w.shape != (len(coords),):
                     raise MalformedInputError("weights must be one per point")
-                if not np.issubdtype(w.dtype, np.integer):
+                if w.size and not np.issubdtype(w.dtype, np.integer):
                     raise MalformedInputError("count-mode weights must be integers")
+                # every partial total is bounded by the sum of |weight|, so
+                # int64 totals (the oracle's) cannot overflow past this check
+                if sum(map(abs, w.tolist())) > INT64_MAX:
+                    raise MalformedInputError("count-mode weights overflow int64 totals")
                 w = w.astype(np.int64)
             w.setflags(write=False)
             self.weights = w
@@ -424,21 +443,18 @@ class QuerySession:
     of every query and describe the last query only.
     """
 
-    __slots__ = ("accumulator", "probes", "substructure_queries", "fanout", "partial_counts")
+    __slots__ = ("accumulator", "probes", "substructure_queries", "fanout")
 
-    def __init__(self, accumulator=None, track_partials: bool = False):
+    def __init__(self, accumulator=None):
         self.accumulator = accumulator
         self.probes = 0
         self.substructure_queries = 0
         self.fanout = 0
-        self.partial_counts: list | None = [] if track_partials else None
 
     def reset(self):
         self.probes = 0
         self.substructure_queries = 0
         self.fanout = 0
-        if self.partial_counts is not None:
-            self.partial_counts = []
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ A dominance query walks the root-to-leaf path of the strip holding the
 query corner, queries one substructure per node with the remaining
 coordinates, and merges the partial answers through a color accumulator:
 an array of phi weight cells plus a touched-list, so merging costs O(1)
-per reported entry and draining costs O(k) regardless of phi.
+per reported entry and draining costs O(k) regardless of phi.  The offline
+sweep reuses the same walk and answer kernel over substructures it builds
+and destroys along the way.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ from .core import (
     COUNT,
     ContractViolationError,
     CountMode,
+    INF,
     MalformedInputError,
     MalformedQueryError,
     ParameterError,
     PointSet,
     QuerySession,
+    count_le,
+    rank_order,
 )
 from .freq1d import Frequency1D, _sort_charge
 
@@ -85,14 +90,6 @@ class ColorAccumulator:
         return not self.touched and all(s is None for s in self.slots)
 
 
-def accumulate(acc: ColorAccumulator, partial) -> None:
-    acc.add_entries(partial)
-
-
-def drain_and_reset(acc: ColorAccumulator) -> list:
-    return acc.drain_and_reset()
-
-
 @dataclass
 class TreeStats:
     stored_entries: int
@@ -135,11 +132,9 @@ class DominanceTree:
         "build_ops",
         "node_count",
         "height",
-        "lazy",
-        "_session",
     )
 
-    def __init__(self, points: PointSet, s: int, lazy: bool = False):
+    def __init__(self, points: PointSet, s: int):
         _check_fanout(s, points.n)
         self._init_from_parts(
             points.coords,
@@ -148,28 +143,34 @@ class DominanceTree:
             s=s,
             phi=points.phi,
             mode=points.mode,
-            lazy=lazy,
         )
+        self._build_prefix_structs(self.root)
 
     @classmethod
-    def _from_parts(cls, coords, colors, weights, s, phi, mode, lazy=False):
+    def _skeleton(cls, coords, colors, weights, s, phi, mode):
+        """Rank order and strip nodes only: the offline sweep builds the
+        per-strip substructures itself, one root-to-leaf path at a time."""
         self = cls.__new__(cls)
-        self._init_from_parts(coords, colors, weights, s=s, phi=phi, mode=mode, lazy=lazy)
+        self._init_from_parts(coords, colors, weights, s=s, phi=phi, mode=mode)
         return self
 
-    def _init_from_parts(self, coords, colors, weights, s, phi, mode, lazy):
+    @classmethod
+    def _from_parts(cls, coords, colors, weights, s, phi, mode):
+        self = cls._skeleton(coords, colors, weights, s, phi, mode)
+        self._build_prefix_structs(self.root)
+        return self
+
+    def _init_from_parts(self, coords, colors, weights, s, phi, mode):
         coords = np.asarray(coords, dtype=np.float64)
         n, d = coords.shape
         self.d = d
         self.s = s
         self.phi = phi
         self.mode = mode
-        self.lazy = lazy
         self.stored_entries = 0
         self.build_ops = 0
         self.node_count = 0
         self.height = 0
-        self._session = None
         if d == 1:
             self.base = Frequency1D(coords[:, 0], colors, weights, mode=mode)
             self.root = None
@@ -179,7 +180,7 @@ class DominanceTree:
             self.node_count = 1 if n else 0
             return
         self.base = None
-        order = np.lexsort((np.arange(n), coords[:, 0]))
+        order = rank_order(coords[:, 0])
         self.coords_r = coords[order]
         self.colors_r = np.asarray(colors, dtype=np.int64)[order]
         self.weights_r = [weights[i] for i in order]
@@ -210,14 +211,17 @@ class DominanceTree:
             starts.append(pos)
             ends.append(pos + sz)
             pos += sz
-        prefix_structs = None
-        if not self.lazy:
-            prefix_structs = [None]
-            for i in range(1, len(starts)):
-                prefix_structs.append(self._build_substructure(lo, starts[i]))
         children = [self._build_node(a, b, depth + 1) for a, b in zip(starts, ends)]
         self.build_ops += len(starts)
-        return _StripNode(lo, hi, starts, ends, children, prefix_structs)
+        return _StripNode(lo, hi, starts, ends, children)
+
+    def _build_prefix_structs(self, node) -> None:
+        """Give every strip below ``node`` its structure over the points left of it."""
+        if node is None or node.is_leaf:
+            return
+        node.prefix_structs = [self._build_substructure(node.lo, cut) for cut in node.starts]
+        for child in node.children:
+            self._build_prefix_structs(child)
 
     def _build_substructure(self, lo: int, cut: int):
         """Structure over the remaining axes of the points with rank in [lo, cut)."""
@@ -247,22 +251,20 @@ class DominanceTree:
 
     # -- queries -----------------------------------------------------------------
 
-    def new_session(self, track_partials: bool = False) -> QuerySession:
-        return QuerySession(ColorAccumulator(self.phi, self.mode), track_partials)
+    def new_session(self) -> QuerySession:
+        return QuerySession(ColorAccumulator(self.phi, self.mode))
 
     def query(self, q, session: QuerySession | None = None) -> list:
         """Per-color totals inside the dominance range ``q``.
 
         ``q`` may be a dominance BoxQuery or a plain upper-bound corner
         sequence.  Returns a frequency list; probe counters land on the
-        session.
+        session.  Without a session the call allocates its own.
         """
         corner = self._corner_of(q)
         if session is None:
-            if self._session is None:
-                self._session = self.new_session()
-            session = self._session
-        if session.accumulator is None:
+            session = self.new_session()
+        elif session.accumulator is None:
             session.accumulator = ColorAccumulator(self.phi, self.mode)
         session.reset()
         self._query_into(corner, session)
@@ -286,68 +288,68 @@ class DominanceTree:
             raise MalformedQueryError("corner has NaN coordinates")
         return corner
 
-    def _query_into(self, corner, session: QuerySession) -> int:
-        """Accumulate the answer into the session; returns the count total added.
-
-        The returned total is only meaningful in count mode (used by the
-        decomposition diagnostics); other modes return 0.
-        """
-        if self.lazy:
-            raise ParameterError("lazy skeleton cannot answer online queries")
-        acc = session.accumulator
-        count_mode = isinstance(self.mode, CountMode)
+    def _query_into(self, corner, session: QuerySession) -> None:
+        """Accumulate the answer for ``corner`` into the session's accumulator."""
         if self.d == 1:
-            part = self.base.query_prefix(corner[0], session)
-            session.substructure_queries += 1
-            acc.add_entries(part)
-            total = sum(w for _, w in part) if count_mode else 0
-            if session.partial_counts is not None:
-                session.partial_counts.append(total)
-            return total
-        rq = int(np.searchsorted(self.sorted0, corner[0], side="right"))
+            self._answer((self.base,), corner, None, 0, session)
+            return
+        rq = count_le(self.sorted0, corner[0])
         if rq == 0:
-            return 0
-        rest = corner[1:]
-        node = self.root
-        grand = 0
-        while not node.is_leaf:
-            i = bisect_left(node.ends, rq)
-            struct = node.prefix_structs[i]
-            if struct is not None:
-                session.substructure_queries += 1
-                if isinstance(struct, Frequency1D):
-                    part = struct.query_prefix(rest[0], session)
-                    acc.add_entries(part)
-                    total = sum(w for _, w in part) if count_mode else 0
-                else:
-                    total = struct._query_into(rest, session)
-                if session.partial_counts is not None:
-                    session.partial_counts.append(total)
-                grand += total
-            node = node.children[i]
-        # leaf: the surviving rank range, filtered by the remaining axes
-        session.substructure_queries += 1
-        total = 0
-        coords = self.coords_r
-        for pos in range(node.lo, min(node.hi, rq)):
-            ok = True
-            for j in range(1, self.d):
-                if coords[pos, j] > rest[j - 1]:
-                    ok = False
-                    break
-            if ok:
-                w = self.weights_r[pos]
-                acc.add(int(self.colors_r[pos]), w)
-                if count_mode:
-                    total += w
-        if session.partial_counts is not None:
-            session.partial_counts.append(total)
-        return grand + total
+            return
+        path, leaf = _walk(self.root, rq)
+        structs = [node.prefix_structs[i] for node, i in path]
+        self._answer(structs, corner[1:], leaf, rq, session)
+
+    def _answer(self, structs, rest, leaf, rq: int, session: QuerySession) -> None:
+        """Answer kernel shared by online queries and the offline sweep.
+
+        ``structs`` holds, per node on the path to ``leaf``, the structure
+        over the points left of the path's strip (or None); each is queried
+        with ``rest``, the corner on the axes after the first.  The leaf's
+        points below rank ``rq`` are checked directly.  A d=1 tree passes
+        its base structure, its whole corner and no leaf.
+        """
+        acc = session.accumulator
+        for struct in structs:
+            if struct is None:
+                continue
+            session.substructure_queries += 1
+            if isinstance(struct, Frequency1D):
+                acc.add_entries(struct.query_prefix(rest[0], session))
+            else:
+                struct._query_into(rest, session)
+        if leaf is not None:
+            session.substructure_queries += 1
+            bounds = [(-INF, INF)] + [(-INF, c) for c in rest]
+            _scan_range(self.coords_r, self.colors_r, self.weights_r,
+                        leaf.lo, min(leaf.hi, rq), bounds, acc)
 
     # -- instrumentation ---------------------------------------------------------
 
     def stats(self) -> TreeStats:
         return TreeStats(self.stored_entries, self.height, self.node_count, self.build_ops)
+
+
+def _walk(root: _StripNode, rq: int) -> tuple[list, _StripNode]:
+    """([(node, child index), ...], leaf): the path to the strip holding rank rq - 1."""
+    path = []
+    node = root
+    while not node.is_leaf:
+        i = bisect_left(node.ends, rq)
+        path.append((node, i))
+        node = node.children[i]
+    return path, node
+
+
+def _scan_range(coords, colors, weights, start: int, stop: int, bounds, acc) -> None:
+    """Add to ``acc`` the points at ranks [start, stop) inside ``bounds``,
+    one closed (lo, hi) pair per axis."""
+    for pos in range(start, stop):
+        for v, (lo, hi) in zip(coords[pos], bounds):
+            if v < lo or v > hi:
+                break
+        else:
+            acc.add(int(colors[pos]), weights[pos])
 
 
 def ceil_log(base: int, n: int) -> int:
@@ -373,6 +375,24 @@ def dominance_path_bound(n: int, s: int) -> int:
     return ceil_log(s, n) + 1
 
 
+def dominance_query_bound(n: int, s: int, d: int) -> int:
+    """Substructure queries per dominance query, and accumulator touches per
+    reported color: dominance_path_bound^(d-1)."""
+    return dominance_path_bound(n, s) ** (d - 1)
+
+
+def box_space_bound(n: int, s: int, d: int, t: int) -> int:
+    """Stored entries of a box structure with t layered axes: each layer puts
+    every point in its two full-set inner structures and one per ancestor
+    node, at most ceil_log_2(n)+1 inner structures (2 when n = 1)."""
+    return dominance_space_bound(n, s, d) * (ceil_log(2, max(n, 2)) + 1) ** t
+
+
+def box_fanout_bound(t: int) -> int:
+    """Inner queries and leaf scans per box query with t two-sided axes: 2^t."""
+    return 2**t
+
+
 def _check_fanout(s: int, n: int) -> None:
     if not 2 <= s <= max(2, n):
         raise ParameterError(f"fanout s={s} outside [2, {max(2, n)}] for n={n}")
@@ -390,11 +410,3 @@ def build_dominance(points, d: int | None = None, s: int = 2, mode=COUNT) -> Dom
     if d is not None and d != ps.d:
         raise MalformedInputError(f"requested d={d} but points have d={ps.d}")
     return DominanceTree(ps, s)
-
-
-def query_dominance(t: DominanceTree, q, session: QuerySession | None = None) -> list:
-    return t.query(q, session)
-
-
-def stats(t: DominanceTree) -> TreeStats:
-    return t.stats()

@@ -27,6 +27,9 @@ from .core import (
     PointSet,
     QuerySession,
     UnsupportedOperationError,
+    count_le,
+    count_lt,
+    rank_order,
 )
 
 _SMALL = 8  # below this size a linear scan beats any index
@@ -118,6 +121,7 @@ class Frequency1D:
         "_succ_index",
         "_pred_index",
         "build_ops",
+        "_may_cancel",
     )
 
     def __init__(self, values, colors, weights=None, mode=COUNT, interval_index: bool = False):
@@ -138,8 +142,10 @@ class Frequency1D:
             wlist = list(weights)
         if len(wlist) != m:
             raise MalformedInputError("need one weight per value")
+        # count totals of zero are never reported; only non-positive weights make them
+        self._may_cancel = is_count and m > 0 and min(wlist) <= 0
 
-        order = np.lexsort((np.arange(m), values))
+        order = rank_order(values)
         self.sorted_values = values[order]
         self.sorted_values.setflags(write=False)
         cols = colors_arr[order].tolist()
@@ -189,23 +195,19 @@ class Frequency1D:
         """Number of stored mapped points (space instrumentation)."""
         return self.m
 
-    def count_le(self, v: float) -> int:
-        return int(np.searchsorted(self.sorted_values, v, side="right"))
-
-    def count_lt(self, v: float) -> int:
-        return int(np.searchsorted(self.sorted_values, v, side="left"))
-
     # -- queries ---------------------------------------------------------------
 
     def query_prefix(self, q: float, session: QuerySession | None = None) -> list:
         """Per-color total weight of the points with coordinate <= q."""
-        rq = self.count_le(q)
+        rq = count_le(self.sorted_values, q)
         if rq == 0:
             return []
         hits, probes = self._succ_index.report(0, rq, rq)
         if session is not None:
             session.probes += probes
         cols, pref = self.colors, self.prefix_weight
+        if self._may_cancel:
+            return [(cols[i], pref[i]) for i in hits if pref[i] != 0]
         return [(cols[i], pref[i]) for i in hits]
 
     def query_interval(self, lo: float, hi: float, session: QuerySession | None = None) -> list:
@@ -220,8 +222,8 @@ class Frequency1D:
             )
         if lo > hi:
             raise MalformedQueryError(f"interval [{lo}, {hi}] is inverted")
-        rlo = self.count_lt(lo)
-        rhi = self.count_le(hi)
+        rlo = count_lt(self.sorted_values, lo)
+        rhi = count_le(self.sorted_values, hi)
         if rlo >= rhi:
             return []
         right, p1 = self._succ_index.report(rlo, rhi, rhi)
@@ -278,13 +280,3 @@ def build_1d(points, mode=COUNT, interval_index: bool | None = None) -> Frequenc
     return Frequency1D(
         ps.coords[:, 0], ps.colors, ps.weight_list(), mode=ps.mode, interval_index=interval_index
     )
-
-
-def query_prefix(s: Frequency1D, q: float, session: QuerySession | None = None) -> list:
-    return s.query_prefix(q, session)
-
-
-def query_interval(
-    s: Frequency1D, lo: float, hi: float, session: QuerySession | None = None
-) -> list:
-    return s.query_interval(lo, hi, session)

@@ -17,7 +17,6 @@ anywhere, so semigroup weights work.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -30,8 +29,11 @@ from .core import (
     PointSet,
     QuerySession,
     UnsupportedShapeError,
+    count_le,
+    count_lt,
+    rank_order,
 )
-from .dominance import ColorAccumulator, DominanceTree, _check_fanout
+from .dominance import ColorAccumulator, DominanceTree, _check_fanout, _scan_range, _walk
 from .freq1d import Frequency1D
 
 _XTREE_LEAF = 2
@@ -129,51 +131,45 @@ def _sweep_dominance(
         ((tuple(corner[a] for a in axes), qid) for qid, corner in corner_queries),
         key=lambda t: (t[0][0], t[1]),
     )
+    skel = DominanceTree._skeleton(coords[:, axes], colors, weights, s=s, phi=phi, mode=mode)
+    session = QuerySession(ColorAccumulator(phi, mode))
+    acc = session.accumulator
 
     if d == 1:
-        struct = Frequency1D(coords[:, 0], colors, weights, mode=mode)
+        # the skeleton is the whole structure: one 1-D structure over all points
+        entries = skel.stored_entries
         if n:
             summary.total_built += 1
-            summary.entries_built += struct.entries
-            meter.add(struct.entries)
-        session = QuerySession(ColorAccumulator(phi, mode))
+            summary.entries_built += entries
+            meter.add(entries)
         for corner, qid in jobs:
             session.reset()
-            yield qid, corner[0], struct.query_prefix(corner[0], session)
+            skel._query_into(corner, session)
+            yield qid, corner[0], acc.drain_and_reset()
         if n:
-            meter.remove(struct.entries)
+            meter.remove(entries)
             summary.total_destroyed += 1
         return
 
-    skel = DominanceTree._from_parts(
-        coords[:, axes], colors, weights, s=s, phi=phi, mode=mode, lazy=True
-    )
     summary.skeleton_nodes += skel.node_count
-
     if skel.root is None:
         for corner, qid in jobs:
             yield qid, corner[0], []
         return
 
-    # pin each query to its leaf strip
-    by_leaf: dict[int, list] = {}
-    leaf_of: dict[int, Any] = {}
+    # pin each query to its leaf strip; the leaf's path is kept from its first query
+    pinned: dict[int, tuple] = {}  # leaf.lo -> (path, leaf, [(corner, qid, rq)])
     for corner, qid in jobs:
-        rq = int(np.searchsorted(skel.sorted0, corner[0], side="right"))
-        node = skel.root
-        while not node.is_leaf:
-            node = node.children[bisect_left(node.ends, rq)]
-        key = node.lo
-        leaf_of[key] = node
-        by_leaf.setdefault(key, []).append((corner, qid, rq))
+        rq = count_le(skel.sorted0, corner[0])
+        path, leaf = _walk(skel.root, rq)
+        pinned.setdefault(leaf.lo, (path, leaf, []))[2].append((corner, qid, rq))
 
-    session = QuerySession(ColorAccumulator(phi, mode))
-    acc = session.accumulator
-    path: list = []  # (node, child index, live substructure)
+    current: list = []  # (node, child index) path of the live substructures
+    live: list = []  # the substructure built for each level of that path, or None
     live_ranges: list = []  # rank intervals of live substructures (debug only)
 
     def pop_level():
-        _, _, struct = path.pop()
+        struct = live.pop()
         if struct is not None:
             meter.remove(_struct_entries(struct))
             summary.total_destroyed += 1
@@ -181,28 +177,14 @@ def _sweep_dominance(
             live_ranges.pop()
 
     try:
-        for key in sorted(by_leaf):
-            leaf = leaf_of[key]
-            # chain of (node, child index) leading to this leaf
-            target = []
-            node = skel.root
-            while not node.is_leaf:
-                i = bisect_left(node.ends, leaf.lo + 1)
-                if node.ends[i] < leaf.hi:  # guard: hi within chosen child
-                    raise AssertionError("leaf outside child range")
-                target.append((node, i))
-                node = node.children[i]
+        for key in sorted(pinned):
+            path, leaf, queries = pinned[key]
             keep = 0
-            while (
-                keep < len(path)
-                and keep < len(target)
-                and path[keep][0] is target[keep][0]
-                and path[keep][1] == target[keep][1]
-            ):
+            while keep < min(len(current), len(path)) and current[keep] == path[keep]:
                 keep += 1
-            while len(path) > keep:
+            while len(live) > keep:
                 pop_level()
-            for node, i in target[keep:]:
+            for node, i in path[keep:]:
                 cut = node.starts[i]
                 struct = skel._build_substructure(node.lo, cut)
                 if struct is not None:
@@ -216,30 +198,15 @@ def _sweep_dominance(
                         if a < span[1] and span[0] < b and span[0] < span[1]:
                             raise AssertionError(f"live ranges overlap: {(a, b)} vs {span}")
                     live_ranges.append(span)
-                path.append((node, i, struct))
+                live.append(struct)
+            current = path
 
-            for corner, qid, rq in by_leaf[key]:
+            for corner, qid, rq in queries:
                 session.reset()
-                rest = corner[1:]
-                for _, _, struct in path:
-                    if struct is None:
-                        continue
-                    session.substructure_queries += 1
-                    if isinstance(struct, Frequency1D):
-                        acc.add_entries(struct.query_prefix(rest[0], session))
-                    else:
-                        struct._query_into(rest, session)
-                for pos in range(leaf.lo, min(leaf.hi, rq)):
-                    ok = True
-                    for j in range(1, d):
-                        if skel.coords_r[pos, j] > rest[j - 1]:
-                            ok = False
-                            break
-                    if ok:
-                        acc.add(int(skel.colors_r[pos]), skel.weights_r[pos])
+                skel._answer(live, corner[1:], leaf, rq, session)
                 yield qid, corner[0], acc.drain_and_reset()
     finally:
-        while path:
+        while live:
             pop_level()
 
 
@@ -259,7 +226,7 @@ def _dominance_corners(queries, d) -> list:
 
 
 def answer_offline_dominance(job: OfflineJob) -> SweepSummary:
-    """Answer a dominance batch with a lazy build-and-destroy sweep.
+    """Answer a dominance batch with a build-and-destroy sweep.
 
     Emits (query id, frequency list) to the job sink in non-decreasing
     order of the corner's sweep-axis coordinate; returns the space and
@@ -326,7 +293,7 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
     summary = SweepSummary(ps.n, len(queries), 2, s, 1)
     meter = _LiveMeter()
 
-    order = np.lexsort((np.arange(ps.n), ps.coords[:, 0]))
+    order = rank_order(ps.coords[:, 0])
     coords_x = ps.coords[order]
     colors_x = ps.colors[order]
     weights_all = ps.weight_list()
@@ -355,8 +322,8 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
 
     empties = []
     for qid, x1, x2, y in shaped:
-        rlo = int(np.searchsorted(sorted_x, x1, side="left"))
-        rhi = int(np.searchsorted(sorted_x, x2, side="right"))
+        rlo = count_lt(sorted_x, x1)
+        rhi = count_le(sorted_x, x2)
         if rlo >= rhi:
             empties.append((y, qid))
             continue
@@ -379,9 +346,8 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
             continue
         if node.is_leaf:
             for qid, x1, x2, y in sorted(node.queries, key=lambda t: (t[3], str(t[0]))):
-                for pos in range(node.lo, node.hi):
-                    if x1 <= coords_x[pos, 0] <= x2 and coords_x[pos, 1] <= y:
-                        acc.add(int(colors_x[pos]), weights_x[pos])
+                _scan_range(coords_x, colors_x, weights_x, node.lo, node.hi,
+                            [(x1, x2), (-INF, y)], acc)
                 emit(qid, acc.drain_and_reset())
             continue
         lo, mid, hi = node.lo, node.mid, node.hi

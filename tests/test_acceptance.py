@@ -66,15 +66,14 @@ def _check_query(rec, ps, struct, q, session):
     k = len(got)
     rec.probe_checks += 1
     if isinstance(struct, cf.DominanceTree):
-        if ps.d == 2:
-            bound = cf.dominance_path_bound(ps.n, struct.s)
-            if session.substructure_queries > bound:
-                rec.probe_failures.append(("subq", ps.n, struct.s, session.substructure_queries))
-            if acc.touch_ops - touches_before > k * bound:
-                rec.probe_failures.append(("touch", ps.n, struct.s, acc.touch_ops - touches_before))
+        bound = cf.dominance_query_bound(ps.n, struct.s, ps.d)
+        if session.substructure_queries > bound:
+            rec.probe_failures.append(("subq", ps.n, ps.d, struct.s, session.substructure_queries))
+        if acc.touch_ops - touches_before > k * bound:
+            rec.probe_failures.append(("touch", ps.n, ps.d, struct.s, acc.touch_ops - touches_before))
     else:
         two_sided = len(q.two_sided_axes())
-        if session.fanout > 2 ** two_sided:
+        if session.fanout > cf.box_fanout_bound(two_sided):
             rec.probe_failures.append(("fanout", ps.n, struct.s, session.fanout))
 
 
@@ -110,6 +109,9 @@ def sweep():
                     pattern = BOX_PATTERNS[d][config_idx % len(BOX_PATTERNS[d])]
                     axes = tuple(i for i, v in enumerate(pattern) if v == 2)
                     box = cf.build_box(ps, s=s, bounded_axes=axes)
+                    rec.space_checks += 1
+                    if box.stored_entries > cf.box_space_bound(n, s, d, len(axes)):
+                        rec.space_failures.append((n, d, s, axes, box.stored_entries))
                     bsession = box.new_session()
                     for _ in range(8):
                         # mix the structure's max pattern with lighter shapes
@@ -182,7 +184,8 @@ def test_criterion_3_space_accounting(sweep):
         3,
         not failures,
         f"space accounting: {checks} built structures within "
-        f"n*((s-1)*(ceil_log_s(n)+1))^(d-1), {len(failures)} violations",
+        f"n*((s-1)*(ceil_log_s(n)+1))^(d-1), boxes within box_space_bound, "
+        f"{len(failures)} violations",
     )
 
 

@@ -7,12 +7,9 @@ import pytest
 
 import colorfreq as cf
 from _util import canon, random_query
+from colorfreq.core import count_le, count_lt
 
 INF = float("inf")
-
-
-def layer_entry_bound(n, s, d, layers):
-    return cf.dominance_space_bound(n, s, d) * (cf.ceil_log(2, max(n, 1)) + 1) ** layers
 
 
 def test_no_layers_is_a_dominance_tree():
@@ -31,7 +28,7 @@ def test_three_sided_planar():
     rng = np.random.default_rng(3)
     ps = cf.generate_points(250, 2, 10, seed=4)
     bt = cf.build_box(ps, s=4, bounded_axes=(0,))
-    assert bt.stored_entries <= layer_entry_bound(250, 4, 2, 1)
+    assert bt.stored_entries <= cf.box_space_bound(250, 4, 2, 1)
     for _ in range(80):
         q = random_query(rng, 2, sides=(2, 1))
         assert canon(bt.query(q)) == canon(cf.brute_force(ps, q))
@@ -75,7 +72,7 @@ def test_fanout_bound_per_query():
         q = random_query(rng, 3, sides=sides)
         got = bt.query(q, sess)
         two_sided = sum(1 for v in sides if v == 2)
-        assert sess.fanout <= 2 ** two_sided
+        assert sess.fanout <= cf.box_fanout_bound(two_sided)
         assert canon(got) == canon(cf.brute_force(ps, q))
 
 
@@ -100,7 +97,7 @@ def test_split_partition_at_located_node():
     for _ in range(40):
         x1, x2 = sorted(rng.uniform(0, 1000, 2))
         y = float(rng.uniform(0, 1000))
-        rlo, rhi = layer.count_lt(x1), layer.count_le(x2)
+        rlo, rhi = count_lt(layer.sorted_vals, x1), count_le(layer.sorted_vals, x2)
         if rlo >= rhi:
             continue
         node = layer.root
@@ -167,7 +164,7 @@ def test_entry_accounting_across_instances():
         for layers in ((0,), (0, 1)):
             ps = cf.generate_points(n, 2, 5, seed=n)
             bt = cf.build_box(ps, s=2, bounded_axes=layers)
-            assert bt.stored_entries <= layer_entry_bound(n, 2, 2, len(layers))
+            assert bt.stored_entries <= cf.box_space_bound(n, 2, 2, len(layers))
 
 
 def test_all_sidedness_d1_to_d3():

@@ -63,6 +63,15 @@ def test_verify_clean_and_corrupt(tmp_path, capsys):
     assert "first differing query" in report
 
 
+def test_verify_weighted_counts(tmp_path, capsys):
+    # the sum identity compares reported totals with the weight inside the box
+    pts, qs = tmp_path / "w.points.txt", tmp_path / "w.queries.txt"
+    pts.write_text("1 1 a 3\n2 5 b 1\n3 2 a -1\n4 4 c 2\n")
+    qs.write_text("-inf 10 -inf 10\n-inf 2.5 -inf 3\n")
+    assert main(["verify", str(pts), str(qs), "--fanout", "2"]) == 0
+    assert "0 mismatches" in capsys.readouterr().out
+
+
 def test_verify_fanout_sweep(tmp_path, capsys):
     out = tmp_path / "s"
     main(gen_args(out, seed=11, n=120, m=25))

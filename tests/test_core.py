@@ -129,6 +129,21 @@ def test_negative_color_rejected():
         cf.PointSet(np.zeros((1, 1)), [-1])
 
 
+def test_count_weights_that_overflow_int64_rejected():
+    # structures total in Python ints, the oracle in int64; past 2**63 - 1 they would differ
+    for weights in ([2**62, 2**62], [-(2**62), -(2**62)], np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(cf.MalformedInputError):
+            cf.PointSet(np.zeros((len(weights), 1)), [0] * len(weights), weights)
+    ps = cf.PointSet(np.zeros((2, 1)), [0, 0], [2**62, 2**62 - 1])
+    q = cf.BoxQuery.dominance((0.0,))
+    assert cf.build_dominance(ps, 1).query(q) == cf.brute_force(ps, q) == [(0, 2**63 - 1)]
+
+
+def test_empty_count_weight_list_accepted():
+    ps = cf.PointSet(np.zeros((0, 2)), [], [])
+    assert ps.n == 0 and ps.weights.dtype == np.int64
+
+
 def test_phi_is_one_plus_max_id():
     ps = cf.PointSet(np.zeros((3, 1)), [0, 4, 2])
     assert ps.phi == 5

@@ -1,6 +1,8 @@
 """Strip tree: oracle equivalence, accumulator contract, space and probe counters."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ def test_three_dimensional_batch_against_oracle():
     t = cf.build_dominance(ps, 3, s=4)
     sess = t.new_session()
     acc = sess.accumulator
-    bound = cf.dominance_path_bound(200, 4) ** 2  # (ceil_log_s(n)+1)^(d-1)
+    bound = cf.dominance_query_bound(200, 4, 3)  # (ceil_log_s(n)+1)^(d-1)
     for _ in range(50):
         q = random_corner(rng, 3)
         before = acc.touch_ops
@@ -129,15 +131,34 @@ def test_probe_bounds_2d():
             assert acc.touch_ops - before <= k * bound
 
 
-def test_decomposition_partials_sum_to_oracle_count():
-    rng = np.random.default_rng(55)
-    ps = cf.generate_points(300, 2, 9, seed=60, grid=50)
-    t = cf.build_dominance(ps, 2, s=4)
-    sess = t.new_session(track_partials=True)
-    for _ in range(30):
-        q = random_corner(rng, 2, lo=-5, hi=55)
-        t.query(q, sess)
-        assert sum(sess.partial_counts) == int(q.mask(ps.coords).sum())
+def test_sessionless_queries_are_thread_safe():
+    ps = cf.generate_points(3000, 2, 40, seed=71)
+    tree = cf.build_dominance(ps, 2, s=8)
+    rng = np.random.default_rng(72)
+    queries = [random_corner(rng, 2) for _ in range(300)]
+    expected = [canon(cf.brute_force(ps, q)) for q in queries]
+    wrong = []
+
+    def reader():
+        for q, want in zip(queries, expected):
+            try:
+                if canon(tree.query(q)) != want:
+                    wrong.append(q)
+            except Exception as exc:  # noqa: BLE001 - a crash is a wrong answer too
+                wrong.append((q, exc))
+
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_doubling_entries_growth():
@@ -179,16 +200,16 @@ def test_query_dimension_mismatch():
 
 def test_accumulate_additive_merge():
     acc = cf.ColorAccumulator(8)
-    cf.accumulate(acc, [(2, 3)])
-    cf.accumulate(acc, [(2, 1), (5, 2)])
-    assert canon(cf.drain_and_reset(acc)) == ((2, 4), (5, 2))
+    acc.add_entries([(2, 3)])
+    acc.add_entries([(2, 1), (5, 2)])
+    assert canon(acc.drain_and_reset()) == ((2, 4), (5, 2))
     assert acc.is_fully_reset()
 
 
 def test_accumulate_empty_is_identity():
     acc = cf.ColorAccumulator(4)
-    cf.accumulate(acc, [])
-    assert cf.drain_and_reset(acc) == []
+    acc.add_entries([])
+    assert acc.drain_and_reset() == []
 
 
 def test_accumulate_random_equals_sorted_merge():
@@ -201,27 +222,27 @@ def test_accumulate_random_equals_sorted_merge():
             for sz in rng.integers(0, 8, size=int(rng.integers(1, 6)))
         ]
         for entries in lists:
-            cf.accumulate(acc, entries)
+            acc.add_entries(entries)
         ref = {}
         for entries in lists:
             for c, w in entries:
                 ref[c] = ref.get(c, 0) + w
-        assert canon(cf.drain_and_reset(acc)) == tuple(sorted(ref.items()))
+        assert canon(acc.drain_and_reset()) == tuple(sorted(ref.items()))
 
 
 def test_drain_disjoint_colors_unions():
     acc = cf.ColorAccumulator(10)
-    cf.accumulate(acc, [(1, 1)])
-    cf.accumulate(acc, [(4, 2)])
-    cf.accumulate(acc, [(7, 3)])
-    assert canon(cf.drain_and_reset(acc)) == ((1, 1), (4, 2), (7, 3))
+    acc.add_entries([(1, 1)])
+    acc.add_entries([(4, 2)])
+    acc.add_entries([(7, 3)])
+    assert canon(acc.drain_and_reset()) == ((1, 1), (4, 2), (7, 3))
 
 
 def test_drain_single_touched():
     acc = cf.ColorAccumulator(100)
     acc.add(7, 2)
-    assert cf.drain_and_reset(acc) == [(7, 2)]
-    assert cf.drain_and_reset(acc) == []
+    assert acc.drain_and_reset() == [(7, 2)]
+    assert acc.drain_and_reset() == []
 
 
 def test_drain_cost_independent_of_phi():

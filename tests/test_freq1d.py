@@ -172,6 +172,16 @@ def test_weighted_prefix_weights_accumulate():
     assert canon(f.query_prefix(3.0)) == ((0, 7), (1, 9))
 
 
+def test_cancelling_count_weights_leave_the_color_out():
+    ps = cf.PointSet.from_points([(1.0, RED, 1), (2.0, RED, -1), (3.0, BLUE, 2), (4.0, BLUE, 0)])
+    f = cf.build_1d(ps)
+    assert f.query_prefix(5.0) == [(BLUE, 2)]
+    assert f.query_prefix(2.0) == []
+    assert f.query_interval(1.0, 5.0) == [(BLUE, 2)]
+    assert cf.build_dominance(ps, 1, s=2).query((5.0,)) == [(BLUE, 2)]
+    assert cf.brute_force(ps, cf.BoxQuery.dominance((5.0,))) == [(BLUE, 2)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(

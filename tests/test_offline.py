@@ -122,6 +122,13 @@ def test_offline_d1():
     assert summary.total_built == summary.total_destroyed == 1
 
 
+def test_offline_d1_leaves_cancelled_colors_out():
+    ps = cf.PointSet.from_points([(1.0, 0, 1), (2.0, 0, -1), (3.0, 1, 1)])
+    queries = [(0, cf.BoxQuery.dominance((5.0,))), (1, cf.BoxQuery.dominance((2.0,)))]
+    got, _, _ = run_dominance(ps, queries, s=2)
+    assert got == {0: ((1, 1),), 1: ()}
+
+
 def test_non_dominance_query_rejected():
     ps = cf.generate_points(50, 2, 4, seed=15)
     bad = cf.BoxQuery([(1.0, 5.0), (-INF, 3.0)])
