@@ -141,7 +141,7 @@ def cmd_verify(args) -> int:
     count_mode = isinstance(ps.mode, CountMode)
     path_bound = dominance_query_bound(ps.n, args.fanout, ps.d)
     for qid, q in enumerate(queries):
-        touch_before = acc.touch_ops
+        touch_before, drain_before = acc.touch_ops, acc.drain_ops
         entries = struct.query(q, session)
         if args.corrupt and qid == 0 and entries:
             c0, w0 = entries[0]
@@ -155,11 +155,12 @@ def cmd_verify(args) -> int:
             mismatches += 1
             if first_diff is None:
                 first_diff = (qid, q, entries, expected)
-        k = len(entries)
         if isinstance(struct, DominanceTree):
             if session.substructure_queries > path_bound:
                 probe_violations += 1
-            if acc.touch_ops - touch_before > max(k, 0) * path_bound:
+            # colors touched, counting those whose total cancelled to 0
+            touched = acc.drain_ops - drain_before
+            if acc.touch_ops - touch_before > touched * path_bound:
                 probe_violations += 1
         else:
             if session.fanout > box_fanout_bound(len(struct.bounded_axes)):

@@ -521,6 +521,17 @@ def read_dataset(path, d: int | None = None, mode=COUNT) -> PointSet:
 
 
 def write_dataset(ps: PointSet, path) -> None:
+    """Write ``ps`` in the dataset format; read_dataset(path, d=ps.d) reads it back.
+
+    A label must be one token that '#' does not cut short, and labels must
+    differ, since the format names colors only by their labels.
+    """
+    labels = [ps.label_of(c) for c in sorted(set(ps.colors.tolist()))]
+    for label in labels:
+        if not label or "#" in label or any(ch.isspace() for ch in label):
+            raise MalformedInputError(f"label {label!r} cannot be written as one token")
+    if len(set(labels)) != len(labels):
+        raise MalformedInputError("two colors share a label")
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(ps.n):
             coords = " ".join(repr(float(x)) for x in ps.coords[i])

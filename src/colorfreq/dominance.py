@@ -35,7 +35,7 @@ from .core import (
     count_le,
     rank_order,
 )
-from .freq1d import Frequency1D, _sort_charge
+from .freq1d import Frequency1D, _build_ranges, _sort_charge
 
 
 class ColorAccumulator:
@@ -215,13 +215,35 @@ class DominanceTree:
         self.build_ops += len(starts)
         return _StripNode(lo, hi, starts, ends, children)
 
-    def _build_prefix_structs(self, node) -> None:
-        """Give every strip below ``node`` its structure over the points left of it."""
-        if node is None or node.is_leaf:
-            return
-        node.prefix_structs = [self._build_substructure(node.lo, cut) for cut in node.starts]
-        for child in node.children:
-            self._build_prefix_structs(child)
+    def _build_prefix_structs(self, root) -> None:
+        """Give every strip below ``root`` its structure over the points left of it.
+
+        Count-mode 1-D structures are built one tree level at a time by the
+        batched ``_build_ranges``; every other kind one strip at a time.
+        """
+        batched = self.d == 2 and isinstance(self.mode, CountMode)
+        if batched:
+            ys = np.ascontiguousarray(self.coords_r[:, 1])
+            weights = np.array(self.weights_r, dtype=np.int64)
+        level = [root] if root is not None and not root.is_leaf else []
+        while level:
+            if batched:
+                structs = iter(_build_ranges(
+                    ys, self.colors_r, weights,
+                    [(node.lo, cut) for node in level for cut in node.starts], self.mode,
+                ))
+                for node in level:
+                    node.prefix_structs = [next(structs) for _ in node.starts]
+                    for sub in node.prefix_structs:
+                        if sub is not None:
+                            self.stored_entries += sub.entries
+                            self.build_ops += sub.build_ops
+            else:
+                for node in level:
+                    node.prefix_structs = [
+                        self._build_substructure(node.lo, cut) for cut in node.starts
+                    ]
+            level = [child for node in level for child in node.children if not child.is_leaf]
 
     def _build_substructure(self, lo: int, cut: int):
         """Structure over the remaining axes of the points with rank in [lo, cut)."""

@@ -53,7 +53,7 @@ class SweepRecord:
 
 def _check_query(rec, ps, struct, q, session):
     acc = session.accumulator
-    touches_before = acc.touch_ops
+    touches_before, drains_before = acc.touch_ops, acc.drain_ops
     got = struct.query(q, session)
     want = cf.brute_force(ps, q)
     rec.pairs += 1
@@ -63,13 +63,13 @@ def _check_query(rec, ps, struct, q, session):
     rec.sum_checks += 1
     if cf.freq_total(got) != int(q.mask(ps.coords).sum()):
         rec.sum_failures.append((ps.n, ps.d, q))
-    k = len(got)
     rec.probe_checks += 1
     if isinstance(struct, cf.DominanceTree):
         bound = cf.dominance_query_bound(ps.n, struct.s, ps.d)
         if session.substructure_queries > bound:
             rec.probe_failures.append(("subq", ps.n, ps.d, struct.s, session.substructure_queries))
-        if acc.touch_ops - touches_before > k * bound:
+        # per touched color, cancelled ones included; drain visits each once
+        if acc.touch_ops - touches_before > (acc.drain_ops - drains_before) * bound:
             rec.probe_failures.append(("touch", ps.n, ps.d, struct.s, acc.touch_ops - touches_before))
     else:
         two_sided = len(q.two_sided_axes())

@@ -72,6 +72,15 @@ def test_verify_weighted_counts(tmp_path, capsys):
     assert "0 mismatches" in capsys.readouterr().out
 
 
+def test_verify_touch_bound_counts_cancelled_colors(tmp_path, capsys):
+    # both colors cancel to 0: nothing is reported, yet each was touched
+    pts, qs = tmp_path / "c.points.txt", tmp_path / "c.queries.txt"
+    pts.write_text("1 1 a 1\n2 1 a -1\n3 1 b 1\n4 1 b -1\n")
+    qs.write_text("-inf 10 -inf 10\n")
+    assert main(["verify", str(pts), str(qs), "--fanout", "2"]) == 0
+    assert "probe-bound violations: 0" in capsys.readouterr().out
+
+
 def test_verify_fanout_sweep(tmp_path, capsys):
     out = tmp_path / "s"
     main(gen_args(out, seed=11, n=120, m=25))

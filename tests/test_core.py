@@ -1,6 +1,8 @@
 """Core types: queries, rank maps, weight algebra, text formats."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -185,6 +187,46 @@ def test_dataset_roundtrip(tmp_path):
         (inst.label_of(c), w) for c, w in cf.brute_force(inst, q)
     )
     assert by_label(back) == by_label(ps)
+
+
+def _writable(label):
+    return "#" not in label and not any(ch.isspace() for ch in label)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.text(min_size=1, max_size=6).filter(_writable),
+                 min_size=1, max_size=4, unique=True),
+        st.lists(st.tuples(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d),
+            st.integers(0, 3),
+            st.integers(-5, 5),
+        ), min_size=1, max_size=10),
+    ))
+)
+def test_dataset_roundtrip_property(case):
+    d, labels, rows = case
+    coords = [c for c, _, _ in rows]
+    colors = [i % len(labels) for _, i, _ in rows]
+    weights = [w for _, _, w in rows]
+    ps = cf.PointSet(coords, colors, weights, labels=labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.txt")
+        cf.write_dataset(ps, path)
+        back = cf.read_dataset(path, d=d)
+    assert back.coords.tolist() == ps.coords.tolist()
+    assert back.weights.tolist() == weights
+    assert [back.label_of(c) for c in back.colors.tolist()] == [labels[c] for c in colors]
+
+
+@pytest.mark.parametrize("labels", [["c d"], ["x#y"], [""], ["a\tb"], ["a", "a"]])
+def test_dataset_unwritable_labels_rejected(tmp_path, labels):
+    ps = cf.PointSet([[float(i)] for i in range(len(labels))], list(range(len(labels))),
+                     labels=labels)
+    with pytest.raises(cf.MalformedInputError):
+        cf.write_dataset(ps, tmp_path / "d.txt")
 
 
 def test_dataset_weights_column(tmp_path):

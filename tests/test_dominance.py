@@ -277,3 +277,29 @@ def test_weighted_semigroup_dominance():
         for _ in range(5):
             q = random_corner(rng, 2)
             assert canon(t.query(q)) == canon(cf.brute_force(ps, q))
+
+
+def test_batched_tree_counters_match_one_by_one_build():
+    ps = cf.generate_points(3000, 2, 40, seed=5, grid=1500)
+    batched = cf.build_dominance(ps, 2, s=4)
+    # the per-strip path the offline sweep uses, over the same skeleton
+    single = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weight_list(), 4, ps.phi, ps.mode)
+    stack = [single.root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            node.prefix_structs = [single._build_substructure(node.lo, cut) for cut in node.starts]
+            stack.extend(node.children)
+    # batched structures hold views of one sorted chunk
+    assert any(sub is not None and sub.sorted_values.base is not None
+               for sub in batched.root.prefix_structs)
+    assert batched.stored_entries == single.stored_entries
+    assert batched.build_ops == single.build_ops
+    rng = np.random.default_rng(6)
+    s1, s2 = batched.new_session(), single.new_session()
+    for _ in range(200):
+        q = random_corner(rng, 2, lo=-10, hi=1510)
+        t1, t2 = s1.accumulator.touch_ops, s2.accumulator.touch_ops
+        assert batched.query(q, s1) == single.query(q, s2)
+        assert (s1.probes, s1.substructure_queries) == (s2.probes, s2.substructure_queries)
+        assert s1.accumulator.touch_ops - t1 == s2.accumulator.touch_ops - t2

@@ -1,6 +1,7 @@
 """The 1-D frequency structure: chains, quadrant queries, intervals, probes."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import colorfreq as cf
+from colorfreq import freq1d
 from _util import canon
 
 # Pinned probe-counter constants (recorded by this suite; measured worst
@@ -193,3 +195,40 @@ def test_prefix_matches_oracle_property(pairs, q):
     pts = [(float(x), c) for x, c in pairs]
     f = cf.build_1d(pts) if pts else cf.build_1d([])
     assert canon(f.query_prefix(float(q))) == oracle_1d(pts, -math.inf, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 1200),
+    st.integers(1, 60),
+    st.integers(1, 12),
+    st.integers(0, 2**31),
+    st.integers(-3, 1),
+    st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=12),
+    st.booleans(),
+)
+def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, small_chunks):
+    # ranges of 0 to n entries: around _SMALL, in chunks around _BATCH_MIN,
+    # and (with small chunks) split over several chunks; count weights in
+    # [low, 3], so some ranges have no weight below 0 and some none below 1
+    rng = np.random.default_rng(seed)
+    ys = rng.integers(0, grid, n).astype(float)
+    cols = rng.integers(0, phi, n)
+    w = rng.integers(low, 4, n)
+    ranges = [tuple(sorted((int(a * n), int(b * n)))) for a, b in spans]
+    with mock.patch.object(freq1d, "_BATCH_CHUNK", 300 if small_chunks else freq1d._BATCH_CHUNK):
+        built = freq1d._build_ranges(ys, cols, w, ranges)
+    for (lo, cut), got in zip(ranges, built):
+        if cut == lo:
+            assert got is None
+            continue
+        want = cf.Frequency1D(ys[lo:cut], cols[lo:cut], w[lo:cut].tolist())
+        for name in cf.Frequency1D.__slots__:
+            if name == "sorted_values":
+                assert got.sorted_values.tolist() == want.sorted_values.tolist()
+            elif name == "_succ_index":
+                for part in freq1d._PrioIndex.__slots__:
+                    assert getattr(got._succ_index, part) == getattr(want._succ_index, part), part
+            else:
+                assert getattr(got, name) == getattr(want, name), name
+        assert got.entries == want.entries
