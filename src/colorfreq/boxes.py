@@ -16,8 +16,6 @@ the matching one, keeping the fan-out at 2^(number of two-sided axes).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .core import (
     BoxQuery,
     COUNT,
@@ -47,14 +45,14 @@ _LAYER_LEAF = 2  # leaf capacity of layer trees; keeps copies within log2(n)+1
 class _LayerNode:
     __slots__ = ("lo", "hi", "mid", "left", "right", "inner_low", "inner_high")
 
-    def __init__(self, lo, hi, mid=None, left=None, right=None, inner_low=None, inner_high=None):
+    def __init__(self, lo, hi):
         self.lo = lo
         self.hi = hi
-        self.mid = mid
-        self.left = left
-        self.right = right
-        self.inner_low = inner_low
-        self.inner_high = inner_high
+        self.mid = None
+        self.left = None
+        self.right = None
+        self.inner_low = None
+        self.inner_high = None
 
     @property
     def is_leaf(self) -> bool:
@@ -62,20 +60,73 @@ class _LayerNode:
 
 
 class _Layer:
-    """One doubly-bounded axis: rank order, node tree, and full-set inners."""
+    """One axis's rank order and the binary split tree over it.
 
-    __slots__ = ("axis", "coords_r", "colors_r", "weights_r", "sorted_vals", "root",
+    ``nodes`` lists the tree breadth-first from the root; an internal node
+    splits its rank range [lo, hi) at ``mid`` = (lo + hi) // 2.  Box trees
+    hang their inner structures on the nodes; offline three-sided batches
+    place their queries on them.
+    """
+
+    __slots__ = ("axis", "coords_r", "colors_r", "weights_r", "sorted_vals", "nodes",
                  "full_low", "full_high")
 
-    def __init__(self, axis, coords_r, colors_r, weights_r):
+    def __init__(self, axis, coords, colors, weights):
+        order = rank_order(coords[:, axis])
         self.axis = axis
-        self.coords_r = coords_r
-        self.colors_r = colors_r
-        self.weights_r = weights_r
-        self.sorted_vals = coords_r[:, axis]
-        self.root = None
+        self.coords_r = coords[order]
+        self.colors_r = colors[order]
+        self.weights_r = [weights[i] for i in order]
+        self.sorted_vals = self.coords_r[:, axis]
+        self.nodes = [_LayerNode(0, len(coords))]
+        for node in self.nodes:  # grows while iterated: breadth-first
+            if node.hi - node.lo > _LAYER_LEAF:
+                node.mid = (node.lo + node.hi) // 2
+                node.left = _LayerNode(node.lo, node.mid)
+                node.right = _LayerNode(node.mid, node.hi)
+                self.nodes += (node.left, node.right)
         self.full_low = None
         self.full_high = None
+
+    def locate(self, lo, hi):
+        """(node, steps) for the closed range [lo, hi] on this axis.
+
+        The node is the highest one whose splitter rank falls strictly
+        inside the range's ranks [rlo, rhi), else the leaf holding them,
+        and None when the range holds no point.  ``steps`` counts the
+        internal nodes the descent visited.
+        """
+        rlo = count_lt(self.sorted_vals, lo)
+        rhi = count_le(self.sorted_vals, hi)
+        if rlo >= rhi:
+            return None, 0
+        node = self.nodes[0]
+        steps = 0
+        while not node.is_leaf:
+            steps += 1
+            if rhi <= node.mid:
+                node = node.left
+            elif rlo >= node.mid:
+                node = node.right
+            else:
+                break
+        return node, steps
+
+    def low_half(self, lo, hi):
+        """(coords, colors, weights) of ranks [lo, hi), this axis negated, so
+        a lower bound on it becomes an upper bound."""
+        coords = self.coords_r[lo:hi].copy()
+        coords[:, self.axis] = -coords[:, self.axis]
+        return coords, self.colors_r[lo:hi], self.weights_r[lo:hi]
+
+    def high_half(self, lo, hi):
+        """(coords, colors, weights) of ranks [lo, hi) as they are."""
+        return self.coords_r[lo:hi], self.colors_r[lo:hi], self.weights_r[lo:hi]
+
+    def scan(self, node, bounds, acc) -> None:
+        """Add to ``acc`` the points of ``node`` inside ``bounds``."""
+        _scan_range(self.coords_r, self.colors_r, self.weights_r,
+                    node.lo, node.hi, bounds, acc)
 
 
 class BoxTree:
@@ -117,38 +168,15 @@ class BoxTree:
             self.build_ops += sub.build_ops
             return sub
         axis, rest = layer_axes[0], layer_axes[1:]
-        coords = np.asarray(coords, dtype=np.float64)
         n = len(coords)
-        order = rank_order(coords[:, axis])
-        coords_r = coords[order]
-        colors_r = np.asarray(colors, dtype=np.int64)[order]
-        weights_r = [weights[i] for i in order]
+        layer = _Layer(axis, coords, colors, weights)
         self.build_ops += _sort_charge(n)
-        layer = _Layer(axis, coords_r, colors_r, weights_r)
-
-        def negate(c):
-            c = c.copy()
-            c[:, axis] = -c[:, axis]
-            return c
-
-        def build_node(lo, hi):
-            if hi - lo <= _LAYER_LEAF:
-                return _LayerNode(lo, hi)
-            mid = (lo + hi) // 2
-            node = _LayerNode(lo, hi, mid)
-            node.inner_low = self._build(
-                negate(coords_r[lo:mid]), colors_r[lo:mid], weights_r[lo:mid], rest
-            )
-            node.inner_high = self._build(
-                coords_r[mid:hi], colors_r[mid:hi], weights_r[mid:hi], rest
-            )
-            node.left = build_node(lo, mid)
-            node.right = build_node(mid, hi)
-            return node
-
-        layer.root = build_node(0, n)
-        layer.full_low = self._build(negate(coords_r), colors_r, weights_r, rest)
-        layer.full_high = self._build(coords_r, colors_r, weights_r, rest)
+        for node in layer.nodes:
+            if not node.is_leaf:
+                node.inner_low = self._build(*layer.low_half(node.lo, node.mid), rest)
+                node.inner_high = self._build(*layer.high_half(node.mid, node.hi), rest)
+        layer.full_low = self._build(*layer.low_half(0, n), rest)
+        layer.full_high = self._build(*layer.high_half(0, n), rest)
         return layer
 
     # -- queries -----------------------------------------------------------------
@@ -194,26 +222,15 @@ class BoxTree:
             nb[layer.axis] = (-INF, -lo)
             self._query_rec(layer.full_low, nb, session)
             return
-        rlo = count_lt(layer.sorted_vals, lo)
-        rhi = count_le(layer.sorted_vals, hi)
-        if rlo >= rhi:
+        # the descent is charged to the probe counter, separate from fan-out
+        node, steps = layer.locate(lo, hi)
+        session.probes += steps
+        if node is None:
             return  # empty slab on this axis
-        # locate the highest node whose splitter falls inside the range;
-        # the walk is charged to the probe counter, separate from fan-out
-        node = layer.root
-        while not node.is_leaf:
-            session.probes += 1
-            if rhi <= node.mid:
-                node = node.left
-            elif rlo >= node.mid:
-                node = node.right
-            else:
-                break
         if node.is_leaf:
             # the range falls inside a leaf gap: check its few points on every axis
             session.fanout += 1
-            _scan_range(layer.coords_r, layer.colors_r, layer.weights_r,
-                        node.lo, node.hi, bounds, session.accumulator)
+            layer.scan(node, bounds, session.accumulator)
             return
         nb_low = list(bounds)
         nb_low[layer.axis] = (-INF, -lo)

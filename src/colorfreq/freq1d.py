@@ -258,9 +258,6 @@ class Frequency1D:
                 out.append((float(self.sorted_values[r]), nxt, self.prefix_weight[r]))
         return out
 
-    def color_ids(self) -> set[int]:
-        return set(self.colors)
-
 
 def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
     """Count-mode structures for many rank ranges of one array, batched.

@@ -8,11 +8,12 @@ their corner and answered the moment the sweep reaches it, which makes the
 answer stream non-decreasing in the sweep coordinate.
 
 Three-sided batches in the plane ([x1,x2] x (-inf,y]) place each query at
-the highest node of a binary tree on x whose splitter falls in its x-range,
-split it into two dominance queries over the node's children (the left one
-x-reflected), run both child batches as sweeps along y, and merge the two
-y-ordered answer streams pairwise through one accumulator — no subtraction
-anywhere, so semigroup weights work.
+the highest node of the box layer's split tree on x whose splitter falls in
+its x-range, split it into two dominance queries over the node's children
+(the left one x-reflected), run both child batches as sweeps along y, and
+merge the two y-ordered answer streams pairwise through one accumulator — no
+subtraction anywhere, so semigroup weights work.  Ties in a sweep coordinate
+keep the input order of the queries.
 """
 
 from __future__ import annotations
@@ -30,13 +31,10 @@ from .core import (
     QuerySession,
     UnsupportedShapeError,
     count_le,
-    count_lt,
-    rank_order,
 )
-from .dominance import ColorAccumulator, DominanceTree, _check_fanout, _scan_range, _walk
+from .boxes import _Layer
+from .dominance import ColorAccumulator, DominanceTree, _check_fanout, _walk
 from .freq1d import Frequency1D
-
-_XTREE_LEAF = 2
 
 
 @dataclass
@@ -127,9 +125,10 @@ def _sweep_dominance(
     coords = np.asarray(coords, dtype=np.float64)
     n, d = coords.shape
     axes = [sweep_axis] + [a for a in range(d) if a != sweep_axis]
+    # a stable sort: ties keep input order, which keeps paired sweeps in step
     jobs = sorted(
         ((tuple(corner[a] for a in axes), qid) for qid, corner in corner_queries),
-        key=lambda t: (t[0][0], t[1]),
+        key=lambda t: t[0][0],
     )
     skel = DominanceTree._skeleton(coords[:, axes], colors, weights, s=s, phi=phi, mode=mode)
     session = QuerySession(ColorAccumulator(phi, mode))
@@ -254,22 +253,6 @@ def answer_offline_dominance(job: OfflineJob) -> SweepSummary:
     return summary
 
 
-class _XNode:
-    __slots__ = ("lo", "hi", "mid", "left", "right", "queries")
-
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
-        self.mid = None
-        self.left = None
-        self.right = None
-        self.queries = []
-
-    @property
-    def is_leaf(self):
-        return self.left is None
-
-
 def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> SweepSummary:
     """Answer a batch of [x1,x2] x (-inf,y] queries in the plane.
 
@@ -293,74 +276,41 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
     summary = SweepSummary(ps.n, len(queries), 2, s, 1)
     meter = _LiveMeter()
 
-    order = rank_order(ps.coords[:, 0])
-    coords_x = ps.coords[order]
-    colors_x = ps.colors[order]
-    weights_all = ps.weight_list()
-    weights_x = [weights_all[i] for i in order]
-    sorted_x = coords_x[:, 0]
+    layer = _Layer(0, ps.coords, ps.colors, ps.weight_list())
+    summary.skeleton_nodes += len(layer.nodes)
 
     def emit(qid, entries):
         summary.emitted += 1
         sink(qid, entries)
 
-    # place queries: empty x-slabs answer immediately, the rest go to the
-    # highest node whose splitter rank falls strictly inside their x-range
-    root = _XNode(0, ps.n)
-    nodes = [root]
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        i += 1
-        if node.hi - node.lo > _XTREE_LEAF:
-            node.mid = (node.lo + node.hi) // 2
-            node.left = _XNode(node.lo, node.mid)
-            node.right = _XNode(node.mid, node.hi)
-            nodes.append(node.left)
-            nodes.append(node.right)
-    summary.skeleton_nodes += len(nodes)
-
-    empties = []
+    # place queries at the highest node whose splitter rank falls strictly
+    # inside their x-range; those with an empty x-slab (node None) answer first
+    placed: dict = {}
     for qid, x1, x2, y in shaped:
-        rlo = count_lt(sorted_x, x1)
-        rhi = count_le(sorted_x, x2)
-        if rlo >= rhi:
-            empties.append((y, qid))
-            continue
-        node = root
-        while not node.is_leaf:
-            if rhi <= node.mid:
-                node = node.left
-            elif rlo >= node.mid:
-                node = node.right
-            else:
-                break
-        node.queries.append((qid, x1, x2, y))
+        node, _ = layer.locate(x1, x2)
+        placed.setdefault(node, []).append((qid, x1, x2, y))
 
-    for y, qid in sorted(empties, key=lambda t: (t[0], str(t[1]))):
+    for qid, x1, x2, y in sorted(placed.pop(None, []), key=lambda t: t[3]):
         emit(qid, [])
 
     acc = ColorAccumulator(ps.phi, ps.mode)
-    for node in nodes:
-        if not node.queries:
+    for node in layer.nodes:
+        batch = placed.get(node)
+        if not batch:
             continue
         if node.is_leaf:
-            for qid, x1, x2, y in sorted(node.queries, key=lambda t: (t[3], str(t[0]))):
-                _scan_range(coords_x, colors_x, weights_x, node.lo, node.hi,
-                            [(x1, x2), (-INF, y)], acc)
+            for qid, x1, x2, y in sorted(batch, key=lambda t: t[3]):
+                layer.scan(node, [(x1, x2), (-INF, y)], acc)
                 emit(qid, acc.drain_and_reset())
             continue
-        lo, mid, hi = node.lo, node.mid, node.hi
-        left_coords = coords_x[lo:mid].copy()
-        left_coords[:, 0] = -left_coords[:, 0]
-        corners_left = [(qid, (-x1, y)) for qid, x1, x2, y in node.queries]
-        corners_right = [(qid, (x2, y)) for qid, x1, x2, y in node.queries]
+        corners_left = [(qid, (-x1, y)) for qid, x1, x2, y in batch]
+        corners_right = [(qid, (x2, y)) for qid, x1, x2, y in batch]
         gen_left = _sweep_dominance(
-            left_coords, colors_x[lo:mid], weights_x[lo:mid], ps.mode, ps.phi,
+            *layer.low_half(node.lo, node.mid), ps.mode, ps.phi,
             corners_left, 1, s, summary, meter,
         )
         gen_right = _sweep_dominance(
-            coords_x[mid:hi], colors_x[mid:hi], weights_x[mid:hi], ps.mode, ps.phi,
+            *layer.high_half(node.mid, node.hi), ps.mode, ps.phi,
             corners_right, 1, s, summary, meter,
         )
         last_y = -INF

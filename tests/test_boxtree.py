@@ -97,18 +97,8 @@ def test_split_partition_at_located_node():
     for _ in range(40):
         x1, x2 = sorted(rng.uniform(0, 1000, 2))
         y = float(rng.uniform(0, 1000))
-        rlo, rhi = count_lt(layer.sorted_vals, x1), count_le(layer.sorted_vals, x2)
-        if rlo >= rhi:
-            continue
-        node = layer.root
-        while not node.is_leaf:
-            if rhi <= node.mid:
-                node = node.left
-            elif rlo >= node.mid:
-                node = node.right
-            else:
-                break
-        if node.is_leaf:
+        node, _ = layer.locate(x1, x2)
+        if node is None or node.is_leaf:
             continue
         coords = layer.coords_r
         in_node = [
@@ -124,6 +114,36 @@ def test_split_partition_at_located_node():
             if coords[p, 0] <= x2 and coords[p, 1] <= y
         ]
         assert sorted(left + right) == in_node  # disjoint union, no overlap
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 33])
+def test_locate_matches_its_definition(n):
+    # every closed range over the coordinates (duplicates included) and the gaps
+    ps = cf.generate_points(n, 2, 3, seed=n, grid=max(n // 2, 1))
+    layer = cf.build_box(ps, s=2, bounded_axes=(0,)).top
+    depth = {id(layer.nodes[0]): 0}
+    for node in layer.nodes:
+        if not node.is_leaf:
+            depth[id(node.left)] = depth[id(node.right)] = depth[id(node)] + 1
+    values = sorted(set(layer.sorted_vals.tolist()))
+    probes = sorted(set(values) | {v + 0.5 for v in values} | {-1.0})
+    for x1 in probes:
+        for x2 in probes:
+            rlo = count_lt(layer.sorted_vals, x1)
+            rhi = count_le(layer.sorted_vals, x2)
+            node, steps = layer.locate(x1, x2)
+            if rlo >= rhi:
+                assert node is None and steps == 0
+                continue
+            holding = [v for v in layer.nodes if v.lo <= rlo and rhi <= v.hi]
+            split = [v for v in holding if not v.is_leaf and rlo < v.mid < rhi]
+            if split:
+                assert node is split[0]
+                assert steps == depth[id(node)] + 1
+            else:
+                leaves = [v for v in holding if v.is_leaf]
+                assert len(leaves) == 1 and node is leaves[0]
+                assert steps == depth[id(node)]
 
 
 def test_empty_slab_between_ranks():

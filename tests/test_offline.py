@@ -185,6 +185,34 @@ def test_3sided_empty_slab():
     assert got[0] == ()
 
 
+
+_TIE_POINTS = [((1.0, 1.0), 0), ((2.0, 2.0), 1), ((3.0, 3.0), 0), ((4.0, 1.0), 1), ((5.0, 2.0), 0)]
+_TIE_BATCHES = {
+    "dominance": [cf.BoxQuery.dominance((4.0, 2.0)), cf.BoxQuery.dominance((4.0, 3.0))],
+    "3sided-split": [cf.BoxQuery([(1.0, 4.0), (-INF, 2.0)]), cf.BoxQuery([(2.0, 5.0), (-INF, 2.0)])],
+    "3sided-leaf": [cf.BoxQuery([(4.0, 5.0), (-INF, 2.0)]), cf.BoxQuery([(4.5, 5.0), (-INF, 2.0)])],
+    "3sided-empty": [cf.BoxQuery([(5.5, 6.0), (-INF, 2.0)]), cf.BoxQuery([(6.0, 7.0), (-INF, 2.0)])],
+}
+
+
+@pytest.mark.parametrize("qids", [(0, "b"), ("b", 0)])
+@pytest.mark.parametrize("batch", sorted(_TIE_BATCHES))
+def test_tied_sweep_coordinates_stream_in_input_order(batch, qids):
+    # ids of mixed types are never compared: ties keep the input order
+    ps = cf.PointSet.from_points(_TIE_POINTS)
+    boxes = _TIE_BATCHES[batch]
+    stream = []
+
+    def sink(qid, entries):
+        stream.append((qid, canon(entries)))
+
+    queries = list(zip(qids, boxes))
+    if batch == "dominance":
+        cf.answer_offline_dominance(cf.OfflineJob(ps, queries, 0, 2, sink))
+    else:
+        cf.answer_offline_3sided(ps, queries, 2, sink)
+    assert stream == [(qid, canon(cf.brute_force(ps, q))) for qid, q in queries]
+
 def test_3sided_merge_touch_counter():
     rng = np.random.default_rng(20)
     ps = cf.generate_points(300, 2, 10, seed=21)
