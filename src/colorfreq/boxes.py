@@ -26,6 +26,7 @@ from .core import (
     PointSet,
     QuerySession,
     UnsupportedShapeError,
+    _gc_paused,
     count_le,
     count_lt,
     rank_order,
@@ -35,6 +36,7 @@ from .dominance import (
     DominanceTree,
     _check_fanout,
     _coerce_points,
+    _fill,
     _scan_range,
 )
 from .freq1d import _sort_charge
@@ -155,17 +157,24 @@ class BoxTree:
         self.bounded_axes = axes
         self.stored_entries = 0
         self.build_ops = 0
-        self.top = self._build(ps.coords, ps.colors, ps.weight_list(), list(axes))
+        trees = []
+        with _gc_paused:
+            self.top = self._build(ps.coords, ps.colors, ps.weight_list(), list(axes), trees)
+            _fill(trees)
+        for tree in trees:
+            self.stored_entries += tree.stored_entries
+            self.build_ops += tree.build_ops
 
     # -- construction ----------------------------------------------------------
 
-    def _build(self, coords, colors, weights, layer_axes):
+    def _build(self, coords, colors, weights, layer_axes, trees):
+        """The layers over ``layer_axes``; the dominance skeletons at their
+        bottom are appended to ``trees`` for one fill."""
         if not layer_axes:
-            sub = DominanceTree._from_parts(
+            sub = DominanceTree._skeleton(
                 coords, colors, weights, s=self.s, phi=self.phi, mode=self.mode
             )
-            self.stored_entries += sub.stored_entries
-            self.build_ops += sub.build_ops
+            trees.append(sub)
             return sub
         axis, rest = layer_axes[0], layer_axes[1:]
         n = len(coords)
@@ -173,10 +182,10 @@ class BoxTree:
         self.build_ops += _sort_charge(n)
         for node in layer.nodes:
             if not node.is_leaf:
-                node.inner_low = self._build(*layer.low_half(node.lo, node.mid), rest)
-                node.inner_high = self._build(*layer.high_half(node.mid, node.hi), rest)
-        layer.full_low = self._build(*layer.low_half(0, n), rest)
-        layer.full_high = self._build(*layer.high_half(0, n), rest)
+                node.inner_low = self._build(*layer.low_half(node.lo, node.mid), rest, trees)
+                node.inner_high = self._build(*layer.high_half(node.mid, node.hi), rest, trees)
+        layer.full_low = self._build(*layer.low_half(0, n), rest, trees)
+        layer.full_high = self._build(*layer.high_half(0, n), rest, trees)
         return layer
 
     # -- queries -----------------------------------------------------------------

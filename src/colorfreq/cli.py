@@ -27,7 +27,12 @@ from .core import (
     CountMode,
     INF,
     MAX_SEMIGROUP,
+    MalformedInputError,
+    MalformedQueryError,
+    ParameterError,
     PointSet,
+    UnsupportedOperationError,
+    UnsupportedShapeError,
     canonical_freq,
     freq_total,
     read_dataset,
@@ -351,7 +356,12 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_stats)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (MalformedInputError, MalformedQueryError, ParameterError,
+            UnsupportedShapeError, UnsupportedOperationError) as exc:
+        print(f"colorfreq: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ share across concurrent readers.
 
 from __future__ import annotations
 
+import gc
 import math
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -428,6 +430,48 @@ def canonical_freq(entries) -> tuple:
 def freq_total(entries) -> int:
     """Sum of reported counts (count mode only)."""
     return sum(int(w) for _, w in entries)
+
+
+# ---------------------------------------------------------------------------
+# Builds
+# ---------------------------------------------------------------------------
+
+
+class _GCPause:
+    """Context manager that keeps the cyclic garbage collector off during
+    an eager build.
+
+    A build creates millions of tracked lists and dicts, and the collector
+    would traverse them again and again while they are made.  The
+    structures hold no reference cycles, so reference counting alone frees
+    every temporary.  The new objects are left in the youngest generation,
+    so later collections still walk them once or twice.  Nested and
+    concurrent builds share one pause: the first to enter records whether
+    the collector was on, and the last to leave restores that state, also
+    when its build raises.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_enabled = False
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._was_enabled:
+                gc.enable()
+        return False
+
+
+_gc_paused = _GCPause()
 
 
 # ---------------------------------------------------------------------------

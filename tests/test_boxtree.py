@@ -1,12 +1,14 @@
 """Layered box structure: oracle equivalence, fan-out, split partition, space."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import colorfreq as cf
 from _util import canon, random_query
+from colorfreq import boxes, dominance
 from colorfreq.core import count_le, count_lt
 
 INF = float("inf")
@@ -195,3 +197,46 @@ def test_all_sidedness_d1_to_d3():
         for _ in range(40):
             q = random_query(rng, d, lo=-5, hi=65)
             assert canon(bt.query(q)) == canon(cf.brute_force(ps, q))
+
+
+def _fill_one_by_one(trees):
+    """The per-strip build the offline sweep uses, over the same skeletons."""
+    for tree in trees:
+        for node in tree._inner_nodes():
+            node.prefix_structs = [tree._build_substructure(node.lo, cut) for cut in node.starts]
+
+
+@pytest.mark.parametrize("d, mode_name, chunk", [
+    (2, "count", None), (2, "semigroup", 500), (3, "count", 500), (3, "semigroup", None),
+])
+def test_batched_box_counters_match_one_by_one_build(d, mode_name, chunk):
+    # two-sided on axes 0 and 1, as `--sides 2,2` builds; a 500-entry chunk
+    # mixes batched chunks with ones below _BATCH_MIN
+    n = 700 if d == 2 else 160
+    base = cf.generate_points(n, d, 30, seed=11 + d, grid=n // 2)
+    rng = np.random.default_rng(12)
+    if mode_name == "count":
+        ps = cf.PointSet(base.coords, base.colors, rng.integers(-2, 4, n))
+    else:
+        ps = cf.PointSet(base.coords, base.colors, rng.integers(0, 50, n).tolist(),
+                         mode=cf.MAX_SEMIGROUP)
+    with mock.patch.object(dominance, "_BATCH_CHUNK", chunk or dominance._BATCH_CHUNK):
+        batched = cf.build_box(ps, s=4, bounded_axes=(0, 1))
+    with mock.patch.object(boxes, "_fill", _fill_one_by_one), \
+            mock.patch.object(dominance, "_fill", _fill_one_by_one):
+        single = cf.build_box(ps, s=4, bounded_axes=(0, 1))
+    # batched structures hold views of one sorted chunk
+    tree = batched.top.full_high.full_high
+    if d == 3:
+        tree = tree.root.prefix_structs[-1]
+    assert tree.root.prefix_structs[-1].sorted_values.base is not None
+    assert batched.stored_entries == single.stored_entries
+    assert batched.build_ops == single.build_ops
+    s1, s2 = batched.new_session(), single.new_session()
+    for _ in range(150):
+        q = random_query(rng, d, sides=(2, 2) + (1,) * (d - 2), lo=-10, hi=n // 2 + 10)
+        t1, t2 = s1.accumulator.touch_ops, s2.accumulator.touch_ops
+        assert batched.query(q, s1) == single.query(q, s2)
+        assert (s1.probes, s1.fanout, s1.substructure_queries) == \
+            (s2.probes, s2.fanout, s2.substructure_queries)
+        assert s1.accumulator.touch_ops - t1 == s2.accumulator.touch_ops - t2

@@ -215,3 +215,22 @@ def test_semigroup_weights_flag(tmp_path, capsys):
     assert main(["verify", f"{out}.points.txt", f"{out}.queries.txt",
                  "--fanout", "4", "--weights", "semigroup"]) == 0
     assert "0 mismatches" in capsys.readouterr().out
+
+
+def test_typed_errors_print_one_line(tmp_path, capsys):
+    out = tmp_path / "e"
+    main(gen_args(out, seed=41, n=60, m=10, extra=("--sides", "2,2")))
+    capsys.readouterr()
+    bad = tmp_path / "bad.points.txt"
+    bad.write_text("1.0 2.0 a\n3.0 b\n")
+    files = [f"{out}.points.txt", f"{out}.queries.txt"]
+    cases = [
+        (["offline", *files, "--sides", "2,2"], "query 0 is not a dominance query"),
+        (["build-query", *files, "--fanout", "1"], "fanout s=1 outside"),
+        (["stats", str(bad)], ""),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("colorfreq: error: "), err
+        assert message in err

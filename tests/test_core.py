@@ -1,8 +1,11 @@
 """Core types: queries, rank maps, weight algebra, text formats."""
 
+import gc
 import math
 import os
 import tempfile
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 import colorfreq as cf
 from _util import canon
+from colorfreq import dominance
 
 INF = float("inf")
 
@@ -282,3 +286,88 @@ def test_concurrent_sessions_do_not_interfere():
     r1 = t.query(q1, s1)
     r2 = t.query(q2, s2)
     assert canon(r1) == a_only and canon(r2) == b_only
+
+
+# -- the collector pause of eager builds --------------------------------------
+
+
+def test_builds_pause_the_collector():
+    ps = cf.generate_points(300, 2, 8, seed=60)
+    real = dominance._build_ranges
+    seen = []
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    assert gc.isenabled()
+    with mock.patch.object(dominance, "_build_ranges", spy):
+        cf.build_dominance(ps, 2, s=4)
+        cf.build_box(ps, s=4, bounded_axes=(0, 1))
+    assert seen and not any(seen)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        cf.build_dominance(ps, 2, s=4)
+        cf.build_box(ps, s=4, bounded_axes=(0, 1))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_collector_restored_when_a_build_raises():
+    ps = cf.generate_points(300, 2, 8, seed=61)
+
+    def fail(*args):
+        raise RuntimeError("fill failed")
+
+    with mock.patch.object(dominance, "_build_ranges", fail):
+        for build in (lambda: cf.build_dominance(ps, 2, s=4),
+                      lambda: cf.build_box(ps, s=4, bounded_axes=(0,))):
+            with pytest.raises(RuntimeError, match="fill failed"):
+                build()
+            assert gc.isenabled()
+    gc.disable()
+    try:
+        cf.build_dominance(ps, 2, s=4)  # the failed builds left no pause open
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_overlapping_builds_in_two_threads_restore_the_collector():
+    # build "a" enters its pause first and leaves it first, while build
+    # "b" is still inside its own: the collector must come back on only
+    # when the last build leaves
+    ps = cf.generate_points(2000, 2, 8, seed=62)
+    real = dominance._build_ranges
+    a_inside, b_inside, a_done = threading.Event(), threading.Event(), threading.Event()
+    entries = {}
+
+    def spy(*args):
+        name = threading.current_thread().name
+        if name == "a" and not a_inside.is_set():
+            a_inside.set()
+            assert b_inside.wait(30)
+        elif name == "b" and not b_inside.is_set():
+            b_inside.set()
+            assert a_done.wait(30)
+            assert not gc.isenabled()
+        return real(*args)
+
+    def build():
+        entries[threading.current_thread().name] = cf.build_dominance(ps, 2, s=4).stored_entries
+        if threading.current_thread().name == "a":
+            a_done.set()
+
+    with mock.patch.object(dominance, "_build_ranges", spy):
+        a = threading.Thread(target=build, name="a")
+        b = threading.Thread(target=build, name="b")
+        a.start()
+        assert a_inside.wait(30)
+        b.start()
+        a.join(60)
+        b.join(60)
+    assert not a.is_alive() and not b.is_alive()
+    assert entries["a"] == entries["b"] == cf.build_dominance(ps, 2, s=4).stored_entries
+    assert gc.isenabled()

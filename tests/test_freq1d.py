@@ -197,7 +197,13 @@ def test_prefix_matches_oracle_property(pairs, q):
     assert canon(f.query_prefix(float(q))) == oracle_1d(pts, -math.inf, q)
 
 
-@settings(max_examples=40, deadline=None)
+# tuple concatenation: a semigroup that is neither commutative nor scalar;
+# a None weight adds nothing, and a None prefix is where Frequency1D starts
+# a chain afresh
+CONCAT = cf.SemigroupMode(lambda a, b: a + (b or ()), name="concat")
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 1200),
     st.integers(1, 60),
@@ -205,24 +211,31 @@ def test_prefix_matches_oracle_property(pairs, q):
     st.integers(0, 2**31),
     st.integers(-3, 1),
     st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=12),
+    st.sampled_from(["count", "max", "concat"]),
     st.booleans(),
 )
-def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, small_chunks):
-    # ranges of 0 to n entries: around _SMALL, in chunks around _BATCH_MIN,
-    # and (with small chunks) split over several chunks; count weights in
-    # [low, 3], so some ranges have no weight below 0 and some none below 1
+def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_name, always):
+    # ranges of 0 to n entries: around _SMALL, and in all below and above
+    # _BATCH_MIN, or batched whatever their size; count weights in [low, 3],
+    # so some ranges have no weight below 0 and some none below 1.
+    # Concatenated prefixes grow with the square of a chain's length, so
+    # that mode keeps n small.
     rng = np.random.default_rng(seed)
+    mode = {"count": cf.COUNT, "max": cf.MAX_SEMIGROUP, "concat": CONCAT}[mode_name]
+    if mode is CONCAT:
+        n = min(n, 300)
     ys = rng.integers(0, grid, n).astype(float)
     cols = rng.integers(0, phi, n)
-    w = rng.integers(low, 4, n)
-    ranges = [tuple(sorted((int(a * n), int(b * n)))) for a, b in spans]
-    with mock.patch.object(freq1d, "_BATCH_CHUNK", 300 if small_chunks else freq1d._BATCH_CHUNK):
-        built = freq1d._build_ranges(ys, cols, w, ranges)
+    w = rng.integers(low, 4, n).tolist()
+    if mode is CONCAT:
+        w = [None if x == 3 else (x, i) for i, x in enumerate(w)]
+    ranges = [(lo, cut) for lo, cut in (sorted((int(a * n), int(b * n))) for a, b in spans)
+              if cut > lo]
+    with mock.patch.object(freq1d, "_BATCH_MIN", 1 if always else freq1d._BATCH_MIN):
+        built = freq1d._build_ranges(ys, cols, freq1d._weight_array(w, mode), ranges, mode)
+    assert len(built) == len(ranges)
     for (lo, cut), got in zip(ranges, built):
-        if cut == lo:
-            assert got is None
-            continue
-        want = cf.Frequency1D(ys[lo:cut], cols[lo:cut], w[lo:cut].tolist())
+        want = cf.Frequency1D(ys[lo:cut], cols[lo:cut], w[lo:cut], mode)
         for name in cf.Frequency1D.__slots__:
             if name == "sorted_values":
                 assert got.sorted_values.tolist() == want.sorted_values.tolist()
