@@ -64,10 +64,10 @@ def _mode_of(name: str):
 def _parse_sides(text: str | None, d: int) -> tuple[int, ...] | None:
     if text is None:
         return None
-    parts = [int(t) for t in text.split(",")]
-    if len(parts) != d or any(p not in (1, 2) for p in parts):
-        raise SystemExit(f"--sides needs {d} comma-separated values from {{1,2}}")
-    return tuple(parts)
+    parts = text.split(",")
+    if len(parts) != d or any(p.strip() not in ("1", "2") for p in parts):
+        raise ParameterError(f"--sides needs {d} comma-separated values from {{1,2}}, got {text!r}")
+    return tuple(int(p) for p in parts)
 
 
 def _bounded_axes(queries, sides) -> tuple[int, ...]:

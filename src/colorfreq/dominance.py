@@ -236,12 +236,13 @@ class DominanceTree:
         if cut <= lo:
             return None
         if self.d == 2:
-            sub = Frequency1D(
+            sub = _build_ranges(
                 self.coords_r[lo:cut, 1],
                 self.colors_r[lo:cut],
-                self.weights_r[lo:cut],
-                mode=self.mode,
-            )
+                _weight_array(self.weights_r[lo:cut], self.mode),
+                [(0, cut - lo)],
+                self.mode,
+            )[0]
             self.stored_entries += sub.entries
             self.build_ops += sub.build_ops
             return sub
@@ -323,7 +324,7 @@ class DominanceTree:
                 continue
             session.substructure_queries += 1
             if isinstance(struct, Frequency1D):
-                acc.add_entries(struct.query_prefix(rest[0], session))
+                struct._prefix_into(rest[0], acc, session)
             else:
                 struct._query_into(rest, session)
         if leaf is not None:

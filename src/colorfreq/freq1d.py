@@ -16,6 +16,8 @@ is the rank difference, which needs group (count) weights.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 
 import numpy as np
 
@@ -35,9 +37,9 @@ from .core import (
 _SMALL = 8  # below this size a linear scan beats any index
 # A batched build (_build_ranges) of fewer than _BATCH_MIN entries runs
 # faster one Frequency1D at a time: the batched pass has a fixed cost near
-# 0.4 ms, and the two break even at 200-380 entries for ranges of 12-300
-# entries.
-_BATCH_MIN = 400
+# 0.3 ms, and a single range breaks even at 150-200 entries against the
+# one-by-one insertion and preorder walk.
+_BATCH_MIN = 200
 
 
 def _sort_charge(n: int) -> int:
@@ -54,18 +56,38 @@ class _PrioIndex:
     priority order.  A node's occupant therefore has priority >= everything
     below it, and an empty node has an empty subtree.
 
+    The heap is stored in preorder (node, left subtree, right subtree) over
+    every occupied node and every non-empty child of one; the unoccupied
+    ("dead") children include the right child [lo, lo+1) of a length-1
+    node.  Per node, ``lo`` is the start of its range, ``pri`` and ``pos``
+    its occupant's priority and position (-1 when dead), and ``skip`` the
+    number of nodes in its subtree, so ``k + skip[k]`` is the index just
+    past it.  ``lo`` never decreases in preorder.  A dead node's -1 is below
+    every successor rank, so the prefix scan of ``Frequency1D`` needs no
+    other test; ``report`` tells dead nodes by ``pos``, since the interval
+    index has negative priorities.  Below ``_SMALL`` positions the layout is
+    flat instead: every position is a node of its own, so a scan of it is
+    the linear scan.
+
+    ``pri`` and ``skip`` are tuples, which the cyclic collector stops
+    tracking once it has seen that they hold only ints; most subtree sizes
+    are small ints, which CPython shares.  ``lo`` and ``pos`` are
+    ``array('i')``, half the size: a scan reads ``lo`` only to bisect it,
+    and ``pos`` only on occupied nodes.
+
     ``report(a, b, t)`` returns all positions in [a, b) with priority >= t,
     visiting O(log m + output) nodes.
     """
 
-    __slots__ = ("m", "pri", "occ", "build_steps")
+    __slots__ = ("m", "lo", "pri", "pos", "skip", "build_steps")
 
     def __init__(self, pri: list[int]):
         self.m = m = len(pri)
-        self.pri = pri
         self.build_steps = 0
         if m <= _SMALL:
-            self.occ = None
+            self.pri = tuple(pri)
+            self.lo = self.pos = range(m)
+            self.skip = (1,) * m
             return
         occ: dict[int, int] = {}
         steps = 0
@@ -80,35 +102,76 @@ class _PrioIndex:
                     node, lo = 2 * node + 1, mid
                 steps += 1
             occ[node] = i
-        self.occ = occ
         self.build_steps = steps + _sort_charge(m)
+
+        # preorder by an explicit stack; the nodes before the end of a
+        # node's subtree are those starting below its hi
+        los, his, poss = array("i"), [], array("i")
+        stack = [(1, 0, m)]
+        while stack:
+            node, lo, hi = stack.pop()
+            i = occ.get(node, -1)
+            los.append(lo)
+            his.append(hi)
+            poss.append(i)
+            if i >= 0:
+                mid = (lo + hi) >> 1
+                stack.append((2 * node + 1, mid, hi))
+                if lo < mid:
+                    stack.append((2 * node, lo, mid))
+        self.lo, self.pos = los, poss
+        self.pri = tuple([-1 if i < 0 else pri[i] for i in poss])
+        self.skip = tuple((np.searchsorted(los, his) - np.arange(len(his))).tolist())
+
+    def priorities(self) -> list[int]:
+        """The priority of every position, by position."""
+        if self.m <= _SMALL:
+            return list(self.pri)
+        out = [0] * self.m
+        for p, i in zip(self.pri, self.pos):
+            if i >= 0:
+                out[i] = p
+        return out
 
     def report(self, a: int, b: int, t: int) -> tuple[list[int], int]:
         """(hits, probes) for positions in [a, b) with priority >= t."""
         if a >= b or self.m == 0:
             return [], 0
         pri = self.pri
-        if self.occ is None:
+        if self.m <= _SMALL:
             hits = [i for i in range(a, b) if pri[i] >= t]
             return hits, b - a
+        los, pos, skip = self.lo, self.pos, self.skip
         hits: list[int] = []
         probes = 0
-        stack = [(1, 0, self.m)]
-        occ = self.occ
+        stack = [(0, self.m)]  # (preorder index, end of its range)
         while stack:
-            node, lo, hi = stack.pop()
+            k, hi = stack.pop()
             probes += 1
-            i = occ.get(node)
-            if i is None or pri[i] < t:
+            i = pos[k]
+            if i < 0 or pri[k] < t:
                 continue
             if a <= i < b:
                 hits.append(i)
+            lo = los[k]
             mid = (lo + hi) >> 1
-            if lo < mid and a < mid and lo < b:
-                stack.append((2 * node, lo, mid))
-            if mid < hi and a < hi and mid < b:
-                stack.append((2 * node + 1, mid, hi))
+            right = k + 1  # the right child follows the left subtree, if any
+            if lo < mid:
+                if a < mid and lo < b:
+                    stack.append((k + 1, mid))
+                right = k + 1 + skip[k + 1]
+            if a < hi and mid < b:
+                stack.append((right, hi))
         return hits, probes
+
+
+class _Cells(dict):
+    """Accumulator cells keyed by color, each None (empty) until set."""
+
+    __slots__ = ()
+
+    def __missing__(self, color):
+        return None
 
 
 class Frequency1D:
@@ -119,7 +182,6 @@ class Frequency1D:
         "m",
         "sorted_values",
         "colors",
-        "succ",
         "pred",
         "prefix_weight",
         "prefix_below",
@@ -172,7 +234,6 @@ class Frequency1D:
             running[c] = cur
             pref[r] = cur
         self.colors = cols
-        self.succ = succ
         self.prefix_weight = pref
 
         self._succ_index = _PrioIndex(succ)
@@ -200,20 +261,72 @@ class Frequency1D:
         """Number of stored mapped points (space instrumentation)."""
         return self.m
 
+    @property
+    def succ(self) -> list[int]:
+        """Rank of the next point of the same color (m for none), by rank."""
+        return self._succ_index.priorities()
+
     # -- queries ---------------------------------------------------------------
 
     def query_prefix(self, q: float, session: QuerySession | None = None) -> list:
         """Per-color total weight of the points with coordinate <= q."""
-        rq = count_le(self.sorted_values, q)
-        if rq == 0:
-            return []
-        hits, probes = self._succ_index.report(0, rq, rq)
+        cells = _Cells()
+        touched: list[int] = []
+        probes, _ = self._scan_prefix(count_le(self.sorted_values, q), cells, touched, None)
         if session is not None:
             session.probes += probes
-        cols, pref = self.colors, self.prefix_weight
-        if self._may_cancel:
-            return [(cols[i], pref[i]) for i in hits if pref[i] != 0]
-        return [(cols[i], pref[i]) for i in hits]
+        return [(c, cells[c]) for c in touched]
+
+    def _prefix_into(self, q: float, acc, session: QuerySession) -> None:
+        """``query_prefix`` merged straight into the cells of ``acc``, a
+        ``ColorAccumulator`` over every color of this structure."""
+        probes, touches = self._scan_prefix(
+            count_le(self.sorted_values, q), acc.slots, acc.touched, acc.mode.combine
+        )
+        session.probes += probes
+        acc.touch_ops += touches
+
+    def _scan_prefix(self, rq: int, slots, touched: list, combine) -> tuple[int, int]:
+        """Merge the per-color totals of ranks [0, rq) into ``slots``.
+
+        The quadrant ``rank < rq <= succ`` holds at most one point per
+        color, so each color's cell is combined at most once.  A cell still
+        None is set and its color appended to ``touched``; any other is
+        replaced by ``combine(cell, weight)``.  Count totals of zero are
+        left out.  Colors were checked when the structure was built.
+        Returns (probes, touches).
+
+        The scan walks the heap's preorder up to the first node whose range
+        starts at or past ``rq``: a node whose ``pri`` is below ``rq`` (a
+        dead one too) skips its subtree, and an occupant of rank below
+        ``rq`` is a hit.  It visits exactly the nodes that
+        ``report(0, rq, rq)`` pops.
+        """
+        index = self._succ_index
+        pri, pos, skip = index.pri, index.pos, index.skip
+        cols, pref, cancel = self.colors, self.prefix_weight, self._may_cancel
+        end = bisect_left(index.lo, rq)
+        probes = touches = k = 0
+        while k < end:
+            probes += 1
+            if pri[k] < rq:
+                k += skip[k]
+                continue
+            i = pos[k]
+            k += 1
+            if i < rq:
+                w = pref[i]
+                if cancel and w == 0:
+                    continue
+                c = cols[i]
+                cur = slots[c]
+                if cur is None:
+                    slots[c] = w
+                    touched.append(c)
+                else:
+                    slots[c] = combine(cur, w)
+                touches += 1
+        return probes, touches
 
     def query_interval(self, lo: float, hi: float, session: QuerySession | None = None) -> list:
         """Per-color count of the points with coordinate in [lo, hi].
@@ -248,9 +361,10 @@ class Frequency1D:
     def chain_of(self, color: int) -> list[tuple[float, float, object]]:
         """(value, successor value or +inf, prefix weight) triples for one color."""
         out = []
+        succ = self.succ
         for r in range(self.m):
             if self.colors[r] == color:
-                s = self.succ[r]
+                s = succ[r]
                 nxt = float(self.sorted_values[s]) if s < self.m else math.inf
                 out.append((float(self.sorted_values[r]), nxt, self.prefix_weight[r]))
         return out
@@ -296,6 +410,7 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
     ys = values[idx]
     cols = colors[idx]
     w = weights[idx]
+    del rank, idx  # temporaries go as soon as they are used, for peak memory
 
     # chains: group by (range, color) keeping rank order, link neighbours
     key = rid * (int(cols.max()) + 1) + cols
@@ -311,6 +426,7 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
         pref = np.empty_like(total)
         pref[grouped] = total - (total - wg)[first][np.cumsum(first) - 1]
         pref_l = pref.tolist()
+        del wg, first, total, pref
         may_cancel = (np.minimum.reduceat(w, off[:-1]) <= 0).tolist()
     else:
         # a chain's first entry keeps its weight; each later one combines
@@ -323,6 +439,7 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
             if prev is not None:
                 pref_l[g] = combine(prev, pref_l[g])
         may_cancel = [False] * nr
+    del rid, pos, w, key, grouped, same, earlier, later
 
     # heap: place one depth at a time.  Positions are global (range offset
     # plus rank), so the nodes of one depth are disjoint segments [lo, hi);
@@ -330,61 +447,108 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
     # ties to the smallest position, as in the one-by-one insertion of
     # _PrioIndex (an occupied node passes each later entry on toward its
     # position, so a node takes the first entry of its segment to arrive).
-    node_at = np.zeros(size, dtype=np.int64)
+    # A depth's segments are its layout nodes: those left unfilled are the
+    # dead children, and only filled ones split further.
     depth_at = np.zeros(size, dtype=np.int64)
     indexed = sizes > _SMALL
     seg_lo, seg_hi = off[:-1][indexed], off[1:][indexed]
-    seg_node = np.ones(len(seg_lo), dtype=np.int64)
     # max key: max priority, then min position; placed entries drop to -1,
     # and the trailing -1 lets a segment end at ``size``
     key = np.append(succ * size + (size - 1 - np.arange(size)), -1)
+    # per depth: (lo, hi, occupant or -1), after an empty entry that lets a
+    # chunk hold no indexed range
+    levels = [(np.zeros(0, dtype=np.int64),) * 3]
     depth = 0
     while len(seg_lo):
         # reduce over [lo, hi) and the gap after it, then drop the gaps
         best = np.maximum.reduceat(key, np.column_stack((seg_lo, seg_hi)).ravel())[::2]
         filled = best >= 0
-        best, seg_lo, seg_hi, seg_node = best[filled], seg_lo[filled], seg_hi[filled], seg_node[filled]
-        placed = size - 1 - best % size
+        occupant = np.where(filled, size - 1 - best % size, -1)
+        placed = occupant[filled]
         key[placed] = -1
-        node_at[placed] = seg_node
         depth_at[placed] = depth
-        mid = (seg_lo + seg_hi) >> 1
-        seg_lo = np.column_stack((seg_lo, mid)).ravel()
-        seg_hi = np.column_stack((mid, seg_hi)).ravel()
-        seg_node = np.column_stack((2 * seg_node, 2 * seg_node + 1)).ravel()
+        levels.append((seg_lo, seg_hi, occupant))
+        lo_f, hi_f = seg_lo[filled], seg_hi[filled]
+        mid = (lo_f + hi_f) >> 1
+        seg_lo = np.column_stack((lo_f, mid)).ravel()
+        seg_hi = np.column_stack((mid, hi_f)).ravel()
         wide = seg_hi > seg_lo
-        seg_lo, seg_hi, seg_node = seg_lo[wide], seg_hi[wide], seg_node[wide]
+        seg_lo, seg_hi = seg_lo[wide], seg_hi[wide]
         depth += 1
+
+    # preorder is the order by (lo, depth): node ranges nest or are
+    # disjoint, and of two nodes starting at one lo the shallower is the
+    # ancestor.  The nodes starting at one lo lie on one path at
+    # consecutive depths, so a node's index is the number of nodes starting
+    # below its lo plus its depth below the shallowest of them.  A node's
+    # subtree ends where the nodes starting below its hi end, and a
+    # structure's nodes start at or past its first position.
+    depth_n = np.repeat(np.arange(len(levels)), [len(level[0]) for level in levels])
+    lo_n, hi_n, occ_n = (np.concatenate(column) for column in zip(*levels))
+    del levels, key
+    starts_below = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lo_n, minlength=size), out=starts_below[1:])
+    shallowest = np.full(size, depth)
+    np.minimum.at(shallowest, lo_n, depth_n)
+    pre = starts_below[lo_n] + depth_n - shallowest[lo_n]
+    del depth_n, shallowest
+    layout = np.empty((4, len(pre)), dtype=np.int64)  # in preorder
+    node_lo, node_pri, node_pos, node_skip = layout
+    node_lo[pre] = lo_n
+    node_pos[pre] = occ_n
+    node_skip[pre] = starts_below[hi_n] - pre
+    del lo_n, hi_n, occ_n, pre
+    node_off = starts_below[off]  # each structure's node range
+    base = np.repeat(off[:-1], np.diff(node_off))  # its first position, per node
+    node_lo -= base
+    filled = node_pos >= 0
+    node_pri[:] = np.where(filled, succ[node_pos], -1)
+    node_pos[filled] -= base[filled]
+    del base, filled
 
     # build counters, as Frequency1D and _PrioIndex book them
     charge = sizes * np.maximum(1, np.frexp(np.maximum(sizes - 1, 0))[1])  # _sort_charge
     steps = np.where(indexed, np.add.reduceat(depth_at, off[:-1]) + charge, 0)
     ops = 2 * sizes + charge + steps
 
-    # materialise the lists and dicts the query path reads; one table of
-    # int objects is shared by every structure of the chunk
-    table = np.arange(max(int(sizes.max()), int(cols.max()), int(node_at.max())) + 1, dtype=object)
-    ranks = table.tolist()
+    # materialise what the query path reads.  One table of int objects is
+    # shared by every structure of the chunk; its last element is -1, so
+    # index -1 reads -1.
+    top = max(int(sizes.max()), int(cols.max()))
+    table = np.append(np.arange(top + 1, dtype=object), -1)
     ys.setflags(write=False)
     cols_l = table[cols].tolist()
-    succ_l = table[succ].tolist()
-    nodes_l = table[node_at].tolist()
+    pri_t = tuple(table[node_pri].tolist())
+    skip_t = tuple(node_skip.tolist())
+    lo_b = node_lo.astype(np.int32).tobytes()
+    pos_b = node_pos.astype(np.int32).tobytes()
+    del layout, node_lo, node_pri, node_pos, node_skip
+    # a flat layout's pri is its ranks by position, all below 9 and so
+    # shared ints already
+    flat = [(range(m), (1,) * m) for m in range(_SMALL + 1)]  # (lo and pos, skip)
+    flat_sizes = np.where(indexed, 0, sizes)
+    flat_t = tuple(succ[np.repeat(~indexed, sizes)].tolist())
+    flat_off = np.cumsum(flat_sizes) - flat_sizes
     out = []
-    for a, b, m, big, st, op, mc in zip(
-        off.tolist(), off[1:].tolist(), sizes.tolist(), indexed.tolist(),
-        steps.tolist(), ops.tolist(), may_cancel,
+    for a, b, na, nb, fa, m, big, st, op, mc in zip(
+        off.tolist(), off[1:].tolist(), node_off.tolist(), node_off[1:].tolist(),
+        flat_off.tolist(), sizes.tolist(), indexed.tolist(), steps.tolist(), ops.tolist(),
+        may_cancel,
     ):
         index = _PrioIndex.__new__(_PrioIndex)
         index.m = m
-        index.pri = succ_l[a:b]
-        index.occ = dict(zip(nodes_l[a:b], ranks)) if big else None  # node -> rank
+        if big:
+            index.lo, index.pos = array("i", lo_b[4 * na:4 * nb]), array("i", pos_b[4 * na:4 * nb])
+            index.pri, index.skip = pri_t[na:nb], skip_t[na:nb]
+        else:
+            index.lo, index.skip = flat[m]
+            index.pos, index.pri = index.lo, flat_t[fa:fa + m]
         index.build_steps = st
         f = Frequency1D.__new__(Frequency1D)
         f.mode = mode
         f.m = m
         f.sorted_values = ys[a:b]
         f.colors = cols_l[a:b]
-        f.succ = index.pri
         f.prefix_weight = pref_l[a:b]
         f.pred = f.prefix_below = f._pred_index = None
         f._succ_index = index

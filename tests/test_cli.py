@@ -228,6 +228,8 @@ def test_typed_errors_print_one_line(tmp_path, capsys):
         (["offline", *files, "--sides", "2,2"], "query 0 is not a dominance query"),
         (["build-query", *files, "--fanout", "1"], "fanout s=1 outside"),
         (["stats", str(bad)], ""),
+        (["build-query", *files, "--sides", "2,x"], "--sides needs 2 comma-separated values"),
+        (["verify", *files, "--sides", "3,1"], "--sides needs 2 comma-separated values"),
     ]
     for argv, message in cases:
         assert main(argv) == 2

@@ -245,3 +245,118 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
             else:
                 assert getattr(got, name) == getattr(want, name), name
         assert got.entries == want.entries
+        assert got.succ == want.succ
+
+
+def reference_index(pri):
+    """The heap as {node: position}, nodes numbered 1, 2, 3, ... from the
+    root, filled by one-by-one insertion in decreasing priority order."""
+    m = len(pri)
+    occ = {}
+    for i in sorted(range(m), key=pri.__getitem__, reverse=True):
+        node, lo, hi = 1, 0, m
+        while node in occ:
+            mid = (lo + hi) >> 1
+            if i < mid:
+                node, hi = 2 * node, mid
+            else:
+                node, lo = 2 * node + 1, mid
+        occ[node] = i
+    return occ
+
+
+def reference_report(pri, occ, a, b, t):
+    """(hits, probes) of the stack walk over ``reference_index``'s heap."""
+    m = len(pri)
+    if a >= b or m == 0:
+        return [], 0
+    if m <= freq1d._SMALL:
+        return [i for i in range(a, b) if pri[i] >= t], b - a
+    hits, probes = [], 0
+    stack = [(1, 0, m)]
+    while stack:
+        node, lo, hi = stack.pop()
+        probes += 1
+        i = occ.get(node)
+        if i is None or pri[i] < t:
+            continue
+        if a <= i < b:
+            hits.append(i)
+        mid = (lo + hi) >> 1
+        if lo < mid and a < mid and lo < b:
+            stack.append((2 * node, lo, mid))
+        if mid < hi and a < hi and mid < b:
+            stack.append((2 * node + 1, mid, hi))
+    return hits, probes
+
+
+def chain_successors(colors):
+    """Rank of the next entry of the same color, len(colors) for none."""
+    succ, last = [len(colors)] * len(colors), {}
+    for r, c in enumerate(colors):
+        if c in last:
+            succ[last[c]] = r
+        last[c] = r
+    return succ
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 700),
+    st.integers(1, 80),
+    st.integers(1, 12),
+    st.integers(0, 2**31),
+    st.sampled_from(["count", "max", "concat"]),
+    st.booleans(),
+)
+def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mode_name, batched):
+    # m around _SMALL and _BATCH_MIN; count weights in [-3, 3]
+    rng = np.random.default_rng(seed)
+    mode = {"count": cf.COUNT, "max": cf.MAX_SEMIGROUP, "concat": CONCAT}[mode_name]
+    if mode is CONCAT:
+        m = min(m, 300)
+    ys = rng.integers(0, grid, m).astype(float)
+    cols = rng.integers(0, phi, m)
+    w = rng.integers(-3, 4, m).tolist()
+    if mode is CONCAT:
+        w = [None if x == 3 else (x, i) for i, x in enumerate(w)]
+    if batched and m:
+        with mock.patch.object(freq1d, "_BATCH_MIN", 1):
+            (f,) = freq1d._build_ranges(ys, cols, freq1d._weight_array(w, mode), [(0, m)], mode)
+    else:
+        f = cf.Frequency1D(ys, cols, w, mode, interval_index=mode is cf.COUNT)
+    succ = chain_successors(f.colors)
+    assert f.succ == succ
+    occ = reference_index(succ)
+    indexes = [(f._succ_index, succ, occ)]
+    if f._pred_index is not None:
+        pri = [-p for p in f.pred]
+        indexes.append((f._pred_index, pri, reference_index(pri)))
+
+    for q in rng.integers(-1, grid + 1, 6).tolist():
+        rq = freq1d.count_le(f.sorted_values, q)
+        # three accumulators holding the same partials of an earlier structure
+        accs = [cf.ColorAccumulator(phi, mode) for _ in range(3)]
+        sessions = [cf.QuerySession(acc) for acc in accs]
+        for acc in accs:
+            for c in range(0, phi, 2):
+                acc.add(c, (c, -1) if mode is CONCAT else c - 1)
+        f._prefix_into(q, accs[0], sessions[0])
+        accs[1].add_entries(f.query_prefix(q, sessions[1]))
+        hits, sessions[2].probes = reference_report(succ, occ, 0, rq, rq)
+        accs[2].add_entries((f.colors[i], f.prefix_weight[i]) for i in hits
+                            if not (f._may_cancel and f.prefix_weight[i] == 0))
+        for acc, session in zip(accs[1:], sessions[1:]):
+            assert acc.slots == accs[0].slots
+            assert sorted(acc.touched) == sorted(accs[0].touched)
+            assert acc.touch_ops == accs[0].touch_ops
+            assert session.probes == sessions[0].probes
+
+    for _ in range(6):
+        a, b = sorted(rng.integers(0, m + 1, 2).tolist())
+        t = int(rng.integers(-m - 1, m + 2))
+        for index, pri, ref in indexes:
+            hits, probes = index.report(a, b, t)
+            want_hits, want_probes = reference_report(pri, ref, a, b, t)
+            assert sorted(hits) == sorted(want_hits)
+            assert probes == want_probes
