@@ -549,9 +549,12 @@ def read_dataset(path, d: int | None = None, mode=COUNT) -> PointSet:
             raise MalformedInputError(
                 f"{path}:{lineno}: expected {d} coords + label [+ weight], got {len(toks)} tokens"
             )
-        coords.append([float(t) for t in toks[:d]])
+        try:
+            coords.append([float(t) for t in toks[:d]])
+            weights.append(int(toks[d + 1]) if len(toks) == d + 2 else 1)
+        except ValueError as exc:
+            raise MalformedInputError(f"{path}:{lineno}: {exc}") from None
         raw_labels.append(toks[d])
-        weights.append(int(toks[d + 1]) if len(toks) == d + 2 else 1)
     # densify labels in first-appearance order
     ids: dict[str, int] = {}
     colors = []
@@ -596,7 +599,10 @@ def read_queries(path, d: int | None = None) -> list[BoxQuery]:
             raise MalformedQueryError(
                 f"{path}:{lineno}: expected {2 * d} tokens, got {len(toks)}"
             )
-        vals = [float(t) for t in toks]
+        try:
+            vals = [float(t) for t in toks]
+        except ValueError as exc:
+            raise MalformedQueryError(f"{path}:{lineno}: {exc}") from None
         out.append(BoxQuery(list(zip(vals[0::2], vals[1::2]))))
     return out
 

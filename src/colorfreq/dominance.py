@@ -1,13 +1,19 @@
 """Dominance frequency reporting via a recursive s-ary strip tree.
 
 The first coordinate axis is rank-reduced and partitioned into s strips
-per node.  Each node stores, for every strip, a substructure over the
-points left of that strip projected onto the remaining axes: a 1-D
-frequency structure when one axis remains, otherwise a recursive tree.
+per node, down to single ranks.  Each strip stores a substructure over the
+points left of it inside its node, projected onto the remaining axes: a
+1-D frequency structure when one axis remains, otherwise a recursive tree.
+A node's first strip starts at the node's own first rank, so every other
+rank c starts exactly one strip with something left of it; the tree is
+kept as two arrays over ranks, ``parent[c]`` (the first rank of that
+strip's node) and ``prefix[c]`` (the structure over ranks [parent[c], c)).
 
-A dominance query walks the root-to-leaf path of the strip holding the
-query corner, queries one substructure per node with the remaining
-coordinates, and merges the partial answers through a color accumulator:
+A dominance query walks from the rank just below the query corner through
+``parent`` down to rank 0; the ranges it passes tile the ranks left of the
+corner.  It queries each one's structure with the remaining coordinates,
+checks the corner's own rank directly, and merges the partial answers
+through a color accumulator:
 an array of phi weight cells plus a touched-list, so merging costs O(1)
 per reported entry and draining costs O(k) regardless of phi.  The offline
 sweep reuses the same walk and answer kernel over substructures it builds
@@ -16,8 +22,8 @@ and destroys along the way.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -105,22 +111,6 @@ class TreeStats:
     build_ops: int
 
 
-class _StripNode:
-    __slots__ = ("lo", "hi", "starts", "ends", "children", "prefix_structs")
-
-    def __init__(self, lo, hi, starts=None, ends=None, children=None, prefix_structs=None):
-        self.lo = lo
-        self.hi = hi
-        self.starts = starts
-        self.ends = ends
-        self.children = children
-        self.prefix_structs = prefix_structs
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-
 class DominanceTree:
     """Static structure answering d-dimensional dominance frequency queries."""
 
@@ -133,7 +123,8 @@ class DominanceTree:
         "colors_r",
         "weights_r",
         "sorted0",
-        "root",
+        "parent",
+        "prefix",
         "base",
         "stored_entries",
         "build_ops",
@@ -156,8 +147,8 @@ class DominanceTree:
 
     @classmethod
     def _skeleton(cls, coords, colors, weights, s, phi, mode):
-        """Rank order and strip nodes only: the offline sweep builds the
-        per-strip substructures itself, one root-to-leaf path at a time."""
+        """Rank order and strip tree only: the offline sweep builds the
+        per-strip substructures itself, one walk at a time."""
         self = cls.__new__(cls)
         self._init_from_parts(coords, colors, weights, s=s, phi=phi, mode=mode)
         return self
@@ -177,15 +168,14 @@ class DominanceTree:
         self.mode = mode
         self.stored_entries = 0
         self.build_ops = 0
-        self.node_count = 0
-        self.height = 0
         if d == 1:
             self.base = Frequency1D(coords[:, 0], colors, weights, mode=mode)
-            self.root = None
             self.coords_r = self.colors_r = self.weights_r = self.sorted0 = None
+            self.parent = self.prefix = None
             self.stored_entries = self.base.entries
             self.build_ops = self.base.build_ops
             self.node_count = 1 if n else 0
+            self.height = 0
             return
         self.base = None
         order = rank_order(coords[:, 0])
@@ -193,48 +183,17 @@ class DominanceTree:
         self.colors_r = np.asarray(colors, dtype=np.int64)[order]
         self.weights_r = [weights[i] for i in order]
         self.sorted0 = self.coords_r[:, 0]
-        if n == 0:
-            self.root = None
-            return
-        self.build_ops += _sort_charge(n)
-        self.root = self._build_node(0, n, 0)
+        self.parent, self.node_count, self.height = _strips(n, s)
+        self.prefix = [None] * n
+        if n:
+            # the sort, one step per leaf and one per child link
+            self.build_ops = _sort_charge(n) + n + self.node_count - 1
 
     # -- construction ----------------------------------------------------------
 
-    def _build_node(self, lo: int, hi: int, depth: int) -> _StripNode:
-        self.node_count += 1
-        m = hi - lo
-        if m <= 1:
-            if depth > self.height:
-                self.height = depth
-            self.build_ops += 1
-            return _StripNode(lo, hi)
-        q, r = divmod(m, self.s)
-        starts, ends = [], []
-        pos = lo
-        for i in range(self.s):
-            sz = q + 1 if i < r else q
-            if sz == 0:
-                break
-            starts.append(pos)
-            ends.append(pos + sz)
-            pos += sz
-        children = [self._build_node(a, b, depth + 1) for a, b in zip(starts, ends)]
-        self.build_ops += len(starts)
-        return _StripNode(lo, hi, starts, ends, children)
-
-    def _inner_nodes(self):
-        """The internal strip nodes, level by level from the root."""
-        level = [self.root] if self.root is not None and not self.root.is_leaf else []
-        while level:
-            yield from level
-            level = [child for node in level for child in node.children if not child.is_leaf]
-
     def _build_substructure(self, lo: int, cut: int):
-        """Structure over the remaining axes of the points with rank in [lo, cut),
-        built on its own (the offline sweep's per-strip build)."""
-        if cut <= lo:
-            return None
+        """Structure over the remaining axes of the points with rank in
+        [lo, cut), lo < cut, built on its own (the offline sweep's build)."""
         if self.d == 2:
             sub = _build_ranges(
                 self.coords_r[lo:cut, 1],
@@ -300,43 +259,79 @@ class DominanceTree:
     def _query_into(self, corner, session: QuerySession) -> None:
         """Accumulate the answer for ``corner`` into the session's accumulator."""
         if self.d == 1:
-            self._answer((self.base,), corner, None, 0, session)
+            self._answer((self.base,), corner, 0, session)
             return
         rq = count_le(self.sorted0, corner[0])
         if rq == 0:
             return
-        path, leaf = _walk(self.root, rq)
-        structs = [node.prefix_structs[i] for node, i in path]
-        self._answer(structs, corner[1:], leaf, rq, session)
+        prefix = self.prefix
+        self._answer([prefix[c] for c in self._walk_to(rq - 1)], corner[1:], rq, session)
 
-    def _answer(self, structs, rest, leaf, rq: int, session: QuerySession) -> None:
+    def _walk_to(self, x: int) -> list:
+        """The ranks c whose ranges [parent[c], c) tile [0, x), ascending."""
+        parent, walk = self.parent, []
+        while x:
+            walk.append(x)
+            x = parent[x]
+        walk.reverse()
+        return walk
+
+    def _answer(self, structs, rest, rq: int, session: QuerySession) -> None:
         """Answer kernel shared by online queries and the offline sweep.
 
-        ``structs`` holds, per node on the path to ``leaf``, the structure
-        over the points left of the path's strip (or None); each is queried
-        with ``rest``, the corner on the axes after the first.  The leaf's
-        points below rank ``rq`` are checked directly.  A d=1 tree passes
-        its base structure, its whole corner and no leaf.
+        ``structs`` holds the structures of the walk to rank ``rq - 1``, in
+        its order; each is queried with ``rest``, the corner on the axes
+        after the first.  The point at rank ``rq - 1`` is then checked
+        directly (none when rq = 0).  A d=1 tree passes its base structure,
+        its whole corner and rq = 0.
         """
         acc = session.accumulator
         for struct in structs:
-            if struct is None:
-                continue
             session.substructure_queries += 1
             if isinstance(struct, Frequency1D):
                 struct._prefix_into(rest[0], acc, session)
             else:
                 struct._query_into(rest, session)
-        if leaf is not None:
+        if rq:
             session.substructure_queries += 1
             bounds = [(-INF, INF)] + [(-INF, c) for c in rest]
-            _scan_range(self.coords_r, self.colors_r, self.weights_r,
-                        leaf.lo, min(leaf.hi, rq), bounds, acc)
+            _scan_range(self.coords_r, self.colors_r, self.weights_r, rq - 1, rq, bounds, acc)
 
     # -- instrumentation ---------------------------------------------------------
 
     def stats(self) -> TreeStats:
         return TreeStats(self.stored_entries, self.height, self.node_count, self.build_ops)
+
+
+def _strips(n: int, s: int):
+    """The strip tree over ranks [0, n) as ``(parent, node_count, height)``.
+
+    A node of more than one rank splits into min(s, size) strips, the first
+    ``size % s`` of them one rank longer than the rest; each strip is a
+    child node, and single ranks are leaves.  ``parent[c]`` is the first
+    rank of the node in which c starts a strip other than the first (0 for
+    c = 0); ``height`` is the depth of the deepest leaf.
+    """
+    parent = [0] * n
+    node_count, height = min(n, 1), 0
+    level = [(0, n)] if n > 1 else []
+    while level:
+        height += 1
+        deeper = []
+        for lo, hi in level:
+            q, r = divmod(hi - lo, s)
+            k = min(s, hi - lo)
+            node_count += k
+            a = lo
+            for i in range(k):
+                b = a + q + (i < r)
+                if i:
+                    parent[a] = lo
+                if b - a > 1:
+                    deeper.append((a, b))
+                a = b
+        level = deeper
+    return parent, node_count, height
 
 
 def _fill(trees) -> None:
@@ -355,76 +350,59 @@ def _fill(trees) -> None:
             flat.append(tree)
         elif tree.d > 2:
             nested.append(tree)
-            for node in tree._inner_nodes():
-                node.prefix_structs = [
-                    DominanceTree._skeleton(
-                        tree.coords_r[node.lo:cut, 1:], tree.colors_r[node.lo:cut],
-                        tree.weights_r[node.lo:cut], tree.s, tree.phi, tree.mode,
-                    ) if cut > node.lo else None
-                    for cut in node.starts
-                ]
-                trees += [sub for sub in node.prefix_structs if sub is not None]
+            parent = tree.parent
+            tree.prefix[1:] = [
+                DominanceTree._skeleton(
+                    tree.coords_r[parent[c]:c, 1:], tree.colors_r[parent[c]:c],
+                    tree.weights_r[parent[c]:c], tree.s, tree.phi, tree.mode,
+                )
+                for c in range(1, len(parent))
+            ]
+            trees += tree.prefix[1:]
     for slots, ranges, parts in _strip_chunks(flat):
         ys, colors, weights = (np.concatenate(column) for column in zip(*parts))
-        for (tree, structs, i), sub in zip(slots, _build_ranges(ys, colors, weights, ranges,
-                                                                 flat[0].mode)):
-            structs[i] = sub
+        for (tree, c), sub in zip(slots, _build_ranges(ys, colors, weights, ranges,
+                                                        flat[0].mode)):
+            tree.prefix[c] = sub
             tree.stored_entries += sub.entries
             tree.build_ops += sub.build_ops
     for tree in reversed(nested):
-        for node in tree._inner_nodes():
-            for sub in node.prefix_structs:
-                if sub is not None:
-                    tree.stored_entries += sub.stored_entries
-                    tree.build_ops += sub.build_ops
+        for sub in tree.prefix[1:]:
+            tree.stored_entries += sub.stored_entries
+            tree.build_ops += sub.build_ops
 
 
 def _strip_chunks(trees):
-    """Give each internal node of the d = 2 ``trees`` an empty
-    ``prefix_structs`` and yield its non-empty strip ranges in chunks of at
-    most ``_BATCH_CHUNK`` entries, as ``(slots, ranges, parts)``.
+    """Yield the strip ranges ``[parent[c], c)`` of the d = 2 ``trees`` in
+    chunks of at most ``_BATCH_CHUNK`` entries, as ``(slots, ranges, parts)``.
 
-    ``slots`` holds the ``(tree, prefix_structs, strip index)`` of each
-    range.  A node's ranges all start at its ``lo``, so one ``(ys, colors,
-    weights)`` slice of its tree's arrays per node and chunk, in ``parts``,
-    holds them all; ``ranges`` are their ``(lo, cut)`` in the concatenated
-    parts.
+    ``slots`` holds the ``(tree, c)`` of each range.  Ranges with the same
+    parent rank nest, so one ``(ys, colors, weights)`` slice of its tree's
+    arrays per parent rank and chunk, in ``parts``, holds them all;
+    ``ranges`` are their ``(lo, cut)`` in the concatenated parts.
     """
     slots, ranges, parts, size, base = [], [], [], 0, 0
     for tree in trees:
         ys, colors = tree.coords_r[:, 1], tree.colors_r
         weights = _weight_array(tree.weights_r, tree.mode)
-        for node in tree._inner_nodes():
-            lo = top = node.lo  # [lo, top) is the node's part in this chunk
-            node.prefix_structs = [None] * len(node.starts)
-            for i, cut in enumerate(node.starts):
-                if cut <= lo:
-                    continue
+        parent = tree.parent
+        for lo, cuts in groupby(sorted(range(1, len(parent)), key=parent.__getitem__),
+                                parent.__getitem__):
+            top = lo  # [lo, top) is this parent rank's part in this chunk
+            for cut in cuts:
                 if slots and size + cut - lo > _BATCH_CHUNK:
                     if top > lo:
                         parts.append((ys[lo:top], colors[lo:top], weights[lo:top]))
                     yield slots, ranges, parts
                     slots, ranges, parts, size, base = [], [], [], 0, 0
-                slots.append((tree, node.prefix_structs, i))
+                slots.append((tree, cut))
                 ranges.append((base, base + cut - lo))
                 size += cut - lo
                 top = cut
-            if top > lo:
-                parts.append((ys[lo:top], colors[lo:top], weights[lo:top]))
-                base += top - lo
+            parts.append((ys[lo:top], colors[lo:top], weights[lo:top]))
+            base += top - lo
     if slots:
         yield slots, ranges, parts
-
-
-def _walk(root: _StripNode, rq: int) -> tuple[list, _StripNode]:
-    """([(node, child index), ...], leaf): the path to the strip holding rank rq - 1."""
-    path = []
-    node = root
-    while not node.is_leaf:
-        i = bisect_left(node.ends, rq)
-        path.append((node, i))
-        node = node.children[i]
-    return path, node
 
 
 def _scan_range(coords, colors, weights, start: int, stop: int, bounds, acc) -> None:

@@ -1,11 +1,12 @@
 """Batched offline queries with low peak working space.
 
 Dominance batches: the strip-tree skeleton is built up front, but the
-per-strip substructures are built only when the sweep enters their strip
-and destroyed when it leaves, so each point sits in at most one live
-substructure at any time.  Queries are pinned to the leaf strip holding
-their corner and answered the moment the sweep reaches it, which makes the
-answer stream non-decreasing in the sweep coordinate.
+per-strip substructures are built only when the sweep's walk enters their
+strip and destroyed when it leaves, so each point sits in at most one live
+substructure at any time (the ranges of one walk tile the ranks below its
+end).  Queries are pinned to the rank just below their corner and answered
+the moment the sweep reaches it, which makes the answer stream
+non-decreasing in the sweep coordinate.
 
 Three-sided batches in the plane ([x1,x2] x (-inf,y]) place each query at
 the highest node of the box layer's split tree on x whose splitter falls in
@@ -33,7 +34,7 @@ from .core import (
     count_le,
 )
 from .boxes import _Layer
-from .dominance import ColorAccumulator, DominanceTree, _check_fanout, _walk
+from .dominance import ColorAccumulator, DominanceTree, _check_fanout
 from .freq1d import Frequency1D
 
 
@@ -97,8 +98,6 @@ class _LiveMeter:
 
 
 def _struct_entries(struct) -> int:
-    if struct is None:
-        return 0
     if isinstance(struct, Frequency1D):
         return struct.entries
     return struct.stored_entries
@@ -115,7 +114,6 @@ def _sweep_dominance(
     s,
     summary,
     meter,
-    check_disjoint=False,
 ):
     """Generator over (qid, sweep coordinate, frequency list), sweep-ordered.
 
@@ -151,58 +149,43 @@ def _sweep_dominance(
         return
 
     summary.skeleton_nodes += skel.node_count
-    if skel.root is None:
-        for corner, qid in jobs:
-            yield qid, corner[0], []
-        return
 
-    # pin each query to its leaf strip; the leaf's path is kept from its first query
-    pinned: dict[int, tuple] = {}  # leaf.lo -> (path, leaf, [(corner, qid, rq)])
+    # pin each query to the rank just below its corner (rank 0 when none is)
+    pinned: dict[int, tuple] = {}  # rank -> (walk, [(corner, qid, rq)])
     for corner, qid in jobs:
         rq = count_le(skel.sorted0, corner[0])
-        path, leaf = _walk(skel.root, rq)
-        pinned.setdefault(leaf.lo, (path, leaf, []))[2].append((corner, qid, rq))
+        x = max(rq - 1, 0)
+        if x not in pinned:
+            pinned[x] = (skel._walk_to(x), [])
+        pinned[x][1].append((corner, qid, rq))
 
-    current: list = []  # (node, child index) path of the live substructures
-    live: list = []  # the substructure built for each level of that path, or None
-    live_ranges: list = []  # rank intervals of live substructures (debug only)
+    current: list = []  # the walk of the live substructures
+    live: list = []  # the substructure over [parent[c], c) for each c of that walk
 
     def pop_level():
-        struct = live.pop()
-        if struct is not None:
-            meter.remove(_struct_entries(struct))
-            summary.total_destroyed += 1
-        if check_disjoint:
-            live_ranges.pop()
+        meter.remove(_struct_entries(live.pop()))
+        summary.total_destroyed += 1
 
     try:
-        for key in sorted(pinned):
-            path, leaf, queries = pinned[key]
+        for x in sorted(pinned):
+            walk, queries = pinned[x]
             keep = 0
-            while keep < min(len(current), len(path)) and current[keep] == path[keep]:
+            while keep < min(len(current), len(walk)) and current[keep] == walk[keep]:
                 keep += 1
             while len(live) > keep:
                 pop_level()
-            for node, i in path[keep:]:
-                cut = node.starts[i]
-                struct = skel._build_substructure(node.lo, cut)
-                if struct is not None:
-                    entries = _struct_entries(struct)
-                    summary.total_built += 1
-                    summary.entries_built += entries
-                    meter.add(entries)
-                if check_disjoint:
-                    span = (node.lo, cut)
-                    for a, b in live_ranges:
-                        if a < span[1] and span[0] < b and span[0] < span[1]:
-                            raise AssertionError(f"live ranges overlap: {(a, b)} vs {span}")
-                    live_ranges.append(span)
+            for c in walk[keep:]:
+                struct = skel._build_substructure(skel.parent[c], c)
+                entries = _struct_entries(struct)
+                summary.total_built += 1
+                summary.entries_built += entries
+                meter.add(entries)
                 live.append(struct)
-            current = path
+            current = walk
 
             for corner, qid, rq in queries:
                 session.reset()
-                skel._answer(live, corner[1:], leaf, rq, session)
+                skel._answer(live, corner[1:], rq, session)
                 yield qid, corner[0], acc.drain_and_reset()
     finally:
         while live:

@@ -199,11 +199,16 @@ def test_all_sidedness_d1_to_d3():
             assert canon(bt.query(q)) == canon(cf.brute_force(ps, q))
 
 
+def _last_root_strip(tree):
+    """The start of the root's last strip: the largest rank whose parent is 0."""
+    return max(c for c in range(1, len(tree.parent)) if tree.parent[c] == 0)
+
+
 def _fill_one_by_one(trees):
     """The per-strip build the offline sweep uses, over the same skeletons."""
     for tree in trees:
-        for node in tree._inner_nodes():
-            node.prefix_structs = [tree._build_substructure(node.lo, cut) for cut in node.starts]
+        tree.prefix[1:] = [tree._build_substructure(tree.parent[c], c)
+                           for c in range(1, len(tree.parent))]
 
 
 @pytest.mark.parametrize("d, mode_name, chunk", [
@@ -228,8 +233,8 @@ def test_batched_box_counters_match_one_by_one_build(d, mode_name, chunk):
     # batched structures hold views of one sorted chunk
     tree = batched.top.full_high.full_high
     if d == 3:
-        tree = tree.root.prefix_structs[-1]
-    assert tree.root.prefix_structs[-1].sorted_values.base is not None
+        tree = tree.prefix[_last_root_strip(tree)]
+    assert tree.prefix[_last_root_strip(tree)].sorted_values.base is not None
     assert batched.stored_entries == single.stored_entries
     assert batched.build_ops == single.build_ops
     s1, s2 = batched.new_session(), single.new_session()

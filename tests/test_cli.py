@@ -223,11 +223,20 @@ def test_typed_errors_print_one_line(tmp_path, capsys):
     capsys.readouterr()
     bad = tmp_path / "bad.points.txt"
     bad.write_text("1.0 2.0 a\n3.0 b\n")
+    bad_weight = tmp_path / "weight.points.txt"
+    bad_weight.write_text("1.0 2.0 a\n3.0 4.0 b 1.5\n")
+    bad_coord = tmp_path / "coord.points.txt"
+    bad_coord.write_text("foo 2.0 a\n")
+    bad_bound = tmp_path / "bad.queries.txt"
+    bad_bound.write_text("-inf 5.0 -inf 5.0\n-inf x -inf 5.0\n")
     files = [f"{out}.points.txt", f"{out}.queries.txt"]
     cases = [
         (["offline", *files, "--sides", "2,2"], "query 0 is not a dominance query"),
         (["build-query", *files, "--fanout", "1"], "fanout s=1 outside"),
         (["stats", str(bad)], ""),
+        (["stats", str(bad_weight)], f"{bad_weight}:2: "),
+        (["stats", str(bad_coord), "--dims", "2"], f"{bad_coord}:1: "),
+        (["build-query", files[0], str(bad_bound)], f"{bad_bound}:2: "),
         (["build-query", *files, "--sides", "2,x"], "--sides needs 2 comma-separated values"),
         (["verify", *files, "--sides", "3,1"], "--sides needs 2 comma-separated values"),
     ]

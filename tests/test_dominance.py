@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import colorfreq as cf
+from colorfreq.freq1d import _sort_charge
 from _util import FIGURE_ANSWER, FIGURE_QUERY, canon, figure_instance, random_corner
 
 TREE_BUILD_C = 2.0  # pinned; measured worst was ~0.7
@@ -77,16 +78,59 @@ def test_sixteen_point_layout():
     t = cf.build_dominance(ps, 2, s=4)
     st = t.stats()
     assert st.height == 2  # log_4 16
-    assert [c.hi - c.lo for c in t.root.children] == [4, 4, 4, 4]
+    # the root's strips start at 4, 8 and 12, its first child's at 1, 2 and 3
+    assert {c for c in range(1, 16) if t.parent[c] == 0} == {1, 2, 3, 4, 8, 12}
     assert st.stored_entries <= 16 * 3 * 3
 
 
 def test_strip_sizes_balanced():
     ps = cf.generate_points(23, 2, 5, seed=10)
     t = cf.build_dominance(ps, 2, s=4)
-    sizes = [c.hi - c.lo for c in t.root.children]
+    # the root's strips start at 0 and at the last s - 1 ranks whose parent is 0
+    starts = [0] + [c for c in range(1, 23) if t.parent[c] == 0][-3:] + [23]
+    sizes = [b - a for a, b in zip(starts, starts[1:])]
     assert sum(sizes) == 23
     assert max(sizes) - min(sizes) <= 1
+
+
+def _reference_split(n, s):
+    """The strip tree by its recursive definition, as (node count, height,
+    build steps, {(node lo, start of a strip other than the node's first)})."""
+    pairs = set()
+
+    def node(lo, hi, depth):
+        if hi - lo <= 1:
+            return 1, depth, 1
+        q, r = divmod(hi - lo, s)
+        count, height, steps, pos = 1, 0, 0, lo
+        for i in range(s):
+            size = q + 1 if i < r else q
+            if size == 0:
+                break
+            if i:
+                pairs.add((lo, pos))
+            c, h, o = node(pos, pos + size, depth + 1)
+            count, height, steps = count + c, max(height, h), steps + o + 1
+            pos += size
+        return count, height, steps
+
+    return (*node(0, n, 0), pairs) if n else (0, 0, 0, pairs)
+
+
+def test_strip_tree_matches_its_definition():
+    for n in range(301):
+        coords = np.arange(2 * n, dtype=float).reshape(n, 2)
+        for s in (2, 3, 4, 7, 16):
+            t = cf.DominanceTree._skeleton(coords, [0] * n, [1] * n, s, 1, cf.COUNT)
+            count, height, steps, pairs = _reference_split(n, s)
+            assert (t.node_count, t.height) == (count, height)
+            assert t.build_ops == (_sort_charge(n) + steps if n else 0)
+            assert {(t.parent[c], c) for c in range(1, n)} == pairs
+            for x in range(n):
+                # the walk's ranges [parent[c], c) are non-empty and tile [0, x)
+                ranges = [(t.parent[c], c) for c in t._walk_to(x)]
+                assert all(lo < c for lo, c in ranges)
+                assert [lo for lo, _ in ranges] + [x] == [0] + [c for _, c in ranges]
 
 
 def test_space_bounds_exact_accounting():
@@ -284,15 +328,11 @@ def test_batched_tree_counters_match_one_by_one_build():
     batched = cf.build_dominance(ps, 2, s=4)
     # the per-strip path the offline sweep uses, over the same skeleton
     single = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weight_list(), 4, ps.phi, ps.mode)
-    stack = [single.root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            node.prefix_structs = [single._build_substructure(node.lo, cut) for cut in node.starts]
-            stack.extend(node.children)
+    single.prefix[1:] = [single._build_substructure(single.parent[c], c)
+                         for c in range(1, ps.n)]
     # batched structures hold views of one sorted chunk
-    assert any(sub is not None and sub.sorted_values.base is not None
-               for sub in batched.root.prefix_structs)
+    assert any(batched.prefix[c].sorted_values.base is not None
+               for c in range(1, ps.n) if batched.parent[c] == 0)
     assert batched.stored_entries == single.stored_entries
     assert batched.build_ops == single.build_ops
     rng = np.random.default_rng(6)
