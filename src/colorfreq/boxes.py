@@ -16,6 +16,8 @@ the matching one, keeping the fan-out at 2^(number of two-sided axes).
 
 from __future__ import annotations
 
+import operator
+
 from .core import (
     BoxQuery,
     COUNT,
@@ -146,7 +148,10 @@ class BoxTree:
     def __init__(self, points: PointSet, s: int, bounded_axes=()):
         ps = points
         _check_fanout(s, ps.n)
-        axes = tuple(sorted(set(int(a) for a in bounded_axes)))
+        try:
+            axes = tuple(sorted(set(map(operator.index, bounded_axes))))
+        except TypeError:
+            raise ParameterError(f"bounded axes {bounded_axes!r} are not integers") from None
         for a in axes:
             if not 0 <= a < ps.d:
                 raise ParameterError(f"bounded axis {a} outside [0, {ps.d})")

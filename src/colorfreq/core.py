@@ -290,9 +290,12 @@ class PointSet:
             raise MalformedInputError("coords must be a 2-D (n, d) array")
         if coords.size and not np.all(np.isfinite(coords)):
             raise MalformedInputError("coordinates must be finite")
-        colors = np.asarray(colors, dtype=np.int64).copy()
+        colors = np.asarray(colors)
         if colors.shape != (len(coords),):
             raise MalformedInputError("colors must be one id per point")
+        if colors.size and not np.issubdtype(colors.dtype, np.integer):
+            raise MalformedInputError("color ids must be integers")
+        colors = colors.astype(np.int64)
         if colors.size and colors.min() < 0:
             raise MalformedInputError("color ids must be non-negative")
         self.coords = coords

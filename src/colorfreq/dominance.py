@@ -22,6 +22,7 @@ and destroys along the way.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -458,6 +459,10 @@ def box_fanout_bound(t: int) -> int:
 
 
 def _check_fanout(s: int, n: int) -> None:
+    try:
+        operator.index(s)
+    except TypeError:
+        raise ParameterError(f"fanout s={s!r} is not an integer") from None
     if not 2 <= s <= max(2, n):
         raise ParameterError(f"fanout s={s} outside [2, {max(2, n)}] for n={n}")
 

@@ -16,6 +16,7 @@ is the rank difference, which needs group (count) weights.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_left
 
@@ -47,122 +48,75 @@ def _sort_charge(n: int) -> int:
     return n * max(1, (max(n, 1) - 1).bit_length())
 
 
-class _PrioIndex:
-    """Static max-heap over priorities, searchable by position.
-
-    Positions are the integers [0, m).  The implicit skeleton is the
-    balanced binary split of that range; each point descends from the root
-    toward its position and occupies the first free node, in decreasing
-    priority order.  A node's occupant therefore has priority >= everything
-    below it, and an empty node has an empty subtree.
-
-    The heap is stored in preorder (node, left subtree, right subtree) over
-    every occupied node and every non-empty child of one; the unoccupied
-    ("dead") children include the right child [lo, lo+1) of a length-1
-    node.  Per node, ``lo`` is the start of its range, ``pri`` and ``pos``
-    its occupant's priority and position (-1 when dead), and ``skip`` the
-    number of nodes in its subtree, so ``k + skip[k]`` is the index just
-    past it.  ``lo`` never decreases in preorder.  A dead node's -1 is below
-    every successor rank, so the prefix scan of ``Frequency1D`` needs no
-    other test; ``report`` tells dead nodes by ``pos``, since the interval
-    index has negative priorities.  Below ``_SMALL`` positions the layout is
-    flat instead: every position is a node of its own, so a scan of it is
-    the linear scan.
-
-    ``pri`` and ``skip`` are tuples, which the cyclic collector stops
-    tracking once it has seen that they hold only ints; most subtree sizes
-    are small ints, which CPython shares.  ``lo`` and ``pos`` are
-    ``array('i')``, half the size: a scan reads ``lo`` only to bisect it,
-    and ``pos`` only on occupied nodes.
-
-    ``report(a, b, t)`` returns all positions in [a, b) with priority >= t,
-    visiting O(log m + output) nodes.
-    """
-
-    __slots__ = ("m", "lo", "pri", "pos", "skip", "build_steps")
-
-    def __init__(self, pri: list[int]):
-        self.m = m = len(pri)
-        self.build_steps = 0
-        if m <= _SMALL:
-            self.pri = tuple(pri)
-            self.lo = self.pos = range(m)
-            self.skip = (1,) * m
-            return
-        occ: dict[int, int] = {}
-        steps = 0
-        order = sorted(range(m), key=pri.__getitem__, reverse=True)
-        for i in order:
-            node, lo, hi = 1, 0, m
-            while node in occ:
-                mid = (lo + hi) >> 1
-                if i < mid:
-                    node, hi = 2 * node, mid
-                else:
-                    node, lo = 2 * node + 1, mid
-                steps += 1
-            occ[node] = i
-        self.build_steps = steps + _sort_charge(m)
-
-        # preorder by an explicit stack; the nodes before the end of a
-        # node's subtree are those starting below its hi
-        los, his, poss = array("i"), [], array("i")
-        stack = [(1, 0, m)]
-        while stack:
-            node, lo, hi = stack.pop()
-            i = occ.get(node, -1)
-            los.append(lo)
-            his.append(hi)
-            poss.append(i)
-            if i >= 0:
-                mid = (lo + hi) >> 1
-                stack.append((2 * node + 1, mid, hi))
-                if lo < mid:
-                    stack.append((2 * node, lo, mid))
-        self.lo, self.pos = los, poss
-        self.pri = tuple([-1 if i < 0 else pri[i] for i in poss])
-        self.skip = tuple((np.searchsorted(los, his) - np.arange(len(his))).tolist())
-
-    def priorities(self) -> list[int]:
-        """The priority of every position, by position."""
-        if self.m <= _SMALL:
-            return list(self.pri)
-        out = [0] * self.m
-        for p, i in zip(self.pri, self.pos):
-            if i >= 0:
-                out[i] = p
-        return out
-
-    def report(self, a: int, b: int, t: int) -> tuple[list[int], int]:
-        """(hits, probes) for positions in [a, b) with priority >= t."""
-        if a >= b or self.m == 0:
-            return [], 0
-        pri = self.pri
-        if self.m <= _SMALL:
-            hits = [i for i in range(a, b) if pri[i] >= t]
-            return hits, b - a
-        los, pos, skip = self.lo, self.pos, self.skip
-        hits: list[int] = []
-        probes = 0
-        stack = [(0, self.m)]  # (preorder index, end of its range)
-        while stack:
-            k, hi = stack.pop()
-            probes += 1
-            i = pos[k]
-            if i < 0 or pri[k] < t:
-                continue
-            if a <= i < b:
-                hits.append(i)
-            lo = los[k]
+def _heap(pri: list[int]) -> tuple:
+    """The heap columns (lo, pri, pos, skip) over ``pri``, laid out as
+    ``Frequency1D`` describes, and the build steps booked for them."""
+    m = len(pri)
+    if m <= _SMALL:
+        return range(m), tuple(pri), range(m), (1,) * m, 0
+    occ: dict[int, int] = {}
+    steps = 0
+    order = sorted(range(m), key=pri.__getitem__, reverse=True)
+    for i in order:
+        node, lo, hi = 1, 0, m
+        while node in occ:
             mid = (lo + hi) >> 1
-            right = k + 1  # the right child follows the left subtree, if any
+            if i < mid:
+                node, hi = 2 * node, mid
+            else:
+                node, lo = 2 * node + 1, mid
+            steps += 1
+        occ[node] = i
+
+    # preorder by an explicit stack; the nodes before the end of a
+    # node's subtree are those starting below its hi
+    los, his, poss = array("i"), [], array("i")
+    stack = [(1, 0, m)]
+    while stack:
+        node, lo, hi = stack.pop()
+        i = occ.get(node, -1)
+        los.append(lo)
+        his.append(hi)
+        poss.append(i)
+        if i >= 0:
+            mid = (lo + hi) >> 1
+            stack.append((2 * node + 1, mid, hi))
             if lo < mid:
-                if a < mid and lo < b:
-                    stack.append((k + 1, mid))
-                right = k + 1 + skip[k + 1]
-            if a < hi and mid < b:
-                stack.append((right, hi))
-        return hits, probes
+                stack.append((2 * node, lo, mid))
+    skip = tuple((np.searchsorted(los, his) - np.arange(len(his))).tolist())
+    return los, tuple([-1 if i < 0 else pri[i] for i in poss]), poss, skip, steps + _sort_charge(m)
+
+
+def _report(m: int, heap: tuple, a: int, b: int, t: int) -> tuple[list[int], int]:
+    """(hits, probes) for the positions in [a, b) with priority >= t in the
+    ``(lo, pri, pos, skip)`` heap over m positions, visiting O(log m +
+    output) nodes."""
+    if a >= b or m == 0:
+        return [], 0
+    los, pri, pos, skip = heap
+    if m <= _SMALL:
+        return [i for i in range(a, b) if pri[i] >= t], b - a
+    hits: list[int] = []
+    probes = 0
+    stack = [(0, m)]  # (preorder index, end of its range)
+    while stack:
+        k, hi = stack.pop()
+        probes += 1
+        i = pos[k]
+        if i < 0 or pri[k] < t:
+            continue
+        if a <= i < b:
+            hits.append(i)
+        lo = los[k]
+        mid = (lo + hi) >> 1
+        right = k + 1  # the right child follows the left subtree, if any
+        if lo < mid:
+            if a < mid and lo < b:
+                stack.append((k + 1, mid))
+            right = k + 1 + skip[k + 1]
+        if a < hi and mid < b:
+            stack.append((right, hi))
+    return hits, probes
 
 
 class _Cells(dict):
@@ -175,17 +129,52 @@ class _Cells(dict):
 
 
 class Frequency1D:
-    """The 1-D structure: mapped chain points plus quadrant indexes."""
+    """The 1-D structure: mapped chain points plus quadrant indexes.
+
+    By rank: ``sorted_values``, ``colors`` and ``prefix_weight``.  The
+    successor ranks (``succ``) are the priorities of a static max-heap over
+    the ranks [0, m), held in the columns ``lo``, ``pri``, ``pos`` and
+    ``skip``.  Its implicit skeleton is the balanced binary split of
+    [0, m); each rank descends from the root toward itself and occupies the
+    first free node, in decreasing priority order.  A node's occupant
+    therefore has priority >= everything below it, and an empty node has
+    an empty subtree.
+
+    The columns list in preorder (node, left subtree, right subtree) every
+    occupied node and every non-empty child of one; the unoccupied
+    ("dead") children include the right child [lo, lo+1) of a length-1
+    node.  Per node, ``lo`` is the start of its range, ``pri`` and ``pos``
+    its occupant's priority and rank (-1 when dead), and ``skip`` the
+    number of nodes in its subtree, so ``k + skip[k]`` is the index just
+    past it.  ``lo`` never decreases in preorder.  A dead node's -1 is below
+    every successor rank, so the prefix scan needs no other test;
+    ``_report`` tells dead nodes by ``pos``, since the interval index has
+    negative priorities.  Below ``_SMALL`` ranks the layout is flat
+    instead: every rank is a node of its own, so a scan of it is the linear
+    scan.
+
+    ``pri`` and ``skip`` are tuples, which the cyclic collector stops
+    tracking once it has seen that they hold only ints; most subtree sizes
+    are small ints, which CPython shares.  ``lo`` and ``pos`` are
+    ``array('i')``, half the size: a scan reads ``lo`` only to bisect it,
+    and ``pos`` only on occupied nodes.
+
+    The interval index is ``_pred_index``, the same heap over the negated
+    predecessor ranks as one ``(lo, pri, pos, skip)`` tuple, plus
+    ``prefix_below``, the weight of each chain below each point.
+    """
 
     __slots__ = (
         "mode",
         "m",
         "sorted_values",
         "colors",
-        "pred",
         "prefix_weight",
         "prefix_below",
-        "_succ_index",
+        "lo",
+        "pri",
+        "pos",
+        "skip",
         "_pred_index",
         "build_ops",
         "_may_cancel",
@@ -193,18 +182,24 @@ class Frequency1D:
 
     def __init__(self, values, colors, weights=None, mode=COUNT, interval_index: bool = False):
         values = np.asarray(values, dtype=np.float64)
-        colors_arr = np.asarray(colors, dtype=np.int64)
+        colors_arr = np.asarray(colors)
         m = len(values)
+        if values.ndim != 1:
+            raise MalformedInputError("values must be one coordinate per point")
         if colors_arr.shape != (m,):
             raise MalformedInputError("need one color per value")
+        if m and colors_arr.dtype.kind not in "iu":
+            raise MalformedInputError("color ids must be integers")
         self.mode = mode
         self.m = m
-        self.build_ops = 0
         is_count = isinstance(mode, CountMode)
         if weights is None:
             wlist = [1] * m
         elif is_count:
-            wlist = [int(w) for w in weights]
+            try:
+                wlist = list(map(operator.index, weights))
+            except TypeError:
+                raise MalformedInputError("count-mode weights must be integers") from None
         else:
             wlist = list(weights)
         if len(wlist) != m:
@@ -213,9 +208,14 @@ class Frequency1D:
         self._may_cancel = is_count and m > 0 and min(wlist) <= 0
 
         order = rank_order(values)
-        self.sorted_values = values[order]
-        self.sorted_values.setflags(write=False)
+        self.sorted_values = ys = values[order]
+        ys.setflags(write=False)
+        # NaN sorts last, so the two ends show any value that is not finite
+        if m and not (math.isfinite(ys[0]) and math.isfinite(ys[-1])):
+            raise MalformedInputError("coordinates must be finite")
         cols = colors_arr[order].tolist()
+        if m and min(cols) < 0:
+            raise MalformedInputError("color ids must be non-negative")
         w_by_rank = [wlist[i] for i in order]
 
         succ = [m] * m
@@ -236,19 +236,19 @@ class Frequency1D:
         self.colors = cols
         self.prefix_weight = pref
 
-        self._succ_index = _PrioIndex(succ)
-        self.build_ops = 2 * m + _sort_charge(m) + self._succ_index.build_steps
+        self.lo, self.pri, self.pos, self.skip, steps = _heap(succ)
+        self.build_ops = 2 * m + _sort_charge(m) + steps
         # predecessors and the weight below each point serve interval queries only
-        self.pred = self.prefix_below = self._pred_index = None
+        self.prefix_below = self._pred_index = None
         if interval_index and is_count:
             pred = [-1] * m
             for r, nxt in enumerate(succ):
                 if nxt < m:
                     pred[nxt] = r
-            self.pred = pred
             self.prefix_below = [0 if p < 0 else pref[p] for p in pred]
-            self._pred_index = _PrioIndex([-p for p in pred])
-            self.build_ops += m + self._pred_index.build_steps
+            *heap, steps = _heap([-p for p in pred])
+            self._pred_index = tuple(heap)
+            self.build_ops += m + steps
 
     # -- rank space ----------------------------------------------------------
 
@@ -264,7 +264,13 @@ class Frequency1D:
     @property
     def succ(self) -> list[int]:
         """Rank of the next point of the same color (m for none), by rank."""
-        return self._succ_index.priorities()
+        if self.m <= _SMALL:
+            return list(self.pri)
+        out = [0] * self.m
+        for p, i in zip(self.pri, self.pos):
+            if i >= 0:
+                out[i] = p
+        return out
 
     # -- queries ---------------------------------------------------------------
 
@@ -300,12 +306,11 @@ class Frequency1D:
         starts at or past ``rq``: a node whose ``pri`` is below ``rq`` (a
         dead one too) skips its subtree, and an occupant of rank below
         ``rq`` is a hit.  It visits exactly the nodes that
-        ``report(0, rq, rq)`` pops.
+        ``_report(m, heap, 0, rq, rq)`` pops.
         """
-        index = self._succ_index
-        pri, pos, skip = index.pri, index.pos, index.skip
+        pri, pos, skip = self.pri, self.pos, self.skip
         cols, pref, cancel = self.colors, self.prefix_weight, self._may_cancel
-        end = bisect_left(index.lo, rq)
+        end = bisect_left(self.lo, rq)
         probes = touches = k = 0
         while k < end:
             probes += 1
@@ -344,8 +349,8 @@ class Frequency1D:
         rhi = count_le(self.sorted_values, hi)
         if rlo >= rhi:
             return []
-        right, p1 = self._succ_index.report(rlo, rhi, rhi)
-        left, p2 = self._pred_index.report(rlo, rhi, 1 - rlo)
+        right, p1 = _report(self.m, (self.lo, self.pri, self.pos, self.skip), rlo, rhi, rhi)
+        left, p2 = _report(self.m, self._pred_index, rlo, rhi, 1 - rlo)
         if session is not None:
             session.probes += p1 + p2
         cols, pref, below = self.colors, self.prefix_weight, self.prefix_below
@@ -445,7 +450,7 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
     # plus rank), so the nodes of one depth are disjoint segments [lo, hi);
     # each node's occupant is the max priority among its unplaced entries,
     # ties to the smallest position, as in the one-by-one insertion of
-    # _PrioIndex (an occupied node passes each later entry on toward its
+    # _heap (an occupied node passes each later entry on toward its
     # position, so a node takes the first entry of its segment to arrive).
     # A depth's segments are its layout nodes: those left unfilled are the
     # dead children, and only filled ones split further.
@@ -506,7 +511,7 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
     node_pos[filled] -= base[filled]
     del base, filled
 
-    # build counters, as Frequency1D and _PrioIndex book them
+    # build counters, as Frequency1D and _heap book them
     charge = sizes * np.maximum(1, np.frexp(np.maximum(sizes - 1, 0))[1])  # _sort_charge
     steps = np.where(indexed, np.add.reduceat(depth_at, off[:-1]) + charge, 0)
     ops = 2 * sizes + charge + steps
@@ -530,57 +535,47 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
     flat_t = tuple(succ[np.repeat(~indexed, sizes)].tolist())
     flat_off = np.cumsum(flat_sizes) - flat_sizes
     out = []
-    for a, b, na, nb, fa, m, big, st, op, mc in zip(
+    for a, b, na, nb, fa, m, big, op, mc in zip(
         off.tolist(), off[1:].tolist(), node_off.tolist(), node_off[1:].tolist(),
-        flat_off.tolist(), sizes.tolist(), indexed.tolist(), steps.tolist(), ops.tolist(),
-        may_cancel,
+        flat_off.tolist(), sizes.tolist(), indexed.tolist(), ops.tolist(), may_cancel,
     ):
-        index = _PrioIndex.__new__(_PrioIndex)
-        index.m = m
-        if big:
-            index.lo, index.pos = array("i", lo_b[4 * na:4 * nb]), array("i", pos_b[4 * na:4 * nb])
-            index.pri, index.skip = pri_t[na:nb], skip_t[na:nb]
-        else:
-            index.lo, index.skip = flat[m]
-            index.pos, index.pri = index.lo, flat_t[fa:fa + m]
-        index.build_steps = st
         f = Frequency1D.__new__(Frequency1D)
+        if big:
+            f.lo, f.pos = array("i", lo_b[4 * na:4 * nb]), array("i", pos_b[4 * na:4 * nb])
+            f.pri, f.skip = pri_t[na:nb], skip_t[na:nb]
+        else:
+            f.lo, f.skip = flat[m]
+            f.pos, f.pri = f.lo, flat_t[fa:fa + m]
         f.mode = mode
         f.m = m
         f.sorted_values = ys[a:b]
         f.colors = cols_l[a:b]
         f.prefix_weight = pref_l[a:b]
-        f.pred = f.prefix_below = f._pred_index = None
-        f._succ_index = index
+        f.prefix_below = f._pred_index = None
         f.build_ops = op
         f._may_cancel = mc
         out.append(f)
     return out
 
 
-def build_1d(points, mode=COUNT, interval_index: bool | None = None) -> Frequency1D:
+def build_1d(points, mode=COUNT) -> Frequency1D:
     """Build the 1-D structure from 1-D points.
 
     Accepts a ``PointSet`` with d == 1 or an iterable of ``(x, color[, weight])``
-    tuples / ColoredPoints.  The interval index is built by default whenever
-    the weight mode supports it.
+    tuples / ColoredPoints.  The interval index is built whenever the weight
+    mode supports it.
     """
     if isinstance(points, PointSet):
         ps = points
     else:
         points = list(points)
         if not points:
-            if interval_index is None:
-                interval_index = mode.is_group
             return Frequency1D(
-                np.zeros(0), np.zeros(0, dtype=np.int64), mode=mode,
-                interval_index=interval_index,
+                np.zeros(0), np.zeros(0, dtype=np.int64), mode=mode, interval_index=mode.is_group
             )
         ps = PointSet.from_points(points, mode=mode)
     if ps.d != 1:
         raise MalformedInputError(f"build_1d needs 1-D points, got d={ps.d}")
-    if interval_index is None:
-        interval_index = ps.mode.is_group
     return Frequency1D(
-        ps.coords[:, 0], ps.colors, ps.weight_list(), mode=ps.mode, interval_index=interval_index
+        ps.coords[:, 0], ps.colors, ps.weight_list(), mode=ps.mode, interval_index=ps.mode.is_group
     )

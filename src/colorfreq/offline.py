@@ -19,6 +19,7 @@ keep the input order of the queries.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -215,6 +216,10 @@ def answer_offline_dominance(job: OfflineJob) -> SweepSummary:
     stream counters.
     """
     ps = job.points
+    try:
+        operator.index(job.sweep_axis)
+    except TypeError:
+        raise MalformedInputError(f"sweep axis {job.sweep_axis!r} is not an integer") from None
     if not 0 <= job.sweep_axis < max(ps.d, 1):
         raise MalformedInputError(f"sweep axis {job.sweep_axis} outside [0, {ps.d})")
     _check_fanout(job.s, ps.n)

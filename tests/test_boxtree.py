@@ -179,6 +179,13 @@ def test_parameter_errors():
         cf.build_box(ps, s=2, bounded_axes=(2,))
     with pytest.raises(cf.ParameterError):
         cf.build_box(ps, s=1, bounded_axes=(0,))
+    # an axis is an integer, never truncated; numpy integers count
+    for axes in ((0.7,), ("x",)):
+        with pytest.raises(cf.ParameterError):
+            cf.build_box(ps, s=2, bounded_axes=axes)
+    assert cf.build_box(ps, s=2, bounded_axes=(np.int64(1),)).bounded_axes == (1,)
+    with pytest.raises(cf.ParameterError):
+        cf.build_box(ps, s=2.0, bounded_axes=(0,))
 
 
 def test_entry_accounting_across_instances():

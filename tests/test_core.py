@@ -133,6 +133,11 @@ def test_nonfinite_coords_rejected():
 def test_negative_color_rejected():
     with pytest.raises(cf.MalformedInputError):
         cf.PointSet(np.zeros((1, 1)), [-1])
+    # ids are integers, never truncated; an empty list has no type to check
+    with pytest.raises(cf.MalformedInputError):
+        cf.PointSet(np.zeros((2, 1)), [0.5, 1.7])
+    assert cf.PointSet(np.zeros((0, 1)), []).phi == 0
+    assert cf.PointSet(np.zeros((2, 1)), np.array([3, 0], dtype=np.uint8)).phi == 4
 
 
 def test_count_weights_that_overflow_int64_rejected():

@@ -224,6 +224,13 @@ def test_parameter_validation():
         cf.build_dominance(ps, 2, s=1)
     with pytest.raises(cf.ParameterError):
         cf.build_dominance(ps, 2, s=11)
+    # a fanout is an integer, checked before the strip split; numpy integers count
+    fifty = cf.generate_points(50, 2, 3, seed=1)
+    for s in (2.5, 3.0, "2"):
+        with pytest.raises(cf.ParameterError):
+            cf.build_dominance(fifty, 2, s=s)
+    q = cf.BoxQuery.dominance((1e9, 1e9))
+    assert canon(cf.build_dominance(fifty, 2, s=np.int64(3)).query(q)) == canon(cf.brute_force(fifty, q))
     # n=1 still accepts the minimum fanout
     one = cf.generate_points(1, 3, 1, seed=2)
     assert cf.build_dominance(one, 3, s=2).stats().node_count == 1

@@ -61,6 +61,24 @@ def test_interval_examples():
     assert canon(f.query_interval(-10.0, 10.0)) == canon(f.query_prefix(math.inf))
 
 
+def test_malformed_input_rejected():
+    for values, colors, weights in (
+        ([1.0, 2.0], [0, 0], [1.5, 1]),  # a fractional count weight
+        ([1.0, 2.0], [0, -1], None),  # a negative color id
+        ([1.0, 2.0], [0.5, 1.7], None),  # fractional color ids
+        ([math.nan, 2.0], [0, 1], None),
+        ([1.0, math.inf], [0, 1], None),
+        ([-math.inf, 2.0], [0, 1], None),
+        ([[1.0, 2.0]], [0], None),  # one 2-D point
+    ):
+        with pytest.raises(cf.MalformedInputError):
+            cf.Frequency1D(values, colors, weights)
+    # integer weights of any type, and no points at all, stay accepted
+    f = cf.Frequency1D([1.0, 2.0], np.array([0, 0], dtype=np.uint8), [np.int64(2), True])
+    assert f.query_prefix(5.0) == [(0, 3)]
+    assert cf.Frequency1D([], []).query_prefix(0.0) == []
+
+
 def test_interval_rejected_without_group_weights():
     f = cf.build_1d([(1.0, 0, 5), (2.0, 0, 9)], mode=cf.MAX_SEMIGROUP)
     with pytest.raises(cf.UnsupportedOperationError):
@@ -81,7 +99,7 @@ def test_quadrant_hits_at_most_one_point_per_color():
             rng.integers(0, 30, m).astype(float), rng.integers(0, 8, m)
         )
         rq = int(rng.integers(0, m + 1))
-        hits, _ = f._succ_index.report(0, rq, rq)
+        hits, _ = freq1d._report(f.m, (f.lo, f.pri, f.pos, f.skip), 0, rq, rq)
         colors = [f.colors[i] for i in hits]
         assert len(colors) == len(set(colors))
 
@@ -239,9 +257,6 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
         for name in cf.Frequency1D.__slots__:
             if name == "sorted_values":
                 assert got.sorted_values.tolist() == want.sorted_values.tolist()
-            elif name == "_succ_index":
-                for part in freq1d._PrioIndex.__slots__:
-                    assert getattr(got._succ_index, part) == getattr(want._succ_index, part), part
             else:
                 assert getattr(got, name) == getattr(want, name), name
         assert got.entries == want.entries
@@ -328,10 +343,14 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
     succ = chain_successors(f.colors)
     assert f.succ == succ
     occ = reference_index(succ)
-    indexes = [(f._succ_index, succ, occ)]
+    heaps = [((f.lo, f.pri, f.pos, f.skip), succ, occ)]
     if f._pred_index is not None:
-        pri = [-p for p in f.pred]
-        indexes.append((f._pred_index, pri, reference_index(pri)))
+        pred = [-1] * m
+        for r, nxt in enumerate(succ):
+            if nxt < m:
+                pred[nxt] = r
+        pri = [-p for p in pred]
+        heaps.append((f._pred_index, pri, reference_index(pri)))
 
     for q in rng.integers(-1, grid + 1, 6).tolist():
         rq = freq1d.count_le(f.sorted_values, q)
@@ -355,8 +374,8 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
     for _ in range(6):
         a, b = sorted(rng.integers(0, m + 1, 2).tolist())
         t = int(rng.integers(-m - 1, m + 2))
-        for index, pri, ref in indexes:
-            hits, probes = index.report(a, b, t)
+        for heap, pri, ref in heaps:
+            hits, probes = freq1d._report(m, heap, a, b, t)
             want_hits, want_probes = reference_report(pri, ref, a, b, t)
             assert sorted(hits) == sorted(want_hits)
             assert probes == want_probes

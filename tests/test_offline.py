@@ -80,6 +80,11 @@ def test_sweep_axis_parameter():
     assert emitted == sorted(emitted)
     for qid, q in queries:
         assert got[qid] == canon(cf.brute_force(ps, q))
+    # a numpy integer is an axis; a string or a float is not
+    assert run_dominance(ps, queries, sweep_axis=np.int64(1))[0] == got
+    for axis in ("0", 1.0, 2):
+        with pytest.raises(cf.MalformedInputError):
+            run_dominance(ps, queries, sweep_axis=axis)
 
 
 def test_one_live_copy_invariant():
