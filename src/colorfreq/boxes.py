@@ -17,6 +17,7 @@ the matching one, keeping the fan-out at 2^(number of two-sided axes).
 from __future__ import annotations
 
 import operator
+from array import array
 
 from .core import (
     BoxQuery,
@@ -28,7 +29,6 @@ from .core import (
     PointSet,
     QuerySession,
     UnsupportedShapeError,
-    _gc_paused,
     count_le,
     count_lt,
     rank_order,
@@ -39,6 +39,7 @@ from .dominance import (
     _check_fanout,
     _coerce_points,
     _fill,
+    _ready,
     _scan_range,
 )
 from .freq1d import _sort_charge
@@ -81,7 +82,7 @@ class _Layer:
         self.coords_r = coords[order]
         self.colors_r = colors[order]
         self.weights_r = [weights[i] for i in order]
-        self.sorted_vals = self.coords_r[:, axis]
+        self.sorted_vals = array("d", self.coords_r[:, axis].tobytes())
         self.nodes = [_LayerNode(0, len(coords))]
         for node in self.nodes:  # grows while iterated: breadth-first
             if node.hi - node.lo > _LAYER_LEAF:
@@ -163,9 +164,8 @@ class BoxTree:
         self.stored_entries = 0
         self.build_ops = 0
         trees = []
-        with _gc_paused:
-            self.top = self._build(ps.coords, ps.colors, ps.weight_list(), list(axes), trees)
-            _fill(trees)
+        self.top = self._build(ps.coords, ps.colors, ps.weight_list(), list(axes), trees)
+        _fill(trees)
         for tree in trees:
             self.stored_entries += tree.stored_entries
             self.build_ops += tree.build_ops
@@ -211,11 +211,7 @@ class BoxTree:
                     f"axis {axis} has a lower bound but no layer; "
                     f"rebuild with it in bounded_axes"
                 )
-        if session is None:
-            session = self.new_session()
-        elif session.accumulator is None:
-            session.accumulator = ColorAccumulator(self.phi, self.mode)
-        session.reset()
+        session = _ready(session, self.phi, self.mode)
         self._query_rec(self.top, list(q.bounds), session)
         return session.accumulator.drain_and_reset()
 

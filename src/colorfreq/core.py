@@ -9,9 +9,9 @@ share across concurrent readers.
 
 from __future__ import annotations
 
-import gc
 import math
-import threading
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -219,14 +219,19 @@ def rank_order(values) -> np.ndarray:
     return np.argsort(values, kind="stable")
 
 
-def count_le(sorted_values, v: float) -> int:
-    """Number of entries <= v, that is, the rank range inside the closed upper bound v."""
-    return int(sorted_values.searchsorted(v, side="right"))
+def count_le(sorted_values, v: float, lo: int = 0, hi: int | None = None) -> int:
+    """Number of entries <= v in ``sorted_values[lo:hi]`` (all of it by
+    default), that is, the rank range inside the closed upper bound v.
+
+    ``sorted_values`` is any ascending sequence; an ``array('d')`` reads
+    fastest.  v is never NaN: every query path rejects NaN bounds first.
+    """
+    return bisect_right(sorted_values, v, lo, len(sorted_values) if hi is None else hi) - lo
 
 
 def count_lt(sorted_values, v: float) -> int:
     """Number of entries < v, the first rank inside the closed lower bound v."""
-    return int(sorted_values.searchsorted(v, side="left"))
+    return bisect_left(sorted_values, v)
 
 
 class RankMap:
@@ -436,48 +441,6 @@ def freq_total(entries) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Builds
-# ---------------------------------------------------------------------------
-
-
-class _GCPause:
-    """Context manager that keeps the cyclic garbage collector off during
-    an eager build.
-
-    A build creates millions of tracked lists and dicts, and the collector
-    would traverse them again and again while they are made.  The
-    structures hold no reference cycles, so reference counting alone frees
-    every temporary.  The new objects are left in the youngest generation,
-    so later collections still walk them once or twice.  Nested and
-    concurrent builds share one pause: the first to enter records whether
-    the collector was on, and the last to leave restores that state, also
-    when its build raises.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._was_enabled = False
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._was_enabled = gc.isenabled()
-                gc.disable()
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._was_enabled:
-                gc.enable()
-        return False
-
-
-_gc_paused = _GCPause()
-
-
-# ---------------------------------------------------------------------------
 # Query sessions
 # ---------------------------------------------------------------------------
 
@@ -574,7 +537,8 @@ def write_dataset(ps: PointSet, path) -> None:
     """Write ``ps`` in the dataset format; read_dataset(path, d=ps.d) reads it back.
 
     A label must be one token that '#' does not cut short, and labels must
-    differ, since the format names colors only by their labels.
+    differ, since the format names colors only by their labels.  Weights
+    must be integers, which is all the format reads.
     """
     labels = [ps.label_of(c) for c in sorted(set(ps.colors.tolist()))]
     for label in labels:
@@ -582,10 +546,13 @@ def write_dataset(ps: PointSet, path) -> None:
             raise MalformedInputError(f"label {label!r} cannot be written as one token")
     if len(set(labels)) != len(labels):
         raise MalformedInputError("two colors share a label")
+    try:
+        weights = [operator.index(w) for w in ps.weight_list()]
+    except TypeError:
+        raise MalformedInputError("only integer weights can be written") from None
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(ps.n):
+        for i, w in enumerate(weights):
             coords = " ".join(repr(float(x)) for x in ps.coords[i])
-            w = ps.weight_at(i)
             tail = f" {w}" if w != 1 else ""
             fh.write(f"{coords} {ps.label_of(int(ps.colors[i]))}{tail}\n")
 

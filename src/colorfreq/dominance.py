@@ -23,6 +23,7 @@ and destroys along the way.
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -39,7 +40,6 @@ from .core import (
     ParameterError,
     PointSet,
     QuerySession,
-    _gc_paused,
     count_le,
     rank_order,
 )
@@ -50,6 +50,11 @@ from .freq1d import Frequency1D, _build_ranges, _sort_charge, _weight_array
 # own), which bounds the numpy temporaries: an n=50k, s=16 tree peaks 30 MiB
 # lower than with whole tree levels, at the same speed.
 _BATCH_CHUNK = 1 << 14
+# The offline sweep's builds of fewer than _BATCH_MIN entries run faster one
+# Frequency1D at a time: _build_ranges has a fixed cost near 0.3 ms, and a
+# single range breaks even at 150-200 entries against the one-by-one
+# insertion and preorder walk.
+_BATCH_MIN = 200
 
 
 class ColorAccumulator:
@@ -104,6 +109,23 @@ class ColorAccumulator:
         return not self.touched and all(s is None for s in self.slots)
 
 
+def _ready(session: QuerySession | None, phi: int, mode) -> QuerySession:
+    """``session``, reset for a query of a structure over ``phi`` colors in
+    weight mode ``mode``, or a new session when it is None."""
+    if session is None:
+        return QuerySession(ColorAccumulator(phi, mode))
+    acc = session.accumulator
+    if acc is None:
+        session.accumulator = ColorAccumulator(phi, mode)
+    elif acc.phi < phi or acc.mode is not mode:
+        raise ContractViolationError(
+            f"session accumulator over {acc.phi} colors in mode {acc.mode.name!r} "
+            f"cannot take a structure over {phi} colors in mode {mode.name!r}"
+        )
+    session.reset()
+    return session
+
+
 @dataclass
 class TreeStats:
     stored_entries: int
@@ -126,6 +148,7 @@ class DominanceTree:
         "sorted0",
         "parent",
         "prefix",
+        "index",
         "base",
         "stored_entries",
         "build_ops",
@@ -135,16 +158,15 @@ class DominanceTree:
 
     def __init__(self, points: PointSet, s: int):
         _check_fanout(s, points.n)
-        with _gc_paused:
-            self._init_from_parts(
-                points.coords,
-                points.colors,
-                points.weight_list(),
-                s=s,
-                phi=points.phi,
-                mode=points.mode,
-            )
-            _fill([self])
+        self._init_from_parts(
+            points.coords,
+            points.colors,
+            points.weight_list(),
+            s=s,
+            phi=points.phi,
+            mode=points.mode,
+        )
+        _fill([self])
 
     @classmethod
     def _skeleton(cls, coords, colors, weights, s, phi, mode):
@@ -172,7 +194,7 @@ class DominanceTree:
         if d == 1:
             self.base = Frequency1D(coords[:, 0], colors, weights, mode=mode)
             self.coords_r = self.colors_r = self.weights_r = self.sorted0 = None
-            self.parent = self.prefix = None
+            self.parent = self.prefix = self.index = None
             self.stored_entries = self.base.entries
             self.build_ops = self.base.build_ops
             self.node_count = 1 if n else 0
@@ -183,9 +205,10 @@ class DominanceTree:
         self.coords_r = coords[order]
         self.colors_r = np.asarray(colors, dtype=np.int64)[order]
         self.weights_r = [weights[i] for i in order]
-        self.sorted0 = self.coords_r[:, 0]
+        self.sorted0 = array("d", self.coords_r[:, 0].tobytes())
         self.parent, self.node_count, self.height = _strips(n, s)
         self.prefix = [None] * n
+        self.index = [0] * n
         if n:
             # the sort, one step per leaf and one per child link
             self.build_ops = _sort_charge(n) + n + self.node_count - 1
@@ -196,13 +219,13 @@ class DominanceTree:
         """Structure over the remaining axes of the points with rank in
         [lo, cut), lo < cut, built on its own (the offline sweep's build)."""
         if self.d == 2:
-            sub = _build_ranges(
-                self.coords_r[lo:cut, 1],
-                self.colors_r[lo:cut],
-                _weight_array(self.weights_r[lo:cut], self.mode),
-                [(0, cut - lo)],
-                self.mode,
-            )[0]
+            ys, colors = self.coords_r[lo:cut, 1], self.colors_r[lo:cut]
+            weights = self.weights_r[lo:cut]
+            if cut - lo < _BATCH_MIN:
+                sub = Frequency1D(ys, colors, weights, self.mode)
+            else:
+                sub = _build_ranges(ys, colors, _weight_array(weights, self.mode),
+                                    [(0, cut - lo)], self.mode)
             self.stored_entries += sub.entries
             self.build_ops += sub.build_ops
             return sub
@@ -231,11 +254,7 @@ class DominanceTree:
         session.  Without a session the call allocates its own.
         """
         corner = self._corner_of(q)
-        if session is None:
-            session = self.new_session()
-        elif session.accumulator is None:
-            session.accumulator = ColorAccumulator(self.phi, self.mode)
-        session.reset()
+        session = _ready(session, self.phi, self.mode)
         self._query_into(corner, session)
         return session.accumulator.drain_and_reset()
 
@@ -260,13 +279,14 @@ class DominanceTree:
     def _query_into(self, corner, session: QuerySession) -> None:
         """Accumulate the answer for ``corner`` into the session's accumulator."""
         if self.d == 1:
-            self._answer((self.base,), corner, 0, session)
+            self._answer(((self.base, 0),), corner, 0, session)
             return
         rq = count_le(self.sorted0, corner[0])
         if rq == 0:
             return
-        prefix = self.prefix
-        self._answer([prefix[c] for c in self._walk_to(rq - 1)], corner[1:], rq, session)
+        prefix, index = self.prefix, self.index
+        self._answer([(prefix[c], index[c]) for c in self._walk_to(rq - 1)], corner[1:], rq,
+                     session)
 
     def _walk_to(self, x: int) -> list:
         """The ranks c whose ranges [parent[c], c) tile [0, x), ascending."""
@@ -280,17 +300,19 @@ class DominanceTree:
     def _answer(self, structs, rest, rq: int, session: QuerySession) -> None:
         """Answer kernel shared by online queries and the offline sweep.
 
-        ``structs`` holds the structures of the walk to rank ``rq - 1``, in
-        its order; each is queried with ``rest``, the corner on the axes
-        after the first.  The point at rank ``rq - 1`` is then checked
-        directly (none when rq = 0).  A d=1 tree passes its base structure,
-        its whole corner and rq = 0.
+        ``structs`` holds the (structure, range index) pairs of the walk to
+        rank ``rq - 1``, in its order; each is queried with ``rest``, the
+        corner on the axes after the first.  The index picks a range of a
+        1-D block (0 for a one-range structure) and is unused for a d >= 3
+        subtree.  The point at rank ``rq - 1`` is then checked directly
+        (none when rq = 0).  A d=1 tree passes its base structure, its whole
+        corner and rq = 0.
         """
         acc = session.accumulator
-        for struct in structs:
+        for struct, j in structs:
             session.substructure_queries += 1
             if isinstance(struct, Frequency1D):
-                struct._prefix_into(rest[0], acc, session)
+                struct._prefix_into(rest[0], acc, session, j)
             else:
                 struct._query_into(rest, session)
         if rq:
@@ -342,7 +364,9 @@ def _fill(trees) -> None:
     The trees share one weight mode.  Trees with d >= 3 get skeletons over
     their remaining axes, expanded in turn; then the 1-D structures of all
     d = 2 trees stream through ``_build_ranges`` in chunks of slices of the
-    trees' arrays.  Counters of d >= 3 trees are summed bottom-up.
+    trees' arrays, one block per chunk: a strip's ``prefix`` is its
+    chunk's block and its ``index`` its range there.  Counters of d >= 3
+    trees are summed bottom-up.
     """
     flat, nested = [], []
     trees = list(trees)
@@ -362,11 +386,13 @@ def _fill(trees) -> None:
             trees += tree.prefix[1:]
     for slots, ranges, parts in _strip_chunks(flat):
         ys, colors, weights = (np.concatenate(column) for column in zip(*parts))
-        for (tree, c), sub in zip(slots, _build_ranges(ys, colors, weights, ranges,
-                                                        flat[0].mode)):
-            tree.prefix[c] = sub
-            tree.stored_entries += sub.entries
-            tree.build_ops += sub.build_ops
+        block = _build_ranges(ys, colors, weights, ranges, flat[0].mode)
+        start, ops = block.start, block._ops
+        for j, (tree, c) in enumerate(slots):
+            tree.prefix[c] = block
+            tree.index[c] = j
+            tree.stored_entries += start[j + 1] - start[j]
+            tree.build_ops += ops[j]
     for tree in reversed(nested):
         for sub in tree.prefix[1:]:
             tree.stored_entries += sub.stored_entries
@@ -377,7 +403,8 @@ def _strip_chunks(trees):
     """Yield the strip ranges ``[parent[c], c)`` of the d = 2 ``trees`` in
     chunks of at most ``_BATCH_CHUNK`` entries, as ``(slots, ranges, parts)``.
 
-    ``slots`` holds the ``(tree, c)`` of each range.  Ranges with the same
+    ``slots`` holds the ``(tree, c)`` of each range, in the order of
+    ``ranges``.  Ranges with the same
     parent rank nest, so one ``(ys, colors, weights)`` slice of its tree's
     arrays per parent rank and chunk, in ``parts``, holds them all;
     ``ranges`` are their ``(lo, cut)`` in the concatenated parts.

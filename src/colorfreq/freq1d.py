@@ -36,11 +36,6 @@ from .core import (
 )
 
 _SMALL = 8  # below this size a linear scan beats any index
-# A batched build (_build_ranges) of fewer than _BATCH_MIN entries runs
-# faster one Frequency1D at a time: the batched pass has a fixed cost near
-# 0.3 ms, and a single range breaks even at 150-200 entries against the
-# one-by-one insertion and preorder walk.
-_BATCH_MIN = 200
 
 
 def _sort_charge(n: int) -> int:
@@ -129,39 +124,54 @@ class _Cells(dict):
 
 
 class Frequency1D:
-    """The 1-D structure: mapped chain points plus quadrant indexes.
+    """The 1-D structure: mapped chain points plus quadrant indexes, for one
+    or more rank ranges held in one block.
 
-    By rank: ``sorted_values``, ``colors`` and ``prefix_weight``.  The
-    successor ranks (``succ``) are the priorities of a static max-heap over
-    the ranks [0, m), held in the columns ``lo``, ``pri``, ``pos`` and
-    ``skip``.  Its implicit skeleton is the balanced binary split of
-    [0, m); each rank descends from the root toward itself and occupies the
-    first free node, in decreasing priority order.  A node's occupant
-    therefore has priority >= everything below it, and an empty node has
-    an empty subtree.
+    Range ``j`` owns the block positions [start[j], start[j+1]) and the
+    heap nodes [node_start[j], node_start[j+1]); a structure built by
+    ``Frequency1D(...)`` or ``build_1d`` is one range starting at 0, and
+    ``_build_ranges`` builds many ranges as one block.  By block position:
+    ``sorted_values``, ``colors`` and ``prefix_weight``, each range in rank
+    order.  Each range also has its own build ops and ``_may_cancel`` flag.
+
+    The successor ranks inside each range (``succ``; the range's size for
+    none) are the priorities of a static max-heap per range, held in the
+    columns ``lo``, ``pri``, ``pos`` and ``skip``.  Its implicit skeleton
+    is the balanced binary split of the range; each rank descends from the
+    root toward itself and occupies the first free node, in decreasing
+    priority order.  A node's occupant therefore has priority >= everything
+    below it, and an empty node has an empty subtree.
 
     The columns list in preorder (node, left subtree, right subtree) every
     occupied node and every non-empty child of one; the unoccupied
     ("dead") children include the right child [lo, lo+1) of a length-1
-    node.  Per node, ``lo`` is the start of its range, ``pri`` and ``pos``
-    its occupant's priority and rank (-1 when dead), and ``skip`` the
-    number of nodes in its subtree, so ``k + skip[k]`` is the index just
-    past it.  ``lo`` never decreases in preorder.  A dead node's -1 is below
-    every successor rank, so the prefix scan needs no other test;
+    node.  Per node, ``lo`` is the block position where its range starts,
+    ``pri`` and ``pos`` its occupant's priority and block position (-1 when
+    dead), and ``skip`` the number of nodes in its subtree, so
+    ``k + skip[k]`` is the index just past it.  Positions are offset by the
+    range's start and priorities are not, so range ``j`` reads the same as
+    a structure of its own once ``start[j]`` is taken off ``lo`` and
+    ``pos``.  ``lo`` never decreases in preorder.  A dead node's -1 is
+    below every successor rank, so the prefix scan needs no other test;
     ``_report`` tells dead nodes by ``pos``, since the interval index has
-    negative priorities.  Below ``_SMALL`` ranks the layout is flat
-    instead: every rank is a node of its own, so a scan of it is the linear
-    scan.
+    negative priorities.  A range of ``_SMALL`` or fewer positions is flat
+    instead: every position is a node of its own (``lo`` and ``pos`` the
+    position, ``skip`` 1), so a scan of it is the linear scan.
 
     ``pri`` and ``skip`` are tuples, which the cyclic collector stops
-    tracking once it has seen that they hold only ints; most subtree sizes
-    are small ints, which CPython shares.  ``lo`` and ``pos`` are
-    ``array('i')``, half the size: a scan reads ``lo`` only to bisect it,
-    and ``pos`` only on occupied nodes.
+    tracking once it has seen that they hold only ints; most successor
+    ranks and subtree sizes are small ints, which CPython shares.  ``lo`` and ``pos`` are
+    ``array('i')`` (or ranges), half the size: a scan reads ``lo`` only to
+    bisect it, and ``pos`` only on occupied nodes.  ``sorted_values`` is an
+    ``array('d')``, which ``bisect`` searches inside one range about 3x
+    faster than numpy searches a slice of it.  So a block is about a dozen
+    objects, however many ranges it holds.
 
-    The interval index is ``_pred_index``, the same heap over the negated
-    predecessor ranks as one ``(lo, pri, pos, skip)`` tuple, plus
-    ``prefix_below``, the weight of each chain below each point.
+    The interval index, built on a one-range structure only, is
+    ``_pred_index``, the same heap over the negated predecessor ranks as one
+    ``(lo, pri, pos, skip)`` tuple, plus ``prefix_below``, the weight of
+    each chain below each point.  The public methods read a one-range
+    structure.
     """
 
     __slots__ = (
@@ -171,12 +181,14 @@ class Frequency1D:
         "colors",
         "prefix_weight",
         "prefix_below",
+        "start",
+        "node_start",
         "lo",
         "pri",
         "pos",
         "skip",
         "_pred_index",
-        "build_ops",
+        "_ops",
         "_may_cancel",
     )
 
@@ -190,8 +202,6 @@ class Frequency1D:
             raise MalformedInputError("need one color per value")
         if m and colors_arr.dtype.kind not in "iu":
             raise MalformedInputError("color ids must be integers")
-        self.mode = mode
-        self.m = m
         is_count = isinstance(mode, CountMode)
         if weights is None:
             wlist = [1] * m
@@ -205,11 +215,10 @@ class Frequency1D:
         if len(wlist) != m:
             raise MalformedInputError("need one weight per value")
         # count totals of zero are never reported; only non-positive weights make them
-        self._may_cancel = is_count and m > 0 and min(wlist) <= 0
+        may_cancel = is_count and m > 0 and min(wlist) <= 0
 
         order = rank_order(values)
-        self.sorted_values = ys = values[order]
-        ys.setflags(write=False)
+        ys = values[order]
         # NaN sorts last, so the two ends show any value that is not finite
         if m and not (math.isfinite(ys[0]) and math.isfinite(ys[-1])):
             raise MalformedInputError("coordinates must be finite")
@@ -233,13 +242,11 @@ class Frequency1D:
             cur = w_by_rank[r] if prev is None else combine(prev, w_by_rank[r])
             running[c] = cur
             pref[r] = cur
-        self.colors = cols
-        self.prefix_weight = pref
 
-        self.lo, self.pri, self.pos, self.skip, steps = _heap(succ)
-        self.build_ops = 2 * m + _sort_charge(m) + steps
+        *heap, steps = _heap(succ)
+        self._set(mode, ys, cols, pref, heap, (0, m), (0, len(heap[0])),
+                  (2 * m + _sort_charge(m) + steps,), (may_cancel,))
         # predecessors and the weight below each point serve interval queries only
-        self.prefix_below = self._pred_index = None
         if interval_index and is_count:
             pred = [-1] * m
             for r, nxt in enumerate(succ):
@@ -248,7 +255,22 @@ class Frequency1D:
             self.prefix_below = [0 if p < 0 else pref[p] for p in pred]
             *heap, steps = _heap([-p for p in pred])
             self._pred_index = tuple(heap)
-            self.build_ops += m + steps
+            self._ops = (self._ops[0] + m + steps,)
+
+    def _set(self, mode, ys, colors, pref, heap, start, node_start, ops, may_cancel) -> None:
+        """Take the block's columns, the values ``ys`` as a float64 array;
+        no interval index."""
+        self.mode = mode
+        self.m = len(ys)
+        self.sorted_values = array("d", ys.tobytes())
+        self.colors = colors
+        self.prefix_weight = pref
+        self.lo, self.pri, self.pos, self.skip = heap
+        self.start = start
+        self.node_start = node_start
+        self._ops = ops
+        self._may_cancel = may_cancel
+        self.prefix_below = self._pred_index = None
 
     # -- rank space ----------------------------------------------------------
 
@@ -262,10 +284,13 @@ class Frequency1D:
         return self.m
 
     @property
+    def build_ops(self) -> int:
+        return sum(self._ops)
+
+    @property
     def succ(self) -> list[int]:
-        """Rank of the next point of the same color (m for none), by rank."""
-        if self.m <= _SMALL:
-            return list(self.pri)
+        """Rank in its range of the next point of the same color (the
+        range's size for none), by position."""
         out = [0] * self.m
         for p, i in zip(self.pri, self.pos):
             if i >= 0:
@@ -276,45 +301,50 @@ class Frequency1D:
 
     def query_prefix(self, q: float, session: QuerySession | None = None) -> list:
         """Per-color total weight of the points with coordinate <= q."""
+        if q != q:
+            raise MalformedQueryError("query bound is NaN")
         cells = _Cells()
         touched: list[int] = []
-        probes, _ = self._scan_prefix(count_le(self.sorted_values, q), cells, touched, None)
+        probes, _ = self._scan_prefix(0, q, cells, touched, None)
         if session is not None:
             session.probes += probes
         return [(c, cells[c]) for c in touched]
 
-    def _prefix_into(self, q: float, acc, session: QuerySession) -> None:
-        """``query_prefix`` merged straight into the cells of ``acc``, a
-        ``ColorAccumulator`` over every color of this structure."""
-        probes, touches = self._scan_prefix(
-            count_le(self.sorted_values, q), acc.slots, acc.touched, acc.mode.combine
-        )
+    def _prefix_into(self, q: float, acc, session: QuerySession, j: int = 0) -> None:
+        """``query_prefix`` on range ``j``, merged straight into the cells of
+        ``acc``, a ``ColorAccumulator`` over every color of this structure."""
+        probes, touches = self._scan_prefix(j, q, acc.slots, acc.touched, acc.mode.combine)
         session.probes += probes
         acc.touch_ops += touches
 
-    def _scan_prefix(self, rq: int, slots, touched: list, combine) -> tuple[int, int]:
-        """Merge the per-color totals of ranks [0, rq) into ``slots``.
+    def _scan_prefix(self, j: int, q: float, slots, touched: list, combine) -> tuple[int, int]:
+        """Merge the per-color totals of range ``j``'s points <= q into ``slots``.
 
-        The quadrant ``rank < rq <= succ`` holds at most one point per
-        color, so each color's cell is combined at most once.  A cell still
-        None is set and its color appended to ``touched``; any other is
-        replaced by ``combine(cell, weight)``.  Count totals of zero are
-        left out.  Colors were checked when the structure was built.
-        Returns (probes, touches).
+        With r those points' count, the quadrant ``rank < r <= succ``
+        holds at most one point per color, so each color's cell is combined
+        at most once.  A cell still None is set
+        and its color appended to ``touched``; any other is replaced by
+        ``combine(cell, weight)``.  Count totals of zero are left out.
+        Colors were checked when the structure was built.  Returns (probes,
+        touches).
 
-        The scan walks the heap's preorder up to the first node whose range
-        starts at or past ``rq``: a node whose ``pri`` is below ``rq`` (a
-        dead one too) skips its subtree, and an occupant of rank below
-        ``rq`` is a hit.  It visits exactly the nodes that
-        ``_report(m, heap, 0, rq, rq)`` pops.
+        The scan walks the range's heap in preorder up to the first node
+        whose range starts at or past block position ``rq`` = start + r: a
+        node whose ``pri`` is below r (a dead one too) skips its subtree,
+        and an occupant below ``rq`` is a hit.  It visits exactly the nodes
+        that ``_report`` pops for the ranks [0, r) with priority >= r.
         """
+        a = self.start[j]
+        r = count_le(self.sorted_values, q, a, self.start[j + 1])
+        rq = a + r
         pri, pos, skip = self.pri, self.pos, self.skip
-        cols, pref, cancel = self.colors, self.prefix_weight, self._may_cancel
-        end = bisect_left(self.lo, rq)
-        probes = touches = k = 0
+        cols, pref, cancel = self.colors, self.prefix_weight, self._may_cancel[j]
+        k = self.node_start[j]
+        end = bisect_left(self.lo, rq, k, self.node_start[j + 1])
+        probes = touches = 0
         while k < end:
             probes += 1
-            if pri[k] < rq:
+            if pri[k] < r:
                 k += skip[k]
                 continue
             i = pos[k]
@@ -343,6 +373,8 @@ class Frequency1D:
             raise UnsupportedOperationError(
                 "interval queries need group weights and an interval index"
             )
+        if lo != lo or hi != hi:
+            raise MalformedQueryError(f"interval [{lo}, {hi}] has a NaN bound")
         if lo > hi:
             raise MalformedQueryError(f"interval [{lo}, {hi}] is inverted")
         rlo = count_lt(self.sorted_values, lo)
@@ -384,20 +416,18 @@ def _weight_array(weights, mode) -> np.ndarray:
     return np.fromiter(weights, dtype=object, count=len(weights))
 
 
-def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
-    """The structures of many non-empty rank ranges of one array, in one pass.
+def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
+    """The structures of many non-empty rank ranges of one array, as one
+    block built in one numpy pass.
 
     ``values``, ``colors`` and ``weights`` are 1-D arrays in one fixed
     order, the weights from ``_weight_array``; count weights come from a
     ``PointSet``, whose overflow guard keeps every prefix total exact.
-    Entry ``j`` of the result equals, field for field,
+    Range ``j`` of the block, once its start is taken off every position,
+    equals field for field
     ``Frequency1D(values[lo:cut], colors[lo:cut], weights[lo:cut], mode)``
-    for ``ranges[j] = (lo, cut)``.  Ranges of fewer than ``_BATCH_MIN``
-    entries in all are built one structure at a time.
+    for ``ranges[j] = (lo, cut)``.
     """
-    if sum(cut - lo for lo, cut in ranges) < _BATCH_MIN:
-        return [Frequency1D(values[lo:cut], colors[lo:cut], weights[lo:cut], mode)
-                for lo, cut in ranges]
     rank = np.empty(len(values), dtype=np.int64)
     rank[rank_order(values)] = np.arange(len(values))
     los = np.array([lo for lo, _ in ranges], dtype=np.int64)
@@ -460,9 +490,10 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
     # max key: max priority, then min position; placed entries drop to -1,
     # and the trailing -1 lets a segment end at ``size``
     key = np.append(succ * size + (size - 1 - np.arange(size)), -1)
-    # per depth: (lo, hi, occupant or -1), after an empty entry that lets a
-    # chunk hold no indexed range
-    levels = [(np.zeros(0, dtype=np.int64),) * 3]
+    # per depth: (lo, hi, occupant or -1), after the flat nodes [p, p+1) of
+    # the small ranges' positions p
+    flat = np.flatnonzero(np.repeat(~indexed, sizes))
+    levels = [(flat, flat + 1, flat)]
     depth = 0
     while len(seg_lo):
         # reduce over [lo, hi) and the gap after it, then drop the gaps
@@ -486,8 +517,8 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
     # ancestor.  The nodes starting at one lo lie on one path at
     # consecutive depths, so a node's index is the number of nodes starting
     # below its lo plus its depth below the shallowest of them.  A node's
-    # subtree ends where the nodes starting below its hi end, and a
-    # structure's nodes start at or past its first position.
+    # subtree ends where the nodes starting below its hi end, and a range's
+    # nodes start at or past its first position.
     depth_n = np.repeat(np.arange(len(levels)), [len(level[0]) for level in levels])
     lo_n, hi_n, occ_n = (np.concatenate(column) for column in zip(*levels))
     del levels, key
@@ -503,59 +534,26 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> list:
     node_pos[pre] = occ_n
     node_skip[pre] = starts_below[hi_n] - pre
     del lo_n, hi_n, occ_n, pre
-    node_off = starts_below[off]  # each structure's node range
-    base = np.repeat(off[:-1], np.diff(node_off))  # its first position, per node
-    node_lo -= base
-    filled = node_pos >= 0
-    node_pri[:] = np.where(filled, succ[node_pos], -1)
-    node_pos[filled] -= base[filled]
-    del base, filled
+    node_pri[:] = np.where(node_pos >= 0, succ[node_pos], -1)
 
     # build counters, as Frequency1D and _heap book them
     charge = sizes * np.maximum(1, np.frexp(np.maximum(sizes - 1, 0))[1])  # _sort_charge
     steps = np.where(indexed, np.add.reduceat(depth_at, off[:-1]) + charge, 0)
     ops = 2 * sizes + charge + steps
 
-    # materialise what the query path reads.  One table of int objects is
-    # shared by every structure of the chunk; its last element is -1, so
-    # index -1 reads -1.
-    top = max(int(sizes.max()), int(cols.max()))
-    table = np.append(np.arange(top + 1, dtype=object), -1)
-    ys.setflags(write=False)
-    cols_l = table[cols].tolist()
-    pri_t = tuple(table[node_pri].tolist())
-    skip_t = tuple(node_skip.tolist())
-    lo_b = node_lo.astype(np.int32).tobytes()
-    pos_b = node_pos.astype(np.int32).tobytes()
-    del layout, node_lo, node_pri, node_pos, node_skip
-    # a flat layout's pri is its ranks by position, all below 9 and so
-    # shared ints already
-    flat = [(range(m), (1,) * m) for m in range(_SMALL + 1)]  # (lo and pos, skip)
-    flat_sizes = np.where(indexed, 0, sizes)
-    flat_t = tuple(succ[np.repeat(~indexed, sizes)].tolist())
-    flat_off = np.cumsum(flat_sizes) - flat_sizes
-    out = []
-    for a, b, na, nb, fa, m, big, op, mc in zip(
-        off.tolist(), off[1:].tolist(), node_off.tolist(), node_off[1:].tolist(),
-        flat_off.tolist(), sizes.tolist(), indexed.tolist(), ops.tolist(), may_cancel,
-    ):
-        f = Frequency1D.__new__(Frequency1D)
-        if big:
-            f.lo, f.pos = array("i", lo_b[4 * na:4 * nb]), array("i", pos_b[4 * na:4 * nb])
-            f.pri, f.skip = pri_t[na:nb], skip_t[na:nb]
-        else:
-            f.lo, f.skip = flat[m]
-            f.pos, f.pri = f.lo, flat_t[fa:fa + m]
-        f.mode = mode
-        f.m = m
-        f.sorted_values = ys[a:b]
-        f.colors = cols_l[a:b]
-        f.prefix_weight = pref_l[a:b]
-        f.prefix_below = f._pred_index = None
-        f.build_ops = op
-        f._may_cancel = mc
-        out.append(f)
-    return out
+    # one table of int objects is shared by every range; its last element
+    # is -1, so index -1 reads -1
+    table = np.append(np.arange(max(int(sizes.max()), int(cols.max())) + 1, dtype=object), -1)
+    heap = (
+        array("i", node_lo.astype(np.int32).tobytes()),
+        tuple(table[node_pri].tolist()),
+        array("i", node_pos.astype(np.int32).tobytes()),
+        tuple(node_skip.tolist()),
+    )
+    block = Frequency1D.__new__(Frequency1D)
+    block._set(mode, ys, table[cols].tolist(), pref_l, heap, tuple(off.tolist()),
+               tuple(starts_below[off].tolist()), tuple(ops.tolist()), tuple(may_cancel))
+    return block
 
 
 def build_1d(points, mode=COUNT) -> Frequency1D:

@@ -161,10 +161,11 @@ def _sweep_dominance(
         pinned[x][1].append((corner, qid, rq))
 
     current: list = []  # the walk of the live substructures
-    live: list = []  # the substructure over [parent[c], c) for each c of that walk
+    # (substructure over [parent[c], c), its range index) for each c of that walk
+    live: list = []
 
     def pop_level():
-        meter.remove(_struct_entries(live.pop()))
+        meter.remove(_struct_entries(live.pop()[0]))
         summary.total_destroyed += 1
 
     try:
@@ -181,7 +182,7 @@ def _sweep_dominance(
                 summary.total_built += 1
                 summary.entries_built += entries
                 meter.add(entries)
-                live.append(struct)
+                live.append((struct, 0))
             current = walk
 
             for corner, qid, rq in queries:

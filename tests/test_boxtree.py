@@ -223,7 +223,7 @@ def _fill_one_by_one(trees):
 ])
 def test_batched_box_counters_match_one_by_one_build(d, mode_name, chunk):
     # two-sided on axes 0 and 1, as `--sides 2,2` builds; a 500-entry chunk
-    # mixes batched chunks with ones below _BATCH_MIN
+    # makes many blocks, and strips of more than 500 entries blocks of their own
     n = 700 if d == 2 else 160
     base = cf.generate_points(n, d, 30, seed=11 + d, grid=n // 2)
     rng = np.random.default_rng(12)
@@ -237,11 +237,11 @@ def test_batched_box_counters_match_one_by_one_build(d, mode_name, chunk):
     with mock.patch.object(boxes, "_fill", _fill_one_by_one), \
             mock.patch.object(dominance, "_fill", _fill_one_by_one):
         single = cf.build_box(ps, s=4, bounded_axes=(0, 1))
-    # batched structures hold views of one sorted chunk
+    # the strips share one block
     tree = batched.top.full_high.full_high
     if d == 3:
         tree = tree.prefix[_last_root_strip(tree)]
-    assert tree.prefix[_last_root_strip(tree)].sorted_values.base is not None
+    assert len({id(tree.prefix[c]) for c in range(1, len(tree.parent))}) < len(tree.parent) - 1
     assert batched.stored_entries == single.stored_entries
     assert batched.build_ops == single.build_ops
     s1, s2 = batched.new_session(), single.new_session()
@@ -252,3 +252,27 @@ def test_batched_box_counters_match_one_by_one_build(d, mode_name, chunk):
         assert (s1.probes, s1.fanout, s1.substructure_queries) == \
             (s2.probes, s2.fanout, s2.substructure_queries)
         assert s1.accumulator.touch_ops - t1 == s2.accumulator.touch_ops - t2
+
+
+def test_box_build_makes_one_block_per_chunk(monkeypatch):
+    ps = cf.generate_points(400, 2, 16, seed=9, mode=cf.MAX_SEMIGROUP)
+    trees, chunks = [], []
+    real_fill, real_chunks = boxes._fill, dominance._strip_chunks
+
+    def keeping(skeletons):
+        trees.extend(skeletons)
+        real_fill(skeletons)
+
+    def counting(flat):
+        for chunk in real_chunks(flat):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(boxes, "_fill", keeping)
+    monkeypatch.setattr(dominance, "_strip_chunks", counting)
+    monkeypatch.setattr(dominance, "_BATCH_CHUNK", 2000)
+    bt = cf.build_box(ps, s=8, bounded_axes=(0, 1))
+    strips = [tree.prefix[c] for tree in trees for c in range(1, len(tree.parent))]
+    assert len(strips) == sum(len(slots) for slots, _, _ in chunks) > len(chunks) > 1
+    assert len({id(f) for f in strips}) <= len(chunks)
+    assert sum(tree.stored_entries for tree in trees) == bt.stored_entries

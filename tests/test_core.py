@@ -1,11 +1,8 @@
 """Core types: queries, rank maps, weight algebra, text formats."""
 
-import gc
 import math
 import os
 import tempfile
-import threading
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +11,6 @@ from hypothesis import strategies as st
 
 import colorfreq as cf
 from _util import canon
-from colorfreq import dominance
 
 INF = float("inf")
 
@@ -238,6 +234,21 @@ def test_dataset_unwritable_labels_rejected(tmp_path, labels):
         cf.write_dataset(ps, tmp_path / "d.txt")
 
 
+@pytest.mark.parametrize("weight", [2.5, 7.0, (1, 2)])
+def test_dataset_noninteger_weights_rejected(tmp_path, weight):
+    # read_dataset reads integer weights only, so these could not come back
+    ps = cf.PointSet([[0.0], [1.0]], [0, 1], [weight, 3], mode=cf.MAX_SEMIGROUP)
+    path = tmp_path / "d.txt"
+    with pytest.raises(cf.MalformedInputError):
+        cf.write_dataset(ps, path)
+    assert not path.exists()
+    # integers of any type are written as integers and read back
+    ps = cf.PointSet([[0.0], [1.0], [2.0]], [0, 1, 0], [np.int64(7), True, 3],
+                     mode=cf.MAX_SEMIGROUP)
+    cf.write_dataset(ps, path)
+    assert cf.read_dataset(path, d=1, mode=cf.MAX_SEMIGROUP).weight_list() == [7, 1, 3]
+
+
 def test_dataset_weights_column(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("# weighted points\n1.5 0.5 red 7\n2.5 1.5 blue 3\n")
@@ -293,86 +304,20 @@ def test_concurrent_sessions_do_not_interfere():
     assert canon(r1) == a_only and canon(r2) == b_only
 
 
-# -- the collector pause of eager builds --------------------------------------
-
-
-def test_builds_pause_the_collector():
-    ps = cf.generate_points(300, 2, 8, seed=60)
-    real = dominance._build_ranges
-    seen = []
-
-    def spy(*args):
-        seen.append(gc.isenabled())
-        return real(*args)
-
-    assert gc.isenabled()
-    with mock.patch.object(dominance, "_build_ranges", spy):
-        cf.build_dominance(ps, 2, s=4)
-        cf.build_box(ps, s=4, bounded_axes=(0, 1))
-    assert seen and not any(seen)
-    assert gc.isenabled()
-    gc.disable()
-    try:
-        cf.build_dominance(ps, 2, s=4)
-        cf.build_box(ps, s=4, bounded_axes=(0, 1))
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
-
-
-def test_collector_restored_when_a_build_raises():
-    ps = cf.generate_points(300, 2, 8, seed=61)
-
-    def fail(*args):
-        raise RuntimeError("fill failed")
-
-    with mock.patch.object(dominance, "_build_ranges", fail):
-        for build in (lambda: cf.build_dominance(ps, 2, s=4),
-                      lambda: cf.build_box(ps, s=4, bounded_axes=(0,))):
-            with pytest.raises(RuntimeError, match="fill failed"):
-                build()
-            assert gc.isenabled()
-    gc.disable()
-    try:
-        cf.build_dominance(ps, 2, s=4)  # the failed builds left no pause open
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
-
-
-def test_overlapping_builds_in_two_threads_restore_the_collector():
-    # build "a" enters its pause first and leaves it first, while build
-    # "b" is still inside its own: the collector must come back on only
-    # when the last build leaves
-    ps = cf.generate_points(2000, 2, 8, seed=62)
-    real = dominance._build_ranges
-    a_inside, b_inside, a_done = threading.Event(), threading.Event(), threading.Event()
-    entries = {}
-
-    def spy(*args):
-        name = threading.current_thread().name
-        if name == "a" and not a_inside.is_set():
-            a_inside.set()
-            assert b_inside.wait(30)
-        elif name == "b" and not b_inside.is_set():
-            b_inside.set()
-            assert a_done.wait(30)
-            assert not gc.isenabled()
-        return real(*args)
-
-    def build():
-        entries[threading.current_thread().name] = cf.build_dominance(ps, 2, s=4).stored_entries
-        if threading.current_thread().name == "a":
-            a_done.set()
-
-    with mock.patch.object(dominance, "_build_ranges", spy):
-        a = threading.Thread(target=build, name="a")
-        b = threading.Thread(target=build, name="b")
-        a.start()
-        assert a_inside.wait(30)
-        b.start()
-        a.join(60)
-        b.join(60)
-    assert not a.is_alive() and not b.is_alive()
-    assert entries["a"] == entries["b"] == cf.build_dominance(ps, 2, s=4).stored_entries
-    assert gc.isenabled()
+@pytest.mark.parametrize("build", [
+    lambda ps: cf.build_dominance(ps, 2, s=4, mode=ps.mode),
+    lambda ps: cf.build_box(ps, s=4, bounded_axes=(0, 1), mode=ps.mode),
+], ids=["dominance", "box"])
+def test_session_of_another_structure_rejected(build):
+    few = build(cf.generate_points(60, 2, 3, seed=51))
+    many = build(cf.generate_points(60, 2, 12, seed=52))
+    maxed = build(cf.generate_points(60, 2, 12, seed=52, mode=cf.MAX_SEMIGROUP))
+    q = cf.BoxQuery.dominance((2000.0, 2000.0))
+    # fewer colors than the structure, or count cells for a max structure
+    for owner, struct in ((few, many), (many, maxed)):
+        session = owner.new_session()
+        with pytest.raises(cf.ContractViolationError):
+            struct.query(q, session)
+        assert session.accumulator.is_fully_reset()
+    # a session over more colors in the same mode serves
+    assert few.query(q, many.new_session()) == few.query(q)

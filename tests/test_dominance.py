@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import colorfreq as cf
+from colorfreq import dominance
 from colorfreq.freq1d import _sort_charge
 from _util import FIGURE_ANSWER, FIGURE_QUERY, canon, figure_instance, random_corner
 
@@ -337,9 +338,8 @@ def test_batched_tree_counters_match_one_by_one_build():
     single = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weight_list(), 4, ps.phi, ps.mode)
     single.prefix[1:] = [single._build_substructure(single.parent[c], c)
                          for c in range(1, ps.n)]
-    # batched structures hold views of one sorted chunk
-    assert any(batched.prefix[c].sorted_values.base is not None
-               for c in range(1, ps.n) if batched.parent[c] == 0)
+    # the strips share one block
+    assert len({id(batched.prefix[c]) for c in range(1, ps.n)}) < ps.n - 1
     assert batched.stored_entries == single.stored_entries
     assert batched.build_ops == single.build_ops
     rng = np.random.default_rng(6)
@@ -350,3 +350,24 @@ def test_batched_tree_counters_match_one_by_one_build():
         assert batched.query(q, s1) == single.query(q, s2)
         assert (s1.probes, s1.substructure_queries) == (s2.probes, s2.substructure_queries)
         assert s1.accumulator.touch_ops - t1 == s2.accumulator.touch_ops - t2
+
+
+def test_eager_build_makes_one_block_per_chunk(monkeypatch):
+    ps = cf.generate_points(3000, 2, 16, seed=8)
+    chunks = []
+    real = dominance._strip_chunks
+
+    def counting(trees):
+        for chunk in real(trees):
+            chunks.append(len(chunk[0]))
+            yield chunk
+
+    monkeypatch.setattr(dominance, "_BATCH_CHUNK", 5000)
+    monkeypatch.setattr(dominance, "_strip_chunks", counting)
+    tree = cf.build_dominance(ps, 2, s=4)
+    blocks = {id(tree.prefix[c]) for c in range(1, ps.n)}
+    assert 1 < len(blocks) <= len(chunks)
+    assert sum(chunks) == ps.n - 1
+    for c in range(1, ps.n):
+        block, j = tree.prefix[c], tree.index[c]
+        assert block.start[j + 1] - block.start[j] == c - tree.parent[c]

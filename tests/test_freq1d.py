@@ -1,7 +1,6 @@
 """The 1-D frequency structure: chains, quadrant queries, intervals, probes."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,6 +88,14 @@ def test_inverted_interval_rejected():
     f = cf.build_1d(FIVE_POINTS)
     with pytest.raises(cf.MalformedQueryError):
         f.query_interval(5.0, 2.0)
+
+
+def test_nan_query_bounds_rejected():
+    f = cf.build_1d([(1.0, 0), (3.0, 0), (5.0, 1)])
+    for query in (lambda: f.query_prefix(math.nan), lambda: f.query_interval(0.0, math.nan),
+                  lambda: f.query_interval(math.nan, 4.0)):
+        with pytest.raises(cf.MalformedQueryError):
+            query()
 
 
 def test_quadrant_hits_at_most_one_point_per_color():
@@ -230,12 +237,11 @@ CONCAT = cf.SemigroupMode(lambda a, b: a + (b or ()), name="concat")
     st.integers(-3, 1),
     st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=12),
     st.sampled_from(["count", "max", "concat"]),
-    st.booleans(),
 )
-def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_name, always):
-    # ranges of 0 to n entries: around _SMALL, and in all below and above
-    # _BATCH_MIN, or batched whatever their size; count weights in [low, 3],
-    # so some ranges have no weight below 0 and some none below 1.
+def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_name):
+    # ranges of 1 to n entries, around _SMALL and far above it; count
+    # weights in [low, 3], so some ranges have no weight below 0 and some
+    # none below 1.
     # Concatenated prefixes grow with the square of a chain's length, so
     # that mode keeps n small.
     rng = np.random.default_rng(seed)
@@ -249,18 +255,46 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
         w = [None if x == 3 else (x, i) for i, x in enumerate(w)]
     ranges = [(lo, cut) for lo, cut in (sorted((int(a * n), int(b * n))) for a, b in spans)
               if cut > lo]
-    with mock.patch.object(freq1d, "_BATCH_MIN", 1 if always else freq1d._BATCH_MIN):
-        built = freq1d._build_ranges(ys, cols, freq1d._weight_array(w, mode), ranges, mode)
-    assert len(built) == len(ranges)
-    for (lo, cut), got in zip(ranges, built):
+    if not ranges:
+        return
+    block = freq1d._build_ranges(ys, cols, freq1d._weight_array(w, mode), ranges, mode)
+    assert len(block.start) == len(block.node_start) == len(ranges) + 1
+    assert block.entries == block.start[-1] and block.node_start[-1] == len(block.lo)
+    succ = block.succ
+    for j, (lo, cut) in enumerate(ranges):
         want = cf.Frequency1D(ys[lo:cut], cols[lo:cut], w[lo:cut], mode)
-        for name in cf.Frequency1D.__slots__:
+        a, b = block.start[j], block.start[j + 1]
+        na, nb = block.node_start[j], block.node_start[j + 1]
+
+        def unshift(column):  # block positions to ranks in the range; -1 stays
+            return [-1 if x < 0 else x - a for x in column]
+
+        got = {
+            "mode": block.mode,
+            "m": b - a,
+            "sorted_values": block.sorted_values[a:b].tolist(),
+            "colors": block.colors[a:b],
+            "prefix_weight": block.prefix_weight[a:b],
+            "prefix_below": block.prefix_below,
+            "start": (0, b - a),
+            "node_start": (0, nb - na),
+            "lo": unshift(block.lo[na:nb]),
+            "pri": list(block.pri[na:nb]),
+            "pos": unshift(block.pos[na:nb]),
+            "skip": list(block.skip[na:nb]),
+            "_pred_index": block._pred_index,
+            "_ops": (block._ops[j],),
+            "_may_cancel": (block._may_cancel[j],),
+        }
+        assert set(got) == set(cf.Frequency1D.__slots__)
+        for name, value in got.items():
+            mine = getattr(want, name)
             if name == "sorted_values":
-                assert got.sorted_values.tolist() == want.sorted_values.tolist()
-            else:
-                assert getattr(got, name) == getattr(want, name), name
-        assert got.entries == want.entries
-        assert got.succ == want.succ
+                mine = mine.tolist()
+            elif name in ("lo", "pri", "pos", "skip"):
+                mine = list(mine)
+            assert value == mine, name
+        assert succ[a:b] == want.succ
 
 
 def reference_index(pri):
@@ -325,7 +359,7 @@ def chain_successors(colors):
     st.booleans(),
 )
 def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mode_name, batched):
-    # m around _SMALL and _BATCH_MIN; count weights in [-3, 3]
+    # m around _SMALL and far above it; count weights in [-3, 3]
     rng = np.random.default_rng(seed)
     mode = {"count": cf.COUNT, "max": cf.MAX_SEMIGROUP, "concat": CONCAT}[mode_name]
     if mode is CONCAT:
@@ -336,8 +370,7 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
     if mode is CONCAT:
         w = [None if x == 3 else (x, i) for i, x in enumerate(w)]
     if batched and m:
-        with mock.patch.object(freq1d, "_BATCH_MIN", 1):
-            (f,) = freq1d._build_ranges(ys, cols, freq1d._weight_array(w, mode), [(0, m)], mode)
+        f = freq1d._build_ranges(ys, cols, freq1d._weight_array(w, mode), [(0, m)], mode)
     else:
         f = cf.Frequency1D(ys, cols, w, mode, interval_index=mode is cf.COUNT)
     succ = chain_successors(f.colors)
@@ -364,7 +397,7 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
         accs[1].add_entries(f.query_prefix(q, sessions[1]))
         hits, sessions[2].probes = reference_report(succ, occ, 0, rq, rq)
         accs[2].add_entries((f.colors[i], f.prefix_weight[i]) for i in hits
-                            if not (f._may_cancel and f.prefix_weight[i] == 0))
+                            if not (f._may_cancel[0] and f.prefix_weight[i] == 0))
         for acc, session in zip(accs[1:], sessions[1:]):
             assert acc.slots == accs[0].slots
             assert sorted(acc.touched) == sorted(accs[0].touched)
