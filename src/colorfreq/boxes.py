@@ -16,6 +16,7 @@ the matching one, keeping the fan-out at 2^(number of two-sided axes).
 
 from __future__ import annotations
 
+import functools
 import operator
 from array import array
 
@@ -47,34 +48,30 @@ from .freq1d import _sort_charge
 _LAYER_LEAF = 2  # leaf capacity of layer trees; keeps copies within log2(n)+1
 
 
-class _LayerNode:
-    __slots__ = ("lo", "hi", "mid", "left", "right", "inner_low", "inner_high")
+def _split_rank(lo, hi):
+    """The rank where the layer node over ranks [lo, hi) splits, None for a leaf."""
+    return (lo + hi) // 2 if hi - lo > _LAYER_LEAF else None
 
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
-        self.mid = None
-        self.left = None
-        self.right = None
-        self.inner_low = None
-        self.inner_high = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+@functools.lru_cache(maxsize=256)
+def _node_count(n) -> int:
+    """The nodes of a layer over n ranks; one depth holds at most two node sizes."""
+    return 1 if n <= _LAYER_LEAF else 1 + _node_count(n // 2) + _node_count(n - n // 2)
 
 
 class _Layer:
     """One axis's rank order and the binary split tree over it.
 
-    ``nodes`` lists the tree breadth-first from the root; an internal node
-    splits its rank range [lo, hi) at ``mid`` = (lo + hi) // 2.  Box trees
-    hang their inner structures on the nodes; offline three-sided batches
-    place their queries on them.
+    The tree follows from n: the root covers ranks [0, n), and an inner
+    node [lo, hi) splits at ``mid = _split_rank(lo, hi)`` into [lo, mid)
+    and [mid, hi).  No two inner nodes share a mid, so box trees keep a
+    node's inner structures at it, in ``inner_low[mid]`` and
+    ``inner_high[mid]``; offline three-sided batches place their queries on
+    nodes given as rank ranges.
     """
 
-    __slots__ = ("axis", "coords_r", "colors_r", "weights_r", "sorted_vals", "nodes",
-                 "full_low", "full_high")
+    __slots__ = ("axis", "coords_r", "colors_r", "weights_r", "sorted_vals",
+                 "inner_low", "inner_high", "full_low", "full_high")
 
     def __init__(self, axis, coords, colors, weights):
         order = rank_order(coords[:, axis])
@@ -83,39 +80,32 @@ class _Layer:
         self.colors_r = colors[order]
         self.weights_r = [weights[i] for i in order]
         self.sorted_vals = array("d", self.coords_r[:, axis].tobytes())
-        self.nodes = [_LayerNode(0, len(coords))]
-        for node in self.nodes:  # grows while iterated: breadth-first
-            if node.hi - node.lo > _LAYER_LEAF:
-                node.mid = (node.lo + node.hi) // 2
-                node.left = _LayerNode(node.lo, node.mid)
-                node.right = _LayerNode(node.mid, node.hi)
-                self.nodes += (node.left, node.right)
-        self.full_low = None
-        self.full_high = None
+        self.inner_low = self.inner_high = None
+        self.full_low = self.full_high = None
 
-    def locate(self, lo, hi):
-        """(node, steps) for the closed range [lo, hi] on this axis.
+    def locate(self, low, high):
+        """(node, steps) for the closed range [low, high] on this axis.
 
-        The node is the highest one whose splitter rank falls strictly
-        inside the range's ranks [rlo, rhi), else the leaf holding them,
-        and None when the range holds no point.  ``steps`` counts the
-        internal nodes the descent visited.
+        The node, as its rank range (lo, hi), is the highest one whose mid
+        falls strictly inside the range's ranks [rlo, rhi), else the leaf
+        holding them, and None when the range holds no point.  ``steps``
+        counts the inner nodes the descent visited.
         """
-        rlo = count_lt(self.sorted_vals, lo)
-        rhi = count_le(self.sorted_vals, hi)
+        rlo = count_lt(self.sorted_vals, low)
+        rhi = count_le(self.sorted_vals, high)
         if rlo >= rhi:
             return None, 0
-        node = self.nodes[0]
+        lo, hi = 0, len(self.sorted_vals)
         steps = 0
-        while not node.is_leaf:
+        while (mid := _split_rank(lo, hi)) is not None:
             steps += 1
-            if rhi <= node.mid:
-                node = node.left
-            elif rlo >= node.mid:
-                node = node.right
+            if rhi <= mid:
+                hi = mid
+            elif rlo >= mid:
+                lo = mid
             else:
                 break
-        return node, steps
+        return (lo, hi), steps
 
     def low_half(self, lo, hi):
         """(coords, colors, weights) of ranks [lo, hi), this axis negated, so
@@ -128,10 +118,9 @@ class _Layer:
         """(coords, colors, weights) of ranks [lo, hi) as they are."""
         return self.coords_r[lo:hi], self.colors_r[lo:hi], self.weights_r[lo:hi]
 
-    def scan(self, node, bounds, acc) -> None:
-        """Add to ``acc`` the points of ``node`` inside ``bounds``."""
-        _scan_range(self.coords_r, self.colors_r, self.weights_r,
-                    node.lo, node.hi, bounds, acc)
+    def scan(self, lo, hi, bounds, acc) -> None:
+        """Add to ``acc`` the points of ranks [lo, hi) inside ``bounds``."""
+        _scan_range(self.coords_r, self.colors_r, self.weights_r, lo, hi, bounds, acc)
 
 
 class BoxTree:
@@ -185,10 +174,14 @@ class BoxTree:
         n = len(coords)
         layer = _Layer(axis, coords, colors, weights)
         self.build_ops += _sort_charge(n)
-        for node in layer.nodes:
-            if not node.is_leaf:
-                node.inner_low = self._build(*layer.low_half(node.lo, node.mid), rest, trees)
-                node.inner_high = self._build(*layer.high_half(node.mid, node.hi), rest, trees)
+        layer.inner_low, layer.inner_high = [None] * n, [None] * n
+        nodes = [(0, n)]
+        for lo, hi in nodes:  # grows while iterated: breadth-first
+            mid = _split_rank(lo, hi)
+            if mid is not None:
+                nodes += (lo, mid), (mid, hi)
+                layer.inner_low[mid] = self._build(*layer.low_half(lo, mid), rest, trees)
+                layer.inner_high[mid] = self._build(*layer.high_half(mid, hi), rest, trees)
         layer.full_low = self._build(*layer.low_half(0, n), rest, trees)
         layer.full_high = self._build(*layer.high_half(0, n), rest, trees)
         return layer
@@ -237,17 +230,18 @@ class BoxTree:
         session.probes += steps
         if node is None:
             return  # empty slab on this axis
-        if node.is_leaf:
+        mid = _split_rank(*node)
+        if mid is None:
             # the range falls inside a leaf gap: check its few points on every axis
             session.fanout += 1
-            layer.scan(node, bounds, session.accumulator)
+            layer.scan(*node, bounds, session.accumulator)
             return
         nb_low = list(bounds)
         nb_low[layer.axis] = (-INF, -lo)
-        self._query_rec(node.inner_low, nb_low, session)
+        self._query_rec(layer.inner_low[mid], nb_low, session)
         nb_high = list(bounds)
         nb_high[layer.axis] = (-INF, hi)
-        self._query_rec(node.inner_high, nb_high, session)
+        self._query_rec(layer.inner_high[mid], nb_high, session)
 
 
 def build_box(points, d: int | None = None, s: int = 2, bounded_axes=(), mode=COUNT) -> BoxTree:

@@ -168,7 +168,7 @@ def cmd_verify(args) -> int:
             if acc.touch_ops - touch_before > touched * path_bound:
                 probe_violations += 1
         else:
-            if session.fanout > box_fanout_bound(len(struct.bounded_axes)):
+            if session.fanout > box_fanout_bound(len(q.two_sided_axes())):
                 probe_violations += 1
 
     stored = struct.stored_entries

@@ -31,9 +31,11 @@ def generate_points(
     """
     if n < 0 or d < 1 or phi < 1:
         raise ParameterError(f"bad instance shape n={n} d={d} phi={phi}")
+    if grid is not None and grid < 1:
+        raise ParameterError(f"grid={grid} leaves no integer in [0, grid)")
     rng = np.random.default_rng(seed)
     if grid is not None:
-        coords = rng.integers(0, max(grid, 1), size=(n, d)).astype(np.float64)
+        coords = rng.integers(0, grid, size=(n, d)).astype(np.float64)
     else:
         coords = rng.uniform(0.0, DOMAIN, size=(n, d))
     if n == 0:
@@ -66,6 +68,8 @@ def generate_queries(
         sides = tuple([1] * d)
     if len(sides) != d or any(x not in (1, 2) for x in sides):
         raise ParameterError(f"sides must be d values from {{1,2}}, got {sides}")
+    if m < 0:
+        raise ParameterError(f"query count m={m} is negative")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(m):

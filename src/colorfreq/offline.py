@@ -34,7 +34,7 @@ from .core import (
     UnsupportedShapeError,
     count_le,
 )
-from .boxes import _Layer
+from .boxes import _Layer, _node_count, _split_rank
 from .dominance import ColorAccumulator, DominanceTree, _check_fanout
 from .freq1d import Frequency1D
 
@@ -266,40 +266,42 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
     meter = _LiveMeter()
 
     layer = _Layer(0, ps.coords, ps.colors, ps.weight_list())
-    summary.skeleton_nodes += len(layer.nodes)
+    summary.skeleton_nodes += _node_count(ps.n)
 
     def emit(qid, entries):
         summary.emitted += 1
         sink(qid, entries)
 
     # place queries at the highest node whose splitter rank falls strictly
-    # inside their x-range; those with an empty x-slab (node None) answer first
+    # inside their x-range, keyed (depth, lo, hi) for breadth-first order (a
+    # split node's descent takes one step more than its depth); those with an
+    # empty x-slab (node None) answer first
     placed: dict = {}
     for qid, x1, x2, y in shaped:
-        node, _ = layer.locate(x1, x2)
+        node, steps = layer.locate(x1, x2)
+        if node is not None:
+            node = (steps - (_split_rank(*node) is not None), *node)
         placed.setdefault(node, []).append((qid, x1, x2, y))
 
     for qid, x1, x2, y in sorted(placed.pop(None, []), key=lambda t: t[3]):
         emit(qid, [])
 
     acc = ColorAccumulator(ps.phi, ps.mode)
-    for node in layer.nodes:
-        batch = placed.get(node)
-        if not batch:
-            continue
-        if node.is_leaf:
+    for (_, lo, hi), batch in sorted(placed.items()):
+        mid = _split_rank(lo, hi)
+        if mid is None:
             for qid, x1, x2, y in sorted(batch, key=lambda t: t[3]):
-                layer.scan(node, [(x1, x2), (-INF, y)], acc)
+                layer.scan(lo, hi, [(x1, x2), (-INF, y)], acc)
                 emit(qid, acc.drain_and_reset())
             continue
         corners_left = [(qid, (-x1, y)) for qid, x1, x2, y in batch]
         corners_right = [(qid, (x2, y)) for qid, x1, x2, y in batch]
         gen_left = _sweep_dominance(
-            *layer.low_half(node.lo, node.mid), ps.mode, ps.phi,
+            *layer.low_half(lo, mid), ps.mode, ps.phi,
             corners_left, 1, s, summary, meter,
         )
         gen_right = _sweep_dominance(
-            *layer.high_half(node.mid, node.hi), ps.mode, ps.phi,
+            *layer.high_half(mid, hi), ps.mode, ps.phi,
             corners_right, 1, s, summary, meter,
         )
         last_y = -INF

@@ -90,29 +90,48 @@ def test_one_sided_on_layered_axis_skips_split():
     assert sess.fanout == 1
 
 
+def reference_layer(n):
+    """The layer's split tree over ranks [0, n), split recursively as it is
+    defined: {(lo, hi): (mid, depth)} in preorder, mid None at a leaf."""
+    nodes = {}
+
+    def split(lo, hi, depth):
+        mid = (lo + hi) // 2 if hi - lo > boxes._LAYER_LEAF else None
+        nodes[lo, hi] = mid, depth
+        if mid is not None:
+            split(lo, mid, depth + 1)
+            split(mid, hi, depth + 1)
+
+    split(0, n, 0)
+    return nodes
+
+
 def test_split_partition_at_located_node():
     # materialize both sides of the split and compare with the node's points
     ps = cf.generate_points(64, 2, 6, seed=12)
     bt = cf.build_box(ps, s=2, bounded_axes=(0,))
     layer = bt.top
+    nodes = reference_layer(ps.n)
     rng = np.random.default_rng(13)
     for _ in range(40):
         x1, x2 = sorted(rng.uniform(0, 1000, 2))
         y = float(rng.uniform(0, 1000))
         node, _ = layer.locate(x1, x2)
-        if node is None or node.is_leaf:
+        if node is None or nodes[node][0] is None:
             continue
+        lo, hi = node
+        mid = nodes[node][0]
         coords = layer.coords_r
         in_node = [
-            p for p in range(node.lo, node.hi)
+            p for p in range(lo, hi)
             if x1 <= coords[p, 0] <= x2 and coords[p, 1] <= y
         ]
         left = [
-            p for p in range(node.lo, node.mid)
+            p for p in range(lo, mid)
             if coords[p, 0] >= x1 and coords[p, 1] <= y
         ]
         right = [
-            p for p in range(node.mid, node.hi)
+            p for p in range(mid, hi)
             if coords[p, 0] <= x2 and coords[p, 1] <= y
         ]
         assert sorted(left + right) == in_node  # disjoint union, no overlap
@@ -123,10 +142,7 @@ def test_locate_matches_its_definition(n):
     # every closed range over the coordinates (duplicates included) and the gaps
     ps = cf.generate_points(n, 2, 3, seed=n, grid=max(n // 2, 1))
     layer = cf.build_box(ps, s=2, bounded_axes=(0,)).top
-    depth = {id(layer.nodes[0]): 0}
-    for node in layer.nodes:
-        if not node.is_leaf:
-            depth[id(node.left)] = depth[id(node.right)] = depth[id(node)] + 1
+    nodes = reference_layer(n)
     values = sorted(set(layer.sorted_vals.tolist()))
     probes = sorted(set(values) | {v + 0.5 for v in values} | {-1.0})
     for x1 in probes:
@@ -137,15 +153,51 @@ def test_locate_matches_its_definition(n):
             if rlo >= rhi:
                 assert node is None and steps == 0
                 continue
-            holding = [v for v in layer.nodes if v.lo <= rlo and rhi <= v.hi]
-            split = [v for v in holding if not v.is_leaf and rlo < v.mid < rhi]
+            # the nodes holding the ranks, from the root down (preorder)
+            holding = [(lo, hi) for lo, hi in nodes if lo <= rlo and rhi <= hi]
+            split = [v for v in holding if nodes[v][0] is not None and rlo < nodes[v][0] < rhi]
             if split:
-                assert node is split[0]
-                assert steps == depth[id(node)] + 1
+                assert node == split[0]
+                assert steps == nodes[node][1] + 1
             else:
-                leaves = [v for v in holding if v.is_leaf]
-                assert len(leaves) == 1 and node is leaves[0]
-                assert steps == depth[id(node)]
+                leaves = [v for v in holding if nodes[v][0] is None]
+                assert len(leaves) == 1 and node == leaves[0]
+                assert steps == nodes[node][1]
+
+
+def test_offline_3sided_counts_the_layer_nodes():
+    for n in range(41):
+        ps = cf.generate_points(n, 2, 3, seed=n)
+        summary = cf.answer_offline_3sided(ps, [], 2)
+        assert summary.skeleton_nodes == len(reference_layer(n))
+
+
+def test_offline_3sided_streams_nodes_breadth_first():
+    # x = rank on 16 points: the layer splits at 8, then 4 and 12, then 2, 6,
+    # 10 and 14, into leaves of two ranks; input order is the reverse of the
+    # stream's, which is empty slabs, then nodes by (depth, lo), then y
+    ps = cf.PointSet.from_points([((float(x), float(x % 5)), x % 3) for x in range(16)])
+    boxes_by_qid = {
+        "leaf [0,2)": (0.5, 1.0, 3.0),
+        "depth 2 [12,16)": (12.0, 14.0, 3.0),
+        "depth 2 [4,8)": (5.0, 6.0, 3.0),
+        "depth 1 [8,16)": (9.0, 13.0, 3.0),
+        "depth 1 [0,8)": (2.0, 5.0, 3.0),
+        "root, y 9": (3.0, 12.0, 9.0),
+        "root, y 2": (3.0, 12.0, 2.0),
+        "empty": (20.0, 30.0, 3.0),
+    }
+    queries = [(qid, cf.BoxQuery([(x1, x2), (-INF, y)]))
+               for qid, (x1, x2, y) in boxes_by_qid.items()]
+    stream = []
+    cf.answer_offline_3sided(ps, queries, 2, lambda qid, entries: stream.append((qid, entries)))
+    assert [qid for qid, _ in stream] == [
+        "empty", "root, y 2", "root, y 9", "depth 1 [0,8)", "depth 1 [8,16)",
+        "depth 2 [4,8)", "depth 2 [12,16)", "leaf [0,2)",
+    ]
+    answers = dict(stream)
+    for qid, q in queries:
+        assert canon(answers[qid]) == canon(cf.brute_force(ps, q))
 
 
 def test_empty_slab_between_ranks():

@@ -2,12 +2,16 @@
 
 import io
 import sys
+from unittest import mock
 
 import pytest
 
 import colorfreq as cf
+from colorfreq import boxes
 from colorfreq.cli import BENCH_HEADER, main
 from _util import canon
+
+INF = float("inf")
 
 
 def run_cli(*argv, capsys=None):
@@ -108,6 +112,30 @@ def test_verify_box_queries(tmp_path, capsys):
     assert main(["verify", f"{out}.points.txt", f"{out}.queries.txt",
                  "--fanout", "4", "--sides", "2,2"]) == 0
     assert "0 mismatches" in capsys.readouterr().out
+
+
+def test_verify_box_fanout_bound_counts_the_query_two_sided_axes(tmp_path, capsys):
+    # a box routing one-sided queries on its bounded axis through the split
+    # still answers right, but fans out to 2 where 2^0 inner queries are allowed
+    out = tmp_path / "f"
+    main(gen_args(out, seed=19, extra=("--sides", "2,1")))
+    queries = tmp_path / "f.one-sided.queries.txt"
+    queries.write_text("-inf 900 -inf 900\n")
+    args = ["verify", f"{out}.points.txt", str(queries), "--fanout", "4", "--sides", "2,1"]
+    assert main(args) == 0
+    assert "probe-bound violations: 0" in capsys.readouterr().out
+    real = boxes.BoxTree._query_rec
+
+    def split_route(self, struct, bounds, session):
+        if isinstance(struct, boxes._Layer) and bounds[struct.axis][0] == -INF:
+            bounds = list(bounds)
+            bounds[struct.axis] = (-1e300, bounds[struct.axis][1])
+        real(self, struct, bounds, session)
+
+    with mock.patch.object(boxes.BoxTree, "_query_rec", split_route):
+        assert main(args) == 1
+    report = capsys.readouterr().out
+    assert "0 mismatches" in report and "probe-bound violations: 1" in report
 
 
 def test_build_query_stream_format(tmp_path):
@@ -239,6 +267,8 @@ def test_typed_errors_print_one_line(tmp_path, capsys):
         (["build-query", files[0], str(bad_bound)], f"{bad_bound}:2: "),
         (["build-query", *files, "--sides", "2,x"], "--sides needs 2 comma-separated values"),
         (["verify", *files, "--sides", "3,1"], "--sides needs 2 comma-separated values"),
+        (gen_args(tmp_path / "neg", m=-1), "query count m=-1 is negative"),
+        (gen_args(tmp_path / "grid", extra=("--grid", "0")), "grid=0 leaves no integer"),
     ]
     for argv, message in cases:
         assert main(argv) == 2

@@ -114,9 +114,8 @@ def test_offline_d3_eager_inner_structures():
     got, order, summary = run_dominance(ps, queries)
     for qid, q in queries:
         assert got[qid] == canon(cf.brute_force(ps, q))
-    s = 4
-    bound = ps.n * (s - 1) * (cf.ceil_log(s, ps.n) + 1)  # one live 2-D tree layer
-    assert summary.peak_live_entries <= bound
+    # one live 2-D tree layer
+    assert summary.peak_live_entries <= cf.dominance_space_bound(ps.n, 4, 2)
 
 
 def test_offline_d1():
