@@ -12,6 +12,10 @@ so no frequency list is ever subtracted.
 Each layer also keeps two full-set inner structures (negated and plain):
 queries that are one-sided or unbounded on the layer's axis go straight to
 the matching one, keeping the fan-out at 2^(number of two-sided axes).
+
+The dominance skeletons at the bottom of the layers are the trees of one
+forest (see ``DominanceTree``), filled at once; the last layer holds their
+tree ids.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from __future__ import annotations
 import functools
 import operator
 from array import array
+from itertools import chain
+
+import numpy as np
 
 from .core import (
     BoxQuery,
@@ -55,8 +62,11 @@ def _split_rank(lo, hi):
 
 @functools.lru_cache(maxsize=256)
 def _node_count(n) -> int:
-    """The nodes of a layer over n ranks; one depth holds at most two node sizes."""
-    return 1 if n <= _LAYER_LEAF else 1 + _node_count(n // 2) + _node_count(n - n // 2)
+    """The nodes of a layer over n ranks, none when n = 0; one depth holds at
+    most two node sizes."""
+    if n <= _LAYER_LEAF:
+        return min(n, 1)
+    return 1 + _node_count(n // 2) + _node_count(n - n // 2)
 
 
 class _Layer:
@@ -67,7 +77,9 @@ class _Layer:
     and [mid, hi).  No two inner nodes share a mid, so box trees keep a
     node's inner structures at it, in ``inner_low[mid]`` and
     ``inner_high[mid]``; offline three-sided batches place their queries on
-    nodes given as rank ranges.
+    nodes given as rank ranges.  The layer's weights and inner structures
+    are tuples, which the cyclic collector stops tracking once it has seen
+    that they hold only ints, weights and tree ids.
     """
 
     __slots__ = ("axis", "coords_r", "colors_r", "weights_r", "sorted_vals",
@@ -78,7 +90,7 @@ class _Layer:
         self.axis = axis
         self.coords_r = coords[order]
         self.colors_r = colors[order]
-        self.weights_r = [weights[i] for i in order]
+        self.weights_r = tuple(map(weights.__getitem__, order.tolist()))
         self.sorted_vals = array("d", self.coords_r[:, axis].tobytes())
         self.inner_low = self.inner_high = None
         self.full_low = self.full_high = None
@@ -132,7 +144,7 @@ class BoxTree:
     there.  With no bounded axes this is exactly the dominance structure.
     """
 
-    __slots__ = ("d", "s", "phi", "mode", "bounded_axes", "top",
+    __slots__ = ("d", "s", "phi", "mode", "bounded_axes", "top", "forest",
                  "stored_entries", "build_ops")
 
     def __init__(self, points: PointSet, s: int, bounded_axes=()):
@@ -150,40 +162,42 @@ class BoxTree:
         self.phi = ps.phi
         self.mode = ps.mode
         self.bounded_axes = axes
-        self.stored_entries = 0
         self.build_ops = 0
-        trees = []
-        self.top = self._build(ps.coords, ps.colors, ps.weight_list(), list(axes), trees)
-        _fill(trees)
-        for tree in trees:
-            self.stored_entries += tree.stored_entries
-            self.build_ops += tree.build_ops
+        parts = []
+        self.top = self._build(ps.coords, ps.colors, ps.weight_list(), list(axes), parts)
+        coords, colors, weights = zip(*parts)
+        self.forest = DominanceTree._forest(
+            np.concatenate(coords), np.concatenate(colors), list(chain.from_iterable(weights)),
+            [len(c) for c in colors], s, self.phi, self.mode,
+        )
+        _fill(self.forest)
+        self.stored_entries = self.forest.stored_entries
+        self.build_ops += self.forest.build_ops
 
     # -- construction ----------------------------------------------------------
 
-    def _build(self, coords, colors, weights, layer_axes, trees):
-        """The layers over ``layer_axes``; the dominance skeletons at their
-        bottom are appended to ``trees`` for one fill."""
+    def _build(self, coords, colors, weights, layer_axes, parts):
+        """The layers over ``layer_axes``; the points of each dominance
+        skeleton at their bottom are appended to ``parts``, and its place
+        there is its tree id in the forest."""
         if not layer_axes:
-            sub = DominanceTree._skeleton(
-                coords, colors, weights, s=self.s, phi=self.phi, mode=self.mode
-            )
-            trees.append(sub)
-            return sub
+            parts.append((coords, colors, weights))
+            return len(parts) - 1
         axis, rest = layer_axes[0], layer_axes[1:]
         n = len(coords)
         layer = _Layer(axis, coords, colors, weights)
         self.build_ops += _sort_charge(n)
-        layer.inner_low, layer.inner_high = [None] * n, [None] * n
+        low, high = [None] * n, [None] * n
         nodes = [(0, n)]
         for lo, hi in nodes:  # grows while iterated: breadth-first
             mid = _split_rank(lo, hi)
             if mid is not None:
                 nodes += (lo, mid), (mid, hi)
-                layer.inner_low[mid] = self._build(*layer.low_half(lo, mid), rest, trees)
-                layer.inner_high[mid] = self._build(*layer.high_half(mid, hi), rest, trees)
-        layer.full_low = self._build(*layer.low_half(0, n), rest, trees)
-        layer.full_high = self._build(*layer.high_half(0, n), rest, trees)
+                low[mid] = self._build(*layer.low_half(lo, mid), rest, parts)
+                high[mid] = self._build(*layer.high_half(mid, hi), rest, parts)
+        layer.inner_low, layer.inner_high = tuple(low), tuple(high)
+        layer.full_low = self._build(*layer.low_half(0, n), rest, parts)
+        layer.full_high = self._build(*layer.high_half(0, n), rest, parts)
         return layer
 
     # -- queries -----------------------------------------------------------------
@@ -209,10 +223,10 @@ class BoxTree:
         return session.accumulator.drain_and_reset()
 
     def _query_rec(self, struct, bounds, session) -> None:
-        if isinstance(struct, DominanceTree):
+        if not isinstance(struct, _Layer):  # a tree id of the forest
             corner = tuple(hi for _, hi in bounds)
             session.fanout += 1
-            struct._query_into(corner, session)
+            self.forest._query_into(corner, session, struct)
             return
         layer: _Layer = struct
         lo, hi = bounds[layer.axis]

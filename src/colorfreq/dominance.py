@@ -8,6 +8,8 @@ A node's first strip starts at the node's own first rank, so every other
 rank c starts exactly one strip with something left of it; the tree is
 kept as two arrays over ranks, ``parent[c]`` (the first rank of that
 strip's node) and ``prefix[c]`` (the structure over ranks [parent[c], c)).
+The shape, ``parent``, depends on the number of ranks and s alone, so
+trees of one size share it.
 
 A dominance query walks from the rank just below the query corner through
 ``parent`` down to rank 0; the ranges it passes tile the ranks left of the
@@ -22,10 +24,12 @@ and destroys along the way.
 
 from __future__ import annotations
 
+import functools
 import operator
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate
 
 import numpy as np
 
@@ -135,7 +139,22 @@ class TreeStats:
 
 
 class DominanceTree:
-    """Static structure answering d-dimensional dominance frequency queries."""
+    """Static structure answering d-dimensional dominance frequency queries.
+
+    It holds a forest: one or more trees over consecutive runs of its
+    columns, all with the same d, s, phi and weight mode.  Tree ``t`` owns
+    positions [start[t], start[t+1]) of ``coords_r``, ``colors_r``,
+    ``weights_r`` and ``sorted0``, its points in rank order of their first
+    axis (ties by input order), and its shape is ``parent[t]``, over its
+    own ranks.  ``prefix`` and ``index`` run over the whole forest: the
+    strip that rank c of tree t starts has its structure at
+    ``prefix[start[t] + c]``, and ``index`` picks a range of that 1-D block
+    or a tree of that forest on the remaining axes.  A d=1 forest keeps one
+    1-D structure per tree in ``base``.  A structure built from points, and
+    each offline skeleton, is a forest of one tree; a box keeps the
+    skeletons at the bottom of its layers as one forest.  The counters sum
+    over the trees.
+    """
 
     __slots__ = (
         "d",
@@ -146,6 +165,7 @@ class DominanceTree:
         "colors_r",
         "weights_r",
         "sorted0",
+        "start",
         "parent",
         "prefix",
         "index",
@@ -166,7 +186,7 @@ class DominanceTree:
             phi=points.phi,
             mode=points.mode,
         )
-        _fill([self])
+        _fill(self)
 
     @classmethod
     def _skeleton(cls, coords, colors, weights, s, phi, mode):
@@ -177,41 +197,63 @@ class DominanceTree:
         return self
 
     @classmethod
-    def _from_parts(cls, coords, colors, weights, s, phi, mode):
-        self = cls._skeleton(coords, colors, weights, s, phi, mode)
-        _fill([self])
+    def _forest(cls, coords, colors, weights, sizes, s, phi, mode):
+        """The skeletons of trees over consecutive runs of ``sizes`` points,
+        as one forest for one ``_fill``."""
+        self = cls.__new__(cls)
+        self._init_from_parts(coords, colors, weights, s=s, phi=phi, mode=mode, sizes=sizes)
         return self
 
-    def _init_from_parts(self, coords, colors, weights, s, phi, mode):
+    @classmethod
+    def _from_parts(cls, coords, colors, weights, s, phi, mode):
+        self = cls._skeleton(coords, colors, weights, s, phi, mode)
+        _fill(self)
+        return self
+
+    def _init_from_parts(self, coords, colors, weights, s, phi, mode, sizes=None):
         coords = np.asarray(coords, dtype=np.float64)
         n, d = coords.shape
+        sizes = [n] if sizes is None else sizes
+        start = tuple(accumulate(sizes, initial=0))
         self.d = d
         self.s = s
         self.phi = phi
         self.mode = mode
+        self.start = start
         self.stored_entries = 0
         self.build_ops = 0
         if d == 1:
-            self.base = Frequency1D(coords[:, 0], colors, weights, mode=mode)
+            self.base = [Frequency1D(coords[a:b, 0], colors[a:b], weights[a:b], mode=mode)
+                         for a, b in zip(start, start[1:])]
             self.coords_r = self.colors_r = self.weights_r = self.sorted0 = None
             self.parent = self.prefix = self.index = None
-            self.stored_entries = self.base.entries
-            self.build_ops = self.base.build_ops
-            self.node_count = 1 if n else 0
+            for base in self.base:
+                self.stored_entries += base.entries
+                self.build_ops += base.build_ops
+            self.node_count = sum(1 for m in sizes if m)
             self.height = 0
             return
         self.base = None
+        # one sort for every tree: by tree, then rank on the first axis
         order = rank_order(coords[:, 0])
+        if len(sizes) > 1:
+            order = order[rank_order(np.repeat(np.arange(len(sizes)), sizes)[order])]
         self.coords_r = coords[order]
         self.colors_r = np.asarray(colors, dtype=np.int64)[order]
-        self.weights_r = [weights[i] for i in order]
+        self.weights_r = [weights[i] for i in order.tolist()]
         self.sorted0 = array("d", self.coords_r[:, 0].tobytes())
-        self.parent, self.node_count, self.height = _strips(n, s)
+        shapes = {m: _strips(m, s) for m in set(sizes)}
+        self.parent = [shapes[m][0] for m in sizes]
         self.prefix = [None] * n
         self.index = [0] * n
-        if n:
-            # the sort, one step per leaf and one per child link
-            self.build_ops = _sort_charge(n) + n + self.node_count - 1
+        self.node_count = self.height = 0
+        for m, trees in Counter(sizes).items():
+            _, nodes, height = shapes[m]
+            self.node_count += trees * nodes
+            self.height = max(self.height, height)
+            if m:
+                # the sort, one step per leaf and one per child link
+                self.build_ops += trees * (_sort_charge(m) + m + nodes - 1)
 
     # -- construction ----------------------------------------------------------
 
@@ -276,21 +318,24 @@ class DominanceTree:
             raise MalformedQueryError("corner has NaN coordinates")
         return corner
 
-    def _query_into(self, corner, session: QuerySession) -> None:
-        """Accumulate the answer for ``corner`` into the session's accumulator."""
+    def _query_into(self, corner, session: QuerySession, t: int = 0) -> None:
+        """Accumulate the answer of tree ``t`` for ``corner`` into the
+        session's accumulator."""
         if self.d == 1:
-            self._answer(((self.base, 0),), corner, 0, session)
+            self._answer(((self.base[t], 0),), corner, 0, session)
             return
-        rq = count_le(self.sorted0, corner[0])
+        off = self.start[t]
+        rq = count_le(self.sorted0, corner[0], off, self.start[t + 1])
         if rq == 0:
             return
         prefix, index = self.prefix, self.index
-        self._answer([(prefix[c], index[c]) for c in self._walk_to(rq - 1)], corner[1:], rq,
-                     session)
+        self._answer([(prefix[off + c], index[off + c]) for c in self._walk_to(rq - 1, t)],
+                     corner[1:], off + rq, session)
 
-    def _walk_to(self, x: int) -> list:
-        """The ranks c whose ranges [parent[c], c) tile [0, x), ascending."""
-        parent, walk = self.parent, []
+    def _walk_to(self, x: int, t: int = 0) -> list:
+        """The ranks c of tree ``t`` whose ranges [parent[c], c) tile [0, x),
+        ascending."""
+        parent, walk = self.parent[t], []
         while x:
             walk.append(x)
             x = parent[x]
@@ -300,13 +345,13 @@ class DominanceTree:
     def _answer(self, structs, rest, rq: int, session: QuerySession) -> None:
         """Answer kernel shared by online queries and the offline sweep.
 
-        ``structs`` holds the (structure, range index) pairs of the walk to
-        rank ``rq - 1``, in its order; each is queried with ``rest``, the
-        corner on the axes after the first.  The index picks a range of a
-        1-D block (0 for a one-range structure) and is unused for a d >= 3
-        subtree.  The point at rank ``rq - 1`` is then checked directly
-        (none when rq = 0).  A d=1 tree passes its base structure, its whole
-        corner and rq = 0.
+        ``structs`` holds the (structure, index) pairs of the walk to the
+        point at position ``rq - 1`` of the columns, in its order; each is
+        queried with ``rest``, the corner on the axes after the first.  The
+        index picks a range of a 1-D block (0 for a one-range structure) or
+        a tree of a d >= 2 forest (0 for a forest of one).  That point is
+        then checked directly (none when rq = 0).  A d=1 tree passes its
+        base structure, its whole corner and rq = 0.
         """
         acc = session.accumulator
         for struct, j in structs:
@@ -314,7 +359,7 @@ class DominanceTree:
             if isinstance(struct, Frequency1D):
                 struct._prefix_into(rest[0], acc, session, j)
             else:
-                struct._query_into(rest, session)
+                struct._query_into(rest, session, j)
         if rq:
             session.substructure_queries += 1
             bounds = [(-INF, INF)] + [(-INF, c) for c in rest]
@@ -326,8 +371,10 @@ class DominanceTree:
         return TreeStats(self.stored_entries, self.height, self.node_count, self.build_ops)
 
 
+@functools.lru_cache(maxsize=512)
 def _strips(n: int, s: int):
-    """The strip tree over ranks [0, n) as ``(parent, node_count, height)``.
+    """The strip tree over ranks [0, n) as ``(parent, node_count, height)``,
+    computed once per size and shared: ``parent`` is a tuple.
 
     A node of more than one rank splits into min(s, size) strips, the first
     ``size % s`` of them one rank longer than the rest; each strip is a
@@ -354,83 +401,119 @@ def _strips(n: int, s: int):
                     deeper.append((a, b))
                 a = b
         level = deeper
-    return parent, node_count, height
+    return tuple(parent), node_count, height
 
 
-def _fill(trees) -> None:
-    """Give every strip of the skeletons ``trees`` its structure over the
-    points left of it, and add the structures' counters to the trees.
+@functools.lru_cache(maxsize=512)
+def _strip_order(n: int, s: int):
+    """The strips [parent[c], c) of the tree over n ranks, c >= 1, as two
+    read-only arrays ``(lo, cut)`` ordered by parent rank, then by c.
 
-    The trees share one weight mode.  Trees with d >= 3 get skeletons over
-    their remaining axes, expanded in turn; then the 1-D structures of all
-    d = 2 trees stream through ``_build_ranges`` in chunks of slices of the
-    trees' arrays, one block per chunk: a strip's ``prefix`` is its
-    chunk's block and its ``index`` its range there.  Counters of d >= 3
-    trees are summed bottom-up.
+    Strips with one parent rank all start there and nest, so one slice
+    from it to the last of their cuts holds them all.
     """
-    flat, nested = [], []
-    trees = list(trees)
-    for tree in trees:  # grows while iterated
-        if tree.d == 2:
-            flat.append(tree)
-        elif tree.d > 2:
-            nested.append(tree)
-            parent = tree.parent
-            tree.prefix[1:] = [
-                DominanceTree._skeleton(
-                    tree.coords_r[parent[c]:c, 1:], tree.colors_r[parent[c]:c],
-                    tree.weights_r[parent[c]:c], tree.s, tree.phi, tree.mode,
-                )
-                for c in range(1, len(parent))
-            ]
-            trees += tree.prefix[1:]
-    for slots, ranges, parts in _strip_chunks(flat):
-        ys, colors, weights = (np.concatenate(column) for column in zip(*parts))
-        block = _build_ranges(ys, colors, weights, ranges, flat[0].mode)
-        start, ops = block.start, block._ops
-        for j, (tree, c) in enumerate(slots):
-            tree.prefix[c] = block
-            tree.index[c] = j
-            tree.stored_entries += start[j + 1] - start[j]
-            tree.build_ops += ops[j]
-    for tree in reversed(nested):
-        for sub in tree.prefix[1:]:
-            tree.stored_entries += sub.stored_entries
-            tree.build_ops += sub.build_ops
+    parent = np.array(_strips(n, s)[0], dtype=np.int64)
+    cut = np.argsort(parent[1:], kind="stable") + 1
+    lo = parent[cut]
+    lo.flags.writeable = cut.flags.writeable = False
+    return lo, cut
 
 
-def _strip_chunks(trees):
-    """Yield the strip ranges ``[parent[c], c)`` of the d = 2 ``trees`` in
-    chunks of at most ``_BATCH_CHUNK`` entries, as ``(slots, ranges, parts)``.
+def _strip_ranges(forest):
+    """(lo, cut) of every strip of ``forest``, as positions of its columns:
+    trees of one size together, sizes ascending, then tree by tree in
+    ``_strip_order``."""
+    start = np.array(forest.start, dtype=np.int64)
+    sizes = np.diff(start)
+    los, cuts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for m in sorted(set(sizes.tolist()) - {0, 1}):
+        lo, cut = _strip_order(m, forest.s)
+        off = start[:-1][sizes == m, None]
+        los.append((off + lo).ravel())
+        cuts.append((off + cut).ravel())
+    return np.concatenate(los), np.concatenate(cuts)
 
-    ``slots`` holds the ``(tree, c)`` of each range, in the order of
-    ``ranges``.  Ranges with the same
-    parent rank nest, so one ``(ys, colors, weights)`` slice of its tree's
-    arrays per parent rank and chunk, in ``parts``, holds them all;
-    ``ranges`` are their ``(lo, cut)`` in the concatenated parts.
+
+def _concat_ranges(lo, sizes):
+    """The positions [lo[i], lo[i] + sizes[i]) of every i, concatenated."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(lo - (ends - sizes), sizes)
+
+
+def _fill(forest) -> None:
+    """Give every strip of the skeleton ``forest`` its structure over the
+    points left of it, and add the structures' counters to the forest's.
+
+    A d >= 3 forest's strips become the trees of one forest over the
+    remaining axes, in ``_strip_ranges`` order, filled in turn.  The 1-D
+    structures of a d = 2 forest stream through ``_build_ranges`` in the
+    chunks of ``_strip_chunks``, one block per chunk.  A strip's ``prefix``
+    is its block or forest and its ``index`` its range or tree there.
     """
-    slots, ranges, parts, size, base = [], [], [], 0, 0
-    for tree in trees:
-        ys, colors = tree.coords_r[:, 1], tree.colors_r
-        weights = _weight_array(tree.weights_r, tree.mode)
-        parent = tree.parent
-        for lo, cuts in groupby(sorted(range(1, len(parent)), key=parent.__getitem__),
-                                parent.__getitem__):
-            top = lo  # [lo, top) is this parent rank's part in this chunk
-            for cut in cuts:
-                if slots and size + cut - lo > _BATCH_CHUNK:
-                    if top > lo:
-                        parts.append((ys[lo:top], colors[lo:top], weights[lo:top]))
-                    yield slots, ranges, parts
-                    slots, ranges, parts, size, base = [], [], [], 0, 0
-                slots.append((tree, cut))
-                ranges.append((base, base + cut - lo))
-                size += cut - lo
-                top = cut
-            parts.append((ys[lo:top], colors[lo:top], weights[lo:top]))
-            base += top - lo
-    if slots:
-        yield slots, ranges, parts
+    if forest.d < 2:
+        return
+    n = len(forest.coords_r)
+    where = np.full(n, -1, dtype=np.int64)  # -1 reads the None after the structures
+    index = np.zeros(n, dtype=np.int64)
+    structs = []
+    if forest.d > 2:
+        lo, cut = _strip_ranges(forest)
+        rows = _concat_ranges(lo, cut - lo)
+        weights = forest.weights_r
+        sub = DominanceTree._forest(
+            forest.coords_r[rows, 1:], forest.colors_r[rows],
+            [weights[i] for i in rows.tolist()], (cut - lo).tolist(),
+            forest.s, forest.phi, forest.mode,
+        )
+        _fill(sub)
+        structs.append(sub)
+        where[cut] = 0
+        index[cut] = np.arange(len(cut))
+        forest.stored_entries += sub.stored_entries
+        forest.build_ops += sub.build_ops
+    else:
+        ys, colors = forest.coords_r[:, 1], forest.colors_r
+        weights = _weight_array(forest.weights_r, forest.mode)
+        for ranks, rows, ranges in _strip_chunks(forest):
+            block = _build_ranges(ys[rows], colors[rows], weights[rows], ranges, forest.mode)
+            where[ranks] = len(structs)
+            index[ranks] = np.arange(len(ranks))
+            structs.append(block)
+            forest.stored_entries += block.m
+            forest.build_ops += block.build_ops
+    structs.append(None)
+    forest.prefix = list(map(structs.__getitem__, where.tolist()))
+    forest.index = index.tolist()
+
+
+def _strip_chunks(forest):
+    """Yield the strips of the d = 2 ``forest`` in ``_strip_ranges`` order,
+    in chunks of at most ``_BATCH_CHUNK`` entries (a larger strip is a
+    chunk of its own), as ``(ranks, rows, ranges)``.
+
+    ``ranks`` holds the position c of each strip [lo, c) in the forest's
+    columns, and ``rows`` the positions of the chunk's data: one slice per
+    run of strips with one lo, from lo to the run's last cut, since such
+    strips nest.  ``ranges`` holds each strip's (lo, cut) in ``rows``, one
+    row per strip.
+    """
+    lo, cut = _strip_ranges(forest)
+    ends = np.cumsum(cut - lo)  # entries up to and including each strip
+    a = 0
+    while a < len(lo):
+        b = max(a + 1, int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _BATCH_CHUNK,
+                                           "right")))
+        los, cuts = lo[a:b], cut[a:b]
+        first = np.append(True, los[1:] != los[:-1])  # each run's first strip
+        last = np.append(first[1:], True)
+        part_lo = los[first]
+        part_size = cuts[last] - part_lo
+        base = np.cumsum(part_size) - part_size  # each run's slice in rows
+        run_base = base[np.cumsum(first) - 1]
+        ranges = np.column_stack((run_base, run_base + cuts - los))
+        yield cuts, _concat_ranges(part_lo, part_size), ranges
+        a = b
 
 
 def _scan_range(coords, colors, weights, start: int, stop: int, bounds, acc) -> None:

@@ -426,12 +426,14 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
     Range ``j`` of the block, once its start is taken off every position,
     equals field for field
     ``Frequency1D(values[lo:cut], colors[lo:cut], weights[lo:cut], mode)``
-    for ``ranges[j] = (lo, cut)``.
+    for ``ranges[j] = (lo, cut)``; ``ranges`` is a sequence of pairs or a
+    two-column array, which makes no Python object per range.
     """
     rank = np.empty(len(values), dtype=np.int64)
     rank[rank_order(values)] = np.arange(len(values))
-    los = np.array([lo for lo, _ in ranges], dtype=np.int64)
-    sizes = np.array([cut for _, cut in ranges], dtype=np.int64) - los
+    ranges = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
+    los = ranges[:, 0]
+    sizes = ranges[:, 1] - los
     nr = len(ranges)
     off = np.zeros(nr + 1, dtype=np.int64)
     np.cumsum(sizes, out=off[1:])

@@ -177,7 +177,7 @@ def _sweep_dominance(
             while len(live) > keep:
                 pop_level()
             for c in walk[keep:]:
-                struct = skel._build_substructure(skel.parent[c], c)
+                struct = skel._build_substructure(skel.parent[0][c], c)
                 entries = _struct_entries(struct)
                 summary.total_built += 1
                 summary.entries_built += entries

@@ -1,5 +1,6 @@
 """Layered box structure: oracle equivalence, fan-out, split partition, space."""
 
+import gc
 import math
 from unittest import mock
 
@@ -18,7 +19,9 @@ def test_no_layers_is_a_dominance_tree():
     ps = cf.generate_points(120, 2, 8, seed=1)
     bt = cf.build_box(ps, s=4, bounded_axes=())
     dt = cf.build_dominance(ps, 2, s=4)
-    assert isinstance(bt.top, cf.DominanceTree)
+    # the box is tree 0 of a forest of one
+    assert bt.top == 0 and isinstance(bt.forest, cf.DominanceTree)
+    assert bt.forest.start == (0, ps.n)
     assert bt.stored_entries == dt.stored_entries
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -169,7 +172,8 @@ def test_offline_3sided_counts_the_layer_nodes():
     for n in range(41):
         ps = cf.generate_points(n, 2, 3, seed=n)
         summary = cf.answer_offline_3sided(ps, [], 2)
-        assert summary.skeleton_nodes == len(reference_layer(n))
+        # no points, no layer
+        assert summary.skeleton_nodes == (len(reference_layer(n)) if n else 0)
 
 
 def test_offline_3sided_streams_nodes_breadth_first():
@@ -258,16 +262,17 @@ def test_all_sidedness_d1_to_d3():
             assert canon(bt.query(q)) == canon(cf.brute_force(ps, q))
 
 
-def _last_root_strip(tree):
+def _last_root_strip(parent):
     """The start of the root's last strip: the largest rank whose parent is 0."""
-    return max(c for c in range(1, len(tree.parent)) if tree.parent[c] == 0)
+    return max(c for c in range(1, len(parent)) if parent[c] == 0)
 
 
-def _fill_one_by_one(trees):
-    """The per-strip build the offline sweep uses, over the same skeletons."""
-    for tree in trees:
-        tree.prefix[1:] = [tree._build_substructure(tree.parent[c], c)
-                           for c in range(1, len(tree.parent))]
+def _fill_one_by_one(forest):
+    """The per-strip build the offline sweep uses, over the same skeletons;
+    each strip's index stays 0, as a one-range structure or a forest of one."""
+    for off, parent in zip(forest.start, forest.parent):
+        for c in range(1, len(parent)):
+            forest.prefix[off + c] = forest._build_substructure(off + parent[c], off + c)
 
 
 @pytest.mark.parametrize("d, mode_name, chunk", [
@@ -289,11 +294,13 @@ def test_batched_box_counters_match_one_by_one_build(d, mode_name, chunk):
     with mock.patch.object(boxes, "_fill", _fill_one_by_one), \
             mock.patch.object(dominance, "_fill", _fill_one_by_one):
         single = cf.build_box(ps, s=4, bounded_axes=(0, 1))
-    # the strips share one block
-    tree = batched.top.full_high.full_high
+    # the strips of one tree share one block
+    forest, t = batched.forest, batched.top.full_high.full_high
     if d == 3:
-        tree = tree.prefix[_last_root_strip(tree)]
-    assert len({id(tree.prefix[c]) for c in range(1, len(tree.parent))}) < len(tree.parent) - 1
+        g = forest.start[t] + _last_root_strip(forest.parent[t])
+        forest, t = forest.prefix[g], forest.index[g]
+    off, parent = forest.start[t], forest.parent[t]
+    assert len({id(forest.prefix[off + c]) for c in range(1, len(parent))}) < len(parent) - 1
     assert batched.stored_entries == single.stored_entries
     assert batched.build_ops == single.build_ops
     s1, s2 = batched.new_session(), single.new_session()
@@ -306,17 +313,52 @@ def test_batched_box_counters_match_one_by_one_build(d, mode_name, chunk):
         assert s1.accumulator.touch_ops - t1 == s2.accumulator.touch_ops - t2
 
 
+@pytest.mark.parametrize("axes", [(0,), (0, 1)])
+def test_forest_trees_are_ranked_as_skeletons_of_their_own(axes):
+    # one sort for the whole forest must give each tree the order of its
+    # own rank_order: duplicate coordinates tie by input order, and a low
+    # half negates the first axis when axis 0 has a layer
+    ps = cf.generate_points(200, 2, 5, seed=21, grid=12, mode=cf.MAX_SEMIGROUP)
+    bt = cf.build_box(ps, s=4, bounded_axes=axes)
+    forest, seen = bt.forest, []
+
+    def visit(struct, coords, colors, weights):
+        if not isinstance(struct, boxes._Layer):
+            ref = cf.DominanceTree._skeleton(coords, colors, weights, 4, ps.phi, ps.mode)
+            a, b = forest.start[struct], forest.start[struct + 1]
+            assert np.array_equal(forest.coords_r[a:b], ref.coords_r)
+            assert np.array_equal(forest.colors_r[a:b], ref.colors_r)
+            assert forest.weights_r[a:b] == ref.weights_r
+            assert forest.sorted0[a:b] == ref.sorted0
+            assert forest.parent[struct] is ref.parent[0]
+            seen.append(struct)
+            return
+        n = len(struct.sorted_vals)
+        nodes = [(0, n)]
+        for lo, hi in nodes:
+            mid = boxes._split_rank(lo, hi)
+            if mid is not None:
+                nodes += (lo, mid), (mid, hi)
+                visit(struct.inner_low[mid], *struct.low_half(lo, mid))
+                visit(struct.inner_high[mid], *struct.high_half(mid, hi))
+        visit(struct.full_low, *struct.low_half(0, n))
+        visit(struct.full_high, *struct.high_half(0, n))
+
+    visit(bt.top, ps.coords, ps.colors, ps.weight_list())
+    assert sorted(seen) == list(range(len(forest.parent)))
+
+
 def test_box_build_makes_one_block_per_chunk(monkeypatch):
     ps = cf.generate_points(400, 2, 16, seed=9, mode=cf.MAX_SEMIGROUP)
-    trees, chunks = [], []
+    forests, chunks = [], []
     real_fill, real_chunks = boxes._fill, dominance._strip_chunks
 
-    def keeping(skeletons):
-        trees.extend(skeletons)
-        real_fill(skeletons)
+    def keeping(forest):
+        forests.append(forest)
+        real_fill(forest)
 
-    def counting(flat):
-        for chunk in real_chunks(flat):
+    def counting(forest):
+        for chunk in real_chunks(forest):
             chunks.append(chunk)
             yield chunk
 
@@ -324,7 +366,27 @@ def test_box_build_makes_one_block_per_chunk(monkeypatch):
     monkeypatch.setattr(dominance, "_strip_chunks", counting)
     monkeypatch.setattr(dominance, "_BATCH_CHUNK", 2000)
     bt = cf.build_box(ps, s=8, bounded_axes=(0, 1))
-    strips = [tree.prefix[c] for tree in trees for c in range(1, len(tree.parent))]
-    assert len(strips) == sum(len(slots) for slots, _, _ in chunks) > len(chunks) > 1
+    forest, = forests
+    strips = [forest.prefix[off + c]
+              for off, parent in zip(forest.start, forest.parent) for c in range(1, len(parent))]
+    assert len(strips) == sum(len(ranks) for ranks, _, _ in chunks) > len(chunks) > 1
     assert len({id(f) for f in strips}) <= len(chunks)
-    assert sum(tree.stored_entries for tree in trees) == bt.stored_entries
+    assert forest.stored_entries == bt.stored_entries
+
+
+@pytest.mark.parametrize("mode", [cf.COUNT, cf.MAX_SEMIGROUP])
+def test_box_build_keeps_few_tracked_objects(mode):
+    # a `--sides 2,2` box keeps its skeletons as one forest and its layers'
+    # weights and tree ids in tuples: objects for the cyclic collector to
+    # track grow with its layers (about 2.2n: each layer and its rank
+    # values), not with its skeletons (about 10n)
+    n = 500
+    ps = cf.generate_points(n, 2, 64, seed=1, mode=mode)
+    gc.collect()
+    old = gc.get_objects()
+    ids = set(map(id, old))
+    bt = cf.build_box(ps, s=8, bounded_axes=(0, 1))
+    gc.collect()
+    new = [o for o in gc.get_objects() if id(o) not in ids]
+    assert bt.stored_entries > 40 * n
+    assert len(new) < 3 * n

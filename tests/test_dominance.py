@@ -60,8 +60,8 @@ def test_d1_tree_is_the_1d_structure():
     pts = [(1.0, 0), (3.0, 0), (5.0, 0), (2.0, 1), (7.0, 1)]
     t = cf.build_dominance(cf.PointSet.from_points(pts), 1, s=2)
     f = cf.build_1d(pts)
-    assert t.base.chain_of(0) == f.chain_of(0)
-    assert t.base.chain_of(1) == f.chain_of(1)
+    assert t.base[0].chain_of(0) == f.chain_of(0)
+    assert t.base[0].chain_of(1) == f.chain_of(1)
     for q in (0.0, 2.5, 5.0, 9.0):
         assert canon(t.query((q,))) == canon(f.query_prefix(q))
 
@@ -80,7 +80,7 @@ def test_sixteen_point_layout():
     st = t.stats()
     assert st.height == 2  # log_4 16
     # the root's strips start at 4, 8 and 12, its first child's at 1, 2 and 3
-    assert {c for c in range(1, 16) if t.parent[c] == 0} == {1, 2, 3, 4, 8, 12}
+    assert {c for c in range(1, 16) if t.parent[0][c] == 0} == {1, 2, 3, 4, 8, 12}
     assert st.stored_entries <= 16 * 3 * 3
 
 
@@ -88,7 +88,7 @@ def test_strip_sizes_balanced():
     ps = cf.generate_points(23, 2, 5, seed=10)
     t = cf.build_dominance(ps, 2, s=4)
     # the root's strips start at 0 and at the last s - 1 ranks whose parent is 0
-    starts = [0] + [c for c in range(1, 23) if t.parent[c] == 0][-3:] + [23]
+    starts = [0] + [c for c in range(1, 23) if t.parent[0][c] == 0][-3:] + [23]
     sizes = [b - a for a, b in zip(starts, starts[1:])]
     assert sum(sizes) == 23
     assert max(sizes) - min(sizes) <= 1
@@ -126,12 +126,36 @@ def test_strip_tree_matches_its_definition():
             count, height, steps, pairs = _reference_split(n, s)
             assert (t.node_count, t.height) == (count, height)
             assert t.build_ops == (_sort_charge(n) + steps if n else 0)
-            assert {(t.parent[c], c) for c in range(1, n)} == pairs
+            assert {(t.parent[0][c], c) for c in range(1, n)} == pairs
             for x in range(n):
                 # the walk's ranges [parent[c], c) are non-empty and tile [0, x)
-                ranges = [(t.parent[c], c) for c in t._walk_to(x)]
+                ranges = [(t.parent[0][c], c) for c in t._walk_to(x)]
                 assert all(lo < c for lo, c in ranges)
                 assert [lo for lo, _ in ranges] + [x] == [0] + [c for _, c in ranges]
+
+
+def test_strip_shape_is_computed_once_per_size():
+    for n in range(65):
+        for s in (2, 3, 4, 16):
+            parent, count, height = dominance._strips(n, s)
+            # one immutable tuple per size, whatever asks for it
+            assert isinstance(parent, tuple) and dominance._strips(n, s)[0] is parent
+            assert cf.DominanceTree._skeleton(np.zeros((n, 2)), [0] * n, [1] * n, s, 1,
+                                              cf.COUNT).parent[0] is parent
+            ref_count, ref_height, _, pairs = _reference_split(n, s)
+            assert (count, height) == (ref_count, ref_height)
+            assert {(parent[c], c) for c in range(1, n)} == pairs
+            # the strips by parent rank, then by start
+            lo, cut = dominance._strip_order(n, s)
+            strips = sorted((parent[c], c) for c in range(1, n))
+            assert list(zip(lo.tolist(), cut.tolist())) == strips
+    # the skeletons of one size in a box share one shape
+    forest = cf.build_box(cf.generate_points(300, 2, 8, seed=3), s=4, bounded_axes=(0, 1)).forest
+    shapes = {}
+    for t, parent in enumerate(forest.parent):
+        assert len(parent) == forest.start[t + 1] - forest.start[t]
+        assert shapes.setdefault(len(parent), parent) is parent
+    assert len(shapes) < len(forest.parent) // 100
 
 
 def test_space_bounds_exact_accounting():
@@ -336,7 +360,7 @@ def test_batched_tree_counters_match_one_by_one_build():
     batched = cf.build_dominance(ps, 2, s=4)
     # the per-strip path the offline sweep uses, over the same skeleton
     single = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weight_list(), 4, ps.phi, ps.mode)
-    single.prefix[1:] = [single._build_substructure(single.parent[c], c)
+    single.prefix[1:] = [single._build_substructure(single.parent[0][c], c)
                          for c in range(1, ps.n)]
     # the strips share one block
     assert len({id(batched.prefix[c]) for c in range(1, ps.n)}) < ps.n - 1
@@ -370,4 +394,4 @@ def test_eager_build_makes_one_block_per_chunk(monkeypatch):
     assert sum(chunks) == ps.n - 1
     for c in range(1, ps.n):
         block, j = tree.prefix[c], tree.index[c]
-        assert block.start[j + 1] - block.start[j] == c - tree.parent[c]
+        assert block.start[j + 1] - block.start[j] == c - tree.parent[0][c]

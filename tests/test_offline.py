@@ -48,6 +48,13 @@ def test_empty_batch_builds_nothing():
     assert 0 < summary.skeleton_nodes <= 3 * ps.n
 
 
+def test_empty_batches_count_no_skeleton_nodes():
+    # no points: neither sweep has a skeleton, so neither counts a node
+    ps = cf.generate_points(0, 2, 3, seed=0)
+    assert cf.answer_offline_3sided(ps, [], 2).skeleton_nodes == 0
+    assert run_dominance(ps, [], s=2)[2].skeleton_nodes == 0
+
+
 def test_identical_corners_emit_identically():
     ps = cf.generate_points(120, 2, 6, seed=4)
     q = cf.BoxQuery.dominance((500.0, 500.0))
