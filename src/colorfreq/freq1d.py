@@ -36,6 +36,28 @@ from .core import (
 )
 
 _SMALL = 8  # below this size a linear scan beats any index
+# the lo/pos and skip columns of a flat heap of each size up to _SMALL,
+# shared by every structure built on its own (and never written)
+_FLAT = tuple(array("i", range(m)) for m in range(_SMALL + 1))
+_ONES = tuple(array("i", [1]) * m for m in range(_SMALL + 1))
+_INT32_MAX = 2**31 - 1
+_COLOR_ERROR = "color ids must be below 2**31"
+
+
+def _column(typecode: str, x: np.ndarray) -> array:
+    """``x`` as an ``array(typecode)`` of the same item size, sized
+    exactly: built from bytes an array over-allocates by 1/16, and a slice
+    of it does not."""
+    return array(typecode, x.tobytes())[:]
+
+
+def _ints(typecode: str, values: list[int], error: str) -> array:
+    """``values`` as an ``array(typecode)`` column, or ``error`` raised as a
+    ``MalformedInputError`` when one of them does not fit."""
+    try:
+        return array(typecode, values)
+    except OverflowError:
+        raise MalformedInputError(error) from None
 
 
 def _sort_charge(n: int) -> int:
@@ -48,7 +70,7 @@ def _heap(pri: list[int]) -> tuple:
     ``Frequency1D`` describes, and the build steps booked for them."""
     m = len(pri)
     if m <= _SMALL:
-        return range(m), tuple(pri), range(m), (1,) * m, 0
+        return _FLAT[m], array("i", pri), _FLAT[m], _ONES[m], 0
     occ: dict[int, int] = {}
     steps = 0
     order = sorted(range(m), key=pri.__getitem__, reverse=True)
@@ -78,8 +100,9 @@ def _heap(pri: list[int]) -> tuple:
             stack.append((2 * node + 1, mid, hi))
             if lo < mid:
                 stack.append((2 * node, lo, mid))
-    skip = tuple((np.searchsorted(los, his) - np.arange(len(his))).tolist())
-    return los, tuple([-1 if i < 0 else pri[i] for i in poss]), poss, skip, steps + _sort_charge(m)
+    skip = np.searchsorted(los, his) - np.arange(len(his))
+    pris = array("i", [-1 if i < 0 else pri[i] for i in poss])
+    return los, pris, poss, _column("i", skip.astype(np.int32)), steps + _sort_charge(m)
 
 
 def _report(m: int, heap: tuple, a: int, b: int, t: int) -> tuple[list[int], int]:
@@ -156,22 +179,27 @@ class Frequency1D:
     ``_report`` tells dead nodes by ``pos``, since the interval index has
     negative priorities.  A range of ``_SMALL`` or fewer positions is flat
     instead: every position is a node of its own (``lo`` and ``pos`` the
-    position, ``skip`` 1), so a scan of it is the linear scan.
+    position, ``skip`` 1), so a scan of it is the linear scan; a flat
+    structure built on its own shares those columns with every other of
+    its size.
 
-    ``pri`` and ``skip`` are tuples, which the cyclic collector stops
-    tracking once it has seen that they hold only ints; most successor
-    ranks and subtree sizes are small ints, which CPython shares.  ``lo`` and ``pos`` are
-    ``array('i')`` (or ranges), half the size: a scan reads ``lo`` only to
-    bisect it, and ``pos`` only on occupied nodes.  ``sorted_values`` is an
-    ``array('d')``, which ``bisect`` searches inside one range about 3x
-    faster than numpy searches a slice of it.  So a block is about a dozen
-    objects, however many ranges it holds.
+    Every column is a typed ``array``, written by both builders alike: the
+    four heap columns and ``colors`` are ``array('i')``, ``sorted_values``
+    ``array('d')`` and count-mode ``prefix_weight`` ``array('q')``;
+    semigroup prefixes are a list of objects.  An entry then costs bytes,
+    not object slots: a count-mode tree with n=50k and s=16 holds about 56
+    bytes of live heap per entry.  The scan pays for it: reading an element
+    of an array costs about twice reading one of a tuple.  ``bisect``
+    searches the ``array('d')`` inside one range about 3x faster than numpy
+    searches a slice of it.  So a block is about a dozen objects, however
+    many ranges it holds.  Color ids must be below 2**31 and count totals
+    must fit int64; the builders raise ``MalformedInputError`` otherwise.
 
     The interval index, built on a one-range structure only, is
     ``_pred_index``, the same heap over the negated predecessor ranks as one
-    ``(lo, pri, pos, skip)`` tuple, plus ``prefix_below``, the weight of
-    each chain below each point.  The public methods read a one-range
-    structure.
+    ``(lo, pri, pos, skip)`` tuple of columns, plus ``prefix_below``
+    (``array('q')``), the weight of each chain below each point.  The
+    public methods read a one-range structure.
     """
 
     __slots__ = (
@@ -243,16 +271,18 @@ class Frequency1D:
             running[c] = cur
             pref[r] = cur
 
+        if is_count:
+            pref = _ints("q", pref, "count-mode weights overflow int64 totals")
         *heap, steps = _heap(succ)
-        self._set(mode, ys, cols, pref, heap, (0, m), (0, len(heap[0])),
-                  (2 * m + _sort_charge(m) + steps,), (may_cancel,))
+        self._set(mode, ys, _ints("i", cols, _COLOR_ERROR), pref, heap, (0, m),
+                  (0, len(heap[0])), (2 * m + _sort_charge(m) + steps,), (may_cancel,))
         # predecessors and the weight below each point serve interval queries only
         if interval_index and is_count:
             pred = [-1] * m
             for r, nxt in enumerate(succ):
                 if nxt < m:
                     pred[nxt] = r
-            self.prefix_below = [0 if p < 0 else pref[p] for p in pred]
+            self.prefix_below = array("q", [0 if p < 0 else pref[p] for p in pred])
             *heap, steps = _heap([-p for p in pred])
             self._pred_index = tuple(heap)
             self._ops = (self._ops[0] + m + steps,)
@@ -262,7 +292,7 @@ class Frequency1D:
         no interval index."""
         self.mode = mode
         self.m = len(ys)
-        self.sorted_values = array("d", ys.tobytes())
+        self.sorted_values = _column("d", ys)
         self.colors = colors
         self.prefix_weight = pref
         self.lo, self.pri, self.pos, self.skip = heap
@@ -446,6 +476,8 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
     idx = idx[np.argsort(rid * len(values) + rank[idx])]
     ys = values[idx]
     cols = colors[idx]
+    if cols.max() > _INT32_MAX:  # before cols enters an int64 key
+        raise MalformedInputError(_COLOR_ERROR)
     w = weights[idx]
     del rank, idx  # temporaries go as soon as they are used, for peak memory
 
@@ -462,19 +494,19 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
         total = np.cumsum(wg)
         pref = np.empty_like(total)
         pref[grouped] = total - (total - wg)[first][np.cumsum(first) - 1]
-        pref_l = pref.tolist()
+        pref_col = _column("q", pref)
         del wg, first, total, pref
         may_cancel = (np.minimum.reduceat(w, off[:-1]) <= 0).tolist()
     else:
         # a chain's first entry keeps its weight; each later one combines
         # its predecessor's prefix with its weight, in chain order, as
         # Frequency1D does (where a None prefix starts afresh too)
-        pref_l = w.tolist()
+        pref_col = w.tolist()
         combine = mode.combine
         for g, p in zip(later.tolist(), earlier.tolist()):
-            prev = pref_l[p]
+            prev = pref_col[p]
             if prev is not None:
-                pref_l[g] = combine(prev, pref_l[g])
+                pref_col[g] = combine(prev, pref_col[g])
         may_cancel = [False] * nr
     del rid, pos, w, key, grouped, same, earlier, later
 
@@ -530,7 +562,7 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
     np.minimum.at(shallowest, lo_n, depth_n)
     pre = starts_below[lo_n] + depth_n - shallowest[lo_n]
     del depth_n, shallowest
-    layout = np.empty((4, len(pre)), dtype=np.int64)  # in preorder
+    layout = np.empty((4, len(pre)), dtype=np.int32)  # in preorder
     node_lo, node_pri, node_pos, node_skip = layout
     node_lo[pre] = lo_n
     node_pos[pre] = occ_n
@@ -543,18 +575,11 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
     steps = np.where(indexed, np.add.reduceat(depth_at, off[:-1]) + charge, 0)
     ops = 2 * sizes + charge + steps
 
-    # one table of int objects is shared by every range; its last element
-    # is -1, so index -1 reads -1
-    table = np.append(np.arange(max(int(sizes.max()), int(cols.max())) + 1, dtype=object), -1)
-    heap = (
-        array("i", node_lo.astype(np.int32).tobytes()),
-        tuple(table[node_pri].tolist()),
-        array("i", node_pos.astype(np.int32).tobytes()),
-        tuple(node_skip.tolist()),
-    )
+    heap = [_column("i", column) for column in layout]
     block = Frequency1D.__new__(Frequency1D)
-    block._set(mode, ys, table[cols].tolist(), pref_l, heap, tuple(off.tolist()),
-               tuple(starts_below[off].tolist()), tuple(ops.tolist()), tuple(may_cancel))
+    block._set(mode, ys, _column("i", cols.astype(np.int32)), pref_col, heap,
+               tuple(off.tolist()), tuple(starts_below[off].tolist()), tuple(ops.tolist()),
+               tuple(may_cancel))
     return block
 
 

@@ -1,8 +1,10 @@
 """Strip tree: oracle equivalence, accumulator contract, space and probe counters."""
 
+import gc
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,3 +397,25 @@ def test_eager_build_makes_one_block_per_chunk(monkeypatch):
     for c in range(1, ps.n):
         block, j = tree.prefix[c], tree.index[c]
         assert block.start[j + 1] - block.start[j] == c - tree.parent[0][c]
+
+
+def test_count_tree_columns_are_typed_and_compact():
+    # a 1-D column entry costs bytes, not an object slot: the heap columns
+    # and colors as int32, prefix totals as int64
+    ps = cf.generate_points(20_000, 2, 16, seed=12)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = cf.DominanceTree(ps, 16)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    blocks = {id(b): b for b in tree.prefix if b is not None}.values()
+    assert blocks
+    for b in blocks:
+        codes = [column.typecode for column in (b.lo, b.pri, b.pos, b.skip, b.colors)]
+        assert codes == ["i"] * 5
+        assert b.prefix_weight.typecode == "q"
+    assert live / tree.stored_entries <= 64

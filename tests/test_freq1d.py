@@ -78,6 +78,26 @@ def test_malformed_input_rejected():
     assert cf.Frequency1D([], []).query_prefix(0.0) == []
 
 
+def test_count_totals_past_int64_rejected():
+    # prefix totals are stored as int64, as PointSet bounds them
+    for weights in ([2**62, 2**62], [-(2**62), -(2**62) - 1], [2**63]):
+        with pytest.raises(cf.MalformedInputError, match="overflow int64 totals"):
+            cf.Frequency1D([0.0, 1.0][: len(weights)], [0] * len(weights), weights)
+    f = cf.Frequency1D([0.0, 1.0], [0, 0], [2**62, 2**62 - 1])
+    assert f.query_prefix(1.0) == [(0, 2**63 - 1)]
+
+
+def test_color_ids_past_int32_rejected():
+    # color ids are stored as int32, by both builders
+    with pytest.raises(cf.MalformedInputError, match="below 2"):
+        cf.Frequency1D([0.0, 1.0], [0, 2**31])
+    ps = cf.PointSet([[0.0, 0.0], [1.0, 1.0]], [2**31, 0])
+    with pytest.raises(cf.MalformedInputError, match="below 2"):
+        cf.DominanceTree(ps, 2)
+    f = cf.Frequency1D([0.0, 1.0], [0, 2**31 - 1])
+    assert canon(f.query_prefix(1.0)) == ((0, 1), (2**31 - 1, 1))
+
+
 def test_interval_rejected_without_group_weights():
     f = cf.build_1d([(1.0, 0, 5), (2.0, 0, 9)], mode=cf.MAX_SEMIGROUP)
     with pytest.raises(cf.UnsupportedOperationError):
@@ -287,6 +307,10 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
             "_may_cancel": (block._may_cancel[j],),
         }
         assert set(got) == set(cf.Frequency1D.__slots__)
+        for name in ("sorted_values", "colors", "prefix_weight", "lo", "pri", "pos", "skip"):
+            column, theirs = getattr(block, name), getattr(want, name)
+            assert type(column) is type(theirs), name
+            assert getattr(column, "typecode", None) == getattr(theirs, "typecode", None), name
         for name, value in got.items():
             mine = getattr(want, name)
             if name == "sorted_values":

@@ -55,6 +55,25 @@ def test_empty_batches_count_no_skeleton_nodes():
     assert run_dominance(ps, [], s=2)[2].skeleton_nodes == 0
 
 
+@pytest.mark.parametrize("s", [2, 4, 16])
+def test_dominance_sweep_builds_each_strip_at_most_once(s):
+    # the ranks whose walk holds a strip form one run and queries are
+    # pinned in rank order, so no strip is built twice: at most n - 1
+    # builds, and no more entries than the eager tree stores.  Twice as
+    # many queries as points pin most ranks, so most strips are built.
+    for seed in range(4):
+        grid = None if seed % 2 else 40
+        ps = cf.generate_points(400, 2, 12, seed=seed, grid=grid)
+        rng = np.random.default_rng(seed + 50)
+        hi = 1000.0 if grid is None else grid
+        queries = [(i, random_corner(rng, 2, lo=0.0, hi=hi)) for i in range(800)]
+        eager = cf.DominanceTree(ps, s).stored_entries  # the same on either axis
+        for axis in (0, 1):
+            summary = run_dominance(ps, queries, s=s, sweep_axis=axis)[2]
+            assert 0 < summary.total_built <= ps.n - 1
+            assert summary.entries_built <= eager
+
+
 def test_identical_corners_emit_identically():
     ps = cf.generate_points(120, 2, 6, seed=4)
     q = cf.BoxQuery.dominance((500.0, 500.0))
