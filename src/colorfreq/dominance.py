@@ -54,11 +54,6 @@ from .freq1d import Frequency1D, _build_ranges, _sort_charge, _weight_array
 # own), which bounds the numpy temporaries: an n=50k, s=16 tree peaks 30 MiB
 # lower than with whole tree levels, at the same speed.
 _BATCH_CHUNK = 1 << 14
-# The offline sweep's builds of fewer than _BATCH_MIN entries run faster one
-# Frequency1D at a time: _build_ranges has a fixed cost near 0.3 ms, and a
-# single range breaks even at 150-200 entries against the one-by-one
-# insertion and preorder walk.
-_BATCH_MIN = 200
 
 
 class ColorAccumulator:
@@ -92,14 +87,27 @@ class ColorAccumulator:
         self.touch_ops += 1
 
     def add_entries(self, entries) -> None:
+        """``add`` of every (color, weight) pair of ``entries``, in order."""
+        phi, slots, touched, combine = self.phi, self.slots, self.touched, self.mode.combine
+        added = 0
         for c, w in entries:
-            self.add(c, w)
+            if not 0 <= c < phi:
+                self.touch_ops += added
+                raise ContractViolationError(f"color {c} outside [0, {phi})")
+            cur = slots[c]
+            if cur is None:
+                slots[c] = w
+                touched.append(c)
+            else:
+                slots[c] = combine(cur, w)
+            added += 1
+        self.touch_ops += added
 
     def drain_and_reset(self) -> list:
         out = []
         slots = self.slots
+        self.drain_ops += len(self.touched)
         for c in self.touched:
-            self.drain_ops += 1
             w = slots[c]
             slots[c] = None
             if self._count_mode and w == 0:
@@ -191,7 +199,7 @@ class DominanceTree:
     @classmethod
     def _skeleton(cls, coords, colors, weights, s, phi, mode):
         """Rank order and strip tree only: the offline sweep builds the
-        per-strip substructures itself, one walk at a time."""
+        per-strip substructures itself, in the blocks it plans."""
         self = cls.__new__(cls)
         self._init_from_parts(coords, colors, weights, s=s, phi=phi, mode=mode)
         return self
@@ -257,29 +265,39 @@ class DominanceTree:
 
     # -- construction ----------------------------------------------------------
 
-    def _build_substructure(self, lo: int, cut: int):
-        """Structure over the remaining axes of the points with rank in
-        [lo, cut), lo < cut, built on its own (the offline sweep's build)."""
+    def _build_substructure(self, lo, cut, weights):
+        """The structures of the strips [lo[i], cut[i]) of this forest's
+        columns on the remaining axes, built as one, and their counters
+        added to the forest's.
+
+        ``lo`` and ``cut`` are int64 arrays; strips with one lo that come
+        together nest, their cuts ascending.  ``weights`` are the weights of
+        the columns, from ``_strip_weights``.  For d = 2 the
+        result is one ``_build_ranges`` block whose range i is strip i: its
+        data is one slice per run of strips with one lo, from lo to the
+        run's last cut, since such strips nest.  For d >= 3 it is one forest
+        whose tree i is strip i, filled by ``_fill``.
+        """
         if self.d == 2:
-            ys, colors = self.coords_r[lo:cut, 1], self.colors_r[lo:cut]
-            weights = self.weights_r[lo:cut]
-            if cut - lo < _BATCH_MIN:
-                sub = Frequency1D(ys, colors, weights, self.mode)
-            else:
-                sub = _build_ranges(ys, colors, _weight_array(weights, self.mode),
-                                    [(0, cut - lo)], self.mode)
-            self.stored_entries += sub.entries
-            self.build_ops += sub.build_ops
-            return sub
-        sub = DominanceTree._from_parts(
-            self.coords_r[lo:cut, 1:],
-            self.colors_r[lo:cut],
-            self.weights_r[lo:cut],
-            s=self.s,
-            phi=self.phi,
-            mode=self.mode,
-        )
-        self.stored_entries += sub.stored_entries
+            first = np.append(True, lo[1:] != lo[:-1])  # each run's first strip
+            last = np.append(first[1:], True)
+            part_lo = lo[first]
+            part_size = cut[last] - part_lo
+            base = np.cumsum(part_size) - part_size  # each run's slice in rows
+            run_base = base[np.cumsum(first) - 1]
+            rows = _concat_ranges(part_lo, part_size)
+            sub = _build_ranges(self.coords_r[rows, 1], self.colors_r[rows], weights[rows],
+                                np.column_stack((run_base, run_base + cut - lo)), self.mode)
+            self.stored_entries += sub.m
+        else:
+            rows = _concat_ranges(lo, cut - lo)
+            sub = DominanceTree._forest(
+                self.coords_r[rows, 1:], self.colors_r[rows],
+                [weights[i] for i in rows.tolist()], (cut - lo).tolist(),
+                self.s, self.phi, self.mode,
+            )
+            _fill(sub)
+            self.stored_entries += sub.stored_entries
         self.build_ops += sub.build_ops
         return sub
 
@@ -445,11 +463,12 @@ def _fill(forest) -> None:
     """Give every strip of the skeleton ``forest`` its structure over the
     points left of it, and add the structures' counters to the forest's.
 
-    A d >= 3 forest's strips become the trees of one forest over the
-    remaining axes, in ``_strip_ranges`` order, filled in turn.  The 1-D
-    structures of a d = 2 forest stream through ``_build_ranges`` in the
-    chunks of ``_strip_chunks``, one block per chunk.  A strip's ``prefix``
-    is its block or forest and its ``index`` its range or tree there.
+    The strips, in ``_strip_ranges`` order, go through
+    ``_build_substructure``: those of a d >= 3 forest in one call, as the
+    trees of one forest over the remaining axes, and those of a d = 2
+    forest in the chunks of ``_strip_chunks``, one block per chunk.  A
+    strip's ``prefix`` is its block or forest and its ``index`` its range
+    or tree there.
     """
     if forest.d < 2:
         return
@@ -457,62 +476,37 @@ def _fill(forest) -> None:
     where = np.full(n, -1, dtype=np.int64)  # -1 reads the None after the structures
     index = np.zeros(n, dtype=np.int64)
     structs = []
-    if forest.d > 2:
-        lo, cut = _strip_ranges(forest)
-        rows = _concat_ranges(lo, cut - lo)
-        weights = forest.weights_r
-        sub = DominanceTree._forest(
-            forest.coords_r[rows, 1:], forest.colors_r[rows],
-            [weights[i] for i in rows.tolist()], (cut - lo).tolist(),
-            forest.s, forest.phi, forest.mode,
-        )
-        _fill(sub)
-        structs.append(sub)
-        where[cut] = 0
+    weights = _strip_weights(forest)
+    chunks = _strip_chunks(forest) if forest.d == 2 else [_strip_ranges(forest)]
+    for lo, cut in chunks:
+        where[cut] = len(structs)
         index[cut] = np.arange(len(cut))
-        forest.stored_entries += sub.stored_entries
-        forest.build_ops += sub.build_ops
-    else:
-        ys, colors = forest.coords_r[:, 1], forest.colors_r
-        weights = _weight_array(forest.weights_r, forest.mode)
-        for ranks, rows, ranges in _strip_chunks(forest):
-            block = _build_ranges(ys[rows], colors[rows], weights[rows], ranges, forest.mode)
-            where[ranks] = len(structs)
-            index[ranks] = np.arange(len(ranks))
-            structs.append(block)
-            forest.stored_entries += block.m
-            forest.build_ops += block.build_ops
+        structs.append(forest._build_substructure(lo, cut, weights))
     structs.append(None)
     forest.prefix = list(map(structs.__getitem__, where.tolist()))
     forest.index = index.tolist()
 
 
+def _strip_weights(forest):
+    """The weights of ``forest``'s columns as ``_build_substructure`` takes
+    them."""
+    if forest.d == 2:
+        return _weight_array(forest.weights_r, forest.mode)
+    return forest.weights_r
+
+
 def _strip_chunks(forest):
     """Yield the strips of the d = 2 ``forest`` in ``_strip_ranges`` order,
     in chunks of at most ``_BATCH_CHUNK`` entries (a larger strip is a
-    chunk of its own), as ``(ranks, rows, ranges)``.
-
-    ``ranks`` holds the position c of each strip [lo, c) in the forest's
-    columns, and ``rows`` the positions of the chunk's data: one slice per
-    run of strips with one lo, from lo to the run's last cut, since such
-    strips nest.  ``ranges`` holds each strip's (lo, cut) in ``rows``, one
-    row per strip.
-    """
+    chunk of its own), as ``(lo, cut)`` arrays of positions in the
+    forest's columns."""
     lo, cut = _strip_ranges(forest)
     ends = np.cumsum(cut - lo)  # entries up to and including each strip
     a = 0
     while a < len(lo):
         b = max(a + 1, int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _BATCH_CHUNK,
                                            "right")))
-        los, cuts = lo[a:b], cut[a:b]
-        first = np.append(True, los[1:] != los[:-1])  # each run's first strip
-        last = np.append(first[1:], True)
-        part_lo = los[first]
-        part_size = cuts[last] - part_lo
-        base = np.cumsum(part_size) - part_size  # each run's slice in rows
-        run_base = base[np.cumsum(first) - 1]
-        ranges = np.column_stack((run_base, run_base + cuts - los))
-        yield cuts, _concat_ranges(part_lo, part_size), ranges
+        yield lo[a:b], cut[a:b]
         a = b
 
 

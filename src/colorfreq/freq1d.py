@@ -446,6 +446,14 @@ def _weight_array(weights, mode) -> np.ndarray:
     return np.fromiter(weights, dtype=object, count=len(weights))
 
 
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ... of two int64 arrays of one length."""
+    out = np.empty(2 * len(a), dtype=np.int64)
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
 def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
     """The structures of many non-empty rank ranges of one array, as one
     block built in one numpy pass.
@@ -531,7 +539,7 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
     depth = 0
     while len(seg_lo):
         # reduce over [lo, hi) and the gap after it, then drop the gaps
-        best = np.maximum.reduceat(key, np.column_stack((seg_lo, seg_hi)).ravel())[::2]
+        best = np.maximum.reduceat(key, _interleave(seg_lo, seg_hi))[::2]
         filled = best >= 0
         occupant = np.where(filled, size - 1 - best % size, -1)
         placed = occupant[filled]
@@ -540,8 +548,8 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
         levels.append((seg_lo, seg_hi, occupant))
         lo_f, hi_f = seg_lo[filled], seg_hi[filled]
         mid = (lo_f + hi_f) >> 1
-        seg_lo = np.column_stack((lo_f, mid)).ravel()
-        seg_hi = np.column_stack((mid, hi_f)).ravel()
+        seg_lo = _interleave(lo_f, mid)
+        seg_hi = _interleave(mid, hi_f)
         wide = seg_hi > seg_lo
         seg_lo, seg_hi = seg_lo[wide], seg_hi[wide]
         depth += 1

@@ -268,11 +268,21 @@ def _last_root_strip(parent):
 
 
 def _fill_one_by_one(forest):
-    """The per-strip build the offline sweep uses, over the same skeletons;
-    each strip's index stays 0, as a one-range structure or a forest of one."""
+    """Each strip built on its own over the same skeletons, a d = 2 one by
+    ``Frequency1D``; each strip's index stays 0, as a one-range structure or
+    a forest of one."""
     for off, parent in zip(forest.start, forest.parent):
         for c in range(1, len(parent)):
-            forest.prefix[off + c] = forest._build_substructure(off + parent[c], off + c)
+            lo, cut = off + parent[c], off + c
+            if forest.d == 2:
+                sub = cf.Frequency1D(forest.coords_r[lo:cut, 1], forest.colors_r[lo:cut],
+                                     forest.weights_r[lo:cut], forest.mode)
+                forest.stored_entries += sub.entries
+                forest.build_ops += sub.build_ops
+            else:
+                sub = forest._build_substructure(np.array([lo]), np.array([cut]),
+                                                 forest.weights_r)
+            forest.prefix[cut] = sub
 
 
 @pytest.mark.parametrize("d, mode_name, chunk", [
@@ -369,7 +379,7 @@ def test_box_build_makes_one_block_per_chunk(monkeypatch):
     forest, = forests
     strips = [forest.prefix[off + c]
               for off, parent in zip(forest.start, forest.parent) for c in range(1, len(parent))]
-    assert len(strips) == sum(len(ranks) for ranks, _, _ in chunks) > len(chunks) > 1
+    assert len(strips) == sum(len(cut) for _, cut in chunks) > len(chunks) > 1
     assert len({id(f) for f in strips}) <= len(chunks)
     assert forest.stored_entries == bt.stored_entries
 

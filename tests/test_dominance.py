@@ -360,9 +360,11 @@ def test_weighted_semigroup_dominance():
 def test_batched_tree_counters_match_one_by_one_build():
     ps = cf.generate_points(3000, 2, 40, seed=5, grid=1500)
     batched = cf.build_dominance(ps, 2, s=4)
-    # the per-strip path the offline sweep uses, over the same skeleton
+    # each strip built by a call of its own, over the same skeleton
     single = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weight_list(), 4, ps.phi, ps.mode)
-    single.prefix[1:] = [single._build_substructure(single.parent[0][c], c)
+    weights = dominance._strip_weights(single)
+    single.prefix[1:] = [single._build_substructure(np.array([single.parent[0][c]]),
+                                                    np.array([c]), weights)
                          for c in range(1, ps.n)]
     # the strips share one block
     assert len({id(batched.prefix[c]) for c in range(1, ps.n)}) < ps.n - 1

@@ -1,12 +1,16 @@
 """Offline sweeps: online equivalence, working space, stream order, merges."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import colorfreq as cf
 from _util import canon, random_corner, random_query
+from colorfreq import offline
+from colorfreq.core import count_le
 from colorfreq.offline import _LiveMeter, _sweep_dominance
 
 INF = float("inf")
@@ -114,18 +118,20 @@ def test_sweep_axis_parameter():
 
 
 def test_one_live_copy_invariant():
-    # live ranges are disjoint by construction (one walk's ranges tile the
-    # ranks below its end; see test_strip_tree_matches_its_definition), so
-    # at most n entries are live at once
+    # one walk's ranges tile the ranks below its end (see
+    # test_strip_tree_matches_its_definition), and the blocks held never
+    # pass the last walk's entries (see
+    # test_planned_blocks_hold_at_most_the_last_pinned_rank), so at most n
+    # entries are live at once
     ps = cf.generate_points(250, 2, 8, seed=9)
     rng = np.random.default_rng(10)
-    corners = [(i, tuple(rng.uniform(0, 1000, 2))) for i in range(50)]
+    corners = rng.uniform(0, 1000, (50, 2))
     summary = cf.SweepSummary(ps.n, len(corners), 2, 4, 0)
     meter = _LiveMeter()
     out = list(
         _sweep_dominance(
             ps.coords, ps.colors, ps.weight_list(), ps.mode, ps.phi,
-            corners, 0, 4, summary, meter,
+            list(range(50)), corners, 0, 4, summary, meter,
         )
     )
     assert len(out) == 50
@@ -280,3 +286,183 @@ def test_3sided_peak_space_stays_linear():
     queries = [(i, random_query(rng, 2, sides=(2, 1))) for i in range(100)]
     _, summary = collect_3sided(ps, queries)
     assert summary.peak_live_entries <= ps.n
+
+
+# -- planned blocks ------------------------------------------------------------
+
+
+def _weighted(ps, weights, seed):
+    rng = np.random.default_rng(seed)
+    if weights == "semigroup":
+        return cf.PointSet(ps.coords, ps.colors, rng.integers(0, 50, ps.n).tolist(),
+                           mode=cf.MAX_SEMIGROUP)
+    if weights == "signed":  # non-positive counts, so some colors cancel
+        return cf.PointSet(ps.coords, ps.colors, rng.integers(-2, 3, ps.n))
+    return ps
+
+
+def _strip_runs(skel, xs):
+    """(c, enter, pop) of each strip [parent[c], c) the walks to ``xs`` hold,
+    in the order the walks enter them: the step at which one enters, and
+    the next step whose walk does not hold it (len(xs) for none)."""
+    walks = [set(skel._walk_to(x)) for x in xs]
+    runs = []
+    for t, x in enumerate(xs):
+        for c in skel._walk_to(x):
+            if t == 0 or c not in walks[t - 1]:
+                pop = next((u for u in range(t + 1, len(xs)) if c not in walks[u]), len(xs))
+                # the steps whose walk holds a strip form one run
+                assert all(c not in walks[u] for u in range(pop, len(xs)))
+                runs.append((c, t, pop))
+    return runs
+
+
+@pytest.mark.parametrize("weights", ["count", "signed", "semigroup"])
+@pytest.mark.parametrize("grid", [None, 150])
+@pytest.mark.parametrize("s", [2, 4, 16])
+def test_planned_blocks_hold_at_most_the_last_pinned_rank(s, grid, weights, monkeypatch):
+    # a block is built at its first strip's step and held until its last
+    # strip pops; the entries held never pass the last pinned rank P, the
+    # peak of a sweep that builds each strip on its own, and the meter
+    # follows the plan step by step
+    ps = _weighted(cf.generate_points(600, 2, 12, seed=s, grid=grid), weights, s)
+    rng = np.random.default_rng(s + 7)
+    hi = 1000.0 if grid is None else grid
+    corners = rng.uniform(-5, hi + 5, (250, 2))
+    plans = []
+
+    def recording(skel, xs, batched):
+        plans.append((skel, xs, real_plan(skel, xs, batched)))
+        return plans[-1][2]
+
+    real_plan = offline._plan
+    monkeypatch.setattr(offline, "_plan", recording)
+    for block in (offline._BLOCK, 48):  # the default, and a cap most steps pass
+        monkeypatch.setattr(offline, "_BLOCK", block)
+        plans.clear()
+        summary = cf.SweepSummary(ps.n, len(corners), 2, s, 0)
+        meter = _LiveMeter()
+        seen = []
+        for qid, _, entries in _sweep_dominance(
+            ps.coords, ps.colors, ps.weight_list(), ps.mode, ps.phi,
+            list(range(len(corners))), corners, 0, s, summary, meter,
+        ):
+            seen.append((qid, meter.live))
+            q = cf.BoxQuery.dominance(corners[qid].tolist())
+            assert canon(entries) == canon(cf.brute_force(ps, q))
+        assert meter.live == 0
+        (skel, xs, plan), = plans
+        parent = skel.parent[0]
+        runs = _strip_runs(skel, xs)
+        assert [c for _, _, cuts in plan for c in cuts] == [c for c, _, _ in runs]
+        enter = {c: t for c, t, _ in runs}
+        pop = {c: p for c, _, p in runs}
+        own = [sum(c - parent[c] for c, t, _ in runs if t == u) for u in range(len(xs))]
+        held = [0] * len(xs)
+        for first, release, cuts in plan:
+            entries = sum(c - parent[c] for c in cuts)
+            assert first == enter[cuts[0]]
+            assert release == max(pop[c] for c in cuts)
+            assert entries <= block or len(cuts) == 1
+            if own[first] > block:  # no look-ahead
+                assert all(enter[c] == first for c in cuts)
+            for t in range(first, release):
+                held[t] += entries
+        assert max(held) == held[-1] == xs[-1] == meter.peak
+        assert any(len(cuts) > 1 for _, _, cuts in plan)
+        step = {x: t for t, x in enumerate(xs)}
+        for qid, live in seen:
+            x = max(count_le(skel.sorted0, corners[qid][0]) - 1, 0)
+            assert live == held[step[x]]
+
+
+def _per_strip_sweep(coords, colors, weights, mode, phi, qids, corners, sweep_axis, s,
+                     summary, meter):
+    """The sweep with each strip built on its own when the walk enters it,
+    a d = 2 one by ``Frequency1D``, and destroyed when the walk leaves it:
+    the reference of the planned blocks (d >= 2)."""
+    coords = np.asarray(coords, dtype=np.float64)
+    d = coords.shape[1]
+    axes = [sweep_axis] + [a for a in range(d) if a != sweep_axis]
+    jobs = sorted(((tuple(corner[a] for a in axes), qid)
+                   for qid, corner in zip(qids, corners.tolist())), key=lambda job: job[0][0])
+    skel = cf.DominanceTree._skeleton(coords[:, axes], colors, weights, s, phi, mode)
+    summary.skeleton_nodes += skel.node_count
+    session = cf.QuerySession(cf.ColorAccumulator(phi, mode))
+    pinned = {}
+    for corner, qid in jobs:
+        rq = count_le(skel.sorted0, corner[0])
+        pinned.setdefault(max(rq - 1, 0), []).append((corner, qid, rq))
+    walk, live, sizes = [], [], []
+    for x in sorted(pinned):
+        nxt = skel._walk_to(x)
+        keep = 0
+        while keep < min(len(walk), len(nxt)) and walk[keep] == nxt[keep]:
+            keep += 1
+        while len(live) > keep:
+            live.pop()
+            meter.remove(sizes.pop())
+            summary.total_destroyed += 1
+        for c in nxt[keep:]:
+            lo = skel.parent[0][c]
+            if d == 2:
+                struct = cf.Frequency1D(skel.coords_r[lo:c, 1], skel.colors_r[lo:c],
+                                        skel.weights_r[lo:c], mode)
+                entries = struct.entries
+            else:
+                struct = skel._build_substructure(np.array([lo]), np.array([c]), skel.weights_r)
+                entries = struct.stored_entries
+            live.append((struct, 0))
+            sizes.append(entries)
+            summary.total_built += 1
+            summary.entries_built += entries
+            meter.add(entries)
+        walk = nxt
+        for corner, qid, rq in pinned[x]:
+            session.reset()
+            skel._answer(live, corner[1:], rq, session)
+            yield qid, corner[0], session.accumulator.drain_and_reset()
+    while live:
+        live.pop()
+        meter.remove(sizes.pop())
+        summary.total_destroyed += 1
+
+
+def _offline_runs(entry, ps, queries, s):
+    """(emitted (qid, answer) stream, SweepSummary fields) of one batch."""
+    stream = []
+    sink = lambda qid, entries: stream.append((qid, entries))  # noqa: E731
+    if entry == "dominance":
+        summary = cf.answer_offline_dominance(cf.OfflineJob(ps, queries, ps.d - 1, s, sink))
+    else:
+        summary = cf.answer_offline_3sided(ps, queries, s, sink)
+    return stream, dataclasses.asdict(summary)
+
+
+@pytest.mark.parametrize("entry, d, weights", [
+    ("dominance", 2, "signed"), ("dominance", 2, "semigroup"), ("dominance", 3, "count"),
+    ("3sided", 2, "signed"), ("3sided", 2, "semigroup"),
+])
+@pytest.mark.parametrize("s", [2, 16])
+def test_planned_sweeps_match_per_strip_reference(entry, d, weights, s, monkeypatch):
+    n = 1500 if d == 2 else 250
+    ps = _weighted(cf.generate_points(n, d, 20, seed=d + s, grid=n // 2), weights, s)
+    rng = np.random.default_rng(s)
+    sides = (1,) * d if entry == "dominance" else (2, 1)
+    queries = [(i, random_query(rng, d, sides=sides, lo=-5, hi=n // 2 + 5)) for i in range(300)]
+    queries += queries[:20]  # repeated corners pin to one step
+    planned = _offline_runs(entry, ps, queries, s)
+    monkeypatch.setattr(offline, "_sweep_dominance", _per_strip_sweep)
+    assert planned == _offline_runs(entry, ps, queries, s)
+
+
+def test_plane_sweeps_build_only_blocks():
+    ps = cf.generate_points(800, 2, 10, seed=30)
+    rng = np.random.default_rng(31)
+    dominance = [(i, random_corner(rng, 2)) for i in range(100)]
+    three_sided = [(i, random_query(rng, 2, sides=(2, 1))) for i in range(100)]
+    with mock.patch.object(cf.Frequency1D, "__init__", side_effect=AssertionError) as init:
+        for axis in (0, 1):
+            cf.answer_offline_dominance(cf.OfflineJob(ps, dominance, axis, 4))
+        cf.answer_offline_3sided(ps, three_sided, 4)
+    assert init.call_count == 0
