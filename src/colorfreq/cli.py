@@ -222,7 +222,16 @@ def cmd_offline(args) -> int:
         f"emitOrderViolations={summary.emit_order_violations}",
         file=sys.stderr,
     )
-    return 0 if summary.emit_order_violations == 0 else 1
+    # every structure built is destroyed, and a d <= 2 sweep holds at most
+    # n entries at once; a d >= 3 sweep's strips store more than n
+    broken = [name for name, bad in (
+        ("emitOrderViolations > 0", summary.emit_order_violations > 0),
+        ("totalBuilt != totalDestroyed", summary.total_built != summary.total_destroyed),
+        ("peakLiveEntries > n", ps.d <= 2 and summary.peak_live_entries > ps.n),
+    ) if bad]
+    if broken:
+        print(f"offline contract violated: {', '.join(broken)}", file=sys.stderr)
+    return 1 if broken else 0
 
 
 def cmd_bench(args) -> int:

@@ -44,11 +44,22 @@ _INT32_MAX = 2**31 - 1
 _COLOR_ERROR = "color ids must be below 2**31"
 
 
+def _zeros(typecode: str, n: int) -> array:
+    """n zeros as an ``array(typecode)``, sized exactly (built from bytes,
+    an array over-allocates by 1/16), and with no list of n ints made."""
+    return array(typecode, [0]) * n
+
+
+def _view(column: array) -> np.ndarray:
+    """A numpy view of a typed column, to write it in place."""
+    return np.frombuffer(column, dtype=column.typecode)
+
+
 def _column(typecode: str, x: np.ndarray) -> array:
-    """``x`` as an ``array(typecode)`` of the same item size, sized
-    exactly: built from bytes an array over-allocates by 1/16, and a slice
-    of it does not."""
-    return array(typecode, x.tobytes())[:]
+    """``x`` as an exactly sized ``array(typecode)``."""
+    out = _zeros(typecode, len(x))
+    _view(out)[:] = x
+    return out
 
 
 def _ints(typecode: str, values: list[int], error: str) -> array:
@@ -85,24 +96,23 @@ def _heap(pri: list[int]) -> tuple:
             steps += 1
         occ[node] = i
 
-    # preorder by an explicit stack; the nodes before the end of a
-    # node's subtree are those starting below its hi
+    # preorder by an explicit stack, occupied nodes only; the nodes before
+    # the end of a node's subtree are those starting below its hi
     los, his, poss = array("i"), [], array("i")
     stack = [(1, 0, m)]
     while stack:
         node, lo, hi = stack.pop()
-        i = occ.get(node, -1)
         los.append(lo)
         his.append(hi)
-        poss.append(i)
-        if i >= 0:
-            mid = (lo + hi) >> 1
+        poss.append(occ[node])
+        mid = (lo + hi) >> 1
+        if 2 * node + 1 in occ:
             stack.append((2 * node + 1, mid, hi))
-            if lo < mid:
-                stack.append((2 * node, lo, mid))
-    skip = np.searchsorted(los, his) - np.arange(len(his))
-    pris = array("i", [-1 if i < 0 else pri[i] for i in poss])
-    return los, pris, poss, _column("i", skip.astype(np.int32)), steps + _sort_charge(m)
+        if 2 * node in occ:
+            stack.append((2 * node, lo, mid))
+    skip = np.searchsorted(los, his) - np.arange(m)
+    pris = array("i", [pri[i] for i in poss])
+    return los, pris, poss, _column("i", skip), steps + _sort_charge(m)
 
 
 def _report(m: int, heap: tuple, a: int, b: int, t: int) -> tuple[list[int], int]:
@@ -120,20 +130,22 @@ def _report(m: int, heap: tuple, a: int, b: int, t: int) -> tuple[list[int], int
     while stack:
         k, hi = stack.pop()
         probes += 1
-        i = pos[k]
-        if i < 0 or pri[k] < t:
+        if pri[k] < t:
             continue
+        i = pos[k]
         if a <= i < b:
             hits.append(i)
         lo = los[k]
         mid = (lo + hi) >> 1
-        right = k + 1  # the right child follows the left subtree, if any
-        if lo < mid:
+        # a stored left child [lo, mid) comes first in the subtree, and
+        # the right child [mid, hi), if stored, after the left subtree
+        child, end = k + 1, k + skip[k]
+        if child < end and los[child] < mid:
             if a < mid and lo < b:
-                stack.append((k + 1, mid))
-            right = k + 1 + skip[k + 1]
-        if a < hi and mid < b:
-            stack.append((right, hi))
+                stack.append((child, mid))
+            child += skip[child]
+        if child < end and a < hi and mid < b:
+            stack.append((child, hi))
     return hits, probes
 
 
@@ -150,12 +162,13 @@ class Frequency1D:
     """The 1-D structure: mapped chain points plus quadrant indexes, for one
     or more rank ranges held in one block.
 
-    Range ``j`` owns the block positions [start[j], start[j+1]) and the
-    heap nodes [node_start[j], node_start[j+1]); a structure built by
-    ``Frequency1D(...)`` or ``build_1d`` is one range starting at 0, and
+    Range ``j`` owns the block positions [start[j], start[j+1]), and the
+    heap nodes of the same indexes, one node per entry; a structure built
+    by ``Frequency1D(...)`` or ``build_1d`` is one range starting at 0, and
     ``_build_ranges`` builds many ranges as one block.  By block position:
     ``sorted_values``, ``colors`` and ``prefix_weight``, each range in rank
-    order.  Each range also has its own build ops and ``_may_cancel`` flag.
+    order.  Each range also has its own build ops (``_ops``) and
+    ``_may_cancel`` flag.
 
     The successor ranks inside each range (``succ``; the range's size for
     none) are the priorities of a static max-heap per range, held in the
@@ -165,35 +178,38 @@ class Frequency1D:
     priority order.  A node's occupant therefore has priority >= everything
     below it, and an empty node has an empty subtree.
 
-    The columns list in preorder (node, left subtree, right subtree) every
-    occupied node and every non-empty child of one; the unoccupied
-    ("dead") children include the right child [lo, lo+1) of a length-1
-    node.  Per node, ``lo`` is the block position where its range starts,
-    ``pri`` and ``pos`` its occupant's priority and block position (-1 when
-    dead), and ``skip`` the number of nodes in its subtree, so
-    ``k + skip[k]`` is the index just past it.  Positions are offset by the
-    range's start and priorities are not, so range ``j`` reads the same as
-    a structure of its own once ``start[j]`` is taken off ``lo`` and
-    ``pos``.  ``lo`` never decreases in preorder.  A dead node's -1 is
-    below every successor rank, so the prefix scan needs no other test;
-    ``_report`` tells dead nodes by ``pos``, since the interval index has
-    negative priorities.  A range of ``_SMALL`` or fewer positions is flat
-    instead: every position is a node of its own (``lo`` and ``pos`` the
-    position, ``skip`` 1), so a scan of it is the linear scan; a flat
-    structure built on its own shares those columns with every other of
-    its size.
+    The columns list the occupied nodes in preorder (node, left subtree,
+    right subtree); an empty node has nothing stored below it and is not
+    stored either.  Per node, ``lo`` is the block position where its range
+    starts, ``pri`` and ``pos`` its occupant's priority and block position,
+    and ``skip`` the number of nodes in its subtree, so ``k + skip[k]`` is
+    the index just past it.  Positions are offset by the range's start and
+    priorities are not, so range ``j`` reads the same as a structure of its
+    own once ``start[j]`` is taken off ``lo`` and ``pos``.  ``lo`` never
+    decreases in preorder, and of the nodes starting at one ``lo`` the
+    first is the shallowest.  The columns keep no node's ``hi``:
+    ``_report`` carries it down from the root.  A range of ``_SMALL`` or
+    fewer positions is flat instead: every position is a node of its own
+    (``lo`` and ``pos`` the position, ``skip`` 1), so a scan of it is the
+    linear scan; a flat structure built on its own shares those columns
+    with every other of its size.
 
     Every column is a typed ``array``, written by both builders alike: the
     four heap columns and ``colors`` are ``array('i')``, ``sorted_values``
     ``array('d')`` and count-mode ``prefix_weight`` ``array('q')``;
-    semigroup prefixes are a list of objects.  An entry then costs bytes,
-    not object slots: a count-mode tree with n=50k and s=16 holds about 56
-    bytes of live heap per entry.  The scan pays for it: reading an element
-    of an array costs about twice reading one of a tuple.  ``bisect``
-    searches the ``array('d')`` inside one range about 3x faster than numpy
-    searches a slice of it.  So a block is about a dozen objects, however
-    many ranges it holds.  Color ids must be below 2**31 and count totals
-    must fit int64; the builders raise ``MalformedInputError`` otherwise.
+    semigroup prefixes are a list of objects.  Per range, ``start`` is
+    ``array('i')``, ``_ops`` ``array('q')`` and ``_may_cancel``
+    ``array('b')``.  An entry then costs bytes, not object slots: a
+    count-mode tree with n=50k and s=16 holds about 40 bytes of live heap
+    per entry, 36 of them column buffers.  The scan pays for it: reading an
+    element of an array costs about twice reading one of a tuple.
+    ``bisect`` searches the ``array('d')`` inside one range about 3x faster
+    than numpy searches a slice of it.  So a block is about a dozen
+    objects, however many ranges it holds.  ``_build_ranges`` allocates a
+    block's columns by entry before its temporaries, so that freeing those
+    leaves no holes between blocks.  Color ids must be below 2**31 and
+    count totals must fit int64; the builders raise
+    ``MalformedInputError`` otherwise.
 
     The interval index, built on a one-range structure only, is
     ``_pred_index``, the same heap over the negated predecessor ranks as one
@@ -210,7 +226,6 @@ class Frequency1D:
         "prefix_weight",
         "prefix_below",
         "start",
-        "node_start",
         "lo",
         "pri",
         "pos",
@@ -274,8 +289,9 @@ class Frequency1D:
         if is_count:
             pref = _ints("q", pref, "count-mode weights overflow int64 totals")
         *heap, steps = _heap(succ)
-        self._set(mode, ys, _ints("i", cols, _COLOR_ERROR), pref, heap, (0, m),
-                  (0, len(heap[0])), (2 * m + _sort_charge(m) + steps,), (may_cancel,))
+        self._set(mode, _column("d", ys), _ints("i", cols, _COLOR_ERROR), pref, heap,
+                  array("i", [0, m]), array("q", [2 * m + _sort_charge(m) + steps]),
+                  array("b", [may_cancel]))
         # predecessors and the weight below each point serve interval queries only
         if interval_index and is_count:
             pred = [-1] * m
@@ -285,19 +301,17 @@ class Frequency1D:
             self.prefix_below = array("q", [0 if p < 0 else pref[p] for p in pred])
             *heap, steps = _heap([-p for p in pred])
             self._pred_index = tuple(heap)
-            self._ops = (self._ops[0] + m + steps,)
+            self._ops[0] += m + steps
 
-    def _set(self, mode, ys, colors, pref, heap, start, node_start, ops, may_cancel) -> None:
-        """Take the block's columns, the values ``ys`` as a float64 array;
-        no interval index."""
+    def _set(self, mode, values, colors, pref, heap, start, ops, may_cancel) -> None:
+        """Take the block's columns; no interval index."""
         self.mode = mode
-        self.m = len(ys)
-        self.sorted_values = _column("d", ys)
+        self.m = len(values)
+        self.sorted_values = values
         self.colors = colors
         self.prefix_weight = pref
         self.lo, self.pri, self.pos, self.skip = heap
         self.start = start
-        self.node_start = node_start
         self._ops = ops
         self._may_cancel = may_cancel
         self.prefix_below = self._pred_index = None
@@ -323,8 +337,7 @@ class Frequency1D:
         range's size for none), by position."""
         out = [0] * self.m
         for p, i in zip(self.pri, self.pos):
-            if i >= 0:
-                out[i] = p
+            out[i] = p
         return out
 
     # -- queries ---------------------------------------------------------------
@@ -360,17 +373,17 @@ class Frequency1D:
 
         The scan walks the range's heap in preorder up to the first node
         whose range starts at or past block position ``rq`` = start + r: a
-        node whose ``pri`` is below r (a dead one too) skips its subtree,
-        and an occupant below ``rq`` is a hit.  It visits exactly the nodes
-        that ``_report`` pops for the ranks [0, r) with priority >= r.
+        node whose ``pri`` is below r skips its subtree, and an occupant
+        below ``rq`` is a hit.  It visits exactly the nodes that ``_report``
+        pops for the ranks [0, r) with priority >= r.
         """
-        a = self.start[j]
-        r = count_le(self.sorted_values, q, a, self.start[j + 1])
+        a, b = self.start[j], self.start[j + 1]
+        r = count_le(self.sorted_values, q, a, b)
         rq = a + r
         pri, pos, skip = self.pri, self.pos, self.skip
         cols, pref, cancel = self.colors, self.prefix_weight, self._may_cancel[j]
-        k = self.node_start[j]
-        end = bisect_left(self.lo, rq, k, self.node_start[j + 1])
+        k = a
+        end = bisect_left(self.lo, rq, a, b)
         probes = touches = 0
         while k < end:
             probes += 1
@@ -467,8 +480,6 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
     for ``ranges[j] = (lo, cut)``; ``ranges`` is a sequence of pairs or a
     two-column array, which makes no Python object per range.
     """
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[rank_order(values)] = np.arange(len(values))
     ranges = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
     los = ranges[:, 0]
     sizes = ranges[:, 1] - los
@@ -476,16 +487,25 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
     off = np.zeros(nr + 1, dtype=np.int64)
     np.cumsum(sizes, out=off[1:])
     size = int(off[-1])
+    # the block's columns by entry come before every temporary, which are
+    # then freed above them, where the next build reuses the space, and not
+    # in holes between blocks that stay resident
+    ys_col, cols_col = _zeros("d", size), _zeros("i", size)
+    heap = [_zeros("i", size) for _ in range(4)]  # lo, pri, pos, skip
+    pref_col = _zeros("q", size) if isinstance(mode, CountMode) else None
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[rank_order(values)] = np.arange(len(values))
     rid = np.repeat(np.arange(nr), sizes)
     pos = np.arange(size) - off[:-1][rid]  # rank inside the member's range
 
     # sort: by (range, rank in values), the order rank_order gives each slice
     idx = pos + los[rid]
     idx = idx[np.argsort(rid * len(values) + rank[idx])]
-    ys = values[idx]
+    _view(ys_col)[:] = values[idx]
     cols = colors[idx]
     if cols.max() > _INT32_MAX:  # before cols enters an int64 key
         raise MalformedInputError(_COLOR_ERROR)
+    _view(cols_col)[:] = cols
     w = weights[idx]
     del rank, idx  # temporaries go as soon as they are used, for peak memory
 
@@ -496,15 +516,13 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
     earlier, later = grouped[:-1][same], grouped[1:][same]  # chain neighbours
     succ = sizes[rid]
     succ[earlier] = pos[later]
-    if isinstance(mode, CountMode):
+    if pref_col is not None:
         wg = w[grouped]
         first = np.concatenate(([True], ~same))
         total = np.cumsum(wg)
-        pref = np.empty_like(total)
-        pref[grouped] = total - (total - wg)[first][np.cumsum(first) - 1]
-        pref_col = _column("q", pref)
-        del wg, first, total, pref
-        may_cancel = (np.minimum.reduceat(w, off[:-1]) <= 0).tolist()
+        _view(pref_col)[grouped] = total - (total - wg)[first][np.cumsum(first) - 1]
+        del wg, first, total
+        may_cancel = np.minimum.reduceat(w, off[:-1]) <= 0
     else:
         # a chain's first entry keeps its weight; each later one combines
         # its predecessor's prefix with its weight, in chain order, as
@@ -515,7 +533,7 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
             prev = pref_col[p]
             if prev is not None:
                 pref_col[g] = combine(prev, pref_col[g])
-        may_cancel = [False] * nr
+        may_cancel = np.zeros(nr, dtype=bool)
     del rid, pos, w, key, grouped, same, earlier, later
 
     # heap: place one depth at a time.  Positions are global (range offset
@@ -524,70 +542,66 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
     # ties to the smallest position, as in the one-by-one insertion of
     # _heap (an occupied node passes each later entry on toward its
     # position, so a node takes the first entry of its segment to arrive).
-    # A depth's segments are its layout nodes: those left unfilled are the
-    # dead children, and only filled ones split further.
+    # Only filled segments are nodes, and only they split further, so each
+    # entry occupies exactly one node: by the entry's position, its node's
+    # [lo, hi) and depth.  A small range's positions p are flat nodes
+    # [p, p+1) at depth 0.
     depth_at = np.zeros(size, dtype=np.int64)
+    node_lo = np.arange(size)
+    node_hi = node_lo + 1
     indexed = sizes > _SMALL
     seg_lo, seg_hi = off[:-1][indexed], off[1:][indexed]
     # max key: max priority, then min position; placed entries drop to -1,
     # and the trailing -1 lets a segment end at ``size``
     key = np.append(succ * size + (size - 1 - np.arange(size)), -1)
-    # per depth: (lo, hi, occupant or -1), after the flat nodes [p, p+1) of
-    # the small ranges' positions p
-    flat = np.flatnonzero(np.repeat(~indexed, sizes))
-    levels = [(flat, flat + 1, flat)]
     depth = 0
     while len(seg_lo):
         # reduce over [lo, hi) and the gap after it, then drop the gaps
         best = np.maximum.reduceat(key, _interleave(seg_lo, seg_hi))[::2]
         filled = best >= 0
-        occupant = np.where(filled, size - 1 - best % size, -1)
-        placed = occupant[filled]
+        placed = size - 1 - best[filled] % size
+        seg_lo, seg_hi = seg_lo[filled], seg_hi[filled]
         key[placed] = -1
         depth_at[placed] = depth
-        levels.append((seg_lo, seg_hi, occupant))
-        lo_f, hi_f = seg_lo[filled], seg_hi[filled]
-        mid = (lo_f + hi_f) >> 1
-        seg_lo = _interleave(lo_f, mid)
-        seg_hi = _interleave(mid, hi_f)
+        node_lo[placed] = seg_lo
+        node_hi[placed] = seg_hi
+        mid = (seg_lo + seg_hi) >> 1
+        seg_lo, seg_hi = _interleave(seg_lo, mid), _interleave(mid, seg_hi)
         wide = seg_hi > seg_lo
         seg_lo, seg_hi = seg_lo[wide], seg_hi[wide]
         depth += 1
+    del key
 
     # preorder is the order by (lo, depth): node ranges nest or are
     # disjoint, and of two nodes starting at one lo the shallower is the
     # ancestor.  The nodes starting at one lo lie on one path at
-    # consecutive depths, so a node's index is the number of nodes starting
-    # below its lo plus its depth below the shallowest of them.  A node's
-    # subtree ends where the nodes starting below its hi end, and a range's
-    # nodes start at or past its first position.
-    depth_n = np.repeat(np.arange(len(levels)), [len(level[0]) for level in levels])
-    lo_n, hi_n, occ_n = (np.concatenate(column) for column in zip(*levels))
-    del levels, key
+    # consecutive depths (an empty node, the only kind that could break the
+    # path, is always the deepest at its lo, and is not stored), so a
+    # node's index is the number of nodes starting below its lo plus its
+    # depth below the shallowest of them.  A node's subtree ends where the
+    # nodes starting below its hi end, and range j's nodes are
+    # [off[j], off[j+1]), one per entry.
     starts_below = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lo_n, minlength=size), out=starts_below[1:])
+    np.cumsum(np.bincount(node_lo, minlength=size), out=starts_below[1:])
     shallowest = np.full(size, depth)
-    np.minimum.at(shallowest, lo_n, depth_n)
-    pre = starts_below[lo_n] + depth_n - shallowest[lo_n]
-    del depth_n, shallowest
-    layout = np.empty((4, len(pre)), dtype=np.int32)  # in preorder
-    node_lo, node_pri, node_pos, node_skip = layout
-    node_lo[pre] = lo_n
-    node_pos[pre] = occ_n
-    node_skip[pre] = starts_below[hi_n] - pre
-    del lo_n, hi_n, occ_n, pre
-    node_pri[:] = np.where(node_pos >= 0, succ[node_pos], -1)
+    np.minimum.at(shallowest, node_lo, depth_at)
+    pre = starts_below[node_lo] + depth_at - shallowest[node_lo]
+    del shallowest
+    lo_col, pri_col, pos_col, skip_col = map(_view, heap)  # in preorder
+    lo_col[pre] = node_lo
+    pos_col[pre] = np.arange(size)
+    skip_col[pre] = starts_below[node_hi] - pre
+    del node_lo, node_hi, starts_below, pre
+    pri_col[:] = succ[pos_col]
 
     # build counters, as Frequency1D and _heap book them
     charge = sizes * np.maximum(1, np.frexp(np.maximum(sizes - 1, 0))[1])  # _sort_charge
     steps = np.where(indexed, np.add.reduceat(depth_at, off[:-1]) + charge, 0)
     ops = 2 * sizes + charge + steps
 
-    heap = [_column("i", column) for column in layout]
     block = Frequency1D.__new__(Frequency1D)
-    block._set(mode, ys, _column("i", cols.astype(np.int32)), pref_col, heap,
-               tuple(off.tolist()), tuple(starts_below[off].tolist()), tuple(ops.tolist()),
-               tuple(may_cancel))
+    block._set(mode, ys_col, cols_col, pref_col, heap,
+               _column("i", off), _column("q", ops), _column("b", may_cancel))
     return block
 
 

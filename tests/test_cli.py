@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 import colorfreq as cf
-from colorfreq import boxes
+from colorfreq import boxes, cli
 from colorfreq.cli import BENCH_HEADER, main
 from _util import canon
 
@@ -193,6 +193,50 @@ def test_offline_3sided_subcommand(tmp_path, capsys):
         want = {ps.label_of(c): w for c, w in cf.brute_force(ps, queries[qid])}
         got = dict((t.rsplit(":", 1)[0], int(t.rsplit(":", 1)[1])) for t in toks[2:])
         assert got == want and k == len(want)
+
+
+def test_offline_exit_code_checks_the_sweep_contract(tmp_path, capsys, monkeypatch):
+    # every structure built is destroyed, and a d <= 2 sweep or 3-sided
+    # batch holds at most n entries at once; d >= 3 strips store more
+    plain, three, cube = tmp_path / "p", tmp_path / "t", tmp_path / "c"
+    main(gen_args(plain, seed=43, n=120, m=20))
+    main(gen_args(three, seed=43, n=120, m=20, extra=("--sides", "2,1")))
+    main(["gen", "--points", "120", "--queries", "20", "--dims", "3", "--colors", "6",
+          "--seed", "43", "--out", str(cube)])
+    runs = {
+        "2": ["offline", f"{plain}.points.txt", f"{plain}.queries.txt", "--fanout", "4"],
+        "2,1": ["offline", f"{three}.points.txt", f"{three}.queries.txt", "--fanout", "4",
+                "--sides", "2,1"],
+        "3": ["offline", f"{cube}.points.txt", f"{cube}.queries.txt", "--dims", "3",
+              "--fanout", "4"],
+    }
+    capsys.readouterr()
+    for run, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / "a.txt")]) == 0
+        peak = int(capsys.readouterr().err.split("peakLiveEntries=")[1].split()[0])
+        assert (peak > 120) == (run == "3")  # the d = 3 sweep is over n
+
+    def skewed(real, name, value):
+        def run(*args):
+            summary = real(*args)
+            setattr(summary, name, value(summary))
+            return summary
+        return run
+
+    built_more = ("total_destroyed", lambda s: s.total_built - 1)
+    over_n = ("peak_live_entries", lambda s: s.n + 1)
+    cases = [("2", "answer_offline_dominance", built_more, 1),
+             ("2", "answer_offline_dominance", over_n, 1),
+             ("2,1", "answer_offline_3sided", built_more, 1),
+             ("2,1", "answer_offline_3sided", over_n, 1),
+             ("3", "answer_offline_dominance", built_more, 1),
+             ("3", "answer_offline_dominance", over_n, 0)]
+    for run, entry, (name, value), code in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, entry, skewed(getattr(cli, entry), name, value))
+            assert main([*runs[run], "--out", str(tmp_path / "a.txt")]) == code, (run, name)
+        err = capsys.readouterr().err
+        assert ("offline contract violated" in err) == (code == 1)
 
 
 def test_bench_header_and_tradeoff(tmp_path):

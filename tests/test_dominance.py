@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -421,3 +422,20 @@ def test_count_tree_columns_are_typed_and_compact():
         assert codes == ["i"] * 5
         assert b.prefix_weight.typecode == "q"
     assert live / tree.stored_entries <= 64
+
+
+def test_count_tree_column_bytes_per_entry():
+    # the buffers of a block's typed columns, counted exactly: 36 bytes per
+    # entry for one heap node each (lo, pri, pos, skip), its color, value
+    # and prefix total, plus the per-range start, build ops and flag
+    ps = cf.generate_points(20_000, 2, 16, seed=12)
+    tree = cf.DominanceTree(ps, 16)
+    blocks = {id(b): b for b in tree.prefix if b is not None}.values()
+    total = 0
+    for b in blocks:
+        assert [b.start.typecode, b._ops.typecode, b._may_cancel.typecode] == ["i", "q", "b"]
+        for name in cf.Frequency1D.__slots__:
+            column = getattr(b, name)
+            if isinstance(column, array):
+                total += column.itemsize * len(column)
+    assert total / tree.stored_entries <= 40

@@ -278,16 +278,15 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
     if not ranges:
         return
     block = freq1d._build_ranges(ys, cols, freq1d._weight_array(w, mode), ranges, mode)
-    assert len(block.start) == len(block.node_start) == len(ranges) + 1
-    assert block.entries == block.start[-1] and block.node_start[-1] == len(block.lo)
+    assert len(block.start) == len(ranges) + 1
+    assert block.entries == block.start[-1] == len(block.lo)
     succ = block.succ
     for j, (lo, cut) in enumerate(ranges):
         want = cf.Frequency1D(ys[lo:cut], cols[lo:cut], w[lo:cut], mode)
         a, b = block.start[j], block.start[j + 1]
-        na, nb = block.node_start[j], block.node_start[j + 1]
 
-        def unshift(column):  # block positions to ranks in the range; -1 stays
-            return [-1 if x < 0 else x - a for x in column]
+        def unshift(column):  # block positions to ranks in the range
+            return [x - a for x in column]
 
         got = {
             "mode": block.mode,
@@ -296,18 +295,18 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
             "colors": block.colors[a:b],
             "prefix_weight": block.prefix_weight[a:b],
             "prefix_below": block.prefix_below,
-            "start": (0, b - a),
-            "node_start": (0, nb - na),
-            "lo": unshift(block.lo[na:nb]),
-            "pri": list(block.pri[na:nb]),
-            "pos": unshift(block.pos[na:nb]),
-            "skip": list(block.skip[na:nb]),
+            "start": [0, b - a],
+            "lo": unshift(block.lo[a:b]),
+            "pri": list(block.pri[a:b]),
+            "pos": unshift(block.pos[a:b]),
+            "skip": list(block.skip[a:b]),
             "_pred_index": block._pred_index,
-            "_ops": (block._ops[j],),
-            "_may_cancel": (block._may_cancel[j],),
+            "_ops": [block._ops[j]],
+            "_may_cancel": [block._may_cancel[j]],
         }
         assert set(got) == set(cf.Frequency1D.__slots__)
-        for name in ("sorted_values", "colors", "prefix_weight", "lo", "pri", "pos", "skip"):
+        arrays = ("lo", "pri", "pos", "skip", "start", "_ops", "_may_cancel")
+        for name in ("sorted_values", "colors", "prefix_weight") + arrays:
             column, theirs = getattr(block, name), getattr(want, name)
             assert type(column) is type(theirs), name
             assert getattr(column, "typecode", None) == getattr(theirs, "typecode", None), name
@@ -315,10 +314,46 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
             mine = getattr(want, name)
             if name == "sorted_values":
                 mine = mine.tolist()
-            elif name in ("lo", "pri", "pos", "skip"):
+            elif name in arrays:
                 mine = list(mine)
             assert value == mine, name
         assert succ[a:b] == want.succ
+
+
+def heap_layout_holds_one_node_per_entry(f, heap=None):
+    """Assert that each range of ``f`` stores exactly one heap node per
+    entry, in preorder: range j's nodes are [start[j], start[j+1]), each
+    starts inside the range, holds one of its positions and ends its
+    subtree inside it."""
+    lo, pri, pos, skip = heap or (f.lo, f.pri, f.pos, f.skip)
+    assert len(lo) == len(pri) == len(pos) == len(skip) == f.start[-1] == f.m
+    for j in range(len(f.start) - 1):
+        a, b = f.start[j], f.start[j + 1]
+        assert sorted(pos[a:b]) == list(range(a, b))
+        assert all(a <= x < b for x in lo[a:b])
+        assert list(lo[a:b]) == sorted(lo[a:b])
+        assert all(1 <= skip[k] <= b - k for k in range(a, b))
+
+
+def test_heap_stores_one_node_per_entry():
+    rng = np.random.default_rng(17)
+    sizes = [*range(0, 4 * freq1d._SMALL), 63, 64, 65, 200, 1000]
+    for m in sizes:
+        ys = rng.integers(0, max(1, m // 2), m).astype(float)
+        cols = rng.integers(0, 5, m)
+        f = cf.Frequency1D(ys, cols, interval_index=True)
+        heap_layout_holds_one_node_per_entry(f)
+        heap_layout_holds_one_node_per_entry(f, f._pred_index)
+    # many ranges per block, of every size in the list, in shuffled order
+    ranges, lo = [], 0
+    for m in rng.permutation([m for m in sizes if m] * 2).tolist():
+        ranges.append((lo, lo + m))
+        lo += m
+    ys = rng.integers(0, 50, lo).astype(float)
+    cols = rng.integers(0, 5, lo)
+    block = freq1d._build_ranges(ys, cols, freq1d._weight_array([1] * lo, cf.COUNT), ranges)
+    assert len(block.start) == len(ranges) + 1
+    heap_layout_holds_one_node_per_entry(block)
 
 
 def reference_index(pri):
@@ -349,9 +384,11 @@ def reference_report(pri, occ, a, b, t):
     stack = [(1, 0, m)]
     while stack:
         node, lo, hi = stack.pop()
-        probes += 1
         i = occ.get(node)
-        if i is None or pri[i] < t:
+        if i is None:  # an empty node is not stored, so it costs no probe
+            continue
+        probes += 1
+        if pri[i] < t:
             continue
         if a <= i < b:
             hits.append(i)
