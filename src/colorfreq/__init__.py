@@ -46,6 +46,7 @@ from .dominance import (
     dominance_path_bound,
     dominance_query_bound,
     dominance_space_bound,
+    offline_build_bound,
 )
 from .boxes import BoxTree, build_box
 from .offline import (
@@ -101,6 +102,7 @@ __all__ = [
     "generate_points",
     "generate_queries",
     "normalize_query",
+    "offline_build_bound",
     "peak_space_report",
     "rank_reduce",
     "read_dataset",

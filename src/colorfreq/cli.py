@@ -47,6 +47,7 @@ from .dominance import (
     box_space_bound,
     dominance_query_bound,
     dominance_space_bound,
+    offline_build_bound,
 )
 from .offline import OfflineJob, answer_offline_3sided, answer_offline_dominance
 from .oracle import brute_force
@@ -219,15 +220,21 @@ def cmd_offline(args) -> int:
     print(
         f"emitted={summary.emitted} peakLiveEntries={summary.peak_live_entries} "
         f"totalBuilt={summary.total_built} totalDestroyed={summary.total_destroyed} "
+        f"entriesBuilt={summary.entries_built} "
         f"emitOrderViolations={summary.emit_order_violations}",
         file=sys.stderr,
     )
     # every structure built is destroyed, and a d <= 2 sweep holds at most
-    # n entries at once; a d >= 3 sweep's strips store more than n
+    # n entries at once and builds within the offline bound; a d >= 3
+    # sweep's strips store more than n
+    planar = ps.d <= 2
+    built, entries = offline_build_bound(ps.n, args.fanout, ps.d, int(three_sided))
     broken = [name for name, bad in (
         ("emitOrderViolations > 0", summary.emit_order_violations > 0),
         ("totalBuilt != totalDestroyed", summary.total_built != summary.total_destroyed),
-        ("peakLiveEntries > n", ps.d <= 2 and summary.peak_live_entries > ps.n),
+        ("peakLiveEntries > n", planar and summary.peak_live_entries > ps.n),
+        ("totalBuilt > build bound", planar and summary.total_built > built),
+        ("entriesBuilt > build bound", planar and summary.entries_built > entries),
     ) if bad]
     if broken:
         print(f"offline contract violated: {', '.join(broken)}", file=sys.stderr)

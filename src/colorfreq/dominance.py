@@ -189,7 +189,7 @@ class DominanceTree:
         self._init_from_parts(
             points.coords,
             points.colors,
-            points.weight_list(),
+            points.weights,
             s=s,
             phi=points.phi,
             mode=points.mode,
@@ -207,7 +207,8 @@ class DominanceTree:
     @classmethod
     def _forest(cls, coords, colors, weights, sizes, s, phi, mode):
         """The skeletons of trees over consecutive runs of ``sizes`` points,
-        as one forest for one ``_fill``."""
+        each run in rank order of its first axis, ties by input order (see
+        ``_ranked_ranges``), as one forest for one ``_fill``."""
         self = cls.__new__(cls)
         self._init_from_parts(coords, colors, weights, s=s, phi=phi, mode=mode, sizes=sizes)
         return self
@@ -221,7 +222,8 @@ class DominanceTree:
     def _init_from_parts(self, coords, colors, weights, s, phi, mode, sizes=None):
         coords = np.asarray(coords, dtype=np.float64)
         n, d = coords.shape
-        sizes = [n] if sizes is None else sizes
+        one_tree = sizes is None
+        sizes = [n] if one_tree else sizes
         start = tuple(accumulate(sizes, initial=0))
         self.d = d
         self.s = s
@@ -242,13 +244,11 @@ class DominanceTree:
             self.height = 0
             return
         self.base = None
-        # one sort for every tree: by tree, then rank on the first axis
-        order = rank_order(coords[:, 0])
-        if len(sizes) > 1:
-            order = order[rank_order(np.repeat(np.arange(len(sizes)), sizes)[order])]
+        # one tree ranks its points here; a forest's runs come ranked
+        order = rank_order(coords[:, 0]) if one_tree else slice(None)
         self.coords_r = coords[order]
         self.colors_r = np.asarray(colors, dtype=np.int64)[order]
-        self.weights_r = [weights[i] for i in order.tolist()]
+        self.weights_r = _weight_array(weights, mode)[order].tolist()
         self.sorted0 = array("d", self.coords_r[:, 0].tobytes())
         shapes = {m: _strips(m, s) for m in set(sizes)}
         self.parent = [shapes[m][0] for m in sizes]
@@ -290,7 +290,7 @@ class DominanceTree:
                                 np.column_stack((run_base, run_base + cut - lo)), self.mode)
             self.stored_entries += sub.m
         else:
-            rows = _concat_ranges(lo, cut - lo)
+            rows = _ranked_ranges(lo, cut - lo, self.coords_r[:, 1])
             sub = DominanceTree._forest(
                 self.coords_r[rows, 1:], self.colors_r[rows],
                 [weights[i] for i in rows.tolist()], (cut - lo).tolist(),
@@ -459,6 +459,18 @@ def _concat_ranges(lo, sizes):
     return np.arange(total) + np.repeat(lo - (ends - sizes), sizes)
 
 
+def _ranked_ranges(lo, sizes, values):
+    """``_concat_ranges(lo, sizes)`` with each range in rank order of
+    ``values`` (one per position), ties by position: the order
+    ``rank_order`` gives the range on its own.  One stable sort of
+    ``values`` ranks every range, however often the ranges overlap."""
+    member = _concat_ranges(lo, sizes)
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[rank_order(values)] = np.arange(len(values))
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    return member[np.argsort(run * len(values) + rank[member])]
+
+
 def _fill(forest) -> None:
     """Give every strip of the skeleton ``forest`` its structure over the
     points left of it, and add the structures' counters to the forest's.
@@ -468,23 +480,19 @@ def _fill(forest) -> None:
     trees of one forest over the remaining axes, and those of a d = 2
     forest in the chunks of ``_strip_chunks``, one block per chunk.  A
     strip's ``prefix`` is its block or forest and its ``index`` its range
-    or tree there.
+    or tree there, written into the skeleton's lists as each chunk is
+    built, with no per-rank array of its own.
     """
     if forest.d < 2:
         return
-    n = len(forest.coords_r)
-    where = np.full(n, -1, dtype=np.int64)  # -1 reads the None after the structures
-    index = np.zeros(n, dtype=np.int64)
-    structs = []
+    prefix, index = forest.prefix, forest.index
     weights = _strip_weights(forest)
     chunks = _strip_chunks(forest) if forest.d == 2 else [_strip_ranges(forest)]
     for lo, cut in chunks:
-        where[cut] = len(structs)
-        index[cut] = np.arange(len(cut))
-        structs.append(forest._build_substructure(lo, cut, weights))
-    structs.append(None)
-    forest.prefix = list(map(structs.__getitem__, where.tolist()))
-    forest.index = index.tolist()
+        struct = forest._build_substructure(lo, cut, weights)
+        for j, c in enumerate(cut.tolist()):
+            prefix[c] = struct
+            index[c] = j
 
 
 def _strip_weights(forest):
@@ -555,6 +563,29 @@ def box_space_bound(n: int, s: int, d: int, t: int) -> int:
     every point in its two full-set inner structures and one per ancestor
     node, at most ceil_log_2(n)+1 inner structures (2 when n = 1)."""
     return dominance_space_bound(n, s, d) * (ceil_log(2, max(n, 2)) + 1) ** t
+
+
+def offline_build_bound(n: int, s: int, d: int = 2, t: int = 0) -> tuple[int, int]:
+    """(structures, entries): the most that one offline batch over n points
+    builds, for d <= 2: a dominance sweep for t = 0, a planar three-sided
+    batch for t = 1.
+
+    A d = 1 sweep builds one structure over all n points.  A d = 2 sweep
+    builds each strip [parent[c], c), 1 <= c < n, at most once, since the
+    ranks x whose walk holds c form one run and queries are pinned in
+    ascending rank.  The run: a walk step goes from a rank to the lo of the
+    node in which that rank starts a strip other than the first, passing
+    the nodes it starts as their first strip, so the walk to x holds the lo
+    of every node containing x and nothing else.  The largest node whose
+    lo is c is the strip c starts; hence c is on the walk to x exactly when
+    x lies in that strip.  So a sweep builds at most n - 1 strips and at
+    most the eager tree's entries, each strip holding its c - parent[c]
+    points.  A three-sided batch sweeps both children of each swept node of
+    its layer; the nodes of one depth are disjoint, and fewer than
+    ceil_log2(n) + 1 depths hold inner nodes.
+    """
+    structures = min(n, 1) if d == 1 else max(n - 1, 0)
+    return structures * (ceil_log(2, max(n, 2)) + 1) ** t, box_space_bound(n, s, d, t)
 
 
 def box_fanout_bound(t: int) -> int:

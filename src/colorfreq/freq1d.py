@@ -453,9 +453,11 @@ class Frequency1D:
 def _weight_array(weights, mode) -> np.ndarray:
     """``weights`` as the 1-D array ``_build_ranges`` takes: int64 counts, or
     one object per weight, filled element by element so that tuple weights
-    stay scalars."""
+    stay scalars.  An array of that kind is taken as it is, not copied."""
     if isinstance(mode, CountMode):
-        return np.array(weights, dtype=np.int64)
+        return np.asarray(weights, dtype=np.int64)
+    if isinstance(weights, np.ndarray):
+        return weights
     return np.fromiter(weights, dtype=object, count=len(weights))
 
 

@@ -378,7 +378,7 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
     summary = SweepSummary(ps.n, len(queries), 2, s, 1)
     meter = _LiveMeter()
 
-    layer = _Layer(0, ps.coords, ps.colors, ps.weight_list())
+    layer = _Layer.ranked(0, ps.coords, ps.colors, ps.weight_list())
     summary.skeleton_nodes += _node_count(ps.n)
 
     def emit(qid, entries):

@@ -1,7 +1,9 @@
 """Layered box structure: oracle equivalence, fan-out, split partition, space."""
 
 import gc
+import itertools
 import math
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 import colorfreq as cf
 from _util import canon, random_query
 from colorfreq import boxes, dominance
-from colorfreq.core import count_le, count_lt
+from colorfreq.core import count_le, count_lt, rank_order
+from colorfreq.freq1d import _sort_charge
 
 INF = float("inf")
 
@@ -323,6 +326,107 @@ def test_batched_box_counters_match_one_by_one_build(d, mode_name, chunk):
         assert s1.accumulator.touch_ops - t1 == s2.accumulator.touch_ops - t2
 
 
+def _build_one_by_one(self, ps, axes):
+    """The layers built recursively, one sort and one copy per layer and
+    part, tree ids in depth-first order, and each tree's part ranked on
+    its own: ``BoxTree._build``'s (top, forest)."""
+    parts = []
+
+    def build(coords, colors, weights, layer_axes):
+        if not layer_axes:
+            order = rank_order(coords[:, 0])
+            parts.append((coords[order], colors[order], [weights[i] for i in order.tolist()]))
+            return len(parts) - 1
+        axis, rest = layer_axes[0], layer_axes[1:]
+        n = len(coords)
+        order = rank_order(coords[:, axis])
+        layer = boxes._Layer(axis, coords[order], colors[order],
+                             tuple(weights[i] for i in order.tolist()),
+                             array("d", coords[order, axis].tobytes()))
+        self.build_ops += _sort_charge(n)
+        low, high = [None] * n, [None] * n
+        nodes = [(0, n)]
+        for lo, hi in nodes:  # grows while iterated: breadth-first
+            mid = boxes._split_rank(lo, hi)
+            if mid is not None:
+                nodes += (lo, mid), (mid, hi)
+                low[mid] = build(*layer.low_half(lo, mid), rest)
+                high[mid] = build(*layer.high_half(mid, hi), rest)
+        layer.inner_low, layer.inner_high = tuple(low), tuple(high)
+        layer.full_low = build(*layer.low_half(0, n), rest)
+        layer.full_high = build(*layer.high_half(0, n), rest)
+        return layer
+
+    top = build(ps.coords, ps.colors, ps.weight_list(), list(axes))
+    coords, colors, weights = zip(*parts)
+    return top, cf.DominanceTree._forest(
+        np.concatenate(coords), np.concatenate(colors), list(itertools.chain.from_iterable(weights)),
+        [len(c) for c in colors], self.s, self.phi, self.mode,
+    )
+
+
+def _assert_same_layers(got, want, forest, ref_forest):
+    """The layers ``got`` and ``want`` hold equal columns, and their inner
+    structures on every layer path are equal layers or equal forest trees."""
+    if not isinstance(want, boxes._Layer):
+        if forest.d == 1:
+            a, b = forest.base[got], ref_forest.base[want]
+            assert (list(a.sorted_values), list(a.colors), list(a.prefix_weight)) == \
+                (list(b.sorted_values), list(b.colors), list(b.prefix_weight))
+            return
+        (a, b), (c, e) = forest.start[got:got + 2], ref_forest.start[want:want + 2]
+        assert np.array_equal(forest.coords_r[a:b], ref_forest.coords_r[c:e])
+        assert np.array_equal(forest.colors_r[a:b], ref_forest.colors_r[c:e])
+        assert forest.weights_r[a:b] == ref_forest.weights_r[c:e]
+        assert forest.sorted0[a:b] == ref_forest.sorted0[c:e]
+        assert forest.parent[got] == ref_forest.parent[want]
+        return
+    assert isinstance(got, boxes._Layer) and got.axis == want.axis
+    assert np.array_equal(got.coords_r, want.coords_r)
+    assert np.array_equal(got.colors_r, want.colors_r)
+    assert got.weights_r == want.weights_r and got.sorted_vals == want.sorted_vals
+    pairs = [(got.full_low, want.full_low), (got.full_high, want.full_high)]
+    for mid, inner in enumerate(want.inner_low):
+        if inner is None:
+            assert got.inner_low[mid] is None and got.inner_high[mid] is None
+        else:
+            pairs += (got.inner_low[mid], inner), (got.inner_high[mid], want.inner_high[mid])
+    assert len(got.inner_low) == len(got.inner_high) == len(want.inner_low)
+    for g, w in pairs:
+        _assert_same_layers(g, w, forest, ref_forest)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("mode", [cf.COUNT, cf.MAX_SEMIGROUP])
+def test_layers_built_by_level_match_one_by_one_build(d, mode):
+    # grid data: duplicate coordinates on every axis, so ties decide orders
+    rng = np.random.default_rng(30 + d)
+    for n in (0, 1, 2, 3, 5, 17, 300):
+        base = cf.generate_points(n, d, 7, seed=n + d, grid=max(n // 8, 2))
+        if mode is cf.COUNT:
+            ps = cf.PointSet(base.coords, base.colors, rng.integers(-2, 4, n))
+        else:
+            ps = cf.PointSet(base.coords, base.colors, rng.integers(0, 50, n).tolist(), mode=mode)
+        for t in range(d + 1):
+            for axes in itertools.combinations(range(d), t):
+                by_level = cf.build_box(ps, s=4 if n >= 4 else 2, bounded_axes=axes)
+                with mock.patch.object(boxes.BoxTree, "_build", _build_one_by_one):
+                    single = cf.build_box(ps, s=4 if n >= 4 else 2, bounded_axes=axes)
+                assert by_level.stored_entries == single.stored_entries
+                assert by_level.build_ops == single.build_ops
+                assert len(by_level.forest.start) == len(single.forest.start)
+                _assert_same_layers(by_level.top, single.top, by_level.forest, single.forest)
+                s1, s2 = by_level.new_session(), single.new_session()
+                for _ in range(30 if n < 300 else 60):
+                    sides = [2 if a in axes and rng.random() < 0.8 else 1 for a in range(d)]
+                    q = random_query(rng, d, sides, lo=-1, hi=max(n // 8, 2) + 1)
+                    t1, t2 = s1.accumulator.touch_ops, s2.accumulator.touch_ops
+                    assert by_level.query(q, s1) == single.query(q, s2)
+                    assert (s1.probes, s1.fanout, s1.substructure_queries) == \
+                        (s2.probes, s2.fanout, s2.substructure_queries)
+                    assert s1.accumulator.touch_ops - t1 == s2.accumulator.touch_ops - t2
+
+
 @pytest.mark.parametrize("axes", [(0,), (0, 1)])
 def test_forest_trees_are_ranked_as_skeletons_of_their_own(axes):
     # one sort for the whole forest must give each tree the order of its
@@ -388,8 +492,11 @@ def test_box_build_makes_one_block_per_chunk(monkeypatch):
 def test_box_build_keeps_few_tracked_objects(mode):
     # a `--sides 2,2` box keeps its skeletons as one forest and its layers'
     # weights and tree ids in tuples: objects for the cyclic collector to
-    # track grow with its layers (about 2.2n: each layer and its rank
-    # values), not with its skeletons (about 10n)
+    # track grow with its layers, two each (the layer and its rank values),
+    # not with its skeletons (about 10n).  Over the 513 layers of n = 500
+    # a build leaves 1,138 in the suite and up to 1,205 as a process's
+    # first build (the 1-D blocks' columns, the shape caches' first
+    # entries); 1,300 leaves about 8% above that.
     n = 500
     ps = cf.generate_points(n, 2, 64, seed=1, mode=mode)
     gc.collect()
@@ -398,5 +505,7 @@ def test_box_build_keeps_few_tracked_objects(mode):
     bt = cf.build_box(ps, s=8, bounded_axes=(0, 1))
     gc.collect()
     new = [o for o in gc.get_objects() if id(o) not in ids]
+    layers = sum(isinstance(o, boxes._Layer) for o in new)
     assert bt.stored_entries > 40 * n
-    assert len(new) < 3 * n
+    assert layers == boxes._node_count(n) + 2 == 513
+    assert len(new) < 1300

@@ -197,7 +197,8 @@ def test_offline_3sided_subcommand(tmp_path, capsys):
 
 def test_offline_exit_code_checks_the_sweep_contract(tmp_path, capsys, monkeypatch):
     # every structure built is destroyed, and a d <= 2 sweep or 3-sided
-    # batch holds at most n entries at once; d >= 3 strips store more
+    # batch holds at most n entries at once and builds within the offline
+    # bound; d >= 3 strips store more
     plain, three, cube = tmp_path / "p", tmp_path / "t", tmp_path / "c"
     main(gen_args(plain, seed=43, n=120, m=20))
     main(gen_args(three, seed=43, n=120, m=20, extra=("--sides", "2,1")))
@@ -216,25 +217,42 @@ def test_offline_exit_code_checks_the_sweep_contract(tmp_path, capsys, monkeypat
         peak = int(capsys.readouterr().err.split("peakLiveEntries=")[1].split()[0])
         assert (peak > 120) == (run == "3")  # the d = 3 sweep is over n
 
-    def skewed(real, name, value):
+    def skewed(real, changes):
         def run(*args):
             summary = real(*args)
-            setattr(summary, name, value(summary))
+            for name, value in changes.items():
+                setattr(summary, name, value(summary))
             return summary
         return run
 
-    built_more = ("total_destroyed", lambda s: s.total_built - 1)
-    over_n = ("peak_live_entries", lambda s: s.n + 1)
+    built_more = {"total_destroyed": lambda s: s.total_built - 1}
+    over_n = {"peak_live_entries": lambda s: s.n + 1}
+
+    def over_bound(t):
+        # a strip built twice (one build more than the bound, all of them
+        # destroyed), or one entry more than the bound
+        def bound(s, which):
+            return cf.offline_build_bound(s.n, 4, s.d, t)[which] + 1
+        return ({"total_built": lambda s: bound(s, 0), "total_destroyed": lambda s: bound(s, 0)},
+                {"entries_built": lambda s: bound(s, 1)})
+
+    (sweep_strips, sweep_entries), (batch_strips, batch_entries) = over_bound(0), over_bound(1)
     cases = [("2", "answer_offline_dominance", built_more, 1),
              ("2", "answer_offline_dominance", over_n, 1),
+             ("2", "answer_offline_dominance", sweep_strips, 1),
+             ("2", "answer_offline_dominance", sweep_entries, 1),
              ("2,1", "answer_offline_3sided", built_more, 1),
              ("2,1", "answer_offline_3sided", over_n, 1),
+             ("2,1", "answer_offline_3sided", batch_strips, 1),
+             ("2,1", "answer_offline_3sided", batch_entries, 1),
              ("3", "answer_offline_dominance", built_more, 1),
-             ("3", "answer_offline_dominance", over_n, 0)]
-    for run, entry, (name, value), code in cases:
+             ("3", "answer_offline_dominance", over_n, 0),
+             ("3", "answer_offline_dominance", sweep_strips, 0),
+             ("3", "answer_offline_dominance", sweep_entries, 0)]
+    for run, entry, changes, code in cases:
         with monkeypatch.context() as patch:
-            patch.setattr(cli, entry, skewed(getattr(cli, entry), name, value))
-            assert main([*runs[run], "--out", str(tmp_path / "a.txt")]) == code, (run, name)
+            patch.setattr(cli, entry, skewed(getattr(cli, entry), changes))
+            assert main([*runs[run], "--out", str(tmp_path / "a.txt")]) == code, (run, changes)
         err = capsys.readouterr().err
         assert ("offline contract violated" in err) == (code == 1)
 

@@ -72,10 +72,31 @@ def test_dominance_sweep_builds_each_strip_at_most_once(s):
         hi = 1000.0 if grid is None else grid
         queries = [(i, random_corner(rng, 2, lo=0.0, hi=hi)) for i in range(800)]
         eager = cf.DominanceTree(ps, s).stored_entries  # the same on either axis
+        strips, entries = cf.offline_build_bound(ps.n, s)
+        assert (strips, entries) == (ps.n - 1, cf.dominance_space_bound(ps.n, s, 2))
         for axis in (0, 1):
             summary = run_dominance(ps, queries, s=s, sweep_axis=axis)[2]
-            assert 0 < summary.total_built <= ps.n - 1
-            assert summary.entries_built <= eager
+            assert 0 < summary.total_built <= strips
+            assert summary.entries_built <= eager <= entries
+
+
+@pytest.mark.parametrize("s", [2, 4, 16])
+def test_3sided_batch_builds_within_the_offline_bound(s):
+    # each swept node sweeps its two children, and each sweep builds a
+    # strip at most once: no more entries than the one-layer box stores
+    # over the same points, and within the bound summed over the layer
+    for seed in range(4):
+        grid = None if seed % 2 else 40
+        ps = cf.generate_points(400, 2, 12, seed=seed, grid=grid)
+        rng = np.random.default_rng(seed + 60)
+        hi = 1000.0 if grid is None else grid
+        queries = [(i, random_query(rng, 2, sides=(2, 1), lo=0.0, hi=hi)) for i in range(800)]
+        summary = collect_3sided(ps, queries, s=s)[1]
+        strips, entries = cf.offline_build_bound(ps.n, s, 2, 1)
+        assert entries == cf.box_space_bound(ps.n, s, 2, 1)
+        box = cf.build_box(ps, s=s, bounded_axes=(0,)).stored_entries
+        assert 0 < summary.total_built <= strips
+        assert summary.entries_built <= box <= entries
 
 
 def test_identical_corners_emit_identically():
