@@ -10,9 +10,12 @@ of REV and once on a copy of this checkout's ``src/``, ``perfbench/`` and
 alternates (the parent in even pairs).  The JSON, rewritten after every
 pair, holds per workload and end-to-end metric each side's runs, median and
 quartiles, the pairs the change won and the relative change of the medians.
-A ``--claim`` is met when all ten pairs ran, the change won at least nine,
-its median is better by more than the parent's interquartile range, and by
-at least FRACTION of the parent's median.
+A metric is marked ``unresolved`` when the parent's interquartile range is
+more than the metric's bound as a share of the parent's median: its own
+runs spread too widely to call it unchanged.  A ``--claim`` is met when
+all ten pairs ran, the change won at least nine, its median is better by
+more than the parent's interquartile range, and by at least FRACTION of the
+parent's median.
 """
 
 from __future__ import annotations
@@ -86,6 +89,9 @@ def _report(spec: dict, results: dict, parent: str, claim, made_by: str) -> dict
                      "change_better": f"{wins}/{len(pairs)}"}
             base = entry["parent"]["median"]
             entry["rel_change"] = (entry["change"]["median"] - base) / base if base else 0.0
+            iqr = entry["parent"]["q3"] - entry["parent"]["q1"]
+            entry["parent_iqr_share"] = iqr / abs(base) if base else 0.0
+            entry["unresolved"] = entry["parent_iqr_share"] > m["bound"]
             metrics[metric] = entry
         workloads[name] = {
             "pairs": len(pairs),

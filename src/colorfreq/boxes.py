@@ -15,7 +15,7 @@ the matching one, keeping the fan-out at 2^(number of two-sided axes).
 
 A box builds its layers level by level, one level per layered axis.  The
 layers of a level stand for the parts of the layers above it (all points
-for the first level), and one stable sort of the rows of the level above
+for the first level), and one ``rank_order`` of the rows of the level above
 ranks all of them at once; they keep their columns as views and slices of
 columns the level shares.  The parts of the last level are the dominance
 skeletons at the bottom: ranked on the first axis the same way and

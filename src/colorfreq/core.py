@@ -209,8 +209,31 @@ def normalize_query(q: BoxQuery, reflect: Sequence[bool]) -> BoxQuery:
 
 
 def rank_order(values) -> np.ndarray:
-    """Rank -> index permutation of ``values``: ascending, ties by index."""
-    return np.argsort(values, kind="stable")
+    """Rank -> index permutation of ``values``: ascending, ties by index,
+    NaN last; exactly ``np.argsort(values, kind="stable")``.
+
+    It takes numpy's default sort, several times faster than the stable
+    one, and repairs ties afterwards: when two neighbours in that order are
+    equal (-0.0 and 0.0, or two NaNs), it sorts once more by the unique key
+    ``dense rank * n + index``.  Every build ranks through here: a tree's
+    first axis, a 1-D structure's values, and the y column of a forest,
+    which ``dominance._fill`` ranks once for all its blocks.
+    """
+    values = np.asarray(values)
+    order = np.argsort(values)
+    ranked = values[order]
+    tie = ranked[1:] == ranked[:-1]
+    if ranked.dtype.kind == "f" and len(ranked) and ranked[-1] != ranked[-1]:
+        nan = np.isnan(ranked)  # NaN sorts last and equals nothing
+        tie |= nan[1:] & nan[:-1]
+    if not tie.any():
+        return order
+    n = len(order)
+    dense = np.empty(n, dtype=np.int64)
+    dense[order] = np.concatenate(([0], np.cumsum(~tie)))
+    dense *= n
+    dense += np.arange(n)
+    return np.argsort(dense)
 
 
 def count_le(sorted_values, v: float, lo: int = 0, hi: int | None = None) -> int:

@@ -47,7 +47,7 @@ from .core import (
     count_le,
     rank_order,
 )
-from .freq1d import Frequency1D, _build_ranges, _sort_charge, _weight_array
+from .freq1d import Frequency1D, _build_ranges, _max_ints, _sort_charge, _weight_array
 
 # _fill streams the 1-D structures of a build through _build_ranges in
 # chunks of at most _BATCH_CHUNK entries (a larger range is a chunk of its
@@ -265,17 +265,18 @@ class DominanceTree:
 
     # -- construction ----------------------------------------------------------
 
-    def _build_substructure(self, lo, cut, weights):
+    def _build_substructure(self, lo, cut, weights, rank=None, ints=None):
         """The structures of the strips [lo[i], cut[i]) of this forest's
         columns on the remaining axes, built as one, and their counters
         added to the forest's.
 
         ``lo`` and ``cut`` are int64 arrays; strips with one lo that come
-        together nest, their cuts ascending.  ``weights`` are the weights of
-        the columns, from ``_strip_weights``.  For d = 2 the
-        result is one ``_build_ranges`` block whose range i is strip i: its
-        data is one slice per run of strips with one lo, from lo to the
-        run's last cut, since such strips nest.  For d >= 3 it is one forest
+        together nest, their cuts ascending.  ``weights``, ``rank`` and
+        ``ints`` are columns of the forest, from ``_strip_columns``.  For
+        d = 2 the result is one ``_build_ranges`` block whose range i is
+        strip i: its data is one slice per run of strips with one lo, from
+        lo to the run's last cut, since such strips nest, ranked by ``rank``
+        (by the block itself when it is None).  For d >= 3 it is one forest
         whose tree i is strip i, filled by ``_fill``.
         """
         if self.d == 2:
@@ -287,7 +288,9 @@ class DominanceTree:
             run_base = base[np.cumsum(first) - 1]
             rows = _concat_ranges(part_lo, part_size)
             sub = _build_ranges(self.coords_r[rows, 1], self.colors_r[rows], weights[rows],
-                                np.column_stack((run_base, run_base + cut - lo)), self.mode)
+                                np.column_stack((run_base, run_base + cut - lo)), self.mode,
+                                None if rank is None else rank[rows],
+                                None if ints is None else ints[rows])
             self.stored_entries += sub.m
         else:
             rows = _ranked_ranges(lo, cut - lo, self.coords_r[:, 1])
@@ -440,7 +443,11 @@ def _strip_order(n: int, s: int):
 def _strip_ranges(forest):
     """(lo, cut) of every strip of ``forest``, as positions of its columns:
     trees of one size together, sizes ascending, then tree by tree in
-    ``_strip_order``."""
+    ``_strip_order``.  A forest of one tree reads its shape's cached,
+    read-only arrays; a forest of several gets int32 copies.  These live
+    while the forest's blocks are built, so they are kept small."""
+    if len(forest.start) == 2 and forest.start[1] > 1:
+        return _strip_order(forest.start[1], forest.s)
     start = np.array(forest.start, dtype=np.int64)
     sizes = np.diff(start)
     los, cuts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
@@ -449,7 +456,7 @@ def _strip_ranges(forest):
         off = start[:-1][sizes == m, None]
         los.append((off + lo).ravel())
         cuts.append((off + cut).ravel())
-    return np.concatenate(los), np.concatenate(cuts)
+    return np.concatenate(los, dtype=np.int32), np.concatenate(cuts, dtype=np.int32)
 
 
 def _concat_ranges(lo, sizes):
@@ -462,7 +469,7 @@ def _concat_ranges(lo, sizes):
 def _ranked_ranges(lo, sizes, values):
     """``_concat_ranges(lo, sizes)`` with each range in rank order of
     ``values`` (one per position), ties by position: the order
-    ``rank_order`` gives the range on its own.  One stable sort of
+    ``rank_order`` gives the range on its own.  One ``rank_order`` of
     ``values`` ranks every range, however often the ranges overlap."""
     member = _concat_ranges(lo, sizes)
     rank = np.empty(len(values), dtype=np.int64)
@@ -478,29 +485,45 @@ def _fill(forest) -> None:
     The strips, in ``_strip_ranges`` order, go through
     ``_build_substructure``: those of a d >= 3 forest in one call, as the
     trees of one forest over the remaining axes, and those of a d = 2
-    forest in the chunks of ``_strip_chunks``, one block per chunk.  A
-    strip's ``prefix`` is its block or forest and its ``index`` its range
-    or tree there, written into the skeleton's lists as each chunk is
-    built, with no per-rank array of its own.
+    forest in the chunks of ``_strip_chunks``, one block per chunk, with
+    the columns of ``_strip_columns``.  A strip's ``prefix`` is its block
+    or forest and its ``index`` its range or tree there, written into the
+    skeleton's lists as each chunk is built, with no per-rank array of its
+    own.
     """
     if forest.d < 2:
         return
     prefix, index = forest.prefix, forest.index
-    weights = _strip_weights(forest)
+    columns = _strip_columns(forest)
     chunks = _strip_chunks(forest) if forest.d == 2 else [_strip_ranges(forest)]
     for lo, cut in chunks:
-        struct = forest._build_substructure(lo, cut, weights)
+        struct = forest._build_substructure(lo, cut, *columns)
         for j, c in enumerate(cut.tolist()):
             prefix[c] = struct
             index[c] = j
 
 
-def _strip_weights(forest):
-    """The weights of ``forest``'s columns as ``_build_substructure`` takes
-    them."""
-    if forest.d == 2:
-        return _weight_array(forest.weights_r, forest.mode)
-    return forest.weights_r
+def _strip_columns(forest):
+    """``(weights, rank, ints)``: the columns of ``forest`` that
+    ``_build_substructure`` takes with its strips.
+
+    For d = 2 these are the weights as ``_build_ranges`` takes them, the
+    int32 rank of each row's y among all the forest's rows, which orders
+    each strip as ``rank_order`` orders it on its own, and the weights of
+    ``_max_ints``.  A forest's rows rank once for all its blocks.  The
+    rank array is allocated with the weights, before the ranking's
+    temporaries, so that the two lie together under the blocks and free
+    as one space.  A d >= 3 forest takes its weights list alone: its
+    strips are ranked as one forest by ``_ranked_ranges``.
+    """
+    if forest.d != 2:
+        return forest.weights_r, None, None
+    n = len(forest.weights_r)
+    rank = np.empty(n, dtype=np.int32)
+    weights = _weight_array(forest.weights_r, forest.mode)
+    ints = _max_ints(forest.weights_r, forest.mode)
+    rank[rank_order(forest.coords_r[:, 1])] = np.arange(n, dtype=np.int32)
+    return weights, rank, ints
 
 
 def _strip_chunks(forest):
@@ -510,12 +533,14 @@ def _strip_chunks(forest):
     forest's columns."""
     lo, cut = _strip_ranges(forest)
     ends = np.cumsum(cut - lo)  # entries up to and including each strip
-    a = 0
-    while a < len(lo):
-        b = max(a + 1, int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _BATCH_CHUNK,
-                                           "right")))
+    cuts = [0]  # the chunks' bounds, found before the first block is built
+    while cuts[-1] < len(lo):
+        a = cuts[-1]
+        cuts.append(max(a + 1, int(np.searchsorted(
+            ends, (ends[a - 1] if a else 0) + _BATCH_CHUNK, "right"))))
+    del ends
+    for a, b in zip(cuts, cuts[1:]):
         yield lo[a:b], cut[a:b]
-        a = b
 
 
 def _scan_range(coords, colors, weights, start: int, stop: int, bounds, acc) -> None:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     COUNT,
+    INT64_MAX,
     CountMode,
     MalformedInputError,
     MalformedQueryError,
@@ -40,7 +41,7 @@ _SMALL = 8  # below this size a linear scan beats any index
 # shared by every structure built on its own (and never written)
 _FLAT = tuple(array("i", range(m)) for m in range(_SMALL + 1))
 _ONES = tuple(array("i", [1]) * m for m in range(_SMALL + 1))
-_INT32_MAX = 2**31 - 1
+_INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 _COLOR_ERROR = "color ids must be below 2**31"
 
 
@@ -461,6 +462,23 @@ def _weight_array(weights, mode) -> np.ndarray:
     return np.fromiter(weights, dtype=object, count=len(weights))
 
 
+def _max_ints(weights, mode):
+    """``weights`` (a sequence) as an integer array when ``_build_ranges``
+    may take its max path: ``mode.combine`` is ``max`` and every weight is
+    a Python int, not a bool, that fits int64.  None otherwise, and the
+    semigroup loop runs.  A forest checks this once for all its blocks and
+    holds the array while they are built, as int32 when the weights fit."""
+    if mode.combine is not max or not set(map(type, weights)) <= {int}:
+        return None
+    try:
+        ints = np.fromiter(weights, dtype=np.int64, count=len(weights))
+    except OverflowError:
+        return None
+    if len(ints) and _INT32_MIN <= ints.min() and ints.max() <= _INT32_MAX:
+        return ints.astype(np.int32)
+    return ints
+
+
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[0], b[0], a[1], b[1], ... of two int64 arrays of one length."""
     out = np.empty(2 * len(a), dtype=np.int64)
@@ -469,7 +487,35 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
+def _max_prefixes(w, ints, grouped, first):
+    """The max prefixes of a block's chains, as a list by position, or None
+    when the key below would overflow int64.
+
+    ``w`` and ``ints`` are the weights by position, as objects and as
+    integers; ``grouped`` lists the positions in chain order and ``first``
+    flags each chain's first entry there.  One running max of ``chain *
+    span + weight - low`` runs over the chain order, so a chain starts
+    above everything before it; an entry where it rises strictly is a
+    record, and each prefix is the weight object of the last record up to
+    it: the first of the chain's largest weights so far, the object that
+    ``max`` keeps.  No int object is made.
+    """
+    wg = ints[grouped].astype(np.int64, copy=False)
+    low = int(wg.min())
+    span = int(wg.max()) - low + 1
+    chain = np.cumsum(first) - 1
+    if (int(chain[-1]) + 1) * span > INT64_MAX:
+        return None
+    key = chain * span + (wg - low)
+    record = np.concatenate(([True], key[1:] > np.maximum.accumulate(key)[:-1]))
+    win = np.maximum.accumulate(np.where(record, np.arange(len(key)), 0))
+    out = np.empty(len(key), dtype=object)
+    out[grouped] = w[grouped[win]]
+    return out.tolist()
+
+
+def _build_ranges(values, colors, weights, ranges, mode=COUNT, rank=None,
+                  ints=None) -> Frequency1D:
     """The structures of many non-empty rank ranges of one array, as one
     block built in one numpy pass.
 
@@ -481,6 +527,19 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
     ``Frequency1D(values[lo:cut], colors[lo:cut], weights[lo:cut], mode)``
     for ``ranges[j] = (lo, cut)``; ``ranges`` is a sequence of pairs or a
     two-column array, which makes no Python object per range.
+
+    ``rank`` gives each value a rank that orders every range as
+    ``rank_order`` orders it on its own: distinct inside a range, ascending
+    with the value and, among equal values, with the position.
+    ``dominance._fill`` passes the ranks of its skeleton's y column, ranked
+    once per skeleton; without it the block ranks ``values`` itself.  The
+    build then sorts two unique int64 keys with numpy's default sort: the
+    entries by (range, rank), and the chains by (range, color, position).
+    ``ints``, from ``_max_ints``, are the weights as integers when the max
+    path applies: each chain's max prefixes are then one running max over
+    the chain order, and the prefix column holds the weight objects that
+    win, the earlier of equal ones, as ``max`` returns.  Count prefixes are
+    one running sum; any other semigroup is combined in one Python loop.
     """
     ranges = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
     los = ranges[:, 0]
@@ -495,37 +554,45 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
     ys_col, cols_col = _zeros("d", size), _zeros("i", size)
     heap = [_zeros("i", size) for _ in range(4)]  # lo, pri, pos, skip
     pref_col = _zeros("q", size) if isinstance(mode, CountMode) else None
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[rank_order(values)] = np.arange(len(values))
+    if rank is None:
+        rank = np.empty(len(values), dtype=np.int64)
+        rank[rank_order(values)] = np.arange(len(values))
     rid = np.repeat(np.arange(nr), sizes)
     pos = np.arange(size) - off[:-1][rid]  # rank inside the member's range
 
-    # sort: by (range, rank in values), the order rank_order gives each slice
+    # sort: by (range, rank), the order rank_order gives each slice
     idx = pos + los[rid]
-    idx = idx[np.argsort(rid * len(values) + rank[idx])]
+    idx = idx[np.argsort(rid * (int(rank.max()) + 1) + rank[idx])]
     _view(ys_col)[:] = values[idx]
     cols = colors[idx]
     if cols.max() > _INT32_MAX:  # before cols enters an int64 key
         raise MalformedInputError(_COLOR_ERROR)
     _view(cols_col)[:] = cols
     w = weights[idx]
+    wints = None if ints is None else ints[idx]
     del rank, idx  # temporaries go as soon as they are used, for peak memory
 
-    # chains: group by (range, color) keeping rank order, link neighbours
-    key = rid * (int(cols.max()) + 1) + cols
-    grouped = np.argsort(key, kind="stable")
-    same = key[grouped[1:]] == key[grouped[:-1]]
+    # chains: group by (range, color) keeping rank order, link neighbours.
+    # The key is unique, and below size * 2**31 <= 2**62: range j's keys
+    # are [off[j] * C, off[j+1] * C), by color, then by rank
+    ncolors = int(cols.max()) + 1
+    grouped = np.argsort(off[:-1][rid] * ncolors + cols * sizes[rid] + pos)
+    chain = (rid * ncolors + cols)[grouped]
+    same = chain[1:] == chain[:-1]
     earlier, later = grouped[:-1][same], grouped[1:][same]  # chain neighbours
     succ = sizes[rid]
     succ[earlier] = pos[later]
+    first = np.concatenate(([True], ~same))  # each chain's first, in chain order
     if pref_col is not None:
         wg = w[grouped]
-        first = np.concatenate(([True], ~same))
         total = np.cumsum(wg)
         _view(pref_col)[grouped] = total - (total - wg)[first][np.cumsum(first) - 1]
-        del wg, first, total
+        del wg, total
         may_cancel = np.minimum.reduceat(w, off[:-1]) <= 0
     else:
+        may_cancel = np.zeros(nr, dtype=bool)
+        pref_col = None if wints is None else _max_prefixes(w, wints, grouped, first)
+    if pref_col is None:
         # a chain's first entry keeps its weight; each later one combines
         # its predecessor's prefix with its weight, in chain order, as
         # Frequency1D does (where a None prefix starts afresh too)
@@ -535,8 +602,7 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
             prev = pref_col[p]
             if prev is not None:
                 pref_col[g] = combine(prev, pref_col[g])
-        may_cancel = np.zeros(nr, dtype=bool)
-    del rid, pos, w, key, grouped, same, earlier, later
+    del rid, pos, w, wints, grouped, chain, same, earlier, later, first
 
     # heap: place one depth at a time.  Positions are global (range offset
     # plus rank), so the nodes of one depth are disjoint segments [lo, hi);
@@ -553,26 +619,34 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT) -> Frequency1D:
     node_hi = node_lo + 1
     indexed = sizes > _SMALL
     seg_lo, seg_hi = off[:-1][indexed], off[1:][indexed]
-    # max key: max priority, then min position; placed entries drop to -1,
-    # and the trailing -1 lets a segment end at ``size``
-    key = np.append(succ * size + (size - 1 - np.arange(size)), -1)
-    depth = 0
+    # max key: max priority, then min position, the position in the low
+    # bits.  Placed entries and a small range's entries are -1, so the
+    # entries from a segment's lo up to the next one's are its own and -1s
+    bits = max(size - 1, 1).bit_length()
+    mask = (1 << bits) - 1
+    key = succ << bits | (mask - np.arange(size))
+    key[np.repeat(~indexed, sizes)] = -1
+    won, won_lo, won_hi = [], [], []  # each depth's occupants and nodes
     while len(seg_lo):
-        # reduce over [lo, hi) and the gap after it, then drop the gaps
-        best = np.maximum.reduceat(key, _interleave(seg_lo, seg_hi))[::2]
+        best = np.maximum.reduceat(key, seg_lo)
         filled = best >= 0
-        placed = size - 1 - best[filled] % size
+        placed = mask - (best[filled] & mask)
         seg_lo, seg_hi = seg_lo[filled], seg_hi[filled]
         key[placed] = -1
-        depth_at[placed] = depth
-        node_lo[placed] = seg_lo
-        node_hi[placed] = seg_hi
+        won.append(placed)
+        won_lo.append(seg_lo)
+        won_hi.append(seg_hi)
         mid = (seg_lo + seg_hi) >> 1
         seg_lo, seg_hi = _interleave(seg_lo, mid), _interleave(mid, seg_hi)
         wide = seg_hi > seg_lo
         seg_lo, seg_hi = seg_lo[wide], seg_hi[wide]
-        depth += 1
-    del key
+    depth = len(won)
+    if won:
+        placed = np.concatenate(won)
+        depth_at[placed] = np.repeat(np.arange(depth), [len(p) for p in won])
+        node_lo[placed] = np.concatenate(won_lo)
+        node_hi[placed] = np.concatenate(won_hi)
+    del key, won, won_lo, won_hi
 
     # preorder is the order by (lo, depth): node ranges nest or are
     # disjoint, and of two nodes starting at one lo the shallower is the

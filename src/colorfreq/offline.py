@@ -43,9 +43,10 @@ from .core import (
     PointSet,
     QuerySession,
     UnsupportedShapeError,
+    rank_order,
 )
 from .boxes import _Layer, _node_count, _split_rank
-from .dominance import ColorAccumulator, DominanceTree, _check_fanout, _strip_weights
+from .dominance import ColorAccumulator, DominanceTree, _check_fanout, _strip_columns
 from .freq1d import Frequency1D
 
 # A block of the offline sweep holds at most _BLOCK entries (a larger strip
@@ -223,8 +224,8 @@ def _sweep_dominance(
     coords = np.asarray(coords, dtype=np.float64)
     n, d = coords.shape
     axes = [sweep_axis] + [a for a in range(d) if a != sweep_axis]
-    # a stable sort: ties keep input order, which keeps paired sweeps in step
-    order = np.argsort(corners[:, sweep_axis], kind="stable")
+    # ties keep input order, which keeps paired sweeps in step
+    order = rank_order(corners[:, sweep_axis])
     corners = corners[order][:, axes]
     skel = DominanceTree._skeleton(coords[:, axes], colors, weights, s=s, phi=phi, mode=mode)
     session = QuerySession(ColorAccumulator(phi, mode))
@@ -260,7 +261,7 @@ def _sweep_dominance(
     plan = _plan(skel, xs, d == 2)
 
     parent, prefix, index = skel.parent[0], skel.prefix, skel.index
-    weights = _strip_weights(skel)
+    columns = _strip_columns(skel)  # one y rank for all the sweep's blocks
     held: dict = {}  # block -> its structure
 
     def release(block):
@@ -279,7 +280,7 @@ def _sweep_dominance(
                 cuts = plan[b][2]
                 struct = skel._build_substructure(
                     np.array([parent[c] for c in cuts], dtype=np.int64),
-                    np.array(cuts, dtype=np.int64), weights,
+                    np.array(cuts, dtype=np.int64), *columns,
                 )
                 for j, c in enumerate(cuts):
                     prefix[c] = struct

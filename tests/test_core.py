@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import colorfreq as cf
 from _util import canon
+from colorfreq.core import rank_order
 
 INF = float("inf")
 
@@ -89,6 +90,44 @@ def test_rank_permutation_breaks_ties_by_index():
 def test_rank_reduce_on_pointset_axis():
     ps = cf.PointSet.from_points([((1.0, 9.0), 0), ((2.0, 4.0), 0)])
     assert cf.rank_reduce(ps, axis=1).count_le(5.0) == 1
+
+
+# a few values, so that ties are the rule; -0.0 equals 0.0, and NaN sorts last
+TIE_FLOATS = st.sampled_from([0.0, -0.0, 1.5, -2.0, INF, -INF, math.nan, 1e300, 5e-324])
+
+
+def assert_rank_order_is_the_stable_sort(values):
+    got = rank_order(values)
+    want = np.argsort(values, kind="stable")
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(TIE_FLOATS, st.floats(allow_nan=True)), max_size=80))
+def test_rank_order_equals_the_stable_sort_on_floats(xs):
+    values = np.array(xs, dtype=np.float64)
+    assert_rank_order_is_the_stable_sort(values)
+    # the order boxes._ranked_groups sorts: the values, then their negations
+    assert_rank_order_is_the_stable_sort(np.concatenate((values, -values)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1), max_size=80))
+def test_rank_order_equals_the_stable_sort_on_ints(xs):
+    assert_rank_order_is_the_stable_sort(np.array(xs, dtype=np.int64))
+
+
+def test_rank_order_equals_the_stable_sort_at_the_edges():
+    for values in ([], [7.0], [math.nan], [math.nan, math.nan], [0.0, -0.0, 0.0],
+                   [INF, -INF, INF, math.nan, -INF]):
+        assert_rank_order_is_the_stable_sort(np.array(values, dtype=np.float64))
+    assert_rank_order_is_the_stable_sort(np.zeros(0, dtype=np.int64))
+    assert_rank_order_is_the_stable_sort(np.array([3], dtype=np.int32))
+    # a long run of ties, and one array with no tie at all
+    rng = np.random.default_rng(3)
+    assert_rank_order_is_the_stable_sort(rng.integers(0, 4, 5000).astype(float))
+    assert_rank_order_is_the_stable_sort(rng.permutation(5000))
 
 
 # -- weight modes ----------------------------------------------------------------

@@ -363,9 +363,9 @@ def test_batched_tree_counters_match_one_by_one_build():
     batched = cf.build_dominance(ps, 2, s=4)
     # each strip built by a call of its own, over the same skeleton
     single = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weight_list(), 4, ps.phi, ps.mode)
-    weights = dominance._strip_weights(single)
+    columns = dominance._strip_columns(single)
     single.prefix[1:] = [single._build_substructure(np.array([single.parent[0][c]]),
-                                                    np.array([c]), weights)
+                                                    np.array([c]), *columns)
                          for c in range(1, ps.n)]
     # the strips share one block
     assert len({id(batched.prefix[c]) for c in range(1, ps.n)}) < ps.n - 1

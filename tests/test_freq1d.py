@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import colorfreq as cf
-from colorfreq import freq1d
+from colorfreq import dominance, freq1d
 from _util import canon
 
 # Pinned probe-counter constants (recorded by this suite; measured worst
@@ -473,3 +473,100 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
             want_hits, want_probes = reference_report(pri, ref, a, b, t)
             assert sorted(hits) == sorted(want_hits)
             assert probes == want_probes
+
+
+# -- forest ranks and the max path ----------------------------------------------
+
+
+BLOCK_COLUMNS = ("sorted_values", "colors", "prefix_weight", "lo", "pri", "pos", "skip",
+                 "start", "_ops", "_may_cancel")
+
+
+def assert_same_block(got, want):
+    """Every column of two blocks equal and of one type, and max prefixes
+    the very same objects (a concatenation makes new ones in each build)."""
+    for name in BLOCK_COLUMNS:
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert type(mine) is type(theirs), name
+        assert getattr(mine, "typecode", None) == getattr(theirs, "typecode", None), name
+        assert list(mine) == list(theirs), name
+    if got.mode.combine is max:
+        assert all(a is b for a, b in zip(got.prefix_weight, want.prefix_weight))
+
+
+def tied_weights(rng, n, mode):
+    """Weights with many ties: count weights in [-2, 2]; max weights as big
+    ints, each its own object, so that ``is`` tells equal ones apart."""
+    if mode is cf.COUNT:
+        return rng.integers(-2, 3, n)
+    if mode is CONCAT:
+        return [None if x == 3 else (x, i) for i, x in enumerate(rng.integers(0, 4, n).tolist())]
+    return [int(str(10**12 + x)) for x in rng.integers(0, 3, n).tolist()]
+
+
+@pytest.mark.parametrize("shape", ["box", "grid"])
+@pytest.mark.parametrize("mode_name", ["count", "max", "concat"])
+def test_blocks_ranked_by_the_forest_equal_blocks_ranked_on_their_own(shape, mode_name):
+    # a box forest repeats every y value in one tree per layer path, and a
+    # grid tree repeats y values in one tree; the forest's ranks and max
+    # ints against a block that ranks itself and runs the semigroup loop
+    mode = {"count": cf.COUNT, "max": cf.MAX_SEMIGROUP, "concat": CONCAT}[mode_name]
+    rng = np.random.default_rng(21)
+    n = 300 if shape == "box" else 1500
+    base = cf.generate_points(n, 2, 12, seed=22, grid=n // 10)
+    ps = cf.PointSet(base.coords, base.colors, tied_weights(rng, n, mode), mode=mode)
+    if shape == "box":
+        forest = cf.build_box(ps, s=4, bounded_axes=(0, 1)).forest
+        assert len(forest.start) > 2
+    else:
+        forest = cf.build_dominance(ps, 2, s=4)
+    weights, rank, ints = dominance._strip_columns(forest)
+    assert rank.dtype == np.int32
+    assert (ints is not None) == (mode is cf.MAX_SEMIGROUP)
+    lo, cut = dominance._strip_ranges(forest)
+    for a in range(0, len(lo), 97):
+        b = min(a + 97, len(lo))
+        got = forest._build_substructure(lo[a:b], cut[a:b], weights, rank, ints)
+        want = forest._build_substructure(lo[a:b], cut[a:b], weights)
+        assert_same_block(got, want)
+
+
+def test_max_path_equals_the_loop_on_direct_blocks():
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n = int(rng.integers(1, 400))
+        ys = rng.integers(0, max(1, n // 5), n).astype(float)
+        cols = rng.integers(0, int(rng.integers(1, 20)), n)
+        w = tied_weights(rng, n, cf.MAX_SEMIGROUP)
+        if trial % 4 == 0:  # the whole int64 range: the running max key would overflow
+            w[0], w[-1] = -2**63, 2**63 - 1
+        elif trial % 4 == 1:  # int32 weights at both ends of their range
+            w = [int(str(x)) for x in rng.choice([-2**31, 7, 2**31 - 1], n).tolist()]
+        ranges = [sorted(rng.integers(0, n + 1, 2).tolist()) for _ in range(5)]
+        ranges = [(lo, cut) for lo, cut in ranges if cut > lo] or [(0, n)]
+        weights = freq1d._weight_array(w, cf.MAX_SEMIGROUP)
+        ints = freq1d._max_ints(w, cf.MAX_SEMIGROUP)
+        assert ints.tolist() == w
+        got = freq1d._build_ranges(ys, cols, weights, ranges, cf.MAX_SEMIGROUP, ints=ints)
+        want = freq1d._build_ranges(ys, cols, weights, ranges, cf.MAX_SEMIGROUP)
+        assert_same_block(got, want)
+
+
+def test_max_path_takes_python_ints_that_fit_int64_only():
+    for fits, dtype in (([0, -1, 2**31 - 1, -2**31], np.int32),
+                        ([0, -1, 2**63 - 1, -2**63], np.int64), ([2**31], np.int64)):
+        ints = freq1d._max_ints(fits, cf.MAX_SEMIGROUP)
+        assert ints.dtype == dtype and ints.tolist() == fits
+    assert freq1d._max_ints([], cf.MAX_SEMIGROUP).tolist() == []
+    for weights in ([1, 2**63], [1, -2**63 - 1], [1, 2.0], [1, True], [1, None],
+                    [(1,), (2,)], [1, np.int64(2)]):
+        assert freq1d._max_ints(weights, cf.MAX_SEMIGROUP) is None, weights
+    # the loop then builds the same block as one structure per range
+    for weights in ([3, 2**64, 2**64, 5], [1.5, 2.0, 2.0, -1.0], [True, 1, 1, False]):
+        block = freq1d._build_ranges(np.arange(4.0), np.zeros(4, dtype=np.int64),
+                                     freq1d._weight_array(weights, cf.MAX_SEMIGROUP), [(0, 4)],
+                                     cf.MAX_SEMIGROUP)
+        want = cf.Frequency1D(np.arange(4.0), [0] * 4, weights, cf.MAX_SEMIGROUP)
+        assert all(a is b for a, b in zip(block.prefix_weight, want.prefix_weight))
+    for mode in (cf.COUNT, CONCAT, cf.SemigroupMode(lambda a, b: max(a, b))):
+        assert freq1d._max_ints([1, 2], mode) is None
