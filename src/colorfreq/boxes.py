@@ -338,39 +338,46 @@ class BoxTree:
         return session.accumulator.drain_and_reset()
 
     def _query_rec(self, struct, bounds, session) -> None:
-        if not isinstance(struct, _Layer):  # a tree id of the forest
-            corner = tuple(hi for _, hi in bounds)
-            session.fanout += 1
-            self.forest._query_into(corner, session, struct)
-            return
-        layer: _Layer = struct
-        lo, hi = bounds[layer.axis]
-        if lo == -INF:
-            # one-sided (or unbounded) on this axis: single plain inner query
-            self._query_rec(layer.full_high, bounds, session)
-            return
-        if hi == INF:
-            nb = list(bounds)
-            nb[layer.axis] = (-INF, -lo)
-            self._query_rec(layer.full_low, nb, session)
-            return
-        # the descent is charged to the probe counter, separate from fan-out
-        node, steps = layer.locate(lo, hi)
-        session.probes += steps
-        if node is None:
-            return  # empty slab on this axis
-        mid = _split_rank(*node)
-        if mid is None:
-            # the range falls inside a leaf gap: check its few points on every axis
-            session.fanout += 1
-            layer.scan(*node, bounds, session.accumulator)
-            return
-        nb_low = list(bounds)
-        nb_low[layer.axis] = (-INF, -lo)
-        self._query_rec(layer.inner_low[mid], nb_low, session)
-        nb_high = list(bounds)
-        nb_high[layer.axis] = (-INF, hi)
-        self._query_rec(layer.inner_high[mid], nb_high, session)
+        """Descend from ``struct`` with ``bounds``, a list of (lo, hi) per
+        axis, by an explicit stack: each layer part is answered before the
+        parts that follow it, a node's low part before its high part, and
+        each tree of the forest is reached as a dominance query."""
+        forest = self.forest
+        stack = [(struct, bounds)]
+        while stack:
+            struct, bounds = stack.pop()
+            if not isinstance(struct, _Layer):  # a tree id of the forest
+                session.fanout += 1
+                forest._query_into(tuple([hi for _, hi in bounds]), session, struct)
+                continue
+            axis = struct.axis
+            lo, hi = bounds[axis]
+            if lo == -INF:
+                # one-sided (or unbounded) on this axis: single plain inner query
+                stack.append((struct.full_high, bounds))
+                continue
+            if hi == INF:
+                nb = list(bounds)
+                nb[axis] = (-INF, -lo)
+                stack.append((struct.full_low, nb))
+                continue
+            # the descent is charged to the probe counter, separate from fan-out
+            node, steps = struct.locate(lo, hi)
+            session.probes += steps
+            if node is None:
+                continue  # empty slab on this axis
+            mid = _split_rank(*node)
+            if mid is None:
+                # the range falls inside a leaf gap: check its few points on every axis
+                session.fanout += 1
+                struct.scan(*node, bounds, session.accumulator)
+                continue
+            nb_high = list(bounds)
+            nb_high[axis] = (-INF, hi)
+            nb_low = list(bounds)
+            nb_low[axis] = (-INF, -lo)
+            stack.append((struct.inner_high[mid], nb_high))
+            stack.append((struct.inner_low[mid], nb_low))
 
 
 def build_box(points, d: int | None = None, s: int = 2, bounded_axes=(), mode=COUNT) -> BoxTree:

@@ -47,7 +47,14 @@ from .core import (
     count_le,
     rank_order,
 )
-from .freq1d import Frequency1D, _build_ranges, _max_ints, _sort_charge, _weight_array
+from .freq1d import (
+    Frequency1D,
+    _build_ranges,
+    _max_ints,
+    _report_walk,
+    _sort_charge,
+    _weight_array,
+)
 
 # _fill streams the 1-D structures of a build through _build_ranges in
 # chunks of at most _BATCH_CHUNK entries (a larger range is a chunk of its
@@ -78,17 +85,27 @@ class ColorAccumulator:
     def add(self, color: int, weight) -> None:
         if not 0 <= color < self.phi:
             raise ContractViolationError(f"color {color} outside [0, {self.phi})")
-        cur = self.slots[color]
+        slots = self.slots
+        cur = slots[color]
         if cur is None:
-            self.slots[color] = weight
+            slots[color] = weight
             self.touched.append(color)
         else:
-            self.slots[color] = self.mode.combine(cur, weight)
+            combine = self.mode.combine
+            if combine is operator.add:
+                slots[color] = cur + weight
+            elif combine is max:
+                if weight > cur:
+                    slots[color] = weight
+            else:
+                slots[color] = combine(cur, weight)
         self.touch_ops += 1
 
     def add_entries(self, entries) -> None:
-        """``add`` of every (color, weight) pair of ``entries``, in order."""
+        """``add`` of every (color, weight) pair of ``entries``, in order,
+        with the merges of ``_report_walk``."""
         phi, slots, touched, combine = self.phi, self.slots, self.touched, self.mode.combine
+        add, top = combine is operator.add, combine is max
         added = 0
         for c, w in entries:
             if not 0 <= c < phi:
@@ -98,6 +115,11 @@ class ColorAccumulator:
             if cur is None:
                 slots[c] = w
                 touched.append(c)
+            elif add:
+                slots[c] = cur + w
+            elif top:
+                if w > cur:
+                    slots[c] = w
             else:
                 slots[c] = combine(cur, w)
             added += 1
@@ -323,13 +345,17 @@ class DominanceTree:
 
     def _corner_of(self, q) -> tuple:
         if isinstance(q, BoxQuery):
-            if q.dimension != self.d:
+            bounds = q.bounds
+            if len(bounds) != self.d:
                 raise MalformedQueryError(
-                    f"query dimension {q.dimension} != structure dimension {self.d}"
+                    f"query dimension {len(bounds)} != structure dimension {self.d}"
                 )
-            if q.has_lower_bounds():
-                raise MalformedQueryError("dominance structure cannot take lower bounds")
-            return q.corner()
+            corner = []
+            for lo, hi in bounds:
+                if lo != -INF:
+                    raise MalformedQueryError("dominance structure cannot take lower bounds")
+                corner.append(hi)
+            return tuple(corner)
         corner = tuple(float(c) for c in q)
         if len(corner) != self.d:
             raise MalformedQueryError(
@@ -341,7 +367,8 @@ class DominanceTree:
 
     def _query_into(self, corner, session: QuerySession, t: int = 0) -> None:
         """Accumulate the answer of tree ``t`` for ``corner`` into the
-        session's accumulator."""
+        session's accumulator: the walk of ``_walk_to``, as the (structure,
+        index) pairs ``_answer`` takes."""
         if self.d == 1:
             self._answer(((self.base[t], 0),), corner, 0, session)
             return
@@ -349,9 +376,14 @@ class DominanceTree:
         rq = count_le(self.sorted0, corner[0], off, self.start[t + 1])
         if rq == 0:
             return
-        prefix, index = self.prefix, self.index
-        self._answer([(prefix[off + c], index[off + c]) for c in self._walk_to(rq - 1, t)],
-                     corner[1:], off + rq, session)
+        prefix, index, parent = self.prefix, self.index, self.parent[t]
+        walk = []
+        x = rq - 1
+        while x:
+            walk.append((prefix[off + x], index[off + x]))
+            x = parent[x]
+        walk.reverse()
+        self._answer(walk, corner[1:], off + rq, session)
 
     def _walk_to(self, x: int, t: int = 0) -> list:
         """The ranks c of tree ``t`` whose ranges [parent[c], c) tile [0, x),
@@ -370,21 +402,29 @@ class DominanceTree:
         point at position ``rq - 1`` of the columns, in its order; each is
         queried with ``rest``, the corner on the axes after the first.  The
         index picks a range of a 1-D block (0 for a one-range structure) or
-        a tree of a d >= 2 forest (0 for a forest of one).  That point is
-        then checked directly (none when rq = 0).  A d=1 tree passes its
-        base structure, its whole corner and rq = 0.
+        a tree of a d >= 2 forest (0 for a forest of one).  A d <= 2 walk's
+        blocks are scanned by one ``_report_walk`` call.  That point is
+        then checked directly on the axes of ``rest`` (none when rq = 0).
+        A d=1 tree passes its base structure, its whole corner and rq = 0.
         """
         acc = session.accumulator
-        for struct, j in structs:
-            session.substructure_queries += 1
-            if isinstance(struct, Frequency1D):
-                struct._prefix_into(rest[0], acc, session, j)
-            else:
+        session.substructure_queries += len(structs)
+        if self.d <= 2:
+            probes, touches = _report_walk(structs, rest[0], acc.slots, acc.touched,
+                                           acc.mode.combine)
+            session.probes += probes
+            acc.touch_ops += touches
+        else:
+            for struct, j in structs:
                 struct._query_into(rest, session, j)
         if rq:
             session.substructure_queries += 1
-            bounds = [(-INF, INF)] + [(-INF, c) for c in rest]
-            _scan_range(self.coords_r, self.colors_r, self.weights_r, rq - 1, rq, bounds, acc)
+            p, coords = rq - 1, self.coords_r
+            for axis, c in enumerate(rest, 1):
+                if coords.item(p, axis) > c:
+                    break
+            else:
+                acc.add(self.colors_r.item(p), self.weights_r[p])
 
     # -- instrumentation ---------------------------------------------------------
 
@@ -545,13 +585,14 @@ def _strip_chunks(forest):
 
 def _scan_range(coords, colors, weights, start: int, stop: int, bounds, acc) -> None:
     """Add to ``acc`` the points at ranks [start, stop) inside ``bounds``,
-    one closed (lo, hi) pair per axis."""
+    one closed (lo, hi) pair per axis, read as Python scalars."""
     for pos in range(start, stop):
-        for v, (lo, hi) in zip(coords[pos], bounds):
+        for axis, (lo, hi) in enumerate(bounds):
+            v = coords.item(pos, axis)
             if v < lo or v > hi:
                 break
         else:
-            acc.add(int(colors[pos]), weights[pos])
+            acc.add(colors.item(pos), weights[pos])
 
 
 def ceil_log(base: int, n: int) -> int:

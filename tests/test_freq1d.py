@@ -454,7 +454,10 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
         for acc in accs:
             for c in range(0, phi, 2):
                 acc.add(c, (c, -1) if mode is CONCAT else c - 1)
-        f._prefix_into(q, accs[0], sessions[0])
+        probes, touches = freq1d._report_walk(((f, 0),), q, accs[0].slots, accs[0].touched,
+                                              mode.combine)
+        sessions[0].probes += probes
+        accs[0].touch_ops += touches
         accs[1].add_entries(f.query_prefix(q, sessions[1]))
         hits, sessions[2].probes = reference_report(succ, occ, 0, rq, rq)
         accs[2].add_entries((f.colors[i], f.prefix_weight[i]) for i in hits
