@@ -21,14 +21,12 @@ from .core import (
     ParameterError,
     PointSet,
     QuerySession,
-    RankMap,
     SemigroupMode,
     UnsupportedOperationError,
     UnsupportedShapeError,
     canonical_freq,
     freq_total,
     normalize_query,
-    rank_reduce,
     read_dataset,
     read_queries,
     write_dataset,
@@ -56,7 +54,7 @@ from .offline import (
     answer_offline_dominance,
     peak_space_report,
 )
-from .oracle import brute_force, brute_force_batch
+from .oracle import brute_force
 from .datagen import generate_points, generate_queries
 
 __version__ = "0.1.0"
@@ -78,7 +76,6 @@ __all__ = [
     "ParameterError",
     "PointSet",
     "QuerySession",
-    "RankMap",
     "SemigroupMode",
     "SweepSummary",
     "TreeStats",
@@ -87,7 +84,6 @@ __all__ = [
     "answer_offline_3sided",
     "answer_offline_dominance",
     "brute_force",
-    "brute_force_batch",
     "box_fanout_bound",
     "box_space_bound",
     "build_1d",
@@ -104,7 +100,6 @@ __all__ = [
     "normalize_query",
     "offline_build_bound",
     "peak_space_report",
-    "rank_reduce",
     "read_dataset",
     "read_queries",
     "write_dataset",

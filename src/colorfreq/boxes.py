@@ -235,7 +235,9 @@ class BoxTree:
     ``bounded_axes`` lists the axes that may carry a finite lower bound
     (both-sided or lower-only).  All other axes must arrive upper-bounded
     or unbounded; reflect the data beforehand if a lower side is needed
-    there.  With no bounded axes this is exactly the dominance structure.
+    there: ``PointSet.reflected`` negates the data's axes, and
+    ``normalize_query`` rewrites each query to match.  With no bounded axes
+    this is exactly the dominance structure.
     """
 
     __slots__ = ("d", "s", "phi", "mode", "bounded_axes", "top", "forest",

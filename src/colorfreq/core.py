@@ -251,47 +251,6 @@ def count_lt(sorted_values, v: float) -> int:
     return bisect_left(sorted_values, v)
 
 
-class RankMap:
-    """Total order on one coordinate axis with index tie-break.
-
-    Equal coordinates receive distinct ranks ordered by original index, so
-    ranks are a permutation of ``[0, n)``.  ``count_le(v)`` is the number of
-    points with coordinate <= v: the points with rank < ``count_le(v)`` are
-    exactly those inside the closed upper bound v.
-    """
-
-    __slots__ = ("order", "sorted_values")
-
-    def __init__(self, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1:
-            raise MalformedInputError("RankMap needs a 1-D coordinate array")
-        self.order = rank_order(values)  # rank -> original index
-        self.sorted_values = values[self.order]
-        self.order.setflags(write=False)
-        self.sorted_values.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.order)
-
-    def count_le(self, v: float) -> int:
-        return count_le(self.sorted_values, v)
-
-    def count_lt(self, v: float) -> int:
-        return count_lt(self.sorted_values, v)
-
-
-def rank_reduce(points, axis: int = 0) -> RankMap:
-    """Rank map for one coordinate axis of a point set (or a plain value array)."""
-    if isinstance(points, PointSet):
-        values = points.coords[:, axis]
-    else:
-        arr = np.asarray(points, dtype=np.float64)
-        values = arr[:, axis] if arr.ndim == 2 else arr
-    return RankMap(values)
-
-
 # ---------------------------------------------------------------------------
 # Point sets
 # ---------------------------------------------------------------------------

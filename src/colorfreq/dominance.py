@@ -48,7 +48,6 @@ from .core import (
     rank_order,
 )
 from .freq1d import (
-    Frequency1D,
     _build_ranges,
     _max_ints,
     _report_walk,
@@ -179,11 +178,11 @@ class DominanceTree:
     own ranks.  ``prefix`` and ``index`` run over the whole forest: the
     strip that rank c of tree t starts has its structure at
     ``prefix[start[t] + c]``, and ``index`` picks a range of that 1-D block
-    or a tree of that forest on the remaining axes.  A d=1 forest keeps one
-    1-D structure per tree in ``base``.  A structure built from points, and
-    each offline skeleton, is a forest of one tree; a box keeps the
-    skeletons at the bottom of its layers as one forest.  The counters sum
-    over the trees.
+    or a tree of that forest on the remaining axes.  A d=1 forest is one
+    1-D block, ``base``, whose range t is tree t.  A structure built from
+    points, and each offline skeleton, is a forest of one tree; a box keeps
+    the skeletons at the bottom of its layers as one forest.  The counters
+    sum over the trees.
     """
 
     __slots__ = (
@@ -255,13 +254,13 @@ class DominanceTree:
         self.stored_entries = 0
         self.build_ops = 0
         if d == 1:
-            self.base = [Frequency1D(coords[a:b, 0], colors[a:b], weights[a:b], mode=mode)
-                         for a, b in zip(start, start[1:])]
+            self.base = _build_ranges(coords[:, 0], np.asarray(colors, dtype=np.int64),
+                                      _weight_array(weights, mode),
+                                      np.column_stack((start[:-1], start[1:])), mode)
             self.coords_r = self.colors_r = self.weights_r = self.sorted0 = None
             self.parent = self.prefix = self.index = None
-            for base in self.base:
-                self.stored_entries += base.entries
-                self.build_ops += base.build_ops
+            self.stored_entries = self.base.entries
+            self.build_ops = self.base.build_ops
             self.node_count = sum(1 for m in sizes if m)
             self.height = 0
             return
@@ -370,7 +369,7 @@ class DominanceTree:
         session's accumulator: the walk of ``_walk_to``, as the (structure,
         index) pairs ``_answer`` takes."""
         if self.d == 1:
-            self._answer(((self.base[t], 0),), corner, 0, session)
+            self._answer(((self.base, t),), corner, 0, session)
             return
         off = self.start[t]
         rq = count_le(self.sorted0, corner[0], off, self.start[t + 1])
@@ -405,7 +404,7 @@ class DominanceTree:
         a tree of a d >= 2 forest (0 for a forest of one).  A d <= 2 walk's
         blocks are scanned by one ``_report_walk`` call.  That point is
         then checked directly on the axes of ``rest`` (none when rq = 0).
-        A d=1 tree passes its base structure, its whole corner and rq = 0.
+        A d=1 tree t passes ``(base, t)``, its whole corner and rq = 0.
         """
         acc = session.accumulator
         session.substructure_queries += len(structs)

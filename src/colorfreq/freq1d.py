@@ -37,10 +37,6 @@ from .core import (
 )
 
 _SMALL = 8  # below this size a linear scan beats any index
-# the lo/pos and skip columns of a flat heap of each size up to _SMALL,
-# shared by every structure built on its own (and never written)
-_FLAT = tuple(array("i", range(m)) for m in range(_SMALL + 1))
-_ONES = tuple(array("i", [1]) * m for m in range(_SMALL + 1))
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 _COLOR_ERROR = "color ids must be below 2**31"
 
@@ -63,57 +59,9 @@ def _column(typecode: str, x: np.ndarray) -> array:
     return out
 
 
-def _ints(typecode: str, values: list[int], error: str) -> array:
-    """``values`` as an ``array(typecode)`` column, or ``error`` raised as a
-    ``MalformedInputError`` when one of them does not fit."""
-    try:
-        return array(typecode, values)
-    except OverflowError:
-        raise MalformedInputError(error) from None
-
-
 def _sort_charge(n: int) -> int:
     """Comparison charge we book for an n-element sort."""
     return n * max(1, (max(n, 1) - 1).bit_length())
-
-
-def _heap(pri: list[int]) -> tuple:
-    """The heap columns (lo, pri, pos, skip) over ``pri``, laid out as
-    ``Frequency1D`` describes, and the build steps booked for them."""
-    m = len(pri)
-    if m <= _SMALL:
-        return _FLAT[m], array("i", pri), _FLAT[m], _ONES[m], 0
-    occ: dict[int, int] = {}
-    steps = 0
-    order = sorted(range(m), key=pri.__getitem__, reverse=True)
-    for i in order:
-        node, lo, hi = 1, 0, m
-        while node in occ:
-            mid = (lo + hi) >> 1
-            if i < mid:
-                node, hi = 2 * node, mid
-            else:
-                node, lo = 2 * node + 1, mid
-            steps += 1
-        occ[node] = i
-
-    # preorder by an explicit stack, occupied nodes only; the nodes before
-    # the end of a node's subtree are those starting below its hi
-    los, his, poss = array("i"), [], array("i")
-    stack = [(1, 0, m)]
-    while stack:
-        node, lo, hi = stack.pop()
-        los.append(lo)
-        his.append(hi)
-        poss.append(occ[node])
-        mid = (lo + hi) >> 1
-        if 2 * node + 1 in occ:
-            stack.append((2 * node + 1, mid, hi))
-        if 2 * node in occ:
-            stack.append((2 * node, lo, mid))
-    skip = np.searchsorted(los, his) - np.arange(m)
-    pris = array("i", [pri[i] for i in poss])
-    return los, pris, poss, _column("i", skip), steps + _sort_charge(m)
 
 
 def _report(m: int, heap: tuple, a: int, b: int, t: int) -> tuple[list[int], int]:
@@ -164,9 +112,9 @@ class Frequency1D:
     or more rank ranges held in one block.
 
     Range ``j`` owns the block positions [start[j], start[j+1]), and the
-    heap nodes of the same indexes, one node per entry; a structure built
-    by ``Frequency1D(...)`` or ``build_1d`` is one range starting at 0, and
-    ``_build_ranges`` builds many ranges as one block.  By block position:
+    heap nodes of the same indexes, one node per entry.  ``_build_ranges``
+    builds every block; ``Frequency1D(...)`` and ``build_1d`` check their
+    input and build one range starting at 0.  By block position:
     ``sorted_values``, ``colors`` and ``prefix_weight``, each range in rank
     order.  Each range also has its own build ops (``_ops``) and
     ``_may_cancel`` flag.
@@ -176,8 +124,9 @@ class Frequency1D:
     columns ``lo``, ``pri``, ``pos`` and ``skip``.  Its implicit skeleton
     is the balanced binary split of the range; each rank descends from the
     root toward itself and occupies the first free node, in decreasing
-    priority order.  A node's occupant therefore has priority >= everything
-    below it, and an empty node has an empty subtree.
+    priority order, ties by position.  A node's occupant therefore has
+    priority >= everything below it, and an empty node has an empty
+    subtree.
 
     The columns list the occupied nodes in preorder (node, left subtree,
     right subtree); an empty node has nothing stored below it and is not
@@ -192,15 +141,14 @@ class Frequency1D:
     ``_report`` carries it down from the root.  A range of ``_SMALL`` or
     fewer positions is flat instead: every position is a node of its own
     (``lo`` and ``pos`` the position, ``skip`` 1), so a scan of it is the
-    linear scan; a flat structure built on its own shares those columns
-    with every other of its size.
+    linear scan.
 
-    Every column is a typed ``array``, written by both builders alike: the
-    four heap columns and ``colors`` are ``array('i')``, ``sorted_values``
-    ``array('d')`` and count-mode ``prefix_weight`` ``array('q')``;
-    semigroup prefixes are a list of objects.  Per range, ``start`` is
-    ``array('i')``, ``_ops`` ``array('q')`` and ``_may_cancel``
-    ``array('b')``.  An entry then costs bytes, not object slots: a
+    Every column is a typed ``array``: the four heap columns and
+    ``colors`` are ``array('i')``, ``sorted_values`` ``array('d')`` and
+    count-mode ``prefix_weight`` ``array('q')``; semigroup prefixes are a
+    list of objects.  Per range, ``start`` is ``array('i')``, ``_ops``
+    ``array('q')`` and ``_may_cancel`` ``array('b')``.  An entry then
+    costs bytes, not object slots: a
     count-mode tree with n=50k and s=16 holds about 40 bytes of live heap
     per entry, 36 of them column buffers, and a block is about a dozen
     objects, however many ranges it holds.  Every prefix query reads the
@@ -211,17 +159,18 @@ class Frequency1D:
     35 us, some 0.2 us per node on a 2-vCPU machine.  Reading an element
     of an array costs about twice reading one of a tuple, which is the
     price of the compact columns.  ``bisect`` searches the ``array('d')``
-    inside one range about 3x faster than numpy searches a slice of it.  ``_build_ranges`` allocates a
-    block's columns by entry before its temporaries, so that freeing those
-    leaves no holes between blocks.  Color ids must be below 2**31 and
-    count totals must fit int64; the builders raise
-    ``MalformedInputError`` otherwise.
+    inside one range about 3x faster than numpy searches a slice of it.
+    ``_build_ranges`` allocates a block's columns by entry before its
+    temporaries, so that freeing those leaves no holes between blocks.
+    Color ids must be below 2**31 and count totals must fit int64, or the
+    build raises ``MalformedInputError``.
 
     The interval index, built on a one-range structure only, is
     ``_pred_index``, the same heap over the negated predecessor ranks as one
     ``(lo, pri, pos, skip)`` tuple of columns, plus ``prefix_below``
-    (``array('q')``), the weight of each chain below each point.  The
-    public methods read a one-range structure.
+    (``array('q')``), the weight of each chain below each point.
+    ``__init__`` derives both from the range's own columns, the heap by the
+    placement of ``_place``.  The public methods read a one-range structure.
     """
 
     __slots__ = (
@@ -243,71 +192,55 @@ class Frequency1D:
 
     def __init__(self, values, colors, weights=None, mode=COUNT, interval_index: bool = False):
         values = np.asarray(values, dtype=np.float64)
-        colors_arr = np.asarray(colors)
+        colors = np.asarray(colors)
         m = len(values)
         if values.ndim != 1:
             raise MalformedInputError("values must be one coordinate per point")
-        if colors_arr.shape != (m,):
+        if colors.shape != (m,):
             raise MalformedInputError("need one color per value")
-        if m and colors_arr.dtype.kind not in "iu":
+        if m and colors.dtype.kind not in "iu":
             raise MalformedInputError("color ids must be integers")
         is_count = isinstance(mode, CountMode)
         if weights is None:
-            wlist = [1] * m
+            weights = [1] * m
         elif is_count:
             try:
-                wlist = list(map(operator.index, weights))
+                weights = list(map(operator.index, weights))
             except TypeError:
                 raise MalformedInputError("count-mode weights must be integers") from None
         else:
-            wlist = list(weights)
-        if len(wlist) != m:
+            weights = list(weights)
+        if len(weights) != m:
             raise MalformedInputError("need one weight per value")
-        # count totals of zero are never reported; only non-positive weights make them
-        may_cancel = is_count and m > 0 and min(wlist) <= 0
-
-        order = rank_order(values)
-        ys = values[order]
-        # NaN sorts last, so the two ends show any value that is not finite
-        if m and not (math.isfinite(ys[0]) and math.isfinite(ys[-1])):
+        if not np.isfinite(values).all():
             raise MalformedInputError("coordinates must be finite")
-        cols = colors_arr[order].tolist()
-        if m and min(cols) < 0:
+        if m and colors.min() < 0:
             raise MalformedInputError("color ids must be non-negative")
-        w_by_rank = [wlist[i] for i in order]
-
-        succ = [m] * m
-        pref: list = [None] * m
-        last: dict[int, int] = {}
-        running: dict[int, object] = {}
-        combine = mode.combine
-        for r in range(m):
-            c = cols[r]
-            p = last.get(c, -1)
-            if p >= 0:
-                succ[p] = r
-            last[c] = r
-            prev = running.get(c)
-            cur = w_by_rank[r] if prev is None else combine(prev, w_by_rank[r])
-            running[c] = cur
-            pref[r] = cur
-
-        if is_count:
-            pref = _ints("q", pref, "count-mode weights overflow int64 totals")
-        *heap, steps = _heap(succ)
-        self._set(mode, _column("d", ys), _ints("i", cols, _COLOR_ERROR), pref, heap,
-                  array("i", [0, m]), array("q", [2 * m + _sort_charge(m) + steps]),
-                  array("b", [may_cancel]))
+        if m and colors.max() > _INT32_MAX:
+            raise MalformedInputError(_COLOR_ERROR)
+        # count weights stay Python ints, so every prefix total is exact, and
+        # one that does not fit int64 raises when it is stored
+        weights = np.array(weights, dtype=object) if is_count else _weight_array(weights, mode)
+        try:
+            f = _build_ranges(values, colors.astype(np.int64), weights, [(0, m)], mode)
+        except OverflowError:
+            raise MalformedInputError("count-mode weights overflow int64 totals") from None
+        self._set(mode, f.sorted_values, f.colors, f.prefix_weight, (f.lo, f.pri, f.pos, f.skip),
+                  f.start, f._ops, f._may_cancel)
         # predecessors and the weight below each point serve interval queries only
         if interval_index and is_count:
-            pred = [-1] * m
-            for r, nxt in enumerate(succ):
-                if nxt < m:
-                    pred[nxt] = r
-            self.prefix_below = array("q", [0 if p < 0 else pref[p] for p in pred])
-            *heap, steps = _heap([-p for p in pred])
-            self._pred_index = tuple(heap)
-            self._ops[0] += m + steps
+            succ = np.empty(m, dtype=np.int64)
+            succ[_view(self.pos)] = _view(self.pri)
+            linked = np.flatnonzero(succ < m)
+            pred = np.full(m, -1, dtype=np.int64)
+            pred[succ[linked]] = linked
+            self.prefix_below = _column("q", np.where(pred < 0, 0, _view(self.prefix_weight)[pred]))
+            # the heap over -pred, placed by the non-negative priority m - pred
+            index = [_zeros("i", m) for _ in range(4)]
+            depths = _place(m - pred, np.array([0, m]), index)
+            _view(index[1])[:] -= m
+            self._pred_index = tuple(index)
+            self._ops[0] += m + (int(depths[0]) + _sort_charge(m) if m > _SMALL else 0)
 
     def _set(self, mode, values, colors, pref, heap, start, ops, may_cancel) -> None:
         """Take the block's columns; no interval index."""
@@ -530,106 +463,23 @@ def _max_prefixes(w, ints, grouped, first):
     return out.tolist()
 
 
-def _build_ranges(values, colors, weights, ranges, mode=COUNT, rank=None,
-                  ints=None) -> Frequency1D:
-    """The structures of many non-empty rank ranges of one array, as one
-    block built in one numpy pass.
-
-    ``values``, ``colors`` and ``weights`` are 1-D arrays in one fixed
-    order, the weights from ``_weight_array``; count weights come from a
-    ``PointSet``, whose overflow guard keeps every prefix total exact.
-    Range ``j`` of the block, once its start is taken off every position,
-    equals field for field
-    ``Frequency1D(values[lo:cut], colors[lo:cut], weights[lo:cut], mode)``
-    for ``ranges[j] = (lo, cut)``; ``ranges`` is a sequence of pairs or a
-    two-column array, which makes no Python object per range.
-
-    ``rank`` gives each value a rank that orders every range as
-    ``rank_order`` orders it on its own: distinct inside a range, ascending
-    with the value and, among equal values, with the position.
-    ``dominance._fill`` passes the ranks of its skeleton's y column, ranked
-    once per skeleton; without it the block ranks ``values`` itself.  The
-    build then sorts two unique int64 keys with numpy's default sort: the
-    entries by (range, rank), and the chains by (range, color, position).
-    ``ints``, from ``_max_ints``, are the weights as integers when the max
-    path applies: each chain's max prefixes are then one running max over
-    the chain order, and the prefix column holds the weight objects that
-    win, the earlier of equal ones, as ``max`` returns.  Count prefixes are
-    one running sum; any other semigroup is combined in one Python loop.
-    """
-    ranges = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
-    los = ranges[:, 0]
-    sizes = ranges[:, 1] - los
-    nr = len(ranges)
-    off = np.zeros(nr + 1, dtype=np.int64)
-    np.cumsum(sizes, out=off[1:])
-    size = int(off[-1])
-    # the block's columns by entry come before every temporary, which are
-    # then freed above them, where the next build reuses the space, and not
-    # in holes between blocks that stay resident
-    ys_col, cols_col = _zeros("d", size), _zeros("i", size)
-    heap = [_zeros("i", size) for _ in range(4)]  # lo, pri, pos, skip
-    pref_col = _zeros("q", size) if isinstance(mode, CountMode) else None
-    if rank is None:
-        rank = np.empty(len(values), dtype=np.int64)
-        rank[rank_order(values)] = np.arange(len(values))
-    rid = np.repeat(np.arange(nr), sizes)
-    pos = np.arange(size) - off[:-1][rid]  # rank inside the member's range
-
-    # sort: by (range, rank), the order rank_order gives each slice
-    idx = pos + los[rid]
-    idx = idx[np.argsort(rid * (int(rank.max()) + 1) + rank[idx])]
-    _view(ys_col)[:] = values[idx]
-    cols = colors[idx]
-    if cols.max() > _INT32_MAX:  # before cols enters an int64 key
-        raise MalformedInputError(_COLOR_ERROR)
-    _view(cols_col)[:] = cols
-    w = weights[idx]
-    wints = None if ints is None else ints[idx]
-    del rank, idx  # temporaries go as soon as they are used, for peak memory
-
-    # chains: group by (range, color) keeping rank order, link neighbours.
-    # The key is unique, and below size * 2**31 <= 2**62: range j's keys
-    # are [off[j] * C, off[j+1] * C), by color, then by rank
-    ncolors = int(cols.max()) + 1
-    grouped = np.argsort(off[:-1][rid] * ncolors + cols * sizes[rid] + pos)
-    chain = (rid * ncolors + cols)[grouped]
-    same = chain[1:] == chain[:-1]
-    earlier, later = grouped[:-1][same], grouped[1:][same]  # chain neighbours
-    succ = sizes[rid]
-    succ[earlier] = pos[later]
-    first = np.concatenate(([True], ~same))  # each chain's first, in chain order
-    if pref_col is not None:
-        wg = w[grouped]
-        total = np.cumsum(wg)
-        _view(pref_col)[grouped] = total - (total - wg)[first][np.cumsum(first) - 1]
-        del wg, total
-        may_cancel = np.minimum.reduceat(w, off[:-1]) <= 0
-    else:
-        may_cancel = np.zeros(nr, dtype=bool)
-        pref_col = None if wints is None else _max_prefixes(w, wints, grouped, first)
-    if pref_col is None:
-        # a chain's first entry keeps its weight; each later one combines
-        # its predecessor's prefix with its weight, in chain order, as
-        # Frequency1D does (where a None prefix starts afresh too)
-        pref_col = w.tolist()
-        combine = mode.combine
-        for g, p in zip(later.tolist(), earlier.tolist()):
-            prev = pref_col[p]
-            if prev is not None:
-                pref_col[g] = combine(prev, pref_col[g])
-    del rid, pos, w, wints, grouped, chain, same, earlier, later, first
-
-    # heap: place one depth at a time.  Positions are global (range offset
-    # plus rank), so the nodes of one depth are disjoint segments [lo, hi);
-    # each node's occupant is the max priority among its unplaced entries,
-    # ties to the smallest position, as in the one-by-one insertion of
-    # _heap (an occupied node passes each later entry on toward its
-    # position, so a node takes the first entry of its segment to arrive).
-    # Only filled segments are nodes, and only they split further, so each
-    # entry occupies exactly one node: by the entry's position, its node's
-    # [lo, hi) and depth.  A small range's positions p are flat nodes
-    # [p, p+1) at depth 0.
+def _place(pri, off, heap) -> np.ndarray:
+    """Lay out the heap of every range [off[j], off[j+1]) of a block over
+    the priorities ``pri`` (non-negative int64, by block position) in the
+    typed columns ``heap`` (lo, pri, pos, skip), as ``Frequency1D``
+    describes, one depth at a time.  Returns each range's depth steps, the
+    levels its entries descend (0 for a flat range), as int64."""
+    # Positions are global (range offset plus rank), so the nodes of one
+    # depth are disjoint segments [lo, hi); each node's occupant is the max
+    # priority among its unplaced entries, ties to the smallest position,
+    # as in the one-by-one insertion (an occupied node passes each later
+    # entry on toward its position, so a node takes the first entry of its
+    # segment to arrive).  Only filled segments are nodes, and only they
+    # split further, so each entry occupies exactly one node: by the
+    # entry's position, its node's [lo, hi) and depth.  A small range's
+    # positions p are flat nodes [p, p+1) at depth 0.
+    size = len(pri)
+    sizes = np.diff(off)
     depth_at = np.zeros(size, dtype=np.int64)
     node_lo = np.arange(size)
     node_hi = node_lo + 1
@@ -640,7 +490,7 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT, rank=None,
     # entries from a segment's lo up to the next one's are its own and -1s
     bits = max(size - 1, 1).bit_length()
     mask = (1 << bits) - 1
-    key = succ << bits | (mask - np.arange(size))
+    key = pri << bits | (mask - np.arange(size))
     key[np.repeat(~indexed, sizes)] = -1
     won, won_lo, won_hi = [], [], []  # each depth's occupants and nodes
     while len(seg_lo):
@@ -683,13 +533,112 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT, rank=None,
     lo_col[pre] = node_lo
     pos_col[pre] = np.arange(size)
     skip_col[pre] = starts_below[node_hi] - pre
-    del node_lo, node_hi, starts_below, pre
-    pri_col[:] = succ[pos_col]
+    del node_lo, node_hi, pre
+    pri_col[:] = pri[pos_col]
+    np.cumsum(depth_at, out=starts_below[1:])  # the depths summed per range
+    return np.diff(starts_below[off])
 
-    # build counters, as Frequency1D and _heap book them
+
+def _build_ranges(values, colors, weights, ranges, mode=COUNT, rank=None,
+                  ints=None) -> Frequency1D:
+    """The structures of many rank ranges of one array, as one block built
+    in one numpy pass: the builder of every ``Frequency1D``.
+
+    ``values``, ``colors`` and ``weights`` are 1-D arrays in one fixed
+    order, the weights from ``_weight_array``.  Count weights are int64
+    from a ``PointSet``, whose overflow guard keeps every prefix total
+    exact, or Python ints as objects, whose prefix totals are then exact,
+    and one that does not fit int64 raises ``OverflowError``.  Range ``j``
+    of the block holds the points [lo, cut) for ``ranges[j] = (lo, cut)``,
+    laid out as ``Frequency1D`` describes; ``ranges`` is a sequence of
+    pairs or a two-column array, which makes no Python object per range.
+    A range, or the whole block, may be empty.
+
+    ``rank`` gives each value a rank that orders every range as
+    ``rank_order`` orders it on its own: distinct inside a range, ascending
+    with the value and, among equal values, with the position.
+    ``dominance._fill`` passes the ranks of its skeleton's y column, ranked
+    once per skeleton; without it the block ranks ``values`` itself.  The
+    build then sorts two unique int64 keys with numpy's default sort: the
+    entries by (range, rank), and the chains by (range, color, position).
+    ``ints``, from ``_max_ints``, are the weights as integers when the max
+    path applies: each chain's max prefixes are then one running max over
+    the chain order, and the prefix column holds the weight objects that
+    win, the earlier of equal ones, as ``max`` returns.  Count prefixes are
+    one running sum; any other semigroup is combined in one Python loop.
+    """
+    ranges = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
+    los = ranges[:, 0]
+    sizes = ranges[:, 1] - los
+    nr = len(ranges)
+    off = np.zeros(nr + 1, dtype=np.int64)
+    np.cumsum(sizes, out=off[1:])
+    size = int(off[-1])
+    # the block's columns by entry come before every temporary, which are
+    # then freed above them, where the next build reuses the space, and not
+    # in holes between blocks that stay resident
+    ys_col, cols_col = _zeros("d", size), _zeros("i", size)
+    heap = [_zeros("i", size) for _ in range(4)]  # lo, pri, pos, skip
+    pref_col = _zeros("q", size) if isinstance(mode, CountMode) else None
+    if rank is None:
+        rank = np.empty(len(values), dtype=np.int64)
+        rank[rank_order(values)] = np.arange(len(values))
+    rid = np.repeat(np.arange(nr), sizes)
+    pos = np.arange(size) - off[:-1][rid]  # rank inside the member's range
+
+    # sort: by (range, rank), the order rank_order gives each slice
+    idx = pos + los[rid]
+    idx = idx[np.argsort(rid * (int(rank.max(initial=0)) + 1) + rank[idx])]
+    _view(ys_col)[:] = values[idx]
+    cols = colors[idx]
+    if cols.max(initial=0) > _INT32_MAX:  # before cols enters an int64 key
+        raise MalformedInputError(_COLOR_ERROR)
+    _view(cols_col)[:] = cols
+    w = weights[idx]
+    wints = None if ints is None else ints[idx]
+    del rank, idx  # temporaries go as soon as they are used, for peak memory
+
+    # chains: group by (range, color) keeping rank order, link neighbours.
+    # The key is unique, and below size * 2**31 <= 2**62: range j's keys
+    # are [off[j] * C, off[j+1] * C), by color, then by rank
+    ncolors = int(cols.max(initial=0)) + 1
+    grouped = np.argsort(off[:-1][rid] * ncolors + cols * sizes[rid] + pos)
+    chain = (rid * ncolors + cols)[grouped]
+    same = chain[1:] == chain[:-1]
+    earlier, later = grouped[:-1][same], grouped[1:][same]  # chain neighbours
+    succ = sizes[rid]
+    succ[earlier] = pos[later]
+    first = np.ones(size, dtype=bool)  # each chain's first, in chain order
+    first[1:] = ~same
+    may_cancel = np.zeros(nr, dtype=bool)
+    if pref_col is not None:
+        wg = w[grouped]
+        total = np.cumsum(wg)
+        _view(pref_col)[grouped] = total - (total - wg)[first][np.cumsum(first) - 1]
+        del wg, total
+        may_cancel[rid[w <= 0]] = True
+    elif wints is not None and size:
+        pref_col = _max_prefixes(w, wints, grouped, first)
+    if pref_col is None:
+        # a chain's first entry keeps its weight; each later one combines
+        # its predecessor's prefix with its weight, in chain order (a None
+        # prefix starts afresh)
+        pref_col = w.tolist()
+        combine = mode.combine
+        for g, p in zip(later.tolist(), earlier.tolist()):
+            prev = pref_col[p]
+            if prev is not None:
+                pref_col[g] = combine(prev, pref_col[g])
+    del rid, pos, w, wints, grouped, chain, same, earlier, later, first
+
+    depths = _place(succ, off, heap)
+    del succ
+
+    # build counters: a range's sort and two steps per entry, and for an
+    # indexed range the sort by priority and one step per level descended
+    indexed = sizes > _SMALL
     charge = sizes * np.maximum(1, np.frexp(np.maximum(sizes - 1, 0))[1])  # _sort_charge
-    steps = np.where(indexed, np.add.reduceat(depth_at, off[:-1]) + charge, 0)
-    ops = 2 * sizes + charge + steps
+    ops = 2 * sizes + charge + np.where(indexed, depths + charge, 0)
 
     block = Frequency1D.__new__(Frequency1D)
     block._set(mode, ys_col, cols_col, pref_col, heap,

@@ -31,7 +31,3 @@ def brute_force(points: PointSet, q: BoxQuery) -> list:
         acc[c] = w if c not in acc else combine(acc[c], w)
     return sorted(acc.items())
 
-
-def brute_force_batch(points: PointSet, queries) -> list[list]:
-    """Element-wise ``brute_force`` over a query batch."""
-    return [brute_force(points, q) for q in queries]

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+from array import array
 from bisect import bisect_left
 from contextlib import ExitStack, contextmanager
 from unittest import mock
@@ -7,8 +8,9 @@ from unittest import mock
 import numpy as np
 
 import colorfreq as cf
-from colorfreq import boxes
-from colorfreq.core import count_le
+from colorfreq import boxes, dominance, freq1d
+from colorfreq.core import count_le, rank_order
+from colorfreq.freq1d import _SMALL, _sort_charge
 
 canon = cf.canonical_freq
 
@@ -137,7 +139,7 @@ def _answer(self, structs, rest, rq, session):
 
 def _query_into(self, corner, session, t=0):
     if self.d == 1:
-        self._answer(((self.base[t], 0),), corner, 0, session)
+        self._answer(((self.base, t),), corner, 0, session)
         return
     off = self.start[t]
     rq = count_le(self.sorted0, corner[0], off, self.start[t + 1])
@@ -230,3 +232,192 @@ def reference_queries():
         for owner, attr, fn in patches:
             stack.enter_context(mock.patch.object(owner, attr, fn))
         yield
+
+
+# -- the 1-D layout: a checker from its definition, and the one-by-one build -----
+
+
+def chains(colors):
+    """(succ, pred) of the ranks of ``colors``: the next and the previous
+    rank of the same color, len(colors) and -1 for none."""
+    m = len(colors)
+    succ, pred, last = [m] * m, [-1] * m, {}
+    for r, c in enumerate(colors):
+        if c in last:
+            succ[last[c]] = r
+            pred[r] = last[c]
+        last[c] = r
+    return succ, pred
+
+
+def _check_heap(heap, a, b, pri):
+    """Assert that nodes [a, b) of ``heap`` = (lo, pri, pos, skip) are the
+    heap of the range [a, b) over the priorities ``pri`` (by rank in the
+    range), as the ``Frequency1D`` docstring defines it; return its depth
+    steps, the depths of its nodes summed."""
+    lo, pri_col, pos, skip = (list(column[a:b]) for column in heap)
+    m = b - a
+    assert sorted(pos) == list(range(a, b))  # one node per entry
+    assert pri_col == [pri[i - a] for i in pos]
+    if m <= _SMALL:  # flat: every position a node of its own
+        assert lo == pos == list(range(a, b)) and skip == [1] * m
+        return 0
+    assert skip[0] == m
+    keys = []  # (lo, depth) in preorder
+
+    def walk(k, node_lo, node_hi, depth):
+        assert lo[k] == node_lo and node_lo <= pos[k] < node_hi
+        keys.append((node_lo, depth))
+        end, child = k + skip[k], k + 1
+        if node_hi - node_lo > 1:
+            mid = (node_lo + node_hi) >> 1
+            for child_lo, child_hi in ((node_lo, mid), (mid, node_hi)):
+                if child < end and lo[child] == child_lo:
+                    # heap order: the occupant is the max priority of its
+                    # subtree, ties to the smaller position
+                    assert (pri_col[k], -pos[k]) > (pri_col[child], -pos[child])
+                    walk(child, child_lo, child_hi, depth + 1)
+                    child += skip[child]
+        assert child == end  # skip is the subtree's size
+
+    walk(0, a, b, 0)
+    assert keys == sorted(keys)  # preorder is the order by (lo, depth)
+    return sum(depth for _, depth in keys)
+
+
+def check_block(block, parts):
+    """Assert that ``block`` is laid out as the ``Frequency1D`` docstring
+    defines it, range j over ``parts[j] = (values, colors, weights)``, the
+    range's points in their order on input; the interval index too when the
+    block has one.  Every column is checked against the definition, not
+    against another build: the values in rank order (ties by input order),
+    each ``succ`` the next rank of its color, each prefix the running
+    combine of its chain, the heap of each range, and the build counters."""
+    mode = block.mode
+    count = isinstance(mode, cf.CountMode)
+    start = list(block.start)
+    assert start[0] == 0 and len(start) == len(parts) + 1
+    assert block.m == start[-1] == len(block.sorted_values) == len(block.colors)
+    assert len(block.prefix_weight) == block.m and len(block._ops) == len(parts)
+    heap = (block.lo, block.pri, block.pos, block.skip)
+    for j, (values, colors, weights) in enumerate(parts):
+        a, b = start[j], start[j + 1]
+        m = b - a
+        assert m == len(values) == len(colors) == len(weights)
+        order = sorted(range(m), key=lambda i: values[i])
+        assert list(block.sorted_values[a:b]) == [float(values[i]) for i in order]
+        cols = [int(colors[i]) for i in order]
+        assert list(block.colors[a:b]) == cols
+        succ, pred = chains(cols)
+        pref = []
+        for r, p in enumerate(pred):  # a None prefix starts its chain afresh
+            w = weights[order[r]]
+            prev = None if p < 0 else pref[p]
+            pref.append(w if prev is None else mode.combine(prev, w))
+        assert list(block.prefix_weight[a:b]) == pref
+        assert block._may_cancel[j] == (count and any(w <= 0 for w in weights))
+        charge = _sort_charge(m)
+        ops = 2 * m + charge
+        steps = _check_heap(heap, a, b, succ)
+        ops += steps + charge if m > _SMALL else 0
+        if block._pred_index is not None:  # a one-range structure's interval index
+            assert len(parts) == 1
+            assert list(block.prefix_below) == [0 if p < 0 else pref[p] for p in pred]
+            steps = _check_heap(block._pred_index, a, b, [-p for p in pred])
+            ops += m + (steps + charge if m > _SMALL else 0)
+        assert block._ops[j] == ops
+
+
+@contextmanager
+def checked_blocks():
+    """Every block built inside is checked by ``check_block`` over the
+    points its call was given; yields the list of blocks checked."""
+    build = freq1d._build_ranges
+    seen = []
+
+    def checked(values, colors, weights, ranges, *args, **kwargs):
+        block = build(values, colors, weights, ranges, *args, **kwargs)
+        weights = weights.tolist()
+        check_block(block, [(values[lo:cut], colors[lo:cut], weights[lo:cut])
+                            for lo, cut in np.asarray(ranges).reshape(-1, 2).tolist()])
+        seen.append(block)
+        return block
+
+    with mock.patch.object(freq1d, "_build_ranges", checked), \
+            mock.patch.object(dominance, "_build_ranges", checked):
+        yield seen
+
+
+def _reference_heap(pri):
+    """The heap columns (lo, pri, pos, skip) over ``pri`` by one-by-one
+    insertion, and the build steps booked for them."""
+    m = len(pri)
+    if m <= _SMALL:
+        return array("i", range(m)), array("i", pri), array("i", range(m)), array("i", [1] * m), 0
+    occ = {}
+    steps = 0
+    for i in sorted(range(m), key=pri.__getitem__, reverse=True):
+        node, lo, hi = 1, 0, m
+        while node in occ:
+            mid = (lo + hi) >> 1
+            if i < mid:
+                node, hi = 2 * node, mid
+            else:
+                node, lo = 2 * node + 1, mid
+            steps += 1
+        occ[node] = i
+    # preorder by an explicit stack, occupied nodes only; the nodes before
+    # the end of a node's subtree are those starting below its hi
+    los, his, poss = array("i"), [], array("i")
+    stack = [(1, 0, m)]
+    while stack:
+        node, lo, hi = stack.pop()
+        los.append(lo)
+        his.append(hi)
+        poss.append(occ[node])
+        mid = (lo + hi) >> 1
+        if 2 * node + 1 in occ:
+            stack.append((2 * node + 1, mid, hi))
+        if 2 * node in occ:
+            stack.append((2 * node, lo, mid))
+    skip = (np.searchsorted(los, his) - np.arange(m)).tolist()
+    return los, array("i", [pri[i] for i in poss]), poss, array("i", skip), \
+        steps + _sort_charge(m)
+
+
+def reference_1d(values, colors, weights=None, mode=cf.COUNT, interval_index=False):
+    """The one-range ``Frequency1D`` built one entry at a time: a chain loop
+    over the ranks, the one-by-one heap insertion and, for the interval
+    index, a predecessor loop.  The reference of the numpy build."""
+    values = np.asarray(values, dtype=np.float64)
+    m = len(values)
+    weights = [1] * m if weights is None else list(weights)
+    order = rank_order(values).tolist()
+    cols = [int(colors[i]) for i in order]
+    succ, pref = [m] * m, [None] * m
+    last, running = {}, {}
+    for r, i in enumerate(order):
+        c = cols[r]
+        if c in last:
+            succ[last[c]] = r
+        last[c] = r
+        prev = running.get(c)
+        running[c] = pref[r] = weights[i] if prev is None else mode.combine(prev, weights[i])
+    count = isinstance(mode, cf.CountMode)
+    if count:
+        pref = array("q", pref)
+    *heap, steps = _reference_heap(succ)
+    f = cf.Frequency1D.__new__(cf.Frequency1D)
+    f._set(mode, array("d", values[order].tolist()), array("i", cols), pref, heap,
+           array("i", [0, m]), array("q", [2 * m + _sort_charge(m) + steps]),
+           array("b", [count and m > 0 and min(weights) <= 0]))
+    if interval_index and count:
+        pred = [-1] * m
+        for r, nxt in enumerate(succ):
+            if nxt < m:
+                pred[nxt] = r
+        f.prefix_below = array("q", [0 if p < 0 else pref[p] for p in pred])
+        *heap, steps = _reference_heap([-p for p in pred])
+        f._pred_index = tuple(heap)
+        f._ops[0] += m + steps
+    return f

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import colorfreq as cf
-from _util import canon, random_query
+from _util import canon, random_query, reference_1d
 from colorfreq import boxes, dominance
 from colorfreq.core import count_le, count_lt, rank_order
 from colorfreq.freq1d import _sort_charge
@@ -272,14 +272,14 @@ def _last_root_strip(parent):
 
 def _fill_one_by_one(forest):
     """Each strip built on its own over the same skeletons, a d = 2 one by
-    ``Frequency1D``; each strip's index stays 0, as a one-range structure or
-    a forest of one."""
+    the one-by-one 1-D build; each strip's index stays 0, as a one-range
+    structure or a forest of one."""
     for off, parent in zip(forest.start, forest.parent):
         for c in range(1, len(parent)):
             lo, cut = off + parent[c], off + c
             if forest.d == 2:
-                sub = cf.Frequency1D(forest.coords_r[lo:cut, 1], forest.colors_r[lo:cut],
-                                     forest.weights_r[lo:cut], forest.mode)
+                sub = reference_1d(forest.coords_r[lo:cut, 1], forest.colors_r[lo:cut],
+                                   forest.weights_r[lo:cut], forest.mode)
                 forest.stored_entries += sub.entries
                 forest.build_ops += sub.build_ops
             else:
@@ -370,9 +370,10 @@ def _assert_same_layers(got, want, forest, ref_forest):
     structures on every layer path are equal layers or equal forest trees."""
     if not isinstance(want, boxes._Layer):
         if forest.d == 1:
-            a, b = forest.base[got], ref_forest.base[want]
-            assert (list(a.sorted_values), list(a.colors), list(a.prefix_weight)) == \
-                (list(b.sorted_values), list(b.colors), list(b.prefix_weight))
+            a, b = forest.base, ref_forest.base
+            (i, j), (k, e) = a.start[got:got + 2], b.start[want:want + 2]
+            assert (list(a.sorted_values[i:j]), list(a.colors[i:j]), list(a.prefix_weight[i:j])) \
+                == (list(b.sorted_values[k:e]), list(b.colors[k:e]), list(b.prefix_weight[k:e]))
             return
         (a, b), (c, e) = forest.start[got:got + 2], ref_forest.start[want:want + 2]
         assert np.array_equal(forest.coords_r[a:b], ref_forest.coords_r[c:e])

@@ -1,4 +1,4 @@
-"""Core types: queries, rank maps, weight algebra, text formats."""
+"""Core types: queries, rank order, weight algebra, text formats."""
 
 import math
 import os
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import colorfreq as cf
 from _util import canon
-from colorfreq.core import rank_order
+from colorfreq.core import count_le, count_lt, rank_order
 
 INF = float("inf")
 
@@ -73,23 +73,12 @@ def test_reflection_soundness_against_oracle():
 
 
 def test_rank_counts_with_duplicates():
-    rm = cf.rank_reduce([2.0, 2.0, 5.0])
-    assert rm.count_le(2) == 2
-    assert rm.count_le(1) == 0
-    assert rm.count_le(7) == 3
-    assert rm.count_lt(2) == 0
-    assert rm.count_lt(5) == 2
-
-
-def test_rank_permutation_breaks_ties_by_index():
-    rm = cf.rank_reduce([3.0, 1.0, 3.0])
-    assert list(rm.order) == [1, 0, 2]
-    assert sorted(rm.order) == [0, 1, 2]
-
-
-def test_rank_reduce_on_pointset_axis():
-    ps = cf.PointSet.from_points([((1.0, 9.0), 0), ((2.0, 4.0), 0)])
-    assert cf.rank_reduce(ps, axis=1).count_le(5.0) == 1
+    values = [2.0, 2.0, 5.0]
+    assert count_le(values, 2) == 2
+    assert count_le(values, 1) == 0
+    assert count_le(values, 7) == 3
+    assert count_lt(values, 2) == 0
+    assert count_lt(values, 5) == 2
 
 
 # a few values, so that ties are the rule; -0.0 equals 0.0, and NaN sorts last

@@ -63,10 +63,21 @@ def test_d1_tree_is_the_1d_structure():
     pts = [(1.0, 0), (3.0, 0), (5.0, 0), (2.0, 1), (7.0, 1)]
     t = cf.build_dominance(cf.PointSet.from_points(pts), 1, s=2)
     f = cf.build_1d(pts)
-    assert t.base[0].chain_of(0) == f.chain_of(0)
-    assert t.base[0].chain_of(1) == f.chain_of(1)
+    assert t.base.chain_of(0) == f.chain_of(0)
+    assert t.base.chain_of(1) == f.chain_of(1)
     for q in (0.0, 2.5, 5.0, 9.0):
         assert canon(t.query((q,))) == canon(f.query_prefix(q))
+
+
+def test_d1_forest_is_one_block():
+    # a d = 1 box's bottom: many small trees, one block whose range t is
+    # tree t
+    ps = cf.generate_points(300, 1, 7, seed=31, grid=40)
+    forest = cf.build_box(ps, s=2, bounded_axes=(0,)).forest
+    sizes = np.diff(forest.start)
+    assert isinstance(forest.base, cf.Frequency1D) and len(sizes) > 100
+    assert np.diff(forest.base.start).tolist() == sizes.tolist()
+    assert forest.stored_entries == forest.base.m == sum(sizes)
 
 
 def test_single_point_tree():

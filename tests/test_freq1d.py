@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import colorfreq as cf
 from colorfreq import dominance, freq1d
-from _util import canon
+from _util import canon, chains, check_block, checked_blocks, reference_1d
 
 # Pinned probe-counter constants (recorded by this suite; measured worst
 # cases were ~1.3 and ~2.3 with the same per-k charges).
@@ -282,7 +282,7 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
     assert block.entries == block.start[-1] == len(block.lo)
     succ = block.succ
     for j, (lo, cut) in enumerate(ranges):
-        want = cf.Frequency1D(ys[lo:cut], cols[lo:cut], w[lo:cut], mode)
+        want = reference_1d(ys[lo:cut], cols[lo:cut], w[lo:cut], mode)
         a, b = block.start[j], block.start[j + 1]
 
         def unshift(column):  # block positions to ranks in the range
@@ -318,6 +318,14 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
                 mine = list(mine)
             assert value == mine, name
         assert succ[a:b] == want.succ
+        if mode is cf.COUNT:  # the interval index, on the range built on its own
+            got = cf.Frequency1D(ys[lo:cut], cols[lo:cut], w[lo:cut], interval_index=True)
+            want = reference_1d(ys[lo:cut], cols[lo:cut], w[lo:cut], interval_index=True)
+            for mine, theirs in zip(got._pred_index, want._pred_index):
+                assert mine.typecode == theirs.typecode and list(mine) == list(theirs)
+            assert got.prefix_below.typecode == "q"
+            assert list(got.prefix_below) == list(want.prefix_below)
+            assert list(got._ops) == list(want._ops)
 
 
 def heap_layout_holds_one_node_per_entry(f, heap=None):
@@ -400,16 +408,6 @@ def reference_report(pri, occ, a, b, t):
     return hits, probes
 
 
-def chain_successors(colors):
-    """Rank of the next entry of the same color, len(colors) for none."""
-    succ, last = [len(colors)] * len(colors), {}
-    for r, c in enumerate(colors):
-        if c in last:
-            succ[last[c]] = r
-        last[c] = r
-    return succ
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 700),
@@ -434,15 +432,11 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
         f = freq1d._build_ranges(ys, cols, freq1d._weight_array(w, mode), [(0, m)], mode)
     else:
         f = cf.Frequency1D(ys, cols, w, mode, interval_index=mode is cf.COUNT)
-    succ = chain_successors(f.colors)
+    succ, pred = chains(list(f.colors))
     assert f.succ == succ
     occ = reference_index(succ)
     heaps = [((f.lo, f.pri, f.pos, f.skip), succ, occ)]
     if f._pred_index is not None:
-        pred = [-1] * m
-        for r, nxt in enumerate(succ):
-            if nxt < m:
-                pred[nxt] = r
         pri = [-p for p in pred]
         heaps.append((f._pred_index, pri, reference_index(pri)))
 
@@ -564,12 +558,59 @@ def test_max_path_takes_python_ints_that_fit_int64_only():
     for weights in ([1, 2**63], [1, -2**63 - 1], [1, 2.0], [1, True], [1, None],
                     [(1,), (2,)], [1, np.int64(2)]):
         assert freq1d._max_ints(weights, cf.MAX_SEMIGROUP) is None, weights
-    # the loop then builds the same block as one structure per range
+    # the loop then builds the same block as the one-by-one build
     for weights in ([3, 2**64, 2**64, 5], [1.5, 2.0, 2.0, -1.0], [True, 1, 1, False]):
         block = freq1d._build_ranges(np.arange(4.0), np.zeros(4, dtype=np.int64),
                                      freq1d._weight_array(weights, cf.MAX_SEMIGROUP), [(0, 4)],
                                      cf.MAX_SEMIGROUP)
-        want = cf.Frequency1D(np.arange(4.0), [0] * 4, weights, cf.MAX_SEMIGROUP)
+        want = reference_1d(np.arange(4.0), [0] * 4, weights, cf.MAX_SEMIGROUP)
+        assert_same_block(block, want)
         assert all(a is b for a, b in zip(block.prefix_weight, want.prefix_weight))
     for mode in (cf.COUNT, CONCAT, cf.SemigroupMode(lambda a, b: max(a, b))):
         assert freq1d._max_ints([1, 2], mode) is None
+
+
+# -- the layout, checked on every builder's blocks -----------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 90),
+    st.integers(1, 30),
+    st.integers(1, 8),
+    st.integers(0, 2**31),
+    st.sampled_from(["count", "max", "concat"]),
+    st.sampled_from([2, 3, 16]),
+)
+def test_every_builder_lays_out_its_blocks_as_defined(n, grid, phi, seed, mode_name, s):
+    # tied coordinates, and count weights in [-2, 2] that cancel
+    rng = np.random.default_rng(seed)
+    mode = {"count": cf.COUNT, "max": cf.MAX_SEMIGROUP, "concat": CONCAT}[mode_name]
+    coords = rng.integers(0, grid, (n, 3)).astype(float)
+    cols = rng.integers(0, phi, n)
+    w = tied_weights(rng, n, mode)
+    if mode is cf.COUNT:
+        w = w.tolist()
+    for index in (False, True):
+        f = cf.Frequency1D(coords[:, 0], cols, w, mode, interval_index=index)
+        check_block(f, [(coords[:, 0], cols, w)])
+        assert (f._pred_index is not None) == (index and mode is cf.COUNT)
+    # ranges of any size, empty ones too, and a block of no entries
+    ranges = np.sort(rng.integers(0, n + 1, (int(rng.integers(0, 6)), 2)), axis=1)
+    check_block(freq1d._build_ranges(coords[:, 0], cols, freq1d._weight_array(w, mode), ranges,
+                                     mode),
+                [(coords[lo:cut, 0], cols[lo:cut], w[lo:cut]) for lo, cut in ranges.tolist()])
+    s = min(s, max(n, 2))
+    corners = [cf.BoxQuery.dominance(c) for c in rng.integers(-1, grid + 1, (20, 3)).tolist()]
+    with checked_blocks() as seen:
+        for d in (1, 2, 3):
+            ps = cf.PointSet(coords[:, :d], cols, w, mode=mode)
+            cf.build_dominance(ps, d, s=s)
+            cf.build_box(ps, s=s, bounded_axes=tuple(range(min(d, 2))))
+            queries = [(i, cf.BoxQuery(q.bounds[:d])) for i, q in enumerate(corners)]
+            cf.answer_offline_dominance(cf.OfflineJob(ps, queries, d - 1, s))
+        ps = cf.PointSet(coords[:, :2], cols, w, mode=mode)
+        three = [(i, cf.BoxQuery([tuple(sorted(q.bounds[0][1] + rng.integers(-9, 9, 2))),
+                                  q.bounds[1]])) for i, q in enumerate(corners)]
+        cf.answer_offline_3sided(ps, three, s)
+    assert seen

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import colorfreq as cf
-from _util import canon, random_corner, random_query
+from _util import canon, random_corner, random_query, reference_1d
 from colorfreq import offline
 from colorfreq.core import count_le
 from colorfreq.offline import _LiveMeter, _sweep_dominance
@@ -400,7 +400,7 @@ def test_planned_blocks_hold_at_most_the_last_pinned_rank(s, grid, weights, monk
 def _per_strip_sweep(coords, colors, weights, mode, phi, qids, corners, sweep_axis, s,
                      summary, meter):
     """The sweep with each strip built on its own when the walk enters it,
-    a d = 2 one by ``Frequency1D``, and destroyed when the walk leaves it:
+    a d = 2 one by the one-by-one 1-D build, and destroyed when the walk leaves it:
     the reference of the planned blocks (d >= 2)."""
     coords = np.asarray(coords, dtype=np.float64)
     d = coords.shape[1]
@@ -427,8 +427,8 @@ def _per_strip_sweep(coords, colors, weights, mode, phi, qids, corners, sweep_ax
         for c in nxt[keep:]:
             lo = skel.parent[0][c]
             if d == 2:
-                struct = cf.Frequency1D(skel.coords_r[lo:c, 1], skel.colors_r[lo:c],
-                                        skel.weights_r[lo:c], mode)
+                struct = reference_1d(skel.coords_r[lo:c, 1], skel.colors_r[lo:c],
+                                      skel.weights_r[lo:c], mode)
                 entries = struct.entries
             else:
                 struct = skel._build_substructure(np.array([lo]), np.array([c]), skel.weights_r)

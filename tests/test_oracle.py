@@ -73,13 +73,3 @@ def test_oracle_output_invariants():
         assert len(colors) == len(set(colors))
         assert all(w > 0 for _, w in entries)
         assert cf.freq_total(entries) == int(q.mask(ps.coords).sum())
-
-
-def test_batch_matches_single_calls_and_determinism():
-    ps = cf.generate_points(80, 2, 6, seed=13)
-    queries = cf.generate_queries(10, 2, seed=14, sides=(2, 1))
-    batch = cf.brute_force_batch(ps, queries)
-    assert batch == [cf.brute_force(ps, q) for q in queries]
-    assert cf.brute_force_batch(ps, []) == []
-    dup = cf.brute_force_batch(ps, [queries[0], queries[0]])
-    assert dup[0] == dup[1]
