@@ -45,3 +45,14 @@ print(f"\n3-sided batch: m={len(queries3)}, mismatches vs oracle: {bad}")
 print(f"  peak live entries: {summary3.peak_live_entries} (<= n = {n})")
 print(f"  merge entry touches: {summary3.merge_entry_touches} "
       f"(k1+k2 summed: {sum(k1 + k2 for _, _, k1, k2 in summary3.merge_touches_per_query)})")
+
+# Result 4 takes O(n^(1+eps) + m log n + K) time with s = n^eps: a sweep
+# builds each strip at most once, so its builds stay within the eager
+# tree's n*(s-1)*(log_s n + 1) entries.  The ratio below is reported, not
+# bounded: the bound hides its constant.
+print("\nentries built per n^(1+eps), s = n^eps, same batch:")
+for eps in (1 / 2, 1 / 3, 1 / 4):
+    s_eps = max(2, round(n ** eps))
+    built = cf.answer_offline_dominance(cf.OfflineJob(ps, queries, 0, s_eps)).entries_built
+    print(f"  eps=1/{round(1 / eps)}: s={s_eps:3d}  entries built {built:6d}  "
+          f"n^(1+eps)={n ** (1 + eps):9.0f}  ratio {built / n ** (1 + eps):.3f}")

@@ -137,6 +137,36 @@ class ColorAccumulator:
         self.touched = []
         return out
 
+    def drain_into(self, other: "ColorAccumulator") -> int:
+        """``other.add_entries(self.drain_and_reset())`` with no list in
+        between: the drained entries merge into ``other`` in drain order.
+        Returns how many merged."""
+        slots, into, touched, combine = self.slots, other.slots, other.touched, other.mode.combine
+        add, top = combine is operator.add, combine is max
+        cancel = self._count_mode
+        self.drain_ops += len(self.touched)
+        merged = 0
+        for c in self.touched:
+            w = slots[c]
+            slots[c] = None
+            if cancel and w == 0:
+                continue  # exact cancellation; never reported
+            cur = into[c]
+            if cur is None:
+                into[c] = w
+                touched.append(c)
+            elif add:
+                into[c] = cur + w
+            elif top:
+                if w > cur:
+                    into[c] = w
+            else:
+                into[c] = combine(cur, w)
+            merged += 1
+        self.touched = []
+        other.touch_ops += merged
+        return merged
+
     def is_fully_reset(self) -> bool:
         """Full phi-length scan; test helper only, never on the query path."""
         return not self.touched and all(s is None for s in self.slots)
@@ -479,6 +509,26 @@ def _strip_order(n: int, s: int):
     return lo, cut
 
 
+@functools.lru_cache(maxsize=512)
+def _strip_spans(n: int, s: int):
+    """``(parent, end)`` of the tree over n ranks as read-only int64
+    arrays: rank c >= 1 starts the strip [parent[c], c), and the ranks
+    whose walk holds it are [c, end[c]) (end[0] = n).
+
+    Those are the ranks whose chain through ``parent`` reaches c (see
+    ``offline_build_bound``), so end[c] is c plus the size of c's subtree
+    under ``parent``.
+    """
+    parent = _strips(n, s)[0]
+    size = [1] * n
+    for x in range(n - 1, 0, -1):
+        size[parent[x]] += size[x]
+    parent, end = (np.array(a, dtype=np.int64) for a in (parent, size))
+    end += np.arange(n)
+    parent.flags.writeable = end.flags.writeable = False
+    return parent, end
+
+
 def _strip_ranges(forest):
     """(lo, cut) of every strip of ``forest``, as positions of its columns:
     trees of one size together, sizes ascending, then tree by tree in
@@ -526,20 +576,26 @@ def _fill(forest) -> None:
     trees of one forest over the remaining axes, and those of a d = 2
     forest in the chunks of ``_strip_chunks``, one block per chunk, with
     the columns of ``_strip_columns``.  A strip's ``prefix`` is its block
-    or forest and its ``index`` its range or tree there, written into the
-    skeleton's lists as each chunk is built, with no per-rank array of its
-    own.
+    or forest and its ``index`` its range or tree there: each chunk writes
+    them with one scatter into an object array and one into an int array,
+    which become the skeleton's lists once all are built.
     """
     if forest.d < 2:
         return
-    prefix, index = forest.prefix, forest.index
+    n = len(forest.prefix)
+    forest.prefix = forest.index = None  # replaced by the arrays' lists
+    prefix = np.full(n, None, dtype=object)
+    index = np.zeros(n, dtype=np.int32)
+    struct = np.empty(1, dtype=object)  # a structure, scattered as itself
     columns = _strip_columns(forest)
     chunks = _strip_chunks(forest) if forest.d == 2 else [_strip_ranges(forest)]
     for lo, cut in chunks:
-        struct = forest._build_substructure(lo, cut, *columns)
-        for j, c in enumerate(cut.tolist()):
-            prefix[c] = struct
-            index[c] = j
+        struct[0] = forest._build_substructure(lo, cut, *columns)
+        prefix[cut] = struct
+        index[cut] = np.arange(len(cut), dtype=np.int32)
+    forest.prefix = prefix.tolist()
+    del prefix
+    forest.index = index.tolist()
 
 
 def _strip_columns(forest):

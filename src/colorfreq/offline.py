@@ -1,30 +1,35 @@
 """Batched offline queries with low peak working space.
 
-Dominance batches: the strip-tree skeleton is built up front, but the
-per-strip substructures are built only when the sweep's walk enters their
-strip and destroyed once it has left, so the sweep never holds more
-entries than its last walk covers.  Queries are pinned to the rank just
-below their corner and answered the moment the sweep reaches it, which
-makes the answer stream non-decreasing in the sweep coordinate.
+A sweep runs over a skeleton forest: the rank order and strip tree of one
+tree or more, whose per-strip substructures are built only when a walk
+enters their strip and destroyed once it has left, so the sweep never
+holds more entries than its last walks cover.  Each query is pinned, in
+every tree, to the rank just below its corner and answered the moment the
+sweep reaches it, which makes the answer stream non-decreasing in the
+sweep coordinate.  A dominance batch is a sweep over one tree.
 
 Every pinned rank is known before the sweep starts, so a d = 2 sweep plans
-its builds first (``_plan``): it lists the strips in the order its walks
-enter them and cuts that list into blocks, each built by one
-``_build_ranges`` call at the step its first strip enters and held until
-its last strip pops.  A block takes strips of later steps only while the
-entries held stay at or below the last pinned rank P at every step.  The
-walk to a rank x tiles [0, x), so P is what a sweep holds at its last step
-anyway: blocks leave the peak unchanged.  A d >= 3 strip's structure
-stores more entries than it has points, so there each strip is a block of
-its own.
+its builds first (``_plan``): it lists the strips of all its trees in the
+order their walks enter them and cuts that list into blocks, each built by
+one ``_build_ranges`` call at the step its first strip enters and held
+until its last strip pops.  A block takes strips of later steps only while
+the entries held stay within the sweep's budget at every step: P, the sum
+of the trees' last pinned ranks, or the larger peak of the batch it is
+part of.  The walk to a rank x tiles [0, x), so P is what a sweep holds at
+its last step anyway: blocks leave the peak unchanged.  A d >= 3 strip's
+structure stores more entries than it has points, so there each strip is
+a block of its own.
 
 Three-sided batches in the plane ([x1,x2] x (-inf,y]) place each query at
 the highest node of the box layer's split tree on x whose splitter falls in
-its x-range, split it into two dominance queries over the node's children
-(the left one x-reflected), run both child batches as sweeps along y, and
-merge the two y-ordered answer streams pairwise through one accumulator — no
-subtraction anywhere, so semigroup weights work.  Ties in a sweep coordinate
-keep the input order of the queries.
+its x-range and split it into two dominance queries over the node's
+children, the low one x-reflected.  One sweep along y over the forest of
+both children answers them, and each child's partial answer drains
+straight into one merge accumulator, low child first: no subtraction
+anywhere, so semigroup weights work.  The nodes are swept one after
+another, and the batch's peak is the largest P among them, so each node's
+sweep takes that as its budget.  Ties in a sweep coordinate keep the input
+order of the queries.
 """
 
 from __future__ import annotations
@@ -46,15 +51,27 @@ from .core import (
     rank_order,
 )
 from .boxes import _Layer, _node_count, _split_rank
-from .dominance import ColorAccumulator, DominanceTree, _check_fanout, _strip_columns
+from .dominance import (
+    ColorAccumulator,
+    DominanceTree,
+    _check_fanout,
+    _ranked_ranges,
+    _strip_columns,
+    _strip_spans,
+)
 from .freq1d import Frequency1D
 
 # A block of the offline sweep holds at most _BLOCK entries (a larger strip
 # is a block of its own), and a step whose own strips hold more builds no
 # strip of a later step: a block is built while its step's answers wait.
-# With a 16k cap, whole offline-3sided batches (seeds 101-103) read
-# 99th-percentile waits of 3.7-4.2 ms against 3.2-3.6 ms with this one.
-_BLOCK = 1 << 10
+# A block of 50 entries takes about 0.2 ms to build, so fewer, larger
+# blocks pay off.  Whole offline-3sided batches (seeds 101-103, caps
+# interleaved in one process, 8 batches each on a shared 2-vCPU machine):
+# with this cap a batch took 0.99-1.12 s at best (medians 1.15-1.20 s) and
+# its 99th-percentile wait read 2.0-2.4 ms (medians); 8192 took 0.89-0.97 s
+# (1.09-1.21 s) but waited 2.8-2.9 ms; 2048 took 1.09-1.19 s (1.27-1.50 s).
+# Seed 101 makes 519 builds with this cap, 384 with 8192 and 821 with 2048.
+_BLOCK = 1 << 12
 
 
 @dataclass
@@ -68,9 +85,47 @@ class OfflineJob:
     sink: Callable[[Any, list], None] | None = None
 
 
+class _MergeLog:
+    """The (query id, touches, k1, k2) of every merged query, in merge
+    order, read as the list of those tuples.  It keeps them as columns, the
+    ids in a list and the counts in unsigned 32-bit arrays (k1 and k2 are
+    at most phi < 2**31), about 20 B a query where a tuple takes 80."""
+
+    __slots__ = ("qids", "touches", "k1", "k2")
+    __hash__ = None
+
+    def __init__(self):
+        self.qids = []
+        self.touches, self.k1, self.k2 = array("I"), array("I"), array("I")
+
+    def append(self, merged) -> None:
+        qid, touches, k1, k2 = merged
+        self.qids.append(qid)
+        self.touches.append(touches)
+        self.k1.append(k1)
+        self.k2.append(k2)
+
+    def __len__(self) -> int:
+        return len(self.qids)
+
+    def __iter__(self):
+        return zip(self.qids, self.touches, self.k1, self.k2)
+
+    def __eq__(self, other):
+        if isinstance(other, (_MergeLog, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class SweepSummary:
-    """Counters describing one completed offline job."""
+    """Counters describing one completed offline job.
+
+    ``merge_touches_per_query`` holds a three-sided batch's (query id,
+    touches, k1, k2) per merged query, in merge order."""
 
     n: int
     m: int
@@ -85,7 +140,7 @@ class SweepSummary:
     emit_order_violations: int = 0
     skeleton_nodes: int = 0
     merge_entry_touches: int = 0
-    merge_touches_per_query: list = field(default_factory=list)
+    merge_touches_per_query: _MergeLog = field(default_factory=_MergeLog)
 
 
 def peak_space_report(summary: SweepSummary) -> dict:
@@ -124,179 +179,163 @@ def _struct_entries(struct) -> int:
     return struct.stored_entries
 
 
-def _plan(skel, xs, batched: bool) -> list:
-    """The builds of a sweep over the ascending pinned ranks ``xs`` of the
-    one-tree skeleton ``skel``, as blocks ``(build step, release step,
-    cuts)`` in build order.
+def _plan(forest, xs, batched: bool, budget: int) -> list:
+    """The builds of a sweep over the skeleton ``forest``, as blocks
+    ``(build step, release step, lo, cut)`` in build order.
 
-    Step t holds the strips [parent[c], c) of the walk to ``xs[t]``.  A
-    strip enters at the first step whose walk holds it and pops at the
-    first later step whose walk does not, or at ``len(xs)``, the end; the
-    steps whose walk holds a strip form one run.  A block lists its strips'
-    cuts c; it is built at the step its first strip enters and released at
-    the step its last strip pops, before that step's builds.
+    ``xs[i]`` is an int64 array of tree i's pinned rank at each step,
+    ascending.  Step t holds, for every tree i, the strips [parent[c], c)
+    of the walk to ``xs[i][t]``.  The walks that hold a strip c are those
+    to the ranks [c, end[c]) of ``_strip_spans``, so the steps whose walk
+    holds it form one run: it enters at the first and pops at the step
+    after the last (the number of steps when that is the last).  The strips
+    are listed in the order they enter, at one step tree by tree, each
+    tree's ascending.  A block's ``lo`` and ``cut`` are int64 arrays of its
+    strips' bounds as positions of the forest's columns; it is built at the
+    step its first strip enters and released at the step its last strip
+    pops, before that step's builds.
 
     With ``batched`` (d = 2, where a strip holds its point count) the
-    strips are cut greedily into blocks of at most ``_BLOCK`` entries.  A
-    block takes the next strip only while the entries held, each block
-    counted from its build step to its release step and each strip not yet
-    placed as a block of its own, stay at or below ``xs[-1]`` at every step,
-    and, when its build step's own strips exceed ``_BLOCK``, only a strip
-    of that step.  Otherwise every strip is a block of its own.
+    strips, of all trees alike, are cut greedily into blocks of at most
+    ``_BLOCK`` entries.  A block takes the next strip only while the
+    entries held, each block counted from its build step to its release
+    step and each strip not yet placed as a block of its own, stay at or
+    below ``budget`` at every step, and, when its build step's own strips
+    exceed ``_BLOCK``, only a strip of that step.  The walk to a rank x
+    tiles [0, x), so the last step's walks hold P, the sum of the trees'
+    last pinned ranks, and a budget of at least P leaves the peak at the
+    larger of the two.  Otherwise every strip is a block of its own.
     """
-    parent = skel.parent[0]
-    cuts, enter, pops = [], [], []
-    walk: list = []
-    live: list = []  # indexes into cuts of the current walk's strips
-    for t, x in enumerate(xs):
-        nxt = skel._walk_to(x)
-        keep = 0
-        while keep < min(len(walk), len(nxt)) and walk[keep] == nxt[keep]:
-            keep += 1
-        for k in live[keep:]:
-            pops[k] = t
-        del live[keep:]
-        for c in nxt[keep:]:
-            live.append(len(cuts))
-            cuts.append(c)
-            enter.append(t)
-            pops.append(len(xs))
-        walk = nxt
+    steps = len(xs[0])
+    los, cuts, enter, pops = [], [], [], []
+    for x, off, m in zip(xs, forest.start, np.diff(forest.start).tolist()):
+        parent, end = _strip_spans(m, forest.s)
+        first = np.searchsorted(x, np.arange(1, m))
+        last = np.searchsorted(x, end[1:])
+        c = np.flatnonzero(first < last) + 1
+        los.append(off + parent[c])
+        cuts.append(off + c)
+        enter.append(first[c - 1])
+        pops.append(last[c - 1])
+    lo, cut, enter, pops = (np.concatenate(a) for a in (los, cuts, enter, pops))
+    order = np.argsort(enter * forest.start[-1] + cut)  # by step, then position
+    lo, cut, enter, pops = lo[order], cut[order], enter[order], pops[order].tolist()
     if not batched:
-        return [(enter[k], pops[k], cuts[k:k + 1]) for k in range(len(cuts))]
+        return [(t, p, lo[k:k + 1], cut[k:k + 1])
+                for k, (t, p) in enumerate(zip(enter.tolist(), pops))]
 
-    size = [c - parent[c] for c in cuts]
-    own = [0] * len(xs)  # entries of the strips entering at each step
-    for t, w in zip(enter, size):
-        own[t] += w
-    # entries a step can take beyond those held; strips as blocks of their
-    # own hold the walk, and the last walk holds xs[-1]
-    slack = [xs[-1] - x for x in xs]
+    size = (cut - lo).tolist()
+    own = np.bincount(enter, cut - lo, steps).tolist()  # entries entering at each step
+    enter = enter.tolist()
+    # the entries each step can take beyond those held, each strip not yet
+    # placed held over its run as a block of its own, as the walks hold it
+    slack = (budget - np.sum(xs, axis=0)).tolist()
     blocks = []
     a = 0
-    while a < len(cuts):
+    while a < len(cut):
         first, release, entries = enter[a], pops[a], size[a]
         ahead = own[first] <= _BLOCK
+        # While a block is open, slack[u] on [first, release) also counts
+        # the entries of its strips whose run holds u, which the block holds
+        # anyway, so the block keeps the entries held within the budget
+        # where slack[u] is at least its entries.  A strip taken later changes no
+        # slack before its own step: ``lead``, the least slack before step
+        # ``seen``, is final.
+        for u in range(first, release):
+            slack[u] += entries
+        lead, seen = INF, first
         b = a + 1
-        while b < len(cuts) and entries + size[b] <= _BLOCK and (ahead or enter[b] == first):
+        while b < len(cut) and entries + size[b] <= _BLOCK and (ahead or enter[b] == first):
             t, p, w = enter[b], pops[b], size[b]
-            # strip b is held from the block's build step, and the block
-            # until the later of its release and strip b's pop
-            if t > first and min(slack[first:t]) < w:
+            if t > seen:
+                lead = min(lead, min(slack[seen:t]))
+                seen = t
+            # the block, grown by strip b, holds its entries from its build
+            # step to the later of its release and strip b's pop
+            if lead < entries + w:
                 break
-            if p < release and min(slack[p:release]) < w:
+            if p < release and min(slack[p:release]) < entries + w:
                 break
-            if p > release and min(slack[release:p]) < entries:
+            if p > release and min(slack[max(release, t):p]) < entries:
                 break
-            for i in range(first, t):
-                slack[i] -= w
-            for i in range(p, release):
-                slack[i] -= w
-            for i in range(release, p):
-                slack[i] -= entries
+            for u in range(t, p):
+                slack[u] += w
             release = max(release, p)
             entries += w
             b += 1
-        blocks.append((first, release, cuts[a:b]))
+        slack[first:release] = [v - entries for v in slack[first:release]]
+        blocks.append((first, release, lo[a:b], cut[a:b]))
         a = b
     return blocks
 
 
-def _sweep_dominance(
-    coords,
-    colors,
-    weights,
-    mode,
-    phi,
-    qids,
-    corners,
-    sweep_axis,
-    s,
-    summary,
-    meter,
-):
-    """Generator over (qid, sweep coordinate, frequency list), sweep-ordered.
+def _sweep_dominance(forest, rqs, rests, sessions, summary, meter, budget=0):
+    """Generator over k: query k answered on every tree i of the d >= 2
+    skeleton ``forest`` into the accumulator of ``sessions[i]``, which the
+    caller drains before the next query; queries in order.
 
-    ``corners`` is an (m, d) array of corners in original axis order, row i
-    that of ``qids[i]``; the sweep permutes the sweep axis to the front
-    internally.
+    Query k stands at ``rqs[i][k]`` points of tree i (an int64 array,
+    ascending in k) and has the corner ``rests[i][k]`` on the axes after
+    the first.  It is pinned in each tree to the rank just below (0 when
+    none is); queries pinned alike in every tree form a run, which is one
+    step of the sweep.  The strips are built in the blocks of ``_plan``,
+    within the larger of ``budget`` and the entries the last step holds,
+    one ``_build_substructure`` call each, written into the forest's
+    ``prefix`` and ``index`` while held and cleared when released, and
+    the meter and ``summary`` count them.  A d >= 3 strip stores more
+    entries than it has points, so there each strip is a block of its own.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    n, d = coords.shape
-    axes = [sweep_axis] + [a for a in range(d) if a != sweep_axis]
-    # ties keep input order, which keeps paired sweeps in step
-    order = rank_order(corners[:, sweep_axis])
-    corners = corners[order][:, axes]
-    skel = DominanceTree._skeleton(coords[:, axes], colors, weights, s=s, phi=phi, mode=mode)
-    session = QuerySession(ColorAccumulator(phi, mode))
-    acc = session.accumulator
-    qids = [qids[i] for i in order.tolist()]
-    sweep, *rest = corners.T.tolist()  # one list per axis
+    summary.skeleton_nodes += forest.node_count
+    m = len(rqs[0])
+    pinned = [np.maximum(rq - 1, 0) for rq in rqs]
+    new = np.zeros(m, dtype=bool)
+    for x in pinned:
+        new |= np.diff(x, prepend=-1) != 0
+    step_start = np.flatnonzero(new)
+    xs = [x[step_start] for x in pinned]
+    last = sum(int(x[-1]) for x in xs) if m else 0  # what the last step's walks hold
+    plan = _plan(forest, xs, forest.d == 2, max(budget, last))
+    xs = [x.tolist() for x in xs]
+    step_start = step_start.tolist() + [m]
 
-    if d == 1:
-        # the skeleton is the whole structure: one 1-D structure over all points
-        entries = skel.stored_entries
-        if n:
-            summary.total_built += 1
-            summary.entries_built += entries
-            meter.add(entries)
-        for qid, coord in zip(qids, sweep):
-            session.reset()
-            skel._query_into((coord,), session)
-            yield qid, coord, acc.drain_and_reset()
-        if n:
-            meter.remove(entries)
-            summary.total_destroyed += 1
-        return
-
-    summary.skeleton_nodes += skel.node_count
-
-    # pin each query to the rank x just below its corner (0 when none is);
-    # the queries of one x form a run, which is one step of the sweep
-    rq = np.searchsorted(np.asarray(skel.sorted0), corners[:, 0], "right")
-    pinned = np.maximum(rq - 1, 0)
-    step_start = np.flatnonzero(np.diff(pinned, prepend=-1)).tolist()
-    xs = pinned[step_start].tolist()
-    step_start.append(len(sweep))
-    plan = _plan(skel, xs, d == 2)
-
-    parent, prefix, index = skel.parent[0], skel.prefix, skel.index
-    columns = _strip_columns(skel)  # one y rank for all the sweep's blocks
+    prefix, index, offs = forest.prefix, forest.index, forest.start[:-1]
+    rqs = [rq.tolist() for rq in rqs]
+    columns = _strip_columns(forest)  # one y rank for all the sweep's blocks
     held: dict = {}  # block -> its structure
 
     def release(block):
-        cuts = plan[block][2]
-        for c in cuts:
+        cuts = plan[block][3]
+        for c in cuts.tolist():
             prefix[c] = None
         meter.remove(_struct_entries(held.pop(block)))
         summary.total_destroyed += len(cuts)
 
     b = 0  # the next block to build
     try:
-        for t, x in enumerate(xs):
+        for t in range(len(step_start) - 1):
             for done in [done for done in held if plan[done][1] == t]:
                 release(done)
             while b < len(plan) and plan[b][0] == t:
-                cuts = plan[b][2]
-                struct = skel._build_substructure(
-                    np.array([parent[c] for c in cuts], dtype=np.int64),
-                    np.array(cuts, dtype=np.int64), *columns,
-                )
-                for j, c in enumerate(cuts):
+                _, _, lo, cut = plan[b]
+                struct = forest._build_substructure(lo, cut, *columns)
+                for j, c in enumerate(cut.tolist()):
                     prefix[c] = struct
                     index[c] = j
                 held[b] = struct
                 entries = _struct_entries(struct)
-                summary.total_built += len(cuts)
+                summary.total_built += len(cut)
                 summary.entries_built += entries
                 meter.add(entries)
                 b += 1
 
-            structs = [(prefix[c], index[c]) for c in skel._walk_to(x)]
+            walks = [[(prefix[off + c], index[off + c]) for c in forest._walk_to(x[t], i)]
+                     for i, (off, x) in enumerate(zip(offs, xs))]
             for k in range(step_start[t], step_start[t + 1]):
-                session.reset()
-                skel._answer(structs, [axis[k] for axis in rest], int(rq[k]), session)
-                yield qids[k], sweep[k], acc.drain_and_reset()
+                for off, walk, rq, rest, session in zip(offs, walks, rqs, rests, sessions):
+                    session.reset()
+                    r = rq[k]
+                    forest._answer(walk, rest[k], off + r if r else 0, session)
+                yield k
     finally:
         for done in list(held):
             release(done)
@@ -324,7 +363,9 @@ def answer_offline_dominance(job: OfflineJob) -> SweepSummary:
 
     Emits (query id, frequency list) to the job sink in non-decreasing
     order of the corner's sweep-axis coordinate; returns the space and
-    stream counters.
+    stream counters.  The sweep is ``_sweep_dominance`` over a skeleton of
+    one tree; at d = 1 the skeleton is the whole structure, one 1-D block
+    over all points, held for the batch.
     """
     ps = job.points
     try:
@@ -338,25 +379,69 @@ def answer_offline_dominance(job: OfflineJob) -> SweepSummary:
     summary = SweepSummary(ps.n, len(job.queries), ps.d, job.s, job.sweep_axis)
     meter = _LiveMeter()
     sink = job.sink or (lambda qid, entries: None)
+
+    axes = [job.sweep_axis] + [a for a in range(ps.d) if a != job.sweep_axis]
+    order = rank_order(corners[:, job.sweep_axis])  # ties keep input order
+    corners = corners[order][:, axes]
+    qids = [qids[i] for i in order.tolist()]
+    sweep = corners[:, 0].tolist()
+    skel = DominanceTree._skeleton(np.asarray(ps.coords, dtype=np.float64)[:, axes], ps.colors,
+                                   ps.weight_list(), s=job.s, phi=ps.phi, mode=ps.mode)
+    session = QuerySession(ColorAccumulator(ps.phi, ps.mode))
+    acc = session.accumulator
+    if ps.d == 1:
+        steps = _sweep_line(skel, sweep, summary, meter, session)
+    else:
+        rq = np.searchsorted(np.asarray(skel.sorted0), corners[:, 0], "right")
+        steps = _sweep_dominance(skel, [rq], [corners[:, 1:].tolist()], [session],
+                                 summary, meter)
     last = -INF
-    for qid, coord, entries in _sweep_dominance(
-        ps.coords, ps.colors, ps.weight_list(), ps.mode, ps.phi,
-        qids, corners, job.sweep_axis, job.s, summary, meter,
-    ):
+    for k in steps:
+        coord = sweep[k]
         if coord < last:
             summary.emit_order_violations += 1
         last = coord
         summary.emitted += 1
-        sink(qid, entries)
+        sink(qids[k], acc.drain_and_reset())
     summary.peak_live_entries = meter.peak
     return summary
+
+
+def _sweep_line(line, coords, summary, meter, session):
+    """Generator over k: query k answered for ``coords[k]`` on the d = 1
+    skeleton ``line`` into ``session``'s accumulator."""
+    entries = line.stored_entries
+    if line.start[-1]:
+        summary.total_built += 1
+        summary.entries_built += entries
+        meter.add(entries)
+    for k, coord in enumerate(coords):
+        session.reset()
+        line._query_into((coord,), session)
+        yield k
+    if line.start[-1]:
+        meter.remove(entries)
+        summary.total_destroyed += 1
+
+
+def _children(layer, lo, mid, hi, s, phi, mode) -> DominanceTree:
+    """The skeleton forest of the layer node [lo, hi) split at ``mid``, on
+    (y, x): tree 0 is the low child with x negated, tree 1 the high child,
+    each in rank order of y, ties by x rank."""
+    rows = lo + _ranked_ranges(np.array([0, mid - lo]), np.array([mid - lo, hi - mid]),
+                               layer.coords_r[lo:hi, 1])
+    coords = layer.coords_r[np.ix_(rows, [1, 0])]
+    coords[:mid - lo, 1] = -coords[:mid - lo, 1]
+    weights = list(map(layer.weights_r.__getitem__, rows.tolist()))
+    return DominanceTree._forest(coords, layer.colors_r[rows], weights,
+                                 [mid - lo, hi - mid], s, phi, mode)
 
 
 def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> SweepSummary:
     """Answer a batch of [x1,x2] x (-inf,y] queries in the plane.
 
-    Each query is answered exactly once; the per-node two-stream merge
-    touches every partial entry exactly once (``merge_entry_touches``).
+    Each query is answered exactly once; the per-node merge touches every
+    partial entry exactly once (``merge_entry_touches``).
     """
     ps = points
     if ps.d != 2:
@@ -401,7 +486,18 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
         emit(qids[i], [])
 
     x1a, x2a, ya = np.asarray(x1s), np.asarray(x2s), np.asarray(ys)
+    # the batch's peak: the most that the children of a split node hold at
+    # its last query, the ranks up to its highest y in each
+    peak = 0
+    for (_, lo, hi), batch in placed.items():
+        mid = _split_rank(lo, hi)
+        if mid is not None:
+            below = layer.coords_r[lo:hi, 1] <= ya[batch].max()
+            peak = max(peak, sum(max(int(np.count_nonzero(half)) - 1, 0)
+                                 for half in (below[:mid - lo], below[mid - lo:])))
     acc = ColorAccumulator(ps.phi, ps.mode)
+    parts = [QuerySession(ColorAccumulator(ps.phi, ps.mode)) for _ in range(2)]
+    low, high = (part.accumulator for part in parts)
     for (_, lo, hi), batch in sorted(placed.items()):
         mid = _split_rank(lo, hi)
         if mid is None:
@@ -409,36 +505,30 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
                 layer.scan(lo, hi, [(x1s[i], x2s[i]), (-INF, ys[i])], acc)
                 emit(qids[i], acc.drain_and_reset())
             continue
+        # the node's queries in y order, ties in input order, answered by
+        # one sweep along y over both children: the low child takes the
+        # corner (y, -x1), the high child (y, x2)
         rows = np.array(batch, dtype=np.int64)
-        node_qids = [qids[i] for i in batch]
-        gen_left = _sweep_dominance(
-            *layer.low_half(lo, mid), ps.mode, ps.phi,
-            node_qids, np.column_stack((-x1a[rows], ya[rows])), 1, s, summary, meter,
-        )
-        gen_right = _sweep_dominance(
-            *layer.high_half(mid, hi), ps.mode, ps.phi,
-            node_qids, np.column_stack((x2a[rows], ya[rows])), 1, s, summary, meter,
-        )
+        rows = rows[rank_order(ya[rows])]
+        node_qids = [qids[i] for i in rows.tolist()]
+        node_ys = ya[rows]
+        forest = _children(layer, lo, mid, hi, s, ps.phi, ps.mode)
+        sorted0 = np.asarray(forest.sorted0)
+        rqs = [np.searchsorted(sorted0[a:b], node_ys, "right")
+               for a, b in zip(forest.start, forest.start[1:])]
+        rests = [(-x1a[rows])[:, None].tolist(), x2a[rows][:, None].tolist()]
+        node_ys = node_ys.tolist()
         last_y = -INF
-        while True:
-            a = next(gen_left, None)
-            b = next(gen_right, None)
-            if a is None and b is None:
-                break
-            if a is None or b is None or a[0] != b[0]:
-                raise AssertionError("child answer streams fell out of step")
-            qid, y, part_left = a
-            part_right = b[2]
+        for k in _sweep_dominance(forest, rqs, rests, parts, summary, meter, peak):
+            # each child's part drains straight into the merge, low first
+            k1 = low.drain_into(acc)
+            k2 = high.drain_into(acc)
+            qid, y = node_qids[k], node_ys[k]
             if y < last_y:
                 summary.emit_order_violations += 1
             last_y = y
-            acc.add_entries(part_left)
-            acc.add_entries(part_right)
-            touches = len(part_left) + len(part_right)
-            summary.merge_entry_touches += touches
-            summary.merge_touches_per_query.append(
-                (qid, touches, len(part_left), len(part_right))
-            )
+            summary.merge_entry_touches += k1 + k2
+            summary.merge_touches_per_query.append((qid, k1 + k2, k1, k2))
             emit(qid, acc.drain_and_reset())
     summary.peak_live_entries = meter.peak
     return summary

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 
 import colorfreq as cf
-from colorfreq import boxes, dominance, freq1d
+from colorfreq import boxes, dominance, freq1d, offline
 from colorfreq.core import count_le, rank_order
 from colorfreq.freq1d import _SMALL, _sort_charge
 
@@ -216,6 +216,12 @@ def _drain_and_reset(self):
     return out
 
 
+def _drain_into(self, other):
+    entries = self.drain_and_reset()
+    other.add_entries(entries)
+    return len(entries)
+
+
 @contextmanager
 def reference_queries():
     """Every online and offline query of the block runs the per-strip path."""
@@ -227,6 +233,7 @@ def reference_queries():
         (cf.ColorAccumulator, "add", _add),
         (cf.ColorAccumulator, "add_entries", _add_entries),
         (cf.ColorAccumulator, "drain_and_reset", _drain_and_reset),
+        (cf.ColorAccumulator, "drain_into", _drain_into),
     ]
     with ExitStack() as stack:
         for owner, attr, fn in patches:
@@ -421,3 +428,137 @@ def reference_1d(values, colors, weights=None, mode=cf.COUNT, interval_index=Fal
         f._pred_index = tuple(heap)
         f._ops[0] += m + steps
     return f
+
+
+# -- offline batches, strip by strip and child by child ---------------------------
+#
+# Before a three-sided node was one sweep over a two-tree forest, each child
+# of the node was a sweep of its own, a generator over a one-tree skeleton,
+# and the node merged the two y-ordered answer streams in lockstep.  Here
+# each sweep builds every strip on its own, by ``reference_1d`` at d = 2,
+# when its walk enters it, and destroys it when the walk leaves it.
+
+
+def reference_sweep(coords, colors, weights, mode, phi, qids, corners, sweep_axis, s,
+                    summary, meter):
+    """Generator over (qid, sweep coordinate, answer) of the d >= 2
+    dominance batch with the corners ``corners`` (an (m, d) array, row i
+    that of ``qids[i]``), ordered by the sweep coordinate, ties in input
+    order."""
+    coords = np.asarray(coords, dtype=np.float64)
+    d = coords.shape[1]
+    axes = [sweep_axis] + [a for a in range(d) if a != sweep_axis]
+    jobs = sorted(((tuple(corner[a] for a in axes), qid)
+                   for qid, corner in zip(qids, corners.tolist())), key=lambda job: job[0][0])
+    skel = cf.DominanceTree._skeleton(coords[:, axes], colors, weights, s, phi, mode)
+    summary.skeleton_nodes += skel.node_count
+    session = cf.QuerySession(cf.ColorAccumulator(phi, mode))
+    pinned = {}
+    for corner, qid in jobs:
+        rq = count_le(skel.sorted0, corner[0])
+        pinned.setdefault(max(rq - 1, 0), []).append((corner, qid, rq))
+    walk, live, sizes = [], [], []
+    for x in sorted(pinned):
+        nxt = skel._walk_to(x)
+        keep = 0
+        while keep < min(len(walk), len(nxt)) and walk[keep] == nxt[keep]:
+            keep += 1
+        while len(live) > keep:
+            live.pop()
+            meter.remove(sizes.pop())
+            summary.total_destroyed += 1
+        for c in nxt[keep:]:
+            lo = skel.parent[0][c]
+            if d == 2:
+                struct = reference_1d(skel.coords_r[lo:c, 1], skel.colors_r[lo:c],
+                                      skel.weights_r[lo:c], mode)
+                entries = struct.entries
+            else:
+                struct = skel._build_substructure(np.array([lo]), np.array([c]), skel.weights_r)
+                entries = struct.stored_entries
+            live.append((struct, 0))
+            sizes.append(entries)
+            summary.total_built += 1
+            summary.entries_built += entries
+            meter.add(entries)
+        walk = nxt
+        for corner, qid, rq in pinned[x]:
+            session.reset()
+            skel._answer(live, corner[1:], rq, session)
+            yield qid, corner[0], session.accumulator.drain_and_reset()
+    while live:
+        live.pop()
+        meter.remove(sizes.pop())
+        summary.total_destroyed += 1
+
+
+def reference_dominance(ps, queries, sweep_axis, s, sink):
+    """``answer_offline_dominance`` (d >= 2) through ``reference_sweep``."""
+    summary = cf.SweepSummary(ps.n, len(queries), ps.d, s, sweep_axis)
+    meter = offline._LiveMeter()
+    corners = np.array([q.corner() for _, q in queries], dtype=np.float64).reshape(-1, ps.d)
+    last = -np.inf
+    for qid, coord, entries in reference_sweep(
+        ps.coords, ps.colors, ps.weight_list(), ps.mode, ps.phi,
+        [qid for qid, _ in queries], corners, sweep_axis, s, summary, meter,
+    ):
+        summary.emit_order_violations += coord < last
+        last = coord
+        summary.emitted += 1
+        sink(qid, entries)
+    summary.peak_live_entries = meter.peak
+    return summary
+
+
+def reference_3sided(ps, queries, s, sink):
+    """``answer_offline_3sided`` with each placed node's children swept by
+    two ``reference_sweep`` generators, the low child x-reflected, whose
+    answer streams merge pairwise through one accumulator."""
+    summary = cf.SweepSummary(ps.n, len(queries), 2, s, 1)
+    meter = offline._LiveMeter()
+    layer = boxes._Layer.ranked(0, ps.coords, ps.colors, ps.weight_list())
+    summary.skeleton_nodes += boxes._node_count(ps.n)
+
+    def emit(qid, entries):
+        summary.emitted += 1
+        sink(qid, entries)
+
+    placed = {}
+    for i, (_, q) in enumerate(queries):
+        node, steps = layer.locate(*q.bounds[0])
+        if node is not None:
+            node = (steps - (boxes._split_rank(*node) is not None), *node)
+        placed.setdefault(node, []).append(i)
+    y = [q.bounds[1][1] for _, q in queries]
+    for i in sorted(placed.pop(None, []), key=y.__getitem__):
+        emit(queries[i][0], [])
+    acc = cf.ColorAccumulator(ps.phi, ps.mode)
+    for (_, lo, hi), batch in sorted(placed.items()):
+        mid = boxes._split_rank(lo, hi)
+        if mid is None:
+            for i in sorted(batch, key=y.__getitem__):
+                layer.scan(lo, hi, queries[i][1].bounds, acc)
+                emit(queries[i][0], acc.drain_and_reset())
+            continue
+        qids = [queries[i][0] for i in batch]
+        x1 = np.array([queries[i][1].bounds[0][0] for i in batch])
+        x2 = np.array([queries[i][1].bounds[0][1] for i in batch])
+        ys = np.array([y[i] for i in batch])
+        left = reference_sweep(*layer.low_half(lo, mid), ps.mode, ps.phi,
+                               qids, np.column_stack((-x1, ys)), 1, s, summary, meter)
+        right = reference_sweep(*layer.high_half(mid, hi), ps.mode, ps.phi,
+                                qids, np.column_stack((x2, ys)), 1, s, summary, meter)
+        last = -np.inf
+        for (qid, coord, part_left), (other, _, part_right) in zip(left, right, strict=True):
+            assert qid == other
+            summary.emit_order_violations += coord < last
+            last = coord
+            acc.add_entries(part_left)
+            acc.add_entries(part_right)
+            touches = len(part_left) + len(part_right)
+            summary.merge_entry_touches += touches
+            summary.merge_touches_per_query.append(
+                (qid, touches, len(part_left), len(part_right)))
+            emit(qid, acc.drain_and_reset())
+    summary.peak_live_entries = meter.peak
+    return summary

@@ -220,6 +220,9 @@ def test_criterion_5_offline_dominance():
             failures.append(("answers", trial, bad[:3]))
         if summary.peak_live_entries > n:
             failures.append(("peak", trial, summary.peak_live_entries, n))
+        structures, entries = cf.offline_build_bound(n, s)
+        if summary.total_built > structures or summary.entries_built > entries:
+            failures.append(("build bound", trial, summary.total_built, summary.entries_built))
         if summary.total_built != summary.total_destroyed:
             failures.append(("build/destroy", trial))
         if summary.emit_order_violations != 0:
@@ -231,7 +234,7 @@ def test_criterion_5_offline_dominance():
         5,
         batches >= 50 and not failures,
         f"offline dominance: {batches} batches (n<=2000, m<=500); per-query "
-        f"online equality, peak<=n, built==destroyed, ordered emission; "
+        f"online equality, peak<=n, offline build bound, built==destroyed, ordered emission; "
         f"{len(failures)} violations",
     )
 
@@ -247,9 +250,9 @@ def test_criterion_6_offline_3sided():
         ps = cf.generate_points(n, 2, int(rng.integers(1, 30)), seed=trial, mode=mode)
         queries = [(i, random_query(rng, 2, sides=(2, 1))) for i in range(m)]
         got = {}
+        s = int(rng.choice([2, 4]))
         summary = cf.answer_offline_3sided(
-            ps, queries, int(rng.choice([2, 4])),
-            lambda qid, e: got.__setitem__(qid, canon(e)),
+            ps, queries, s, lambda qid, e: got.__setitem__(qid, canon(e)),
         )
         for qid, q in queries:
             if got[qid] != canon(cf.brute_force(ps, q)):
@@ -259,6 +262,11 @@ def test_criterion_6_offline_3sided():
             if touches > k1 + k2:
                 failures.append(("touches", trial, qid))
                 break
+        if summary.peak_live_entries > n:
+            failures.append(("peak", trial, summary.peak_live_entries, n))
+        structures, entries = cf.offline_build_bound(n, s, 2, 1)
+        if summary.total_built > structures or summary.entries_built > entries:
+            failures.append(("build bound", trial, summary.total_built, summary.entries_built))
         if summary.emitted != m:
             failures.append(("emitted", trial))
         batches += 1
@@ -274,7 +282,8 @@ def test_criterion_6_offline_3sided():
         6,
         batches >= 10 and not failures,
         f"3-sided offline: {batches} batches oracle-equal, merge touches "
-        f"<= k1+k2, semigroup (no-inverse) runs pass; {len(failures)} violations",
+        f"<= k1+k2, peak<=n, offline build bound, semigroup (no-inverse) runs pass; "
+        f"{len(failures)} violations",
     )
 
 

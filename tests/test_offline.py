@@ -6,9 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import colorfreq as cf
-from _util import canon, random_corner, random_query, reference_1d
+from _util import canon, random_corner, random_query, reference_3sided, reference_dominance
 from colorfreq import offline
 from colorfreq.core import count_le
 from colorfreq.offline import _LiveMeter, _sweep_dominance
@@ -147,15 +149,15 @@ def test_one_live_copy_invariant():
     ps = cf.generate_points(250, 2, 8, seed=9)
     rng = np.random.default_rng(10)
     corners = rng.uniform(0, 1000, (50, 2))
+    corners = corners[np.argsort(corners[:, 0], kind="stable")]
+    skel = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weight_list(), 4, ps.phi, ps.mode)
+    rq = np.searchsorted(np.asarray(skel.sorted0), corners[:, 0], "right")
     summary = cf.SweepSummary(ps.n, len(corners), 2, 4, 0)
     meter = _LiveMeter()
-    out = list(
-        _sweep_dominance(
-            ps.coords, ps.colors, ps.weight_list(), ps.mode, ps.phi,
-            list(range(50)), corners, 0, 4, summary, meter,
-        )
-    )
-    assert len(out) == 50
+    session = cf.QuerySession(cf.ColorAccumulator(ps.phi, ps.mode))
+    out = list(_sweep_dominance(skel, [rq], [corners[:, 1:].tolist()], [session],
+                                summary, meter))
+    assert out == list(range(50))
     assert meter.peak <= ps.n
     assert meter.live == 0
 
@@ -322,20 +324,61 @@ def _weighted(ps, weights, seed):
     return ps
 
 
-def _strip_runs(skel, xs):
-    """(c, enter, pop) of each strip [parent[c], c) the walks to ``xs`` hold,
-    in the order the walks enter them: the step at which one enters, and
-    the next step whose walk does not hold it (len(xs) for none)."""
-    walks = [set(skel._walk_to(x)) for x in xs]
+def _strip_runs(forest, xs):
+    """(position, enter, pop) of each strip [parent[c], c) the walks of
+    every tree i to ``xs[i]`` hold, in the order the walks enter them, at
+    one step tree by tree: the step at which one enters, and the next step
+    whose walk does not hold it (the number of steps for none)."""
     runs = []
-    for t, x in enumerate(xs):
-        for c in skel._walk_to(x):
-            if t == 0 or c not in walks[t - 1]:
-                pop = next((u for u in range(t + 1, len(xs)) if c not in walks[u]), len(xs))
-                # the steps whose walk holds a strip form one run
-                assert all(c not in walks[u] for u in range(pop, len(xs)))
-                runs.append((c, t, pop))
+    steps = len(xs[0])
+    walks = [[set(forest._walk_to(x, i)) for x in xs[i]] for i in range(len(xs))]
+    for t in range(steps):
+        for i, off in enumerate(forest.start[:-1]):
+            for c in forest._walk_to(xs[i][t], i):
+                if t == 0 or c not in walks[i][t - 1]:
+                    pop = next((u for u in range(t + 1, steps) if c not in walks[i][u]), steps)
+                    # the steps whose walk holds a strip form one run
+                    assert all(c not in walks[i][u] for u in range(pop, steps))
+                    runs.append((off + c, off + forest.parent[i][c], t, pop))
     return runs
+
+
+def _check_plan(forest, xs, plan, block, budget):
+    """The entries held at each step under ``plan``, checked against its
+    definition: blocks list the strips in the order the walks enter them,
+    each built when its first strip enters and released when its last one
+    pops, of at most ``block`` entries (or one strip), with no look-ahead
+    past a step whose own strips exceed ``block``, holding what each
+    step's walks hold and never more than ``budget``."""
+    steps = len(xs[0])
+    runs = _strip_runs(forest, xs)
+    assert [c for *_, cut in plan for c in cut.tolist()] == [c for c, *_ in runs]
+    assert [c for _, _, lo, _ in plan for c in lo.tolist()] == [lo for _, lo, _, _ in runs]
+    enter = {c: t for c, _, t, _ in runs}
+    pop = {c: p for c, _, _, p in runs}
+    own = [sum(c - lo for c, lo, t, _ in runs if t == u) for u in range(steps)]
+    held = [0] * steps
+    for first, release, lo, cut in plan:
+        cuts = cut.tolist()
+        entries = int((cut - lo).sum())
+        assert first == enter[cuts[0]]
+        assert release == max(pop[c] for c in cuts)
+        assert entries <= block or len(cuts) == 1
+        if own[first] > block:  # no look-ahead
+            assert all(enter[c] == first for c in cuts)
+        for t in range(first, release):
+            held[t] += entries
+    assert max(held) <= budget
+    assert all(h >= w for h, w in zip(held, np.sum(xs, axis=0).tolist()))
+    return held
+
+
+class _Meters(list):
+    """Every ``_LiveMeter`` made while patched in, in order."""
+
+    def __call__(self):
+        self.append(_LiveMeter())
+        return self[-1]
 
 
 @pytest.mark.parametrize("weights", ["count", "signed", "semigroup"])
@@ -343,17 +386,22 @@ def _strip_runs(skel, xs):
 @pytest.mark.parametrize("s", [2, 4, 16])
 def test_planned_blocks_hold_at_most_the_last_pinned_rank(s, grid, weights, monkeypatch):
     # a block is built at its first strip's step and held until its last
-    # strip pops; the entries held never pass the last pinned rank P, the
-    # peak of a sweep that builds each strip on its own, and the meter
-    # follows the plan step by step
+    # strip pops; the entries held never pass the sweep's budget: for a
+    # dominance sweep over one tree its last pinned rank P, the peak of a
+    # sweep that builds each strip on its own, and the meter follows the
+    # plan step by step; for each node of a three-sided batch, a sweep over
+    # the forest of its two children, the batch's peak, the largest sum P
+    # of the children's last pinned ranks
     ps = _weighted(cf.generate_points(600, 2, 12, seed=s, grid=grid), weights, s)
     rng = np.random.default_rng(s + 7)
     hi = 1000.0 if grid is None else grid
     corners = rng.uniform(-5, hi + 5, (250, 2))
+    dominance = [(i, cf.BoxQuery.dominance(c)) for i, c in enumerate(corners.tolist())]
+    three_sided = [(i, random_query(rng, 2, sides=(2, 1), lo=-5, hi=hi + 5)) for i in range(250)]
     plans = []
 
-    def recording(skel, xs, batched):
-        plans.append((skel, xs, real_plan(skel, xs, batched)))
+    def recording(forest, xs, batched, budget):
+        plans.append((forest, xs, real_plan(forest, xs, batched, budget), budget))
         return plans[-1][2]
 
     real_plan = offline._plan
@@ -361,100 +409,47 @@ def test_planned_blocks_hold_at_most_the_last_pinned_rank(s, grid, weights, monk
     for block in (offline._BLOCK, 48):  # the default, and a cap most steps pass
         monkeypatch.setattr(offline, "_BLOCK", block)
         plans.clear()
-        summary = cf.SweepSummary(ps.n, len(corners), 2, s, 0)
-        meter = _LiveMeter()
+        meters = _Meters()
+        monkeypatch.setattr(offline, "_LiveMeter", meters)
         seen = []
-        for qid, _, entries in _sweep_dominance(
-            ps.coords, ps.colors, ps.weight_list(), ps.mode, ps.phi,
-            list(range(len(corners))), corners, 0, s, summary, meter,
-        ):
-            seen.append((qid, meter.live))
-            q = cf.BoxQuery.dominance(corners[qid].tolist())
-            assert canon(entries) == canon(cf.brute_force(ps, q))
-        assert meter.live == 0
-        (skel, xs, plan), = plans
-        parent = skel.parent[0]
-        runs = _strip_runs(skel, xs)
-        assert [c for _, _, cuts in plan for c in cuts] == [c for c, _, _ in runs]
-        enter = {c: t for c, t, _ in runs}
-        pop = {c: p for c, _, p in runs}
-        own = [sum(c - parent[c] for c, t, _ in runs if t == u) for u in range(len(xs))]
-        held = [0] * len(xs)
-        for first, release, cuts in plan:
-            entries = sum(c - parent[c] for c in cuts)
-            assert first == enter[cuts[0]]
-            assert release == max(pop[c] for c in cuts)
-            assert entries <= block or len(cuts) == 1
-            if own[first] > block:  # no look-ahead
-                assert all(enter[c] == first for c in cuts)
-            for t in range(first, release):
-                held[t] += entries
-        assert max(held) == held[-1] == xs[-1] == meter.peak
-        assert any(len(cuts) > 1 for _, _, cuts in plan)
-        step = {x: t for t, x in enumerate(xs)}
-        for qid, live in seen:
+        sink = lambda qid, entries: seen.append((qid, meters[-1].live, entries))  # noqa: E731
+        cf.answer_offline_dominance(cf.OfflineJob(ps, dominance, 0, s, sink))
+        (skel, xs, plan, budget), = plans
+        held = _check_plan(skel, xs, plan, block, budget)
+        assert budget == max(held) == held[-1] == meters[-1].peak
+        assert meters[-1].live == 0
+        assert any(len(cut) > 1 for *_, cut in plan)
+        step = {x: t for t, x in enumerate(xs[0].tolist())}
+        for qid, live, entries in seen:
+            assert canon(entries) == canon(cf.brute_force(ps, dominance[qid][1]))
             x = max(count_le(skel.sorted0, corners[qid][0]) - 1, 0)
             assert live == held[step[x]]
 
-
-def _per_strip_sweep(coords, colors, weights, mode, phi, qids, corners, sweep_axis, s,
-                     summary, meter):
-    """The sweep with each strip built on its own when the walk enters it,
-    a d = 2 one by the one-by-one 1-D build, and destroyed when the walk leaves it:
-    the reference of the planned blocks (d >= 2)."""
-    coords = np.asarray(coords, dtype=np.float64)
-    d = coords.shape[1]
-    axes = [sweep_axis] + [a for a in range(d) if a != sweep_axis]
-    jobs = sorted(((tuple(corner[a] for a in axes), qid)
-                   for qid, corner in zip(qids, corners.tolist())), key=lambda job: job[0][0])
-    skel = cf.DominanceTree._skeleton(coords[:, axes], colors, weights, s, phi, mode)
-    summary.skeleton_nodes += skel.node_count
-    session = cf.QuerySession(cf.ColorAccumulator(phi, mode))
-    pinned = {}
-    for corner, qid in jobs:
-        rq = count_le(skel.sorted0, corner[0])
-        pinned.setdefault(max(rq - 1, 0), []).append((corner, qid, rq))
-    walk, live, sizes = [], [], []
-    for x in sorted(pinned):
-        nxt = skel._walk_to(x)
-        keep = 0
-        while keep < min(len(walk), len(nxt)) and walk[keep] == nxt[keep]:
-            keep += 1
-        while len(live) > keep:
-            live.pop()
-            meter.remove(sizes.pop())
-            summary.total_destroyed += 1
-        for c in nxt[keep:]:
-            lo = skel.parent[0][c]
-            if d == 2:
-                struct = reference_1d(skel.coords_r[lo:c, 1], skel.colors_r[lo:c],
-                                      skel.weights_r[lo:c], mode)
-                entries = struct.entries
-            else:
-                struct = skel._build_substructure(np.array([lo]), np.array([c]), skel.weights_r)
-                entries = struct.stored_entries
-            live.append((struct, 0))
-            sizes.append(entries)
-            summary.total_built += 1
-            summary.entries_built += entries
-            meter.add(entries)
-        walk = nxt
-        for corner, qid, rq in pinned[x]:
-            session.reset()
-            skel._answer(live, corner[1:], rq, session)
-            yield qid, corner[0], session.accumulator.drain_and_reset()
-    while live:
-        live.pop()
-        meter.remove(sizes.pop())
-        summary.total_destroyed += 1
+        plans.clear()
+        summary = cf.answer_offline_3sided(ps, three_sided, s)
+        for forest, xs, plan, budget in plans:
+            _check_plan(forest, xs, plan, block, budget)
+        peaks = [sum(x[-1] for x in xs) for _, xs, _, _ in plans]
+        assert all(len(forest.start) == 3 for forest, *_ in plans)
+        assert {budget for *_, budget in plans} == {max(peaks)}
+        assert summary.peak_live_entries == max(peaks) == meters[-1].peak <= ps.n
+        assert meters[-1].live == 0
+    # some block takes strips of both children
+    assert any((cut < forest.start[1]).any() and (cut >= forest.start[1]).any()
+               for forest, _, plan, _ in plans for *_, cut in plan)
 
 
-def _offline_runs(entry, ps, queries, s):
-    """(emitted (qid, answer) stream, SweepSummary fields) of one batch."""
+def _offline_runs(entry, ps, queries, s, reference=False):
+    """(emitted (qid, answer) stream, SweepSummary fields) of one batch, or
+    of its reference: child by child and strip by strip."""
     stream = []
     sink = lambda qid, entries: stream.append((qid, entries))  # noqa: E731
-    if entry == "dominance":
+    if entry == "dominance" and reference:
+        summary = reference_dominance(ps, queries, ps.d - 1, s, sink)
+    elif entry == "dominance":
         summary = cf.answer_offline_dominance(cf.OfflineJob(ps, queries, ps.d - 1, s, sink))
+    elif reference:
+        summary = reference_3sided(ps, queries, s, sink)
     else:
         summary = cf.answer_offline_3sided(ps, queries, s, sink)
     return stream, dataclasses.asdict(summary)
@@ -465,16 +460,64 @@ def _offline_runs(entry, ps, queries, s):
     ("3sided", 2, "signed"), ("3sided", 2, "semigroup"),
 ])
 @pytest.mark.parametrize("s", [2, 16])
-def test_planned_sweeps_match_per_strip_reference(entry, d, weights, s, monkeypatch):
+def test_planned_sweeps_match_per_strip_reference(entry, d, weights, s):
     n = 1500 if d == 2 else 250
     ps = _weighted(cf.generate_points(n, d, 20, seed=d + s, grid=n // 2), weights, s)
     rng = np.random.default_rng(s)
     sides = (1,) * d if entry == "dominance" else (2, 1)
     queries = [(i, random_query(rng, d, sides=sides, lo=-5, hi=n // 2 + 5)) for i in range(300)]
     queries += queries[:20]  # repeated corners pin to one step
-    planned = _offline_runs(entry, ps, queries, s)
-    monkeypatch.setattr(offline, "_sweep_dominance", _per_strip_sweep)
-    assert planned == _offline_runs(entry, ps, queries, s)
+    assert _offline_runs(entry, ps, queries, s) == _offline_runs(entry, ps, queries, s, True)
+
+
+CONCAT = cf.SemigroupMode(lambda a, b: a + b, name="concat")
+
+
+def _tied(n, grid, weights, seed):
+    """Planar points on a ``grid`` x ``grid`` grid, so coordinates tie, with
+    signed counts in [-2, 2] (totals cancel), max weights past 2**64 built
+    one by one (equal ones are distinct objects) or tuples that
+    concatenate in order."""
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, grid, (n, 2)).astype(float)
+    colors = rng.integers(0, max(1, n // 5), n)
+    if weights == "signed":
+        return cf.PointSet(coords, colors, rng.integers(-2, 3, n))
+    if weights == "max":
+        return cf.PointSet(coords, colors, [int(str(2**64 + int(w))) for w in rng.integers(0, 3, n)],
+                           mode=cf.MAX_SEMIGROUP)
+    return cf.PointSet(coords, colors, [(i,) for i in range(n)], mode=CONCAT)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 400),
+    st.sampled_from([3, 8, 30]),
+    st.sampled_from(["signed", "max", "concat"]),
+    st.sampled_from([2, 4, 16]),
+    st.sampled_from([1, 24, 1 << 10]),
+    st.integers(0, 2**31),
+)
+def test_3sided_sweep_matches_the_child_by_child_merge(n, grid, weights, s, block, seed):
+    # one sweep per node over both children, with blocks planned across
+    # them, streams what two lockstepped child sweeps merged pairwise
+    # stream, answer for answer in order, and sums up to the same counters;
+    # a max answer is the very object the merge picked.  Small blocks make
+    # a node's sweep span many of them.
+    ps = _tied(n, grid, weights, seed)
+    s = min(s, max(2, n))
+    bounds = np.random.default_rng(seed).integers(-1, grid + 1, (60, 3)).tolist()
+    queries = [(i, cf.BoxQuery([(min(a, b), max(a, b)), (-INF, y)]))
+               for i, (a, b, y) in enumerate(bounds)]
+    with mock.patch.object(offline, "_BLOCK", block):
+        got, summary = _offline_runs("3sided", ps, queries, s)
+    want, reference = _offline_runs("3sided", ps, queries, s, True)
+    assert summary == reference
+    assert [qid for qid, _ in got] == [qid for qid, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a == b
+        if weights == "max":
+            assert all(x is y for (_, x), (_, y) in zip(a, b))
 
 
 def test_plane_sweeps_build_only_blocks():
