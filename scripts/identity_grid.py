@@ -1,6 +1,6 @@
 """One SHA-256 over the library's answers and counters on a fixed grid.
 
-    python3 scripts/identity_grid.py [--quick] [--rev REV]
+    python3 scripts/identity_grid.py [--quick] [--rev REV] [--expect IDENTITY.json]
 
 The grid builds dominance trees, boxes, 1-D structures and offline batches
 over n in {0, 1, 2, 3, 5, 17, 64, 300, 900}, d = 1-3 (no d = 3 at 900),
@@ -25,7 +25,11 @@ Each record is one line hashed in order:
 ``--quick`` runs n <= 64 with fewer queries and no larger builds, a few
 seconds.  ``--rev REV`` runs this script on a ``git archive`` of REV's
 ``src/`` instead of this checkout's, so that two commits hash one grid.
-The script prints ``<records> records sha256 <hex>``.
+The script prints ``<records> records sha256 <hex>``.  With ``--expect
+FILE`` it exits 1 unless both equal the ``"quick"`` or ``"full"`` entry of
+that JSON file, ``{"records": ..., "sha256": ...}``; the repository's
+``IDENTITY.json`` holds today's values, and a change that moves an answer
+or a counter on purpose updates it.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import json
 import subprocess
 import sys
 import tarfile
@@ -204,7 +209,7 @@ def digest(**grid) -> tuple[int, str]:
     return count, h.hexdigest()
 
 
-def _at_rev(rev: str, quick: bool) -> int:
+def _at_rev(rev: str, quick: bool, expect: Path | None) -> int:
     """Run this script on a ``git archive`` of REV's ``src/``."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
                          check=True, capture_output=True).stdout
@@ -215,6 +220,8 @@ def _at_rev(rev: str, quick: bool) -> int:
         script.parent.mkdir()
         script.write_bytes(Path(__file__).read_bytes())
         cmd = [sys.executable, str(script)] + (["--quick"] if quick else [])
+        if expect:
+            cmd += ["--expect", str(expect.resolve())]
         return subprocess.run(cmd, cwd=tmp).returncode
 
 
@@ -222,11 +229,20 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="the small grid only, a few seconds")
     ap.add_argument("--rev", help="hash the grid on this git revision's src/ instead")
+    ap.add_argument("--expect", type=Path,
+                    help="exit 1 unless the records and hash equal this JSON file's entry")
     args = ap.parse_args(argv)
     if args.rev:
-        return _at_rev(args.rev, args.quick)
+        return _at_rev(args.rev, args.quick, args.expect)
+    grid = "quick" if args.quick else "full"
     count, hexdigest = digest(**QUICK) if args.quick else digest()
     print(f"{count} records sha256 {hexdigest}")
+    if args.expect:
+        want = json.loads(args.expect.read_text())[grid]
+        if (count, hexdigest) != (want["records"], want["sha256"]):
+            print(f"expected {want['records']} records sha256 {want['sha256']} "
+                  f"for the {grid} grid", file=sys.stderr)
+            return 1
     return 0
 
 

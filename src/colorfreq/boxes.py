@@ -13,15 +13,16 @@ Each layer also keeps two full-set inner structures (negated and plain):
 queries that are one-sided or unbounded on the layer's axis go straight to
 the matching one, keeping the fan-out at 2^(number of two-sided axes).
 
-A box builds its layers level by level, one level per layered axis.  The
-layers of a level stand for the parts of the layers above it (all points
-for the first level), and one ``rank_order`` of the rows of the level above
-ranks all of them at once; they keep their columns as views and slices of
-columns the level shares.  The parts of the last level are the dominance
-skeletons at the bottom: ranked on the first axis the same way and
-gathered, with their sign flips, in one step, they are the trees of one
-forest (see ``DominanceTree``), filled at once; the last level's layers
-hold their tree ids.
+A box builds its layers level by level, one level per layered axis, and
+keeps each level as one set of columns (``_Level``).  The layers of a level
+stand for the parts of the layers above it (all points for the first), and
+one ``_ranked_groups`` call ranks all of them at once.  Part j of a level's
+layers is layer j of the next level, which the level's int link columns
+name.  The parts of the last level are the dominance skeletons at the
+bottom: ranked on the first axis the same way and gathered, with their sign
+flips, in one step, they are the trees of one forest (see
+``DominanceTree``), filled at once; the last level's links hold their tree
+ids.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import functools
 import operator
 from array import array
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,12 +54,12 @@ from .dominance import (
     DominanceTree,
     _check_fanout,
     _coerce_points,
+    _concat_ranges,
     _fill,
-    _ranked_ranges,
     _ready,
     _scan_range,
 )
-from .freq1d import _sort_charge, _weight_array
+from .freq1d import _column, _sort_charge, _weight_array
 
 _LAYER_LEAF = 2  # leaf capacity of layer trees; keeps copies within log2(n)+1
 
@@ -78,14 +80,13 @@ def _node_count(n) -> int:
 
 def _layer_parts(n):
     """The parts of a layer over n ranks, each the points of a rank range
-    that one of its inner structures holds, as ``(lo, hi, low, low_slots,
-    high_slots)``; a box build computes them once per layer size.
+    that one of its inner structures holds, as ``(lo, hi, low)``; a box
+    build computes them once per layer size.
 
     Part i covers ranks [lo[i], hi[i]), negated on the layer's axis when
     ``low[i]``: the inner nodes' low and high parts in breadth-first
-    order, then the full low and full high parts over [0, n).  The slots
-    map a rank to the part that ``inner_low`` and ``inner_high`` keep
-    there: at a node's mid its part, elsewhere n_parts, one past the last.
+    order, then the full low and full high parts over [0, n).  An inner
+    node's mid is the end of its low part.
     """
     bounds = []
     nodes = [(0, n)]
@@ -95,138 +96,133 @@ def _layer_parts(n):
             nodes += (lo, mid), (mid, hi)
             bounds += (lo, mid), (mid, hi)
     bounds += (0, n), (0, n)
-    parts = len(bounds)
-    low_slots, high_slots = [parts] * n, [parts] * n
-    for i in range(0, parts - 2, 2):
-        low_slots[bounds[i][1]] = i
-        high_slots[bounds[i][1]] = i + 1
     lo, hi = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
-    low = np.arange(parts) % 2 == 0
+    low = np.arange(len(bounds)) % 2 == 0
     for a in (lo, hi, low):
         a.flags.writeable = False
-    return lo, hi, low, tuple(low_slots), tuple(high_slots)
+    return lo, hi, low
 
 
-class _Layer:
-    """One axis's rank order and the binary split tree over it.
+def _locate(vals, off, end, low, high):
+    """(node, steps) for the closed range [low, high] in the layer whose
+    rank values are ``vals[off:end]``.
 
-    The tree follows from n: the root covers ranks [0, n), and an inner
-    node [lo, hi) splits at ``mid = _split_rank(lo, hi)`` into [lo, mid)
-    and [mid, hi).  No two inner nodes share a mid, so box trees keep a
-    node's inner structures at it, in ``inner_low[mid]`` and
-    ``inner_high[mid]``; offline three-sided batches place their queries on
-    nodes given as rank ranges.  The columns are the layer's points in rank
-    order (ties by their order on input); a box's layers of one level take
-    them as views and slices of columns shared by the level.  The layer's
-    weights and inner structures are tuples, which the cyclic collector
-    stops tracking once it has seen that they hold only ints, weights and
-    tree ids.
+    The tree follows from the layer's size: the root covers ranks [0, end -
+    off), and an inner node [lo, hi) splits at ``mid = _split_rank(lo,
+    hi)`` into [lo, mid) and [mid, hi).  The node, as its rank range (lo,
+    hi), is the highest one whose mid falls strictly inside the range's
+    ranks [rlo, rhi), else the leaf holding them, and None when the range
+    holds no point.  ``steps`` counts the inner nodes the descent visited.
     """
-
-    __slots__ = ("axis", "coords_r", "colors_r", "weights_r", "sorted_vals",
-                 "inner_low", "inner_high", "full_low", "full_high")
-
-    def __init__(self, axis, coords_r, colors_r, weights_r, sorted_vals):
-        self.axis = axis
-        self.coords_r = coords_r
-        self.colors_r = colors_r
-        self.weights_r = weights_r
-        self.sorted_vals = sorted_vals
-        self.inner_low = self.inner_high = None
-        self.full_low = self.full_high = None
-
-    @classmethod
-    def ranked(cls, axis, coords, colors, weights):
-        """The layer on ``axis`` over points in any order."""
-        order = rank_order(coords[:, axis])
-        coords_r = coords[order]
-        return cls(axis, coords_r, colors[order], tuple(map(weights.__getitem__, order.tolist())),
-                   array("d", coords_r[:, axis].tobytes()))
-
-    def locate(self, low, high):
-        """(node, steps) for the closed range [low, high] on this axis.
-
-        The node, as its rank range (lo, hi), is the highest one whose mid
-        falls strictly inside the range's ranks [rlo, rhi), else the leaf
-        holding them, and None when the range holds no point.  ``steps``
-        counts the inner nodes the descent visited.
-        """
-        rlo = count_lt(self.sorted_vals, low)
-        rhi = count_le(self.sorted_vals, high)
-        if rlo >= rhi:
-            return None, 0
-        lo, hi = 0, len(self.sorted_vals)
-        steps = 0
-        while (mid := _split_rank(lo, hi)) is not None:
-            steps += 1
-            if rhi <= mid:
-                hi = mid
-            elif rlo >= mid:
-                lo = mid
-            else:
-                break
-        return (lo, hi), steps
-
-    def low_half(self, lo, hi):
-        """(coords, colors, weights) of ranks [lo, hi), this axis negated, so
-        a lower bound on it becomes an upper bound."""
-        coords = self.coords_r[lo:hi].copy()
-        coords[:, self.axis] = -coords[:, self.axis]
-        return coords, self.colors_r[lo:hi], self.weights_r[lo:hi]
-
-    def high_half(self, lo, hi):
-        """(coords, colors, weights) of ranks [lo, hi) as they are."""
-        return self.coords_r[lo:hi], self.colors_r[lo:hi], self.weights_r[lo:hi]
-
-    def scan(self, lo, hi, bounds, acc) -> None:
-        """Add to ``acc`` the points of ranks [lo, hi) inside ``bounds``."""
-        _scan_range(self.coords_r, self.colors_r, self.weights_r, lo, hi, bounds, acc)
+    rlo = count_lt(vals, low, off, end)
+    rhi = count_le(vals, high, off, end)
+    if rlo >= rhi:
+        return None, 0
+    lo, hi = 0, end - off
+    steps = 0
+    while (mid := _split_rank(lo, hi)) is not None:
+        steps += 1
+        if rhi <= mid:
+            hi = mid
+        elif rlo >= mid:
+            lo = mid
+        else:
+            break
+    return (lo, hi), steps
 
 
 def _ranked_groups(rows, start, size, values, sign):
     """The groups [start[i], start[i] + size[i]) of ``rows``, one after
     another, each in rank order of ``values`` (one per row) times its
     ``sign[i]``, ties by position: the order ``rank_order`` gives the
-    group's signed values on its own.  A group negated takes its range of
-    the values' negations, placed after the values themselves."""
+    group's signed values on its own.
+
+    One ``rank_order`` of the values ranks both signs: position p's rank
+    is ``rank[p]``, and among the negated values ``rank[n + p]``, the
+    reverse of its rank but in the same order within its run of equal
+    values."""
     n = len(rows)
-    both = np.concatenate((values, -values))
-    return np.concatenate((rows, rows))[_ranked_ranges(start + n * (sign < 0), size, both)]
+    order = rank_order(values)
+    r = np.arange(n)
+    rank = np.empty(2 * n, dtype=np.int64)
+    rank[order] = r
+    if (sign < 0).any():
+        ranked = values[order]
+        first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        tie = np.diff(first, append=n)  # the lengths of the runs of equal values
+        rank[n:][order] = n + r - np.repeat(2 * first + tie, tie)
+    member = _concat_ranges(start, size)
+    key = np.repeat(np.arange(len(size)) * n, size)
+    key += rank[member + n * np.repeat(sign < 0, size)]
+    return rows[member[np.argsort(key)]]
+
+
+def _ranked_level(coords, colors, weights, rows, start, size, sign, axis):
+    """A level's layers on ``axis``: the groups [start[i], start[i] +
+    size[i]) of ``rows``, each signed by its row of ``sign`` and ranked by
+    ``_ranked_groups``, as ``(rows, coords, colors, weights, vals)``: the
+    rows, their points signed, their colors, their weights as a tuple, and
+    the rank values ``coords[:, axis]`` as an ``array('d')``."""
+    rows = _ranked_groups(rows, start, size, coords[rows, axis], sign[:, axis])
+    signed = coords[rows]
+    signed *= np.repeat(sign, size, axis=0)
+    return (rows, signed, colors[rows], tuple(weights[rows].tolist()),
+            array("d", signed[:, axis].tobytes()))
 
 
 def _parts_of(size, sign, axis, layer_parts):
     """The parts of the layers on ``axis`` over consecutive runs of
     ``size`` rows, signed by their rows of ``sign``, as the next level's
-    groups ``(start, size, sign)``, with each layer's first part: a layer's
-    parts are consecutive, in ``layer_parts`` order, and the layers of one
-    size come together, sizes ascending."""
+    groups ``(start, size, sign)``, and the layers' offsets and links to
+    their parts, the ``_Level`` columns ``(start, inner_low, inner_high,
+    full_low, full_high)``.
+
+    A layer's parts are consecutive, in ``layer_parts`` order, and the
+    layers of one size come together, sizes ascending: part j is layer j of
+    the next level, or tree j of the forest after the last level."""
     offs = np.cumsum(size) - size
-    first = np.empty(len(size), dtype=np.int64)
+    inner = np.full((2, int(size.sum())), -1, dtype=np.int64)  # -1 where no mid is
+    full = np.empty((2, len(size)), dtype=np.int64)
     starts, sizes, signs = [], [], []
     count = 0
     for m in sorted(set(size.tolist())):
         layers = np.flatnonzero(size == m)
-        lo, hi, low, _, _ = layer_parts(m)
-        first[layers] = count + len(lo) * np.arange(len(layers))
-        count += len(lo) * len(layers)
+        lo, hi, low = layer_parts(m)
+        parts = len(lo)
+        first = count + parts * np.arange(len(layers))[:, None]
+        count += parts * len(layers)
+        mids = (offs[layers, None] + hi[:-2:2]).ravel()
+        inner[:, mids] = (first + np.arange(parts - 2)).reshape(-1, 2).T
+        full[:, layers] = (first + [parts - 2, parts - 1]).T
         starts.append((offs[layers, None] + lo).ravel())
         sizes.append(np.tile(hi - lo, len(layers)))
-        part_sign = np.repeat(sign[layers], len(lo), axis=0)
+        part_sign = np.repeat(sign[layers], parts, axis=0)
         part_sign[np.tile(low, len(layers)), axis] *= -1
         signs.append(part_sign)
-    return np.concatenate(starts), np.concatenate(sizes), np.concatenate(signs), first
+    layout = [_column("q", a) for a in (np.append(offs, inner.shape[1]), *inner, *full)]
+    return (np.concatenate(starts), np.concatenate(sizes), np.concatenate(signs)), layout
 
 
-def _link(layers, first, layer_parts, below) -> None:
-    """Give every layer its inner structures: ``below`` holds those of all
-    their parts, layer i's from ``first[i]`` on."""
-    below = list(below)
-    for layer, f in zip(layers, first.tolist()):
-        lo, _, _, low_slots, high_slots = layer_parts(len(layer.sorted_vals))
-        mine = below[f:f + len(lo)] + [None]
-        layer.inner_low = tuple(map(mine.__getitem__, low_slots))
-        layer.inner_high = tuple(map(mine.__getitem__, high_slots))
-        layer.full_low, layer.full_high = mine[-3], mine[-2]
+@dataclass(frozen=True, slots=True, eq=False)
+class _Level:
+    """The layers on one axis, as columns.  Layer i is the rows [start[i],
+    start[i + 1]): its points in rank order on ``axis`` (ties by their
+    order on input), signed, with their colors, weights and rank values
+    ``vals``.  ``inner_low``/``inner_high`` hold per row, at the row of a
+    node's mid, the node's inner structures, and ``full_low``/``full_high``
+    per layer its full ones: layer ids of the next level, or tree ids of
+    the forest at the last level."""
+
+    axis: int
+    coords: np.ndarray
+    colors: np.ndarray
+    weights: tuple
+    vals: array
+    start: array
+    inner_low: array
+    inner_high: array
+    full_low: array
+    full_high: array
 
 
 class BoxTree:
@@ -240,7 +236,7 @@ class BoxTree:
     this is exactly the dominance structure.
     """
 
-    __slots__ = ("d", "s", "phi", "mode", "bounded_axes", "top", "forest",
+    __slots__ = ("d", "s", "phi", "mode", "bounded_axes", "levels", "forest",
                  "stored_entries", "build_ops")
 
     def __init__(self, points: PointSet, s: int, bounded_axes=()):
@@ -259,7 +255,7 @@ class BoxTree:
         self.mode = ps.mode
         self.bounded_axes = axes
         self.build_ops = 0
-        self.top, self.forest = self._build(ps, axes)
+        self.levels, self.forest = self._build(ps, axes)
         _fill(self.forest)
         self.stored_entries = self.forest.stored_entries
         self.build_ops += self.forest.build_ops
@@ -267,55 +263,35 @@ class BoxTree:
     # -- construction ----------------------------------------------------------
 
     def _build(self, ps, axes):
-        """The layers over ``axes``, one level per axis, and the skeleton
-        forest at their bottom, as (top, forest).  Tree t of the forest is
-        the t-th part of the last level.
+        """The levels over ``axes``, one per axis, and the skeleton forest
+        at their bottom, as (levels, forest).  Tree t of the forest is the
+        t-th part of the last level.
 
         A level holds the parts of the level above it, or all points for
         the first: groups of points, each given as a range of the rows (the
         point indexes) of the level above, in its rank order there, and a
-        sign per axis.  ``_ranked_groups`` orders every group of a level at
-        once on the level's axis, and the last level's parts, signed, on
-        the first axis for the forest.  The level's columns are gathered
-        once and each layer takes its run of them.
+        sign per axis.  ``_ranked_level`` orders every group of a level at
+        once on the level's axis and gathers the level's columns, and
+        ``_ranked_groups`` the last level's parts, signed, on the first
+        axis for the forest.  The levels' sorts are booked.
         """
         n, d = ps.n, ps.d
         weights = _weight_array(ps.weights, ps.mode)
         layer_parts = functools.cache(_layer_parts)  # sizes repeat within a build
         rows = np.arange(n)
         start, size, sign = np.zeros(1, dtype=np.int64), np.array([n]), np.ones((1, d))
-        above = None  # the layers of the level above and their first parts
-        top = 0
+        levels = []
         for axis in axes:
-            rows = _ranked_groups(rows, start, size, ps.coords[rows, axis], sign[:, axis])
-            layers = self._level(axis, ps, weights, rows, size, sign)
-            if above is None:
-                top = layers[0]
-            else:
-                _link(*above, layer_parts, layers)
-            start, size, sign, first = _parts_of(size, sign, axis, layer_parts)
-            above = layers, first
-        if above is not None:
-            _link(*above, layer_parts, range(len(size)))
+            rows, *columns = _ranked_level(ps.coords, ps.colors, weights, rows, start, size,
+                                           sign, axis)
+            for m, count in Counter(size.tolist()).items():
+                self.build_ops += count * _sort_charge(m)
+            (start, size, sign), layout = _parts_of(size, sign, axis, layer_parts)
+            levels.append(_Level(axis, *columns, *layout))
         rows = _ranked_groups(rows, start, size, ps.coords[rows, 0], sign[:, 0])
         coords = ps.coords[rows] * np.repeat(sign, size, axis=0)
-        return top, DominanceTree._forest(coords, ps.colors[rows], weights[rows], size.tolist(),
-                                          self.s, self.phi, self.mode)
-
-    def _level(self, axis, ps, weights, rows, size, sign):
-        """The layers on ``axis`` over consecutive runs of ``size`` of
-        ``rows``, each run in its layer's rank order and signed by its row
-        of ``sign``; their sorts are booked."""
-        coords = ps.coords[rows] * np.repeat(sign, size, axis=0)
-        colors = ps.colors[rows]
-        wts = tuple(weights[rows].tolist())
-        vals = array("d", coords[:, axis].tobytes())
-        ends = np.cumsum(size).tolist()
-        layers = [_Layer(axis, coords[a:b], colors[a:b], wts[a:b], vals[a:b])
-                  for a, b in zip([0] + ends[:-1], ends)]
-        for m, count in Counter(size.tolist()).items():
-            self.build_ops += count * _sort_charge(m)
-        return layers
+        return tuple(levels), DominanceTree._forest(coords, ps.colors[rows], weights[rows],
+                                                    size.tolist(), self.s, self.phi, self.mode)
 
     # -- queries -----------------------------------------------------------------
 
@@ -336,50 +312,57 @@ class BoxTree:
                     f"rebuild with it in bounded_axes"
                 )
         session = _ready(session, self.phi, self.mode)
-        self._query_rec(self.top, list(q.bounds), session)
+        self._query_rec(0, 0, list(q.bounds), session)
         return session.accumulator.drain_and_reset()
 
-    def _query_rec(self, struct, bounds, session) -> None:
-        """Descend from ``struct`` with ``bounds``, a list of (lo, hi) per
-        axis, by an explicit stack: each layer part is answered before the
-        parts that follow it, a node's low part before its high part, and
-        each tree of the forest is reached as a dominance query."""
-        forest = self.forest
-        stack = [(struct, bounds)]
+    def _query_rec(self, lv, layer, bounds, session) -> None:
+        """Descend from layer ``layer`` of level ``lv`` with ``bounds``, a
+        list of (lo, hi) per axis, by an explicit stack of (level, layer,
+        bounds): each layer part is answered before the parts that follow
+        it, a node's low part before its high part, and each tree of the
+        forest, a layer past the last level, is reached as a dominance
+        query."""
+        levels, forest = self.levels, self.forest
+        depth = len(levels)
+        stack = [(lv, layer, bounds)]
         while stack:
-            struct, bounds = stack.pop()
-            if not isinstance(struct, _Layer):  # a tree id of the forest
+            lv, layer, bounds = stack.pop()
+            if lv == depth:  # a tree id of the forest
                 session.fanout += 1
-                forest._query_into(tuple([hi for _, hi in bounds]), session, struct)
+                forest._query_into(tuple([hi for _, hi in bounds]), session, layer)
                 continue
-            axis = struct.axis
+            level = levels[lv]
+            axis = level.axis
             lo, hi = bounds[axis]
             if lo == -INF:
                 # one-sided (or unbounded) on this axis: single plain inner query
-                stack.append((struct.full_high, bounds))
+                stack.append((lv + 1, level.full_high[layer], bounds))
                 continue
             if hi == INF:
                 nb = list(bounds)
                 nb[axis] = (-INF, -lo)
-                stack.append((struct.full_low, nb))
+                stack.append((lv + 1, level.full_low[layer], nb))
                 continue
             # the descent is charged to the probe counter, separate from fan-out
-            node, steps = struct.locate(lo, hi)
+            off = level.start[layer]
+            node, steps = _locate(level.vals, off, level.start[layer + 1], lo, hi)
             session.probes += steps
             if node is None:
                 continue  # empty slab on this axis
-            mid = _split_rank(*node)
+            a, b = node
+            mid = _split_rank(a, b)
             if mid is None:
                 # the range falls inside a leaf gap: check its few points on every axis
                 session.fanout += 1
-                struct.scan(*node, bounds, session.accumulator)
+                _scan_range(level.coords, level.colors, level.weights, off + a, off + b,
+                            bounds, session.accumulator)
                 continue
             nb_high = list(bounds)
             nb_high[axis] = (-INF, hi)
             nb_low = list(bounds)
             nb_low[axis] = (-INF, -lo)
-            stack.append((struct.inner_high[mid], nb_high))
-            stack.append((struct.inner_low[mid], nb_low))
+            stack.append((lv + 1, level.inner_high[off + mid], nb_high))
+            stack.append((lv + 1, level.inner_low[off + mid], nb_low))
 
 
 def build_box(points, d: int | None = None, s: int = 2, bounded_axes=(), mode=COUNT) -> BoxTree:

@@ -5,8 +5,8 @@ Subcommands:
   build-query  build a structure, answer a query file, stream the answers
   offline      answer a batch with the low-space sweep, stream the answers
   verify       cross-check structure answers against the brute-force scan
+               (and a dominance structure's against the offline sweep's)
                and the space/probe counters against their bounds
-  bench        counter and timing table (CSV) for one configuration
   stats        build-only instrumentation report
 
 All bound checks are operation counters, never wall-clock, so verify output
@@ -17,9 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-
-import numpy as np
 
 from .boxes import BoxTree
 from .core import (
@@ -51,12 +48,6 @@ from .dominance import (
 )
 from .offline import OfflineJob, answer_offline_3sided, answer_offline_dominance
 from .oracle import brute_force
-
-BENCH_HEADER = (
-    "n,m,d,s,phi,build_ms,query_us_p50,query_us_p99,"
-    "k_total,storedEntries,peakLiveEntries,probes"
-)
-
 
 def _mode_of(name: str):
     return COUNT if name == "count" else MAX_SEMIGROUP
@@ -146,14 +137,16 @@ def cmd_verify(args) -> int:
     first_diff = None
     count_mode = isinstance(ps.mode, CountMode)
     path_bound = dominance_query_bound(ps.n, args.fanout, ps.d)
+    online = {}
     for qid, q in enumerate(queries):
         touch_before, drain_before = acc.touch_ops, acc.drain_ops
         entries = struct.query(q, session)
         if args.corrupt and qid == 0 and entries:
             c0, w0 = entries[0]
             entries = [(c0, w0 + 1)] + entries[1:]
+        online[qid] = canonical_freq(entries)
         expected = brute_force(ps, q)
-        if canonical_freq(entries) != canonical_freq(expected):
+        if online[qid] != canonical_freq(expected):
             mismatches += 1
             if first_diff is None:
                 first_diff = (qid, q, entries, expected)
@@ -171,6 +164,15 @@ def cmd_verify(args) -> int:
         else:
             if session.fanout > box_fanout_bound(len(q.two_sided_axes())):
                 probe_violations += 1
+
+    if isinstance(struct, DominanceTree):
+        # the offline sweep answers every query as the structure did
+        offline = {}
+        answer_offline_dominance(OfflineJob(
+            ps, list(enumerate(queries)), 0, args.fanout,
+            lambda qid, entries: offline.__setitem__(qid, canonical_freq(entries)),
+        ))
+        mismatches += sum(offline.get(qid) != want for qid, want in online.items())
 
     stored = struct.stored_entries
     if isinstance(struct, DominanceTree):
@@ -241,58 +243,6 @@ def cmd_offline(args) -> int:
     return 1 if broken else 0
 
 
-def cmd_bench(args) -> int:
-    mode = _mode_of(args.weights)
-    ps = generate_points(args.points, args.dims, args.colors, args.seed, mode=mode)
-    sides = _parse_sides(args.sides, args.dims) or tuple([1] * args.dims)
-    queries = generate_queries(args.queries, args.dims, args.seed + 1, sides)
-    bounded = tuple(i for i, v in enumerate(sides) if v == 2)
-
-    t0 = time.perf_counter()
-    struct = _build_structure(ps, args.fanout, bounded)
-    build_ms = (time.perf_counter() - t0) * 1e3
-
-    session = struct.new_session()
-    k_total = 0
-    probes = 0
-    online = {}
-    times = []
-    for qid, q in enumerate(queries):
-        t1 = time.perf_counter()
-        entries = struct.query(q, session)
-        times.append((time.perf_counter() - t1) * 1e6)
-        k_total += len(entries)
-        probes += session.probes
-        online[qid] = canonical_freq(entries)
-
-    peak = ""
-    if not bounded:
-        got = {}
-        job = OfflineJob(
-            ps, list(enumerate(queries)), 0, args.fanout,
-            lambda qid, entries: got.__setitem__(qid, canonical_freq(entries)),
-        )
-        summary = answer_offline_dominance(job)
-        peak = summary.peak_live_entries
-        if got != online:
-            print("offline/online disagreement", file=sys.stderr)
-            return 1
-    p50 = float(np.percentile(times, 50)) if times else 0.0
-    p99 = float(np.percentile(times, 99)) if times else 0.0
-    row = (
-        f"{ps.n},{len(queries)},{ps.d},{args.fanout},{ps.phi},"
-        f"{build_ms:.3f},{p50:.2f},{p99:.2f},"
-        f"{k_total},{struct.stored_entries},{peak},{probes}"
-    )
-    text = BENCH_HEADER + "\n" + row + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def cmd_stats(args) -> int:
     mode = _mode_of(args.weights)
     ps = read_dataset(args.dataset, d=args.dims, mode=mode)
@@ -356,15 +306,6 @@ def main(argv=None) -> int:
         if name == "verify":
             p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("bench", help="one-row CSV of counters and timings")
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--queries", type=int, required=True)
-    p.add_argument("--colors", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_bench, dims=2)
 
     p = sub.add_parser("stats", help="build-only instrumentation")
     p.add_argument("dataset")

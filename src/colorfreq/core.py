@@ -112,9 +112,13 @@ class BoxQuery:
 
     def __init__(self, bounds: Iterable[tuple[float, float]]):
         checked = []
-        for axis, (lo, hi) in enumerate(bounds):
-            lo = float(lo)
-            hi = float(hi)
+        for axis, bound in enumerate(bounds):
+            try:
+                lo, hi = map(float, bound)
+            except (TypeError, ValueError):
+                raise MalformedQueryError(
+                    f"axis {axis}: {bound!r} is not a (lower, upper) pair of numbers"
+                ) from None
             if math.isnan(lo) or math.isnan(hi):
                 raise MalformedQueryError(f"axis {axis}: NaN bound")
             if lo > hi:
@@ -246,9 +250,10 @@ def count_le(sorted_values, v: float, lo: int = 0, hi: int | None = None) -> int
     return bisect_right(sorted_values, v, lo, len(sorted_values) if hi is None else hi) - lo
 
 
-def count_lt(sorted_values, v: float) -> int:
-    """Number of entries < v, the first rank inside the closed lower bound v."""
-    return bisect_left(sorted_values, v)
+def count_lt(sorted_values, v: float, lo: int = 0, hi: int | None = None) -> int:
+    """Number of entries < v in ``sorted_values[lo:hi]``, the first rank
+    inside the closed lower bound v."""
+    return bisect_left(sorted_values, v, lo, len(sorted_values) if hi is None else hi) - lo
 
 
 # ---------------------------------------------------------------------------

@@ -385,7 +385,10 @@ class DominanceTree:
                     raise MalformedQueryError("dominance structure cannot take lower bounds")
                 corner.append(hi)
             return tuple(corner)
-        corner = tuple(float(c) for c in q)
+        try:
+            corner = tuple(float(c) for c in q)
+        except (TypeError, ValueError):
+            raise MalformedQueryError(f"corner {q!r} is not a sequence of numbers") from None
         if len(corner) != self.d:
             raise MalformedQueryError(
                 f"corner dimension {len(corner)} != structure dimension {self.d}"

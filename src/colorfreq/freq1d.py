@@ -191,7 +191,10 @@ class Frequency1D:
     )
 
     def __init__(self, values, colors, weights=None, mode=COUNT, interval_index: bool = False):
-        values = np.asarray(values, dtype=np.float64)
+        try:
+            values = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise MalformedInputError("values must be numbers") from None
         colors = np.asarray(colors)
         m = len(values)
         if values.ndim != 1:

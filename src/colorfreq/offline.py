@@ -50,16 +50,17 @@ from .core import (
     UnsupportedShapeError,
     rank_order,
 )
-from .boxes import _Layer, _node_count, _split_rank
+from .boxes import _locate, _node_count, _ranked_level, _split_rank
 from .dominance import (
     ColorAccumulator,
     DominanceTree,
     _check_fanout,
     _ranked_ranges,
+    _scan_range,
     _strip_columns,
     _strip_spans,
 )
-from .freq1d import Frequency1D
+from .freq1d import Frequency1D, _weight_array
 
 # A block of the offline sweep holds at most _BLOCK entries (a larger strip
 # is a block of its own), and a step whose own strips hold more builds no
@@ -341,10 +342,20 @@ def _sweep_dominance(forest, rqs, rests, sessions, summary, meter, budget=0):
             release(done)
 
 
+def _pairs(queries):
+    """The (query id, query) pairs of a batch, each checked to be a pair."""
+    for pair in queries:
+        try:
+            qid, q = pair
+        except (TypeError, ValueError):
+            raise UnsupportedShapeError(f"{pair!r} is not a (query id, query) pair") from None
+        yield qid, q
+
+
 def _dominance_corners(queries, d) -> tuple[list, np.ndarray]:
     """(query ids, their corners as an (m, d) array)."""
     qids, corners = [], []
-    for qid, q in queries:
+    for qid, q in _pairs(queries):
         if not isinstance(q, BoxQuery):
             raise UnsupportedShapeError("offline batches take BoxQuery objects")
         if q.dimension != d:
@@ -424,16 +435,16 @@ def _sweep_line(line, coords, summary, meter, session):
         summary.total_destroyed += 1
 
 
-def _children(layer, lo, mid, hi, s, phi, mode) -> DominanceTree:
+def _children(coords, colors, weights, lo, mid, hi, s, phi, mode) -> DominanceTree:
     """The skeleton forest of the layer node [lo, hi) split at ``mid``, on
-    (y, x): tree 0 is the low child with x negated, tree 1 the high child,
-    each in rank order of y, ties by x rank."""
+    (y, x), from the layer's columns: tree 0 is the low child with x
+    negated, tree 1 the high child, each in rank order of y, ties by x
+    rank."""
     rows = lo + _ranked_ranges(np.array([0, mid - lo]), np.array([mid - lo, hi - mid]),
-                               layer.coords_r[lo:hi, 1])
-    coords = layer.coords_r[np.ix_(rows, [1, 0])]
-    coords[:mid - lo, 1] = -coords[:mid - lo, 1]
-    weights = list(map(layer.weights_r.__getitem__, rows.tolist()))
-    return DominanceTree._forest(coords, layer.colors_r[rows], weights,
+                               coords[lo:hi, 1])
+    child = coords[np.ix_(rows, [1, 0])]
+    child[:mid - lo, 1] = -child[:mid - lo, 1]
+    return DominanceTree._forest(child, colors[rows], list(map(weights.__getitem__, rows.tolist())),
                                  [mid - lo, hi - mid], s, phi, mode)
 
 
@@ -450,7 +461,7 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
     sink = sink or (lambda qid, entries: None)
     # the batch as columns, query i in row i
     qids, x1s, x2s, ys = [], array("d"), array("d"), array("d")
-    for qid, q in queries:
+    for qid, q in _pairs(queries):
         if not isinstance(q, BoxQuery) or q.dimension != 2:
             raise UnsupportedShapeError(f"query {qid!r} is not a planar box")
         (x1, x2), (ylo, y) = q.bounds
@@ -464,8 +475,12 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
     summary = SweepSummary(ps.n, len(queries), 2, s, 1)
     meter = _LiveMeter()
 
-    layer = _Layer.ranked(0, ps.coords, ps.colors, ps.weight_list())
-    summary.skeleton_nodes += _node_count(ps.n)
+    # the layer on x over all points: level 0 of a box's layout
+    n = ps.n
+    _, coords, colors, weights, vals = _ranked_level(
+        ps.coords, ps.colors, _weight_array(ps.weights, ps.mode), np.arange(n),
+        np.zeros(1, dtype=np.int64), np.array([n]), np.ones((1, 2)), 0)
+    summary.skeleton_nodes += _node_count(n)
 
     def emit(qid, entries):
         summary.emitted += 1
@@ -477,7 +492,7 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
     # empty x-slab (node None) answer first
     placed: dict = {}
     for i in range(len(qids)):
-        node, steps = layer.locate(x1s[i], x2s[i])
+        node, steps = _locate(vals, 0, n, x1s[i], x2s[i])
         if node is not None:
             node = (steps - (_split_rank(*node) is not None), *node)
         placed.setdefault(node, []).append(i)
@@ -492,7 +507,7 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
     for (_, lo, hi), batch in placed.items():
         mid = _split_rank(lo, hi)
         if mid is not None:
-            below = layer.coords_r[lo:hi, 1] <= ya[batch].max()
+            below = coords[lo:hi, 1] <= ya[batch].max()
             peak = max(peak, sum(max(int(np.count_nonzero(half)) - 1, 0)
                                  for half in (below[:mid - lo], below[mid - lo:])))
     acc = ColorAccumulator(ps.phi, ps.mode)
@@ -502,7 +517,8 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
         mid = _split_rank(lo, hi)
         if mid is None:
             for i in sorted(batch, key=ys.__getitem__):
-                layer.scan(lo, hi, [(x1s[i], x2s[i]), (-INF, ys[i])], acc)
+                _scan_range(coords, colors, weights, lo, hi, [(x1s[i], x2s[i]), (-INF, ys[i])],
+                            acc)
                 emit(qids[i], acc.drain_and_reset())
             continue
         # the node's queries in y order, ties in input order, answered by
@@ -512,7 +528,7 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
         rows = rows[rank_order(ya[rows])]
         node_qids = [qids[i] for i in rows.tolist()]
         node_ys = ya[rows]
-        forest = _children(layer, lo, mid, hi, s, ps.phi, ps.mode)
+        forest = _children(coords, colors, weights, lo, mid, hi, s, ps.phi, ps.mode)
         sorted0 = np.asarray(forest.sorted0)
         rqs = [np.searchsorted(sorted0[a:b], node_ys, "right")
                for a, b in zip(forest.start, forest.start[1:])]

@@ -149,40 +149,38 @@ def _query_into(self, corner, session, t=0):
                  corner[1:], off + rq, session)
 
 
-def _query_rec(self, struct, bounds, session):
-    if not isinstance(struct, boxes._Layer):
+def _query_rec(self, lv, layer, bounds, session):
+    if lv == len(self.levels):
         session.fanout += 1
-        self.forest._query_into(tuple(hi for _, hi in bounds), session, struct)
+        self.forest._query_into(tuple(hi for _, hi in bounds), session, layer)
         return
-    layer = struct
-    lo, hi = bounds[layer.axis]
+    level = self.levels[lv]
+    lo, hi = bounds[level.axis]
     if lo == -np.inf:
-        self._query_rec(layer.full_high, bounds, session)
+        self._query_rec(lv + 1, level.full_high[layer], bounds, session)
         return
     if hi == np.inf:
         nb = list(bounds)
-        nb[layer.axis] = (-np.inf, -lo)
-        self._query_rec(layer.full_low, nb, session)
+        nb[level.axis] = (-np.inf, -lo)
+        self._query_rec(lv + 1, level.full_low[layer], nb, session)
         return
-    node, steps = layer.locate(lo, hi)
+    off = level.start[layer]
+    node, steps = boxes._locate(level.vals, off, level.start[layer + 1], lo, hi)
     session.probes += steps
     if node is None:
         return
     mid = boxes._split_rank(*node)
     if mid is None:
         session.fanout += 1
-        layer.scan(*node, bounds, session.accumulator)
+        _scan_range(level.coords, level.colors, level.weights, off + node[0], off + node[1],
+                    bounds, session.accumulator)
         return
     nb_low = list(bounds)
-    nb_low[layer.axis] = (-np.inf, -lo)
-    self._query_rec(layer.inner_low[mid], nb_low, session)
+    nb_low[level.axis] = (-np.inf, -lo)
+    self._query_rec(lv + 1, level.inner_low[off + mid], nb_low, session)
     nb_high = list(bounds)
-    nb_high[layer.axis] = (-np.inf, hi)
-    self._query_rec(layer.inner_high[mid], nb_high, session)
-
-
-def _layer_scan(self, lo, hi, bounds, acc):
-    _scan_range(self.coords_r, self.colors_r, self.weights_r, lo, hi, bounds, acc)
+    nb_high[level.axis] = (-np.inf, hi)
+    self._query_rec(lv + 1, level.inner_high[off + mid], nb_high, session)
 
 
 def _add(self, color, weight):
@@ -229,7 +227,7 @@ def reference_queries():
         (cf.DominanceTree, "_answer", _answer),
         (cf.DominanceTree, "_query_into", _query_into),
         (cf.BoxTree, "_query_rec", _query_rec),
-        (boxes._Layer, "scan", _layer_scan),
+        (offline, "_scan_range", _scan_range),
         (cf.ColorAccumulator, "add", _add),
         (cf.ColorAccumulator, "add_entries", _add_entries),
         (cf.ColorAccumulator, "drain_and_reset", _drain_and_reset),
@@ -510,13 +508,26 @@ def reference_dominance(ps, queries, sweep_axis, s, sink):
     return summary
 
 
+def layer_half(coords, colors, weights, axis, lo, hi, low):
+    """(coords, colors, weights) of the rows [lo, hi) of a layer's columns,
+    ``axis`` negated when ``low``, so that a lower bound on it becomes an
+    upper bound."""
+    coords = coords[lo:hi].copy()
+    if low:
+        coords[:, axis] = -coords[:, axis]
+    return coords, colors[lo:hi], weights[lo:hi]
+
+
 def reference_3sided(ps, queries, s, sink):
     """``answer_offline_3sided`` with each placed node's children swept by
     two ``reference_sweep`` generators, the low child x-reflected, whose
     answer streams merge pairwise through one accumulator."""
     summary = cf.SweepSummary(ps.n, len(queries), 2, s, 1)
     meter = offline._LiveMeter()
-    layer = boxes._Layer.ranked(0, ps.coords, ps.colors, ps.weight_list())
+    order = rank_order(ps.coords[:, 0])
+    weights = ps.weight_list()
+    columns = ps.coords[order], ps.colors[order], [weights[i] for i in order.tolist()]
+    vals = columns[0][:, 0].tolist()
     summary.skeleton_nodes += boxes._node_count(ps.n)
 
     def emit(qid, entries):
@@ -525,7 +536,7 @@ def reference_3sided(ps, queries, s, sink):
 
     placed = {}
     for i, (_, q) in enumerate(queries):
-        node, steps = layer.locate(*q.bounds[0])
+        node, steps = boxes._locate(vals, 0, ps.n, *q.bounds[0])
         if node is not None:
             node = (steps - (boxes._split_rank(*node) is not None), *node)
         placed.setdefault(node, []).append(i)
@@ -537,16 +548,16 @@ def reference_3sided(ps, queries, s, sink):
         mid = boxes._split_rank(lo, hi)
         if mid is None:
             for i in sorted(batch, key=y.__getitem__):
-                layer.scan(lo, hi, queries[i][1].bounds, acc)
+                _scan_range(*columns, lo, hi, queries[i][1].bounds, acc)
                 emit(queries[i][0], acc.drain_and_reset())
             continue
         qids = [queries[i][0] for i in batch]
         x1 = np.array([queries[i][1].bounds[0][0] for i in batch])
         x2 = np.array([queries[i][1].bounds[0][1] for i in batch])
         ys = np.array([y[i] for i in batch])
-        left = reference_sweep(*layer.low_half(lo, mid), ps.mode, ps.phi,
+        left = reference_sweep(*layer_half(*columns, 0, lo, mid, True), ps.mode, ps.phi,
                                qids, np.column_stack((-x1, ys)), 1, s, summary, meter)
-        right = reference_sweep(*layer.high_half(mid, hi), ps.mode, ps.phi,
+        right = reference_sweep(*layer_half(*columns, 0, mid, hi, False), ps.mode, ps.phi,
                                 qids, np.column_stack((x2, ys)), 1, s, summary, meter)
         last = -np.inf
         for (qid, coord, part_left), (other, _, part_right) in zip(left, right, strict=True):

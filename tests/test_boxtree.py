@@ -8,9 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import colorfreq as cf
-from _util import canon, random_query, reference_1d
+from _util import canon, layer_half, random_query, reference_1d
 from colorfreq import boxes, dominance
 from colorfreq.core import count_le, count_lt, rank_order
 from colorfreq.freq1d import _sort_charge
@@ -23,7 +25,7 @@ def test_no_layers_is_a_dominance_tree():
     bt = cf.build_box(ps, s=4, bounded_axes=())
     dt = cf.build_dominance(ps, 2, s=4)
     # the box is tree 0 of a forest of one
-    assert bt.top == 0 and isinstance(bt.forest, cf.DominanceTree)
+    assert bt.levels == () and isinstance(bt.forest, cf.DominanceTree)
     assert bt.forest.start == (0, ps.n)
     assert bt.stored_entries == dt.stored_entries
     rng = np.random.default_rng(2)
@@ -116,18 +118,18 @@ def test_split_partition_at_located_node():
     # materialize both sides of the split and compare with the node's points
     ps = cf.generate_points(64, 2, 6, seed=12)
     bt = cf.build_box(ps, s=2, bounded_axes=(0,))
-    layer = bt.top
+    level = bt.levels[0]
     nodes = reference_layer(ps.n)
     rng = np.random.default_rng(13)
     for _ in range(40):
         x1, x2 = sorted(rng.uniform(0, 1000, 2))
         y = float(rng.uniform(0, 1000))
-        node, _ = layer.locate(x1, x2)
+        node, _ = boxes._locate(level.vals, 0, ps.n, x1, x2)
         if node is None or nodes[node][0] is None:
             continue
         lo, hi = node
         mid = nodes[node][0]
-        coords = layer.coords_r
+        coords = level.coords
         in_node = [
             p for p in range(lo, hi)
             if x1 <= coords[p, 0] <= x2 and coords[p, 1] <= y
@@ -147,15 +149,15 @@ def test_split_partition_at_located_node():
 def test_locate_matches_its_definition(n):
     # every closed range over the coordinates (duplicates included) and the gaps
     ps = cf.generate_points(n, 2, 3, seed=n, grid=max(n // 2, 1))
-    layer = cf.build_box(ps, s=2, bounded_axes=(0,)).top
+    vals = cf.build_box(ps, s=2, bounded_axes=(0,)).levels[0].vals
     nodes = reference_layer(n)
-    values = sorted(set(layer.sorted_vals.tolist()))
+    values = sorted(set(vals.tolist()))
     probes = sorted(set(values) | {v + 0.5 for v in values} | {-1.0})
     for x1 in probes:
         for x2 in probes:
-            rlo = count_lt(layer.sorted_vals, x1)
-            rhi = count_le(layer.sorted_vals, x2)
-            node, steps = layer.locate(x1, x2)
+            rlo = count_lt(vals, x1)
+            rhi = count_le(vals, x2)
+            node, steps = boxes._locate(vals, 0, n, x1, x2)
             if rlo >= rhi:
                 assert node is None and steps == 0
                 continue
@@ -169,6 +171,40 @@ def test_locate_matches_its_definition(n):
                 leaves = [v for v in holding if nodes[v][0] is None]
                 assert len(leaves) == 1 and node == leaves[0]
                 assert steps == nodes[node][1]
+
+
+def test_locate_reads_a_layer_slice_of_its_level():
+    # a layer of level 1 locates in its slice of the level's rank values as
+    # it would in rank values of its own; negated parts hold negative values
+    ps = cf.generate_points(40, 2, 3, seed=3, grid=10)
+    level = cf.build_box(ps, s=2, bounded_axes=(0, 1)).levels[1]
+    probes = [-11.0, -3.0, -1.0, 0.0, 2.5, 3.0, 7.0, 11.0]
+    for t in range(len(level.start) - 1):
+        off, end = level.start[t], level.start[t + 1]
+        alone = level.vals[off:end]
+        for x1, x2 in itertools.combinations_with_replacement(probes, 2):
+            assert boxes._locate(level.vals, off, end, x1, x2) == \
+                boxes._locate(alone, 0, end - off, x1, x2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 1e300, -1e300, 5e-324]) |
+                st.floats(allow_nan=False), max_size=40),
+       st.data())
+def test_ranked_groups_rank_each_signed_group_on_its_own(xs, data):
+    # overlapping groups of tie-heavy values, some negated: each in the
+    # order rank_order gives its signed values alone
+    values = np.array(xs, dtype=np.float64)
+    n = len(values)
+    rows = 100 + np.arange(n)
+    groups = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n),
+                                          st.sampled_from([1.0, -1.0])), max_size=6))
+    start = np.array([min(a, b) for a, b, _ in groups], dtype=np.int64)
+    size = np.array([abs(a - b) for a, b, _ in groups], dtype=np.int64)
+    sign = np.array([g for _, _, g in groups])
+    want = [rows[a:a + m][rank_order(g * values[a:a + m])] for a, m, g in zip(start, size, sign)]
+    got = boxes._ranked_groups(rows, start, size, values, sign)
+    assert got.tolist() == np.concatenate([np.zeros(0, dtype=np.int64)] + want).tolist()
 
 
 def test_offline_3sided_counts_the_layer_nodes():
@@ -308,7 +344,8 @@ def test_batched_box_counters_match_one_by_one_build(d, mode_name, chunk):
             mock.patch.object(dominance, "_fill", _fill_one_by_one):
         single = cf.build_box(ps, s=4, bounded_axes=(0, 1))
     # the strips of one tree share one block
-    forest, t = batched.forest, batched.top.full_high.full_high
+    level0, level1 = batched.levels
+    forest, t = batched.forest, level1.full_high[level0.full_high[0]]
     if d == 3:
         g = forest.start[t] + _last_root_strip(forest.parent[t])
         forest, t = forest.prefix[g], forest.index[g]
@@ -328,73 +365,89 @@ def test_batched_box_counters_match_one_by_one_build(d, mode_name, chunk):
 
 def _build_one_by_one(self, ps, axes):
     """The layers built recursively, one sort and one copy per layer and
-    part, tree ids in depth-first order, and each tree's part ranked on
-    its own: ``BoxTree._build``'s (top, forest)."""
-    parts = []
+    part, each kept as a record of its columns and links, layer ids per
+    level and tree ids in depth-first order, and each tree's part ranked on
+    its own; then the records of each level laid out one after another:
+    ``BoxTree._build``'s (levels, forest)."""
+    parts, records = [], [[] for _ in axes]
 
-    def build(coords, colors, weights, layer_axes):
-        if not layer_axes:
+    def build(coords, colors, weights, lv):
+        if lv == len(axes):
             order = rank_order(coords[:, 0])
             parts.append((coords[order], colors[order], [weights[i] for i in order.tolist()]))
             return len(parts) - 1
-        axis, rest = layer_axes[0], layer_axes[1:]
-        n = len(coords)
+        axis, n = axes[lv], len(coords)
         order = rank_order(coords[:, axis])
-        layer = boxes._Layer(axis, coords[order], colors[order],
-                             tuple(weights[i] for i in order.tolist()),
-                             array("d", coords[order, axis].tobytes()))
+        columns = coords[order], colors[order], [weights[i] for i in order.tolist()]
         self.build_ops += _sort_charge(n)
-        low, high = [None] * n, [None] * n
+        layer = len(records[lv])
+        record = {"columns": columns, "low": [-1] * n, "high": [-1] * n}
+        records[lv].append(record)
         nodes = [(0, n)]
         for lo, hi in nodes:  # grows while iterated: breadth-first
             mid = boxes._split_rank(lo, hi)
             if mid is not None:
                 nodes += (lo, mid), (mid, hi)
-                low[mid] = build(*layer.low_half(lo, mid), rest)
-                high[mid] = build(*layer.high_half(mid, hi), rest)
-        layer.inner_low, layer.inner_high = tuple(low), tuple(high)
-        layer.full_low = build(*layer.low_half(0, n), rest)
-        layer.full_high = build(*layer.high_half(0, n), rest)
+                record["low"][mid] = build(*layer_half(*columns, axis, lo, mid, True), lv + 1)
+                record["high"][mid] = build(*layer_half(*columns, axis, mid, hi, False), lv + 1)
+        record["full"] = (build(*layer_half(*columns, axis, 0, n, True), lv + 1),
+                          build(*layer_half(*columns, axis, 0, n, False), lv + 1))
         return layer
 
-    top = build(ps.coords, ps.colors, ps.weight_list(), list(axes))
+    build(ps.coords, ps.colors, ps.weight_list(), 0)
+    levels = []
+    for axis, layers in zip(axes, records):
+        coords, colors, weights = zip(*(r["columns"] for r in layers))
+        coords = np.concatenate(coords)
+        chain = itertools.chain.from_iterable
+        levels.append(boxes._Level(
+            axis, coords, np.concatenate(colors), tuple(chain(weights)),
+            array("d", coords[:, axis].tobytes()),
+            array("q", itertools.accumulate(map(len, colors), initial=0)),
+            array("q", chain(r["low"] for r in layers)), array("q", chain(r["high"] for r in layers)),
+            array("q", [r["full"][0] for r in layers]), array("q", [r["full"][1] for r in layers]),
+        ))
     coords, colors, weights = zip(*parts)
-    return top, cf.DominanceTree._forest(
+    return tuple(levels), cf.DominanceTree._forest(
         np.concatenate(coords), np.concatenate(colors), list(itertools.chain.from_iterable(weights)),
         [len(c) for c in colors], self.s, self.phi, self.mode,
     )
 
 
-def _assert_same_layers(got, want, forest, ref_forest):
-    """The layers ``got`` and ``want`` hold equal columns, and their inner
-    structures on every layer path are equal layers or equal forest trees."""
-    if not isinstance(want, boxes._Layer):
+def _assert_same_layers(got, want, lv=0, g=0, w=0):
+    """Layer ``g`` of level ``lv`` of the box ``got`` and layer ``w`` of
+    ``want`` hold equal columns and links, and their inner structures on
+    every layer path are equal layers or equal forest trees."""
+    forest, ref_forest = got.forest, want.forest
+    if lv == len(want.levels):
         if forest.d == 1:
             a, b = forest.base, ref_forest.base
-            (i, j), (k, e) = a.start[got:got + 2], b.start[want:want + 2]
+            (i, j), (k, e) = a.start[g:g + 2], b.start[w:w + 2]
             assert (list(a.sorted_values[i:j]), list(a.colors[i:j]), list(a.prefix_weight[i:j])) \
                 == (list(b.sorted_values[k:e]), list(b.colors[k:e]), list(b.prefix_weight[k:e]))
             return
-        (a, b), (c, e) = forest.start[got:got + 2], ref_forest.start[want:want + 2]
+        (a, b), (c, e) = forest.start[g:g + 2], ref_forest.start[w:w + 2]
         assert np.array_equal(forest.coords_r[a:b], ref_forest.coords_r[c:e])
         assert np.array_equal(forest.colors_r[a:b], ref_forest.colors_r[c:e])
         assert forest.weights_r[a:b] == ref_forest.weights_r[c:e]
         assert forest.sorted0[a:b] == ref_forest.sorted0[c:e]
-        assert forest.parent[got] == ref_forest.parent[want]
+        assert forest.parent[g] == ref_forest.parent[w]
         return
-    assert isinstance(got, boxes._Layer) and got.axis == want.axis
-    assert np.array_equal(got.coords_r, want.coords_r)
-    assert np.array_equal(got.colors_r, want.colors_r)
-    assert got.weights_r == want.weights_r and got.sorted_vals == want.sorted_vals
-    pairs = [(got.full_low, want.full_low), (got.full_high, want.full_high)]
-    for mid, inner in enumerate(want.inner_low):
-        if inner is None:
-            assert got.inner_low[mid] is None and got.inner_high[mid] is None
+    mine, ref = got.levels[lv], want.levels[lv]
+    (a, b), (c, e) = mine.start[g:g + 2], ref.start[w:w + 2]
+    assert mine.axis == ref.axis
+    assert np.array_equal(mine.coords[a:b], ref.coords[c:e])
+    assert np.array_equal(mine.colors[a:b], ref.colors[c:e])
+    assert mine.weights[a:b] == ref.weights[c:e] and mine.vals[a:b] == ref.vals[c:e]
+    pairs = [(mine.full_low[g], ref.full_low[w]), (mine.full_high[g], ref.full_high[w])]
+    for mid in range(e - c):
+        if ref.inner_low[c + mid] < 0:
+            assert mine.inner_low[a + mid] == mine.inner_high[a + mid] == -1
         else:
-            pairs += (got.inner_low[mid], inner), (got.inner_high[mid], want.inner_high[mid])
-    assert len(got.inner_low) == len(got.inner_high) == len(want.inner_low)
-    for g, w in pairs:
-        _assert_same_layers(g, w, forest, ref_forest)
+            pairs += ((mine.inner_low[a + mid], ref.inner_low[c + mid]),
+                      (mine.inner_high[a + mid], ref.inner_high[c + mid]))
+    for x, y in pairs:
+        _assert_same_layers(got, want, lv + 1, x, y)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -416,7 +469,11 @@ def test_layers_built_by_level_match_one_by_one_build(d, mode):
                 assert by_level.stored_entries == single.stored_entries
                 assert by_level.build_ops == single.build_ops
                 assert len(by_level.forest.start) == len(single.forest.start)
-                _assert_same_layers(by_level.top, single.top, by_level.forest, single.forest)
+                for level, ref in zip(by_level.levels, single.levels, strict=True):
+                    rows = len(ref.coords)
+                    assert len(level.start) == len(ref.start) and level.start[-1] == rows
+                    assert len(level.vals) == len(level.inner_low) == len(level.inner_high) == rows
+                _assert_same_layers(by_level, single)
                 s1, s2 = by_level.new_session(), single.new_session()
                 for _ in range(30 if n < 300 else 60):
                     sides = [2 if a in axes and rng.random() < 0.8 else 1 for a in range(d)]
@@ -437,29 +494,33 @@ def test_forest_trees_are_ranked_as_skeletons_of_their_own(axes):
     bt = cf.build_box(ps, s=4, bounded_axes=axes)
     forest, seen = bt.forest, []
 
-    def visit(struct, coords, colors, weights):
-        if not isinstance(struct, boxes._Layer):
+    def visit(lv, t, coords, colors, weights):
+        if lv == len(bt.levels):
             ref = cf.DominanceTree._skeleton(coords, colors, weights, 4, ps.phi, ps.mode)
-            a, b = forest.start[struct], forest.start[struct + 1]
+            a, b = forest.start[t], forest.start[t + 1]
             assert np.array_equal(forest.coords_r[a:b], ref.coords_r)
             assert np.array_equal(forest.colors_r[a:b], ref.colors_r)
             assert forest.weights_r[a:b] == ref.weights_r
             assert forest.sorted0[a:b] == ref.sorted0
-            assert forest.parent[struct] is ref.parent[0]
-            seen.append(struct)
+            assert forest.parent[t] is ref.parent[0]
+            seen.append(t)
             return
-        n = len(struct.sorted_vals)
+        level = bt.levels[lv]
+        off, n = level.start[t], level.start[t + 1] - level.start[t]
+        columns = level.coords[off:off + n], level.colors[off:off + n], level.weights[off:off + n]
         nodes = [(0, n)]
         for lo, hi in nodes:
             mid = boxes._split_rank(lo, hi)
             if mid is not None:
                 nodes += (lo, mid), (mid, hi)
-                visit(struct.inner_low[mid], *struct.low_half(lo, mid))
-                visit(struct.inner_high[mid], *struct.high_half(mid, hi))
-        visit(struct.full_low, *struct.low_half(0, n))
-        visit(struct.full_high, *struct.high_half(0, n))
+                visit(lv + 1, level.inner_low[off + mid],
+                      *layer_half(*columns, level.axis, lo, mid, True))
+                visit(lv + 1, level.inner_high[off + mid],
+                      *layer_half(*columns, level.axis, mid, hi, False))
+        visit(lv + 1, level.full_low[t], *layer_half(*columns, level.axis, 0, n, True))
+        visit(lv + 1, level.full_high[t], *layer_half(*columns, level.axis, 0, n, False))
 
-    visit(bt.top, ps.coords, ps.colors, ps.weight_list())
+    visit(0, 0, ps.coords, ps.colors, ps.weight_list())
     assert sorted(seen) == list(range(len(forest.parent)))
 
 
@@ -491,13 +552,12 @@ def test_box_build_makes_one_block_per_chunk(monkeypatch):
 
 @pytest.mark.parametrize("mode", [cf.COUNT, cf.MAX_SEMIGROUP])
 def test_box_build_keeps_few_tracked_objects(mode):
-    # a `--sides 2,2` box keeps its skeletons as one forest and its layers'
-    # weights and tree ids in tuples: objects for the cyclic collector to
-    # track grow with its layers, two each (the layer and its rank values),
-    # not with its skeletons (about 10n).  Over the 513 layers of n = 500
-    # a build leaves 1,138 in the suite and up to 1,205 as a process's
-    # first build (the 1-D blocks' columns, the shape caches' first
-    # entries); 1,300 leaves about 8% above that.
+    # a `--sides 2,2` box keeps its skeletons as one forest and each level
+    # of its layers as a few columns: objects for the cyclic collector to
+    # track grow neither with its layers (513 for n = 500) nor with its
+    # skeletons (about 10n), only with its blocks.  A first build in a
+    # process leaves 163 (counts) and 124 (max weights), most of them the
+    # blocks' arrays; 300 leaves room for the shape caches' first entries.
     n = 500
     ps = cf.generate_points(n, 2, 64, seed=1, mode=mode)
     gc.collect()
@@ -506,7 +566,6 @@ def test_box_build_keeps_few_tracked_objects(mode):
     bt = cf.build_box(ps, s=8, bounded_axes=(0, 1))
     gc.collect()
     new = [o for o in gc.get_objects() if id(o) not in ids]
-    layers = sum(isinstance(o, boxes._Layer) for o in new)
     assert bt.stored_entries > 40 * n
-    assert layers == boxes._node_count(n) + 2 == 513
-    assert len(new) < 1300
+    assert sum(len(level.start) - 1 for level in bt.levels) == boxes._node_count(n) + 2 == 513
+    assert len(new) < 300

@@ -1,4 +1,4 @@
-"""Command-line interface: formats, determinism, verification, bench."""
+"""Command-line interface: formats, determinism, verification."""
 
 import io
 import sys
@@ -8,7 +8,7 @@ import pytest
 
 import colorfreq as cf
 from colorfreq import boxes, cli
-from colorfreq.cli import BENCH_HEADER, main
+from colorfreq.cli import main
 from _util import canon
 
 INF = float("inf")
@@ -65,6 +65,26 @@ def test_verify_clean_and_corrupt(tmp_path, capsys):
     assert main(args + ["--corrupt"]) == 1
     report = capsys.readouterr().out
     assert "first differing query" in report
+
+
+def test_verify_counts_offline_disagreements(tmp_path, capsys):
+    # a dominance structure's answers must equal the offline sweep's: one
+    # corrupted offline answer is one mismatch
+    out = tmp_path / "o"
+    main(gen_args(out, seed=23))
+    args = ["verify", f"{out}.points.txt", f"{out}.queries.txt", "--fanout", "4"]
+    assert main(args) == 0
+    assert "0 mismatches" in capsys.readouterr().out
+    real = cli.answer_offline_dominance
+
+    def corrupting(job):
+        sink = job.sink
+        job.sink = lambda qid, entries: sink(qid, (entries[1:] or [(0, 1)]) if qid == 0 else entries)
+        return real(job)
+
+    with mock.patch.object(cli, "answer_offline_dominance", corrupting):
+        assert main(args) == 1
+    assert "1 mismatches" in capsys.readouterr().out
 
 
 def test_verify_weighted_counts(tmp_path, capsys):
@@ -126,11 +146,12 @@ def test_verify_box_fanout_bound_counts_the_query_two_sided_axes(tmp_path, capsy
     assert "probe-bound violations: 0" in capsys.readouterr().out
     real = boxes.BoxTree._query_rec
 
-    def split_route(self, struct, bounds, session):
-        if isinstance(struct, boxes._Layer) and bounds[struct.axis][0] == -INF:
+    def split_route(self, lv, layer, bounds, session):
+        axis = self.levels[lv].axis if lv < len(self.levels) else None
+        if axis is not None and bounds[axis][0] == -INF:
             bounds = list(bounds)
-            bounds[struct.axis] = (-1e300, bounds[struct.axis][1])
-        real(self, struct, bounds, session)
+            bounds[axis] = (-1e300, bounds[axis][1])
+        real(self, lv, layer, bounds, session)
 
     with mock.patch.object(boxes.BoxTree, "_query_rec", split_route):
         assert main(args) == 1
@@ -255,38 +276,6 @@ def test_offline_exit_code_checks_the_sweep_contract(tmp_path, capsys, monkeypat
             assert main([*runs[run], "--out", str(tmp_path / "a.txt")]) == code, (run, changes)
         err = capsys.readouterr().err
         assert ("offline contract violated" in err) == (code == 1)
-
-
-def test_bench_header_and_tradeoff(tmp_path):
-    rows = {}
-    for s in ("2", "16"):
-        out = tmp_path / f"bench{s}.csv"
-        assert main(["bench", "--points", "400", "--queries", "60", "--dims", "2",
-                     "--fanout", s, "--colors", "10", "--seed", "3",
-                     "--out", str(out)]) == 0
-        header, row = out.read_text().splitlines()
-        assert header == BENCH_HEADER
-        rows[s] = dict(zip(header.split(","), row.split(",")))
-    # growing s buys structure size for fewer probes per reported color
-    assert int(rows["16"]["storedEntries"]) > int(rows["2"]["storedEntries"])
-    probes_per_color = lambda r: int(r["probes"]) / max(1, int(r["k_total"]))
-    assert probes_per_color(rows["16"]) < probes_per_color(rows["2"])
-    # offline and online saw the same output volume
-    assert rows["2"]["k_total"] == rows["16"]["k_total"]
-    assert rows["2"]["peakLiveEntries"] != ""
-
-
-def test_bench_counter_columns_deterministic(tmp_path):
-    outs = []
-    for name in ("x.csv", "y.csv"):
-        out = tmp_path / name
-        main(["bench", "--points", "150", "--queries", "30", "--dims", "2",
-              "--fanout", "4", "--colors", "8", "--seed", "5", "--out", str(out)])
-        header, row = out.read_text().splitlines()
-        cols = dict(zip(header.split(","), row.split(",")))
-        outs.append({k: v for k, v in cols.items()
-                     if k not in ("build_ms", "query_us_p50", "query_us_p99")})
-    assert outs[0] == outs[1]
 
 
 def test_stats_subcommand(tmp_path, capsys):

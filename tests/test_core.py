@@ -42,6 +42,27 @@ def test_malformed_query_rejected():
         cf.BoxQuery([(float("nan"), 1.0)])
 
 
+_PS = cf.generate_points(20, 2, 3, seed=0)
+_CORNER = cf.BoxQuery([(-INF, 500.0), (-INF, 500.0)])
+_SLAB = cf.BoxQuery([(100.0, 600.0), (-INF, 500.0)])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: cf.answer_offline_3sided(_PS, [_SLAB], 4), cf.UnsupportedShapeError),
+    (lambda: cf.answer_offline_dominance(cf.OfflineJob(_PS, [_CORNER])), cf.UnsupportedShapeError),
+    (lambda: cf.build_dominance(_PS, 2, s=4).query(("a", 1)), cf.MalformedQueryError),
+    (lambda: cf.build_dominance(_PS, 2, s=4).query(None), cf.MalformedQueryError),
+    (lambda: cf.BoxQuery([("a", 1)]), cf.MalformedQueryError),
+    (lambda: cf.Frequency1D(["a"], [0]), cf.MalformedInputError),
+], ids=["3sided-not-a-pair", "dominance-not-a-pair", "corner-string", "corner-none",
+        "bound-string", "1d-string"])
+def test_malformed_calls_raise_typed_errors(call, error):
+    # queries not given as (id, query) pairs, and bounds or values that are
+    # not numbers, raise the typed errors, never a bare TypeError or ValueError
+    with pytest.raises(error):
+        call()
+
+
 def test_sidedness_counts():
     q = cf.BoxQuery([(1.0, 2.0), (-INF, 3.0), (-INF, INF)])
     assert q.sidedness == 3
@@ -97,7 +118,7 @@ def assert_rank_order_is_the_stable_sort(values):
 def test_rank_order_equals_the_stable_sort_on_floats(xs):
     values = np.array(xs, dtype=np.float64)
     assert_rank_order_is_the_stable_sort(values)
-    # the order boxes._ranked_groups sorts: the values, then their negations
+    # values next to their negations: -0.0 and 0.0 tie
     assert_rank_order_is_the_stable_sort(np.concatenate((values, -values)))
 
 

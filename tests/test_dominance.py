@@ -450,3 +450,20 @@ def test_count_tree_column_bytes_per_entry():
             if isinstance(column, array):
                 total += column.itemsize * len(column)
     assert total / tree.stored_entries <= 40
+
+
+def test_larger_fanout_stores_more_and_probes_less_per_color():
+    # growing s buys structure size for fewer probes per reported color
+    ps = cf.generate_points(400, 2, 10, seed=3)
+    queries = cf.generate_queries(60, 2, 4, sides=(1, 1))
+    stored, probes_per_color = {}, {}
+    for s in (2, 16):
+        tree = cf.build_dominance(ps, 2, s=s)
+        session = tree.new_session()
+        probes = k = 0
+        for q in queries:
+            k += len(tree.query(q, session))
+            probes += session.probes
+        stored[s], probes_per_color[s] = tree.stored_entries, probes / max(1, k)
+    assert stored[16] > stored[2]
+    assert probes_per_color[16] < probes_per_color[2]
