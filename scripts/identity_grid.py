@@ -22,14 +22,20 @@ Each record is one line hashed in order:
   ``answer_offline_3sided`` for d = 2): the sink stream and every
   ``SweepSummary`` field.
 
+Each record also goes into the hash of its section: the kind it is tagged
+with (``tree``, ``box``, ``q``, ``offline``, ``3sided``, ``1d`` or
+``prefix``), or ``larger`` for every record of the larger builds.
+
 ``--quick`` runs n <= 64 with fewer queries and no larger builds, a few
 seconds.  ``--rev REV`` runs this script on a ``git archive`` of REV's
 ``src/`` instead of this checkout's, so that two commits hash one grid.
-The script prints ``<records> records sha256 <hex>``.  With ``--expect
-FILE`` it exits 1 unless both equal the ``"quick"`` or ``"full"`` entry of
-that JSON file, ``{"records": ..., "sha256": ...}``; the repository's
-``IDENTITY.json`` holds today's values, and a change that moves an answer
-or a counter on purpose updates it.
+The script prints ``<records> records sha256 <hex>`` and then one
+``<section> <hex>`` line per section.  With ``--expect FILE`` it exits 1,
+naming the sections that moved, unless all of them equal the ``"quick"``
+or ``"full"`` entry of that JSON file, ``{"records": ..., "sha256": ...,
+"sections": {section: hex}}``; the repository's ``IDENTITY.json`` holds
+today's values, and a change that moves an answer or a counter on purpose
+updates it.
 """
 
 from __future__ import annotations
@@ -149,21 +155,18 @@ def _cell(n, d, grid, mode_name, s, seed, nq):
         yield ("1d", f.entries, f.build_ops)
         session = cf.QuerySession()
         for q in _queries(rng, nq, 1, span, (0,), grid):
-            (lo, hi), = q.bounds
+            (_, hi), = q.bounds
             session.probes = 0
             got = f.query_prefix(hi, session)
             yield ("prefix", got, session.probes)
-            session.probes = 0
-            got = f.query_interval(lo, hi, session)
-            yield ("interval", got, session.probes)
     if d == 2:
         yield _three_sided(ps, _queries(rng, nq, 2, span, (0,), grid), s)
 
 
 def records(ns=NS, queries: int = 20, larger: bool = True):
-    """Every record of the grid over the sizes ``ns``, with ``queries``
-    queries per structure and the larger builds or not, each record a tuple
-    tagged with its cell."""
+    """Every (section, record) of the grid over the sizes ``ns``, with
+    ``queries`` queries per structure and the larger builds or not, each
+    record a tuple tagged with its cell."""
     seed = 0
     for n in ns:
         for d, grid, mode_name in itertools.product((1, 2, 3), (None, 4, 11),
@@ -176,7 +179,7 @@ def records(ns=NS, queries: int = 20, larger: bool = True):
                 seed += 1
                 cell = (n, d, grid, mode_name, s)
                 for rec in _cell(n, d, grid, mode_name, s, seed, queries):
-                    yield cell + rec
+                    yield rec[0], cell + rec
     if not larger:
         return
     big = [("box", 2000, cf.MAX_SEMIGROUP, 8), ("tree", 20000, cf.COUNT, 16),
@@ -187,26 +190,29 @@ def records(ns=NS, queries: int = 20, larger: bool = True):
         qs = cf.generate_queries(300, 2, 1101, sides=sides)
         if kind == "box":
             box = cf.BoxTree(ps, s, bounded_axes=(0, 1))
-            yield (kind, n, box.stored_entries, box.build_ops)
-            yield from ((kind, n) + rec for rec in _answers(box, qs))
+            recs = [(box.stored_entries, box.build_ops), *_answers(box, qs)]
         elif kind == "tree":
             tree = cf.DominanceTree(ps, s)
             st = tree.stats()
-            yield (kind, n, st.stored_entries, st.build_ops, st.height, st.node_count)
-            yield from ((kind, n) + rec for rec in _answers(tree, qs))
+            recs = [(st.stored_entries, st.build_ops, st.height, st.node_count),
+                    *_answers(tree, qs)]
         else:
-            yield (kind, n) + _three_sided(ps, qs, s)
+            recs = [_three_sided(ps, qs, s)]
+        yield from (("larger", (kind, n) + rec) for rec in recs)
 
 
-def digest(**grid) -> tuple[int, str]:
-    """(record count, SHA-256 hex) of ``records(**grid)``."""
-    h = hashlib.sha256()
+def digest(**grid) -> tuple[int, str, dict]:
+    """(record count, SHA-256 hex, {section: SHA-256 hex}) of
+    ``records(**grid)``: one hash over every record and one over each
+    section's records, each in order."""
+    whole, sections = hashlib.sha256(), {}
     count = 0
-    for rec in records(**grid):
-        h.update(repr(rec).encode())
-        h.update(b"\n")
+    for section, rec in records(**grid):
+        line = repr(rec).encode() + b"\n"
+        whole.update(line)
+        sections.setdefault(section, hashlib.sha256()).update(line)
         count += 1
-    return count, h.hexdigest()
+    return count, whole.hexdigest(), {k: h.hexdigest() for k, h in sorted(sections.items())}
 
 
 def _at_rev(rev: str, quick: bool, expect: Path | None) -> int:
@@ -235,13 +241,18 @@ def main(argv=None) -> int:
     if args.rev:
         return _at_rev(args.rev, args.quick, args.expect)
     grid = "quick" if args.quick else "full"
-    count, hexdigest = digest(**QUICK) if args.quick else digest()
+    count, hexdigest, sections = digest(**QUICK) if args.quick else digest()
     print(f"{count} records sha256 {hexdigest}")
+    for section, h in sections.items():
+        print(f"{section} {h}")
     if args.expect:
         want = json.loads(args.expect.read_text())[grid]
-        if (count, hexdigest) != (want["records"], want["sha256"]):
+        moved = sorted(k for k in sections.keys() | want["sections"].keys()
+                       if sections.get(k) != want["sections"].get(k))
+        if moved or (count, hexdigest) != (want["records"], want["sha256"]):
             print(f"expected {want['records']} records sha256 {want['sha256']} "
-                  f"for the {grid} grid", file=sys.stderr)
+                  f"for the {grid} grid; sections moved: {', '.join(moved) or 'none'}",
+                  file=sys.stderr)
             return 1
     return 0
 

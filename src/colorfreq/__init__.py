@@ -22,7 +22,6 @@ from .core import (
     PointSet,
     QuerySession,
     SemigroupMode,
-    UnsupportedOperationError,
     UnsupportedShapeError,
     canonical_freq,
     freq_total,
@@ -79,7 +78,6 @@ __all__ = [
     "SemigroupMode",
     "SweepSummary",
     "TreeStats",
-    "UnsupportedOperationError",
     "UnsupportedShapeError",
     "answer_offline_3sided",
     "answer_offline_dominance",

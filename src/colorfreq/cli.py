@@ -28,7 +28,6 @@ from .core import (
     MalformedQueryError,
     ParameterError,
     PointSet,
-    UnsupportedOperationError,
     UnsupportedShapeError,
     canonical_freq,
     freq_total,
@@ -316,7 +315,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (MalformedInputError, MalformedQueryError, ParameterError,
-            UnsupportedShapeError, UnsupportedOperationError) as exc:
+            UnsupportedShapeError) as exc:
         print(f"colorfreq: error: {exc}", file=sys.stderr)
         return 2
 

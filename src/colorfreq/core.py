@@ -37,10 +37,6 @@ class UnsupportedShapeError(ValueError):
     """The query shape is not supported by the structure it was sent to."""
 
 
-class UnsupportedOperationError(ValueError):
-    """The operation needs capabilities the chosen weight mode does not provide."""
-
-
 class ContractViolationError(ValueError):
     """A caller-side contract was broken (e.g. color id outside [0, phi))."""
 
@@ -51,13 +47,8 @@ class ContractViolationError(ValueError):
 
 
 class CountMode:
-    """Integer counts under addition.
+    """Integer counts under addition."""
 
-    Addition over the integers is a group, so this mode also supports the
-    rank-difference interval path that needs subtraction.
-    """
-
-    is_group = True
     name = "count"
     combine = operator.add  # a builtin, so called without a frame of its own
 
@@ -66,13 +57,8 @@ class CountMode:
 
 
 class SemigroupMode:
-    """A user-supplied commutative semigroup.
-
-    No inverse is assumed, so any query path that would subtract partial
-    answers is rejected in this mode.
-    """
-
-    is_group = False
+    """A user-supplied commutative semigroup.  No inverse is assumed: no
+    query path subtracts partial answers."""
 
     def __init__(self, combine: Callable[[Any, Any], Any], name: str = "semigroup"):
         self.combine = combine  # the user's function itself, called directly
@@ -112,7 +98,11 @@ class BoxQuery:
 
     def __init__(self, bounds: Iterable[tuple[float, float]]):
         checked = []
-        for axis, bound in enumerate(bounds):
+        try:
+            axes = enumerate(bounds)
+        except TypeError:
+            raise MalformedQueryError(f"{bounds!r} is not a sequence of bounds") from None
+        for axis, bound in axes:
             try:
                 lo, hi = map(float, bound)
             except (TypeError, ValueError):
@@ -199,7 +189,11 @@ def normalize_query(q: BoxQuery, reflect: Sequence[bool]) -> BoxQuery:
     was finite from below becomes finite from above.  Answers on reflected
     data with the normalized query equal answers on the original data.
     """
-    if len(reflect) != q.dimension:
+    try:
+        flags = len(reflect)
+    except TypeError:
+        raise ParameterError(f"reflection flags {reflect!r} are not a sequence") from None
+    if flags != q.dimension:
         raise ParameterError("reflection flags must match query dimension")
     bounds = []
     for (lo, hi), flip in zip(q.bounds, reflect):
@@ -330,17 +324,25 @@ class PointSet:
         """
         coords, colors, weights = [], [], []
         d = None
+        try:
+            points = iter(points)
+        except TypeError:
+            raise MalformedInputError(f"{points!r} is not an iterable of points") from None
         for p in points:
             if isinstance(p, ColoredPoint):
                 c, col, w = p.coords, p.color, p.weight
             else:
-                first = p[0]
+                try:
+                    first, col = p[0], p[1]
+                    w = p[2] if len(p) > 2 else 1
+                except (TypeError, IndexError, KeyError):
+                    raise MalformedInputError(
+                        f"{p!r} is not a (coords, color[, weight]) point"
+                    ) from None
                 if isinstance(first, (Sequence, np.ndarray)) and not isinstance(first, str):
                     c = tuple(first)
                 else:
                     c = (first,)
-                col = p[1]
-                w = p[2] if len(p) > 2 else 1
             if d is None:
                 d = len(c)
             elif len(c) != d:

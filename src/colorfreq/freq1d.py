@@ -8,9 +8,7 @@ bound, whose prefix weight is exactly the answer for the color.
 
 The quadrant reports go through a heap-ordered binary index over the rank
 axis (a static priority search tree), giving O(log n + k) index probes per
-query.  Two-sided intervals additionally use the mirrored transform on
-predecessor ranks to find the leftmost in-range point per color; the count
-is the rank difference, which needs group (count) weights.
+query.
 """
 
 from __future__ import annotations
@@ -30,9 +28,6 @@ from .core import (
     MalformedQueryError,
     PointSet,
     QuerySession,
-    UnsupportedOperationError,
-    count_le,
-    count_lt,
     rank_order,
 )
 
@@ -62,40 +57,6 @@ def _column(typecode: str, x: np.ndarray) -> array:
 def _sort_charge(n: int) -> int:
     """Comparison charge we book for an n-element sort."""
     return n * max(1, (max(n, 1) - 1).bit_length())
-
-
-def _report(m: int, heap: tuple, a: int, b: int, t: int) -> tuple[list[int], int]:
-    """(hits, probes) for the positions in [a, b) with priority >= t in the
-    ``(lo, pri, pos, skip)`` heap over m positions, visiting O(log m +
-    output) nodes."""
-    if a >= b or m == 0:
-        return [], 0
-    los, pri, pos, skip = heap
-    if m <= _SMALL:
-        return [i for i in range(a, b) if pri[i] >= t], b - a
-    hits: list[int] = []
-    probes = 0
-    stack = [(0, m)]  # (preorder index, end of its range)
-    while stack:
-        k, hi = stack.pop()
-        probes += 1
-        if pri[k] < t:
-            continue
-        i = pos[k]
-        if a <= i < b:
-            hits.append(i)
-        lo = los[k]
-        mid = (lo + hi) >> 1
-        # a stored left child [lo, mid) comes first in the subtree, and
-        # the right child [mid, hi), if stored, after the left subtree
-        child, end = k + 1, k + skip[k]
-        if child < end and los[child] < mid:
-            if a < mid and lo < b:
-                stack.append((child, mid))
-            child += skip[child]
-        if child < end and a < hi and mid < b:
-            stack.append((child, hi))
-    return hits, probes
 
 
 class _Cells(dict):
@@ -137,11 +98,10 @@ class Frequency1D:
     priorities are not, so range ``j`` reads the same as a structure of its
     own once ``start[j]`` is taken off ``lo`` and ``pos``.  ``lo`` never
     decreases in preorder, and of the nodes starting at one ``lo`` the
-    first is the shallowest.  The columns keep no node's ``hi``:
-    ``_report`` carries it down from the root.  A range of ``_SMALL`` or
-    fewer positions is flat instead: every position is a node of its own
-    (``lo`` and ``pos`` the position, ``skip`` 1), so a scan of it is the
-    linear scan.
+    first is the shallowest.  The columns keep no node's ``hi``.  A range
+    of ``_SMALL`` or fewer positions is flat instead: every position is a
+    node of its own (``lo`` and ``pos`` the position, ``skip`` 1), so a
+    scan of it is the linear scan.
 
     Every column is a typed ``array``: the four heap columns and
     ``colors`` are ``array('i')``, ``sorted_values`` ``array('d')`` and
@@ -163,14 +123,8 @@ class Frequency1D:
     ``_build_ranges`` allocates a block's columns by entry before its
     temporaries, so that freeing those leaves no holes between blocks.
     Color ids must be below 2**31 and count totals must fit int64, or the
-    build raises ``MalformedInputError``.
-
-    The interval index, built on a one-range structure only, is
-    ``_pred_index``, the same heap over the negated predecessor ranks as one
-    ``(lo, pri, pos, skip)`` tuple of columns, plus ``prefix_below``
-    (``array('q')``), the weight of each chain below each point.
-    ``__init__`` derives both from the range's own columns, the heap by the
-    placement of ``_place``.  The public methods read a one-range structure.
+    build raises ``MalformedInputError``.  The public methods read a
+    one-range structure.
     """
 
     __slots__ = (
@@ -179,18 +133,16 @@ class Frequency1D:
         "sorted_values",
         "colors",
         "prefix_weight",
-        "prefix_below",
         "start",
         "lo",
         "pri",
         "pos",
         "skip",
-        "_pred_index",
         "_ops",
         "_may_cancel",
     )
 
-    def __init__(self, values, colors, weights=None, mode=COUNT, interval_index: bool = False):
+    def __init__(self, values, colors, weights=None, mode=COUNT):
         try:
             values = np.asarray(values, dtype=np.float64)
         except (TypeError, ValueError):
@@ -230,23 +182,9 @@ class Frequency1D:
             raise MalformedInputError("count-mode weights overflow int64 totals") from None
         self._set(mode, f.sorted_values, f.colors, f.prefix_weight, (f.lo, f.pri, f.pos, f.skip),
                   f.start, f._ops, f._may_cancel)
-        # predecessors and the weight below each point serve interval queries only
-        if interval_index and is_count:
-            succ = np.empty(m, dtype=np.int64)
-            succ[_view(self.pos)] = _view(self.pri)
-            linked = np.flatnonzero(succ < m)
-            pred = np.full(m, -1, dtype=np.int64)
-            pred[succ[linked]] = linked
-            self.prefix_below = _column("q", np.where(pred < 0, 0, _view(self.prefix_weight)[pred]))
-            # the heap over -pred, placed by the non-negative priority m - pred
-            index = [_zeros("i", m) for _ in range(4)]
-            depths = _place(m - pred, np.array([0, m]), index)
-            _view(index[1])[:] -= m
-            self._pred_index = tuple(index)
-            self._ops[0] += m + (int(depths[0]) + _sort_charge(m) if m > _SMALL else 0)
 
     def _set(self, mode, values, colors, pref, heap, start, ops, may_cancel) -> None:
-        """Take the block's columns; no interval index."""
+        """Take the block's columns."""
         self.mode = mode
         self.m = len(values)
         self.sorted_values = values
@@ -256,7 +194,6 @@ class Frequency1D:
         self.start = start
         self._ops = ops
         self._may_cancel = may_cancel
-        self.prefix_below = self._pred_index = None
 
     # -- rank space ----------------------------------------------------------
 
@@ -295,36 +232,6 @@ class Frequency1D:
             session.probes += probes
         return [(c, cells[c]) for c in touched]
 
-    def query_interval(self, lo: float, hi: float, session: QuerySession | None = None) -> list:
-        """Per-color count of the points with coordinate in [lo, hi].
-
-        Computed as a rank difference between the rightmost and leftmost
-        in-range point of each color, which requires group weights.
-        """
-        if self._pred_index is None:
-            raise UnsupportedOperationError(
-                "interval queries need group weights and an interval index"
-            )
-        if lo != lo or hi != hi:
-            raise MalformedQueryError(f"interval [{lo}, {hi}] has a NaN bound")
-        if lo > hi:
-            raise MalformedQueryError(f"interval [{lo}, {hi}] is inverted")
-        rlo = count_lt(self.sorted_values, lo)
-        rhi = count_le(self.sorted_values, hi)
-        if rlo >= rhi:
-            return []
-        right, p1 = _report(self.m, (self.lo, self.pri, self.pos, self.skip), rlo, rhi, rhi)
-        left, p2 = _report(self.m, self._pred_index, rlo, rhi, 1 - rlo)
-        if session is not None:
-            session.probes += p1 + p2
-        cols, pref, below = self.colors, self.prefix_weight, self.prefix_below
-        out: dict[int, int] = {}
-        for i in right:
-            out[cols[i]] = pref[i]
-        for i in left:
-            out[cols[i]] -= below[i]
-        return [(c, w) for c, w in out.items() if w != 0]
-
     # -- introspection (tests, demos) -----------------------------------------
 
     def chain_of(self, color: int) -> list[tuple[float, float, object]]:
@@ -357,10 +264,10 @@ def _report_walk(walk, q: float, slots, touched: list, combine) -> tuple[int, in
     A range's scan walks its heap in preorder up to the first node whose
     range starts at or past block position ``rq`` = start + r: a node whose
     ``pri`` is below r skips its subtree, and an occupant below ``rq`` is a
-    hit.  It visits exactly the nodes that ``_report`` pops for the ranks
-    [0, r) with priority >= r.  Consecutive pairs of one block share its
-    columns, so a d = 2 walk, whose strips mostly lie in one block, reads
-    them once.
+    hit.  It visits exactly the nodes that a stack walk down from the root
+    pops for the ranks [0, r) with priority >= r.  Consecutive pairs of one
+    block share its columns, so a d = 2 walk, whose strips mostly lie in one
+    block, reads them once.
     """
     add, top = combine is operator.add, combine is max
     probes = touches = 0
@@ -653,20 +560,16 @@ def build_1d(points, mode=COUNT) -> Frequency1D:
     """Build the 1-D structure from 1-D points.
 
     Accepts a ``PointSet`` with d == 1 or an iterable of ``(x, color[, weight])``
-    tuples / ColoredPoints.  The interval index is built whenever the weight
-    mode supports it.
+    tuples / ColoredPoints.  It answers prefix queries; ``build_box(points,
+    bounded_axes=(0,))`` answers intervals.
     """
     if isinstance(points, PointSet):
         ps = points
     else:
         points = list(points)
         if not points:
-            return Frequency1D(
-                np.zeros(0), np.zeros(0, dtype=np.int64), mode=mode, interval_index=mode.is_group
-            )
+            return Frequency1D(np.zeros(0), np.zeros(0, dtype=np.int64), mode=mode)
         ps = PointSet.from_points(points, mode=mode)
     if ps.d != 1:
         raise MalformedInputError(f"build_1d needs 1-D points, got d={ps.d}")
-    return Frequency1D(
-        ps.coords[:, 0], ps.colors, ps.weight_list(), mode=ps.mode, interval_index=ps.mode.is_group
-    )
+    return Frequency1D(ps.coords[:, 0], ps.colors, ps.weight_list(), mode=ps.mode)

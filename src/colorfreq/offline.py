@@ -344,6 +344,10 @@ def _sweep_dominance(forest, rqs, rests, sessions, summary, meter, budget=0):
 
 def _pairs(queries):
     """The (query id, query) pairs of a batch, each checked to be a pair."""
+    try:
+        queries = iter(queries)
+    except TypeError:
+        raise UnsupportedShapeError(f"{queries!r} is not a batch of queries") from None
     for pair in queries:
         try:
             qid, q = pair

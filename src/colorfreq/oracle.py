@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoxQuery, CountMode, PointSet
+from .core import BoxQuery, CountMode, MalformedQueryError, PointSet
 
 
 def brute_force(points: PointSet, q: BoxQuery) -> list:
     """Exact per-color totals inside ``q`` by definition: one O(n*d) scan."""
+    if not isinstance(q, BoxQuery):
+        raise MalformedQueryError(f"{q!r} is not a BoxQuery")
     mask = q.mask(points.coords)
     if not mask.any():
         return []

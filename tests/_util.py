@@ -293,11 +293,11 @@ def _check_heap(heap, a, b, pri):
 def check_block(block, parts):
     """Assert that ``block`` is laid out as the ``Frequency1D`` docstring
     defines it, range j over ``parts[j] = (values, colors, weights)``, the
-    range's points in their order on input; the interval index too when the
-    block has one.  Every column is checked against the definition, not
-    against another build: the values in rank order (ties by input order),
-    each ``succ`` the next rank of its color, each prefix the running
-    combine of its chain, the heap of each range, and the build counters."""
+    range's points in their order on input.  Every column is checked
+    against the definition, not against another build: the values in rank
+    order (ties by input order), each ``succ`` the next rank of its color,
+    each prefix the running combine of its chain, the heap of each range,
+    and the build counters."""
     mode = block.mode
     count = isinstance(mode, cf.CountMode)
     start = list(block.start)
@@ -325,11 +325,6 @@ def check_block(block, parts):
         ops = 2 * m + charge
         steps = _check_heap(heap, a, b, succ)
         ops += steps + charge if m > _SMALL else 0
-        if block._pred_index is not None:  # a one-range structure's interval index
-            assert len(parts) == 1
-            assert list(block.prefix_below) == [0 if p < 0 else pref[p] for p in pred]
-            steps = _check_heap(block._pred_index, a, b, [-p for p in pred])
-            ops += m + (steps + charge if m > _SMALL else 0)
         assert block._ops[j] == ops
 
 
@@ -390,10 +385,10 @@ def _reference_heap(pri):
         steps + _sort_charge(m)
 
 
-def reference_1d(values, colors, weights=None, mode=cf.COUNT, interval_index=False):
+def reference_1d(values, colors, weights=None, mode=cf.COUNT):
     """The one-range ``Frequency1D`` built one entry at a time: a chain loop
-    over the ranks, the one-by-one heap insertion and, for the interval
-    index, a predecessor loop.  The reference of the numpy build."""
+    over the ranks and the one-by-one heap insertion.  The reference of the
+    numpy build."""
     values = np.asarray(values, dtype=np.float64)
     m = len(values)
     weights = [1] * m if weights is None else list(weights)
@@ -416,15 +411,6 @@ def reference_1d(values, colors, weights=None, mode=cf.COUNT, interval_index=Fal
     f._set(mode, array("d", values[order].tolist()), array("i", cols), pref, heap,
            array("i", [0, m]), array("q", [2 * m + _sort_charge(m) + steps]),
            array("b", [count and m > 0 and min(weights) <= 0]))
-    if interval_index and count:
-        pred = [-1] * m
-        for r, nxt in enumerate(succ):
-            if nxt < m:
-                pred[nxt] = r
-        f.prefix_below = array("q", [0 if p < 0 else pref[p] for p in pred])
-        *heap, steps = _reference_heap([-p for p in pred])
-        f._pred_index = tuple(heap)
-        f._ops[0] += m + steps
     return f
 
 

@@ -123,17 +123,12 @@ def sweep():
                         )
 
                 if d == 1 and n >= 1:
-                    f = cf.build_1d(
-                        [(float(x), int(c)) for x, c in zip(ps.coords[:, 0], ps.colors)]
-                    )
+                    # intervals on a d = 1 box, at every n
+                    box = cf.build_box(ps, s=s, bounded_axes=(0,))
+                    bsession = box.new_session()
                     for _ in range(3):
                         lo_q, hi_q = sorted(rng.uniform(-10, hi + 10, 2))
-                        got = f.query_interval(float(lo_q), float(hi_q))
-                        want = cf.brute_force(ps, cf.BoxQuery([(lo_q, hi_q)]))
-                        rec.pairs += 1
-                        rec.sidedness_seen.add((1, 2))
-                        if canon(got) != canon(want):
-                            rec.mismatches.append((n, 1, (lo_q, hi_q), got, want))
+                        _check_query(rec, ps, box, cf.BoxQuery([(lo_q, hi_q)]), bsession)
     rec.runtime = time.perf_counter() - t0
     return rec
 

@@ -54,11 +54,21 @@ _SLAB = cf.BoxQuery([(100.0, 600.0), (-INF, 500.0)])
     (lambda: cf.build_dominance(_PS, 2, s=4).query(None), cf.MalformedQueryError),
     (lambda: cf.BoxQuery([("a", 1)]), cf.MalformedQueryError),
     (lambda: cf.Frequency1D(["a"], [0]), cf.MalformedInputError),
+    (lambda: cf.BoxQuery(None), cf.MalformedQueryError),
+    (lambda: cf.brute_force(_PS, None), cf.MalformedQueryError),
+    (lambda: cf.answer_offline_3sided(_PS, None, 2), cf.UnsupportedShapeError),
+    (lambda: cf.answer_offline_dominance(cf.OfflineJob(_PS, None)), cf.UnsupportedShapeError),
+    (lambda: cf.PointSet.from_points(None), cf.MalformedInputError),
+    (lambda: cf.PointSet.from_points([1]), cf.MalformedInputError),
+    (lambda: cf.build_dominance(None), cf.MalformedInputError),
+    (lambda: cf.normalize_query(_CORNER, None), cf.ParameterError),
 ], ids=["3sided-not-a-pair", "dominance-not-a-pair", "corner-string", "corner-none",
-        "bound-string", "1d-string"])
+        "bound-string", "1d-string", "bounds-none", "oracle-none", "3sided-none",
+        "dominance-none", "points-none", "point-not-a-tuple", "build-none", "flags-none"])
 def test_malformed_calls_raise_typed_errors(call, error):
-    # queries not given as (id, query) pairs, and bounds or values that are
-    # not numbers, raise the typed errors, never a bare TypeError or ValueError
+    # queries not given as (id, query) pairs, bounds or values that are not
+    # numbers, and None in place of a batch, a query, points or flags raise
+    # the typed errors, never a bare TypeError, ValueError or AttributeError
     with pytest.raises(error):
         call()
 

@@ -68,14 +68,16 @@ def assert_oracle(ps, q, got):
 @EXAMPLES
 @given(st.data())
 def test_1d_prefix_and_interval(data):
+    # intervals are answered by the d = 1 box, in every weight mode
     ps, grid = data.draw(instances(d=1))
     f = cf.build_1d(ps)
+    box = cf.build_box(ps, s=data.draw(fanouts(ps.n)), bounded_axes=(0,))
     for _ in range(3):
         hi = data.draw(value(grid))
         assert_oracle(ps, cf.BoxQuery([(-INF, hi)]), f.query_prefix(hi))
-        if ps.mode.is_group:
-            lo = data.draw(value(grid).filter(lambda v: v <= hi))
-            assert_oracle(ps, cf.BoxQuery([(lo, hi)]), f.query_interval(lo, hi))
+        lo = data.draw(value(grid).filter(lambda v: v <= hi))
+        q = cf.BoxQuery([(lo, hi)])
+        assert_oracle(ps, q, box.query(q))
 
 
 @EXAMPLES

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import colorfreq as cf
 from colorfreq import dominance, freq1d
+from colorfreq.core import count_le
 from _util import canon, chains, check_block, checked_blocks, reference_1d
 
 # Pinned probe-counter constants (recorded by this suite; measured worst
@@ -27,6 +28,18 @@ def oracle_1d(points, lo, hi):
         if lo <= x <= hi:
             acc[c] = acc.get(c, 0) + (w[0] if w else 1)
     return tuple(sorted(acc.items()))
+
+
+def interval_box(points):
+    """The d = 1 box over ``points`` (a PointSet or a list of 1-D points),
+    the structure that answers intervals."""
+    if not isinstance(points, cf.PointSet):
+        points = cf.PointSet.from_points(points) if points else cf.PointSet.empty(1)
+    return cf.build_box(points, bounded_axes=(0,))
+
+
+def interval(box, lo, hi, session=None):
+    return box.query(cf.BoxQuery([(lo, hi)]), session)
 
 
 def test_chain_example():
@@ -54,10 +67,11 @@ def test_prefix_examples():
 
 
 def test_interval_examples():
-    f = cf.build_1d(FIVE_POINTS)
-    assert canon(f.query_interval(2.0, 6.0)) == ((RED, 2), (BLUE, 1))
-    assert f.query_interval(4.0, 4.0) == []
-    assert canon(f.query_interval(-10.0, 10.0)) == canon(f.query_prefix(math.inf))
+    box = interval_box(FIVE_POINTS)
+    assert canon(interval(box, 2.0, 6.0)) == ((RED, 2), (BLUE, 1))
+    assert interval(box, 4.0, 4.0) == []
+    everything = cf.build_1d(FIVE_POINTS).query_prefix(math.inf)
+    assert canon(interval(box, -10.0, 10.0)) == canon(everything)
 
 
 def test_malformed_input_rejected():
@@ -98,22 +112,17 @@ def test_color_ids_past_int32_rejected():
     assert canon(f.query_prefix(1.0)) == ((0, 1), (2**31 - 1, 1))
 
 
-def test_interval_rejected_without_group_weights():
-    f = cf.build_1d([(1.0, 0, 5), (2.0, 0, 9)], mode=cf.MAX_SEMIGROUP)
-    with pytest.raises(cf.UnsupportedOperationError):
-        f.query_interval(0.0, 3.0)
-
-
 def test_inverted_interval_rejected():
-    f = cf.build_1d(FIVE_POINTS)
+    box = interval_box(FIVE_POINTS)
     with pytest.raises(cf.MalformedQueryError):
-        f.query_interval(5.0, 2.0)
+        interval(box, 5.0, 2.0)
 
 
 def test_nan_query_bounds_rejected():
-    f = cf.build_1d([(1.0, 0), (3.0, 0), (5.0, 1)])
-    for query in (lambda: f.query_prefix(math.nan), lambda: f.query_interval(0.0, math.nan),
-                  lambda: f.query_interval(math.nan, 4.0)):
+    points = [(1.0, 0), (3.0, 0), (5.0, 1)]
+    f, box = cf.build_1d(points), interval_box(points)
+    for query in (lambda: f.query_prefix(math.nan), lambda: interval(box, 0.0, math.nan),
+                  lambda: interval(box, math.nan, 4.0)):
         with pytest.raises(cf.MalformedQueryError):
             query()
 
@@ -125,10 +134,11 @@ def test_quadrant_hits_at_most_one_point_per_color():
         f = cf.Frequency1D(
             rng.integers(0, 30, m).astype(float), rng.integers(0, 8, m)
         )
-        rq = int(rng.integers(0, m + 1))
-        hits, _ = freq1d._report(f.m, (f.lo, f.pri, f.pos, f.skip), 0, rq, rq)
-        colors = [f.colors[i] for i in hits]
-        assert len(colors) == len(set(colors))
+        q = float(rng.integers(-1, 31))
+        # on a fresh accumulator a color hit twice would touch its cell twice
+        cells, touched = freq1d._Cells(), []
+        _, touches = freq1d._report_walk(((f, 0),), q, cells, touched, cf.COUNT.combine)
+        assert touches == len(touched)
 
 
 def test_chain_completeness_recovers_sorted_sequences():
@@ -162,6 +172,8 @@ def test_oracle_equivalence_1000_random_instances():
         ]
         f = cf.build_1d(pts)
         m = f.size
+        box = interval_box(pts)
+        box_session = box.new_session()
         for _ in range(2):
             q = float(rng.uniform(-1, grid + 1))
             session.reset()
@@ -172,11 +184,10 @@ def test_oracle_equivalence_1000_random_instances():
             assert all(w > 0 for _, w in got)
 
             lo, hi = sorted(rng.uniform(-1, grid + 1, 2))
-            session.reset()
-            got = f.query_interval(float(lo), float(hi), session)
+            got = interval(box, float(lo), float(hi), box_session)
             assert canon(got) == oracle_1d(pts, lo, hi)
             k = len(got)
-            assert session.probes <= INTERVAL_C1 * math.log2(m + 1) + INTERVAL_C2 * k
+            assert box_session.probes <= INTERVAL_C1 * math.log2(m + 1) + INTERVAL_C2 * k
             checked += 1
     assert checked == 2000
 
@@ -200,7 +211,7 @@ def test_prefix_difference_identity():
             for c in upper
             if upper[c] - below.get(c, 0) > 0
         }
-        assert tuple(sorted(diff.items())) == canon(f.query_interval(lo, hi))
+        assert tuple(sorted(diff.items())) == canon(interval(interval_box(pts), lo, hi))
 
 
 def test_build_ops_linearithmic():
@@ -208,7 +219,7 @@ def test_build_ops_linearithmic():
     for n in (1, 10, 100, 1000, 5000):
         vals = rng.integers(0, n + 1, n).astype(float)
         cols = rng.integers(0, max(1, n // 3), n)
-        f = cf.Frequency1D(vals, cols, interval_index=True)
+        f = cf.Frequency1D(vals, cols)
         assert f.build_ops <= BUILD_C * n * math.log2(n + 1)
 
 
@@ -224,7 +235,7 @@ def test_cancelling_count_weights_leave_the_color_out():
     f = cf.build_1d(ps)
     assert f.query_prefix(5.0) == [(BLUE, 2)]
     assert f.query_prefix(2.0) == []
-    assert f.query_interval(1.0, 5.0) == [(BLUE, 2)]
+    assert interval(interval_box(ps), 1.0, 5.0) == [(BLUE, 2)]
     assert cf.build_dominance(ps, 1, s=2).query((5.0,)) == [(BLUE, 2)]
     assert cf.brute_force(ps, cf.BoxQuery.dominance((5.0,))) == [(BLUE, 2)]
 
@@ -294,13 +305,11 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
             "sorted_values": block.sorted_values[a:b].tolist(),
             "colors": block.colors[a:b],
             "prefix_weight": block.prefix_weight[a:b],
-            "prefix_below": block.prefix_below,
             "start": [0, b - a],
             "lo": unshift(block.lo[a:b]),
             "pri": list(block.pri[a:b]),
             "pos": unshift(block.pos[a:b]),
             "skip": list(block.skip[a:b]),
-            "_pred_index": block._pred_index,
             "_ops": [block._ops[j]],
             "_may_cancel": [block._may_cancel[j]],
         }
@@ -318,22 +327,14 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
                 mine = list(mine)
             assert value == mine, name
         assert succ[a:b] == want.succ
-        if mode is cf.COUNT:  # the interval index, on the range built on its own
-            got = cf.Frequency1D(ys[lo:cut], cols[lo:cut], w[lo:cut], interval_index=True)
-            want = reference_1d(ys[lo:cut], cols[lo:cut], w[lo:cut], interval_index=True)
-            for mine, theirs in zip(got._pred_index, want._pred_index):
-                assert mine.typecode == theirs.typecode and list(mine) == list(theirs)
-            assert got.prefix_below.typecode == "q"
-            assert list(got.prefix_below) == list(want.prefix_below)
-            assert list(got._ops) == list(want._ops)
 
 
-def heap_layout_holds_one_node_per_entry(f, heap=None):
+def heap_layout_holds_one_node_per_entry(f):
     """Assert that each range of ``f`` stores exactly one heap node per
     entry, in preorder: range j's nodes are [start[j], start[j+1]), each
     starts inside the range, holds one of its positions and ends its
     subtree inside it."""
-    lo, pri, pos, skip = heap or (f.lo, f.pri, f.pos, f.skip)
+    lo, pri, pos, skip = f.lo, f.pri, f.pos, f.skip
     assert len(lo) == len(pri) == len(pos) == len(skip) == f.start[-1] == f.m
     for j in range(len(f.start) - 1):
         a, b = f.start[j], f.start[j + 1]
@@ -349,9 +350,7 @@ def test_heap_stores_one_node_per_entry():
     for m in sizes:
         ys = rng.integers(0, max(1, m // 2), m).astype(float)
         cols = rng.integers(0, 5, m)
-        f = cf.Frequency1D(ys, cols, interval_index=True)
-        heap_layout_holds_one_node_per_entry(f)
-        heap_layout_holds_one_node_per_entry(f, f._pred_index)
+        heap_layout_holds_one_node_per_entry(cf.Frequency1D(ys, cols))
     # many ranges per block, of every size in the list, in shuffled order
     ranges, lo = [], 0
     for m in rng.permutation([m for m in sizes if m] * 2).tolist():
@@ -431,17 +430,13 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
     if batched and m:
         f = freq1d._build_ranges(ys, cols, freq1d._weight_array(w, mode), [(0, m)], mode)
     else:
-        f = cf.Frequency1D(ys, cols, w, mode, interval_index=mode is cf.COUNT)
-    succ, pred = chains(list(f.colors))
+        f = cf.Frequency1D(ys, cols, w, mode)
+    succ, _ = chains(list(f.colors))
     assert f.succ == succ
     occ = reference_index(succ)
-    heaps = [((f.lo, f.pri, f.pos, f.skip), succ, occ)]
-    if f._pred_index is not None:
-        pri = [-p for p in pred]
-        heaps.append((f._pred_index, pri, reference_index(pri)))
 
     for q in rng.integers(-1, grid + 1, 6).tolist():
-        rq = freq1d.count_le(f.sorted_values, q)
+        rq = count_le(f.sorted_values, q)
         # three accumulators holding the same partials of an earlier structure
         accs = [cf.ColorAccumulator(phi, mode) for _ in range(3)]
         sessions = [cf.QuerySession(acc) for acc in accs]
@@ -461,15 +456,6 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
             assert sorted(acc.touched) == sorted(accs[0].touched)
             assert acc.touch_ops == accs[0].touch_ops
             assert session.probes == sessions[0].probes
-
-    for _ in range(6):
-        a, b = sorted(rng.integers(0, m + 1, 2).tolist())
-        t = int(rng.integers(-m - 1, m + 2))
-        for heap, pri, ref in heaps:
-            hits, probes = freq1d._report(m, heap, a, b, t)
-            want_hits, want_probes = reference_report(pri, ref, a, b, t)
-            assert sorted(hits) == sorted(want_hits)
-            assert probes == want_probes
 
 
 # -- forest ranks and the max path ----------------------------------------------
@@ -591,10 +577,7 @@ def test_every_builder_lays_out_its_blocks_as_defined(n, grid, phi, seed, mode_n
     w = tied_weights(rng, n, mode)
     if mode is cf.COUNT:
         w = w.tolist()
-    for index in (False, True):
-        f = cf.Frequency1D(coords[:, 0], cols, w, mode, interval_index=index)
-        check_block(f, [(coords[:, 0], cols, w)])
-        assert (f._pred_index is not None) == (index and mode is cf.COUNT)
+    check_block(cf.Frequency1D(coords[:, 0], cols, w, mode), [(coords[:, 0], cols, w)])
     # ranges of any size, empty ones too, and a block of no entries
     ranges = np.sort(rng.integers(0, n + 1, (int(rng.integers(0, 6)), 2)), axis=1)
     check_block(freq1d._build_ranges(coords[:, 0], cols, freq1d._weight_array(w, mode), ranges,

@@ -1,4 +1,5 @@
-"""scripts/identity_grid.py: its hash is a function of answers and counters."""
+"""scripts/identity_grid.py: its hashes, whole and per section, are a function
+of answers and counters."""
 
 import importlib.util
 import json
@@ -15,9 +16,10 @@ TINY = {"ns": (5,), "queries": 3, "larger": False}
 
 
 def test_hash_is_stable_and_moves_with_a_counter(monkeypatch):
-    count, first = identity_grid.digest(**TINY)
+    count, first, sections = identity_grid.digest(**TINY)
     assert count > 300
-    assert identity_grid.digest(**TINY) == (count, first)
+    assert set(sections) == {"tree", "box", "q", "offline", "3sided", "1d", "prefix"}
+    assert identity_grid.digest(**TINY) == (count, first, sections)
 
     drain = cf.ColorAccumulator.drain_and_reset
 
@@ -25,16 +27,27 @@ def test_hash_is_stable_and_moves_with_a_counter(monkeypatch):
         self.drain_ops += 1
         return drain(self)
 
+    # a query counter moves the query records, not the structures' records
     monkeypatch.setattr(cf.ColorAccumulator, "drain_and_reset", one_more_drain)
-    patched, moved = identity_grid.digest(**TINY)
+    patched, moved, patched_sections = identity_grid.digest(**TINY)
     assert patched == count and moved != first
+    assert patched_sections["q"] != sections["q"]
+    assert patched_sections["tree"] == sections["tree"]
 
 
 def test_expect_exits_1_when_the_records_or_the_hash_differ(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(identity_grid, "QUICK", TINY)
-    count, hexdigest = identity_grid.digest(**TINY)
+    count, hexdigest, sections = identity_grid.digest(**TINY)
     expect = tmp_path / "IDENTITY.json"
-    for records, sha, code in ((count, hexdigest, 0), (count, "0" * 64, 1), (count + 1, hexdigest, 1)):
-        expect.write_text(json.dumps({"quick": {"records": records, "sha256": sha}}))
-        assert identity_grid.main(["--quick", "--expect", str(expect)]) == code
-        assert ("expected" in capsys.readouterr().err) == bool(code)
+    moved_q = {**sections, "q": "0" * 64}
+    for records, sha, parts, moved in ((count, hexdigest, sections, None),
+                                       (count, "0" * 64, sections, "none"),
+                                       (count + 1, hexdigest, sections, "none"),
+                                       (count, hexdigest, moved_q, "q")):
+        expect.write_text(json.dumps({"quick": {"records": records, "sha256": sha,
+                                                "sections": parts}}))
+        assert identity_grid.main(["--quick", "--expect", str(expect)]) == (moved is not None)
+        err = capsys.readouterr().err
+        assert ("expected" in err) == (moved is not None)
+        if moved:
+            assert err.rstrip().endswith(f"sections moved: {moved}")
