@@ -152,7 +152,7 @@ def _cell(n, d, grid, mode_name, s, seed, nq):
     yield from _offline(ps, corners, s)
     if d == 1 and mode_name == "count":
         f = cf.build_1d(ps)
-        yield ("1d", f.entries, f.build_ops)
+        yield ("1d", f.stored_entries, f.build_ops)
         session = cf.QuerySession()
         for q in _queries(rng, nq, 1, span, (0,), grid):
             (_, hi), = q.bounds

@@ -47,15 +47,14 @@ from .core import (
     UnsupportedShapeError,
     count_le,
     count_lt,
-    rank_order,
 )
 from .dominance import (
     ColorAccumulator,
     DominanceTree,
     _check_fanout,
     _coerce_points,
-    _concat_ranges,
     _fill,
+    _ranked_groups,
     _ready,
     _scan_range,
 )
@@ -129,32 +128,6 @@ def _locate(vals, off, end, low, high):
         else:
             break
     return (lo, hi), steps
-
-
-def _ranked_groups(rows, start, size, values, sign):
-    """The groups [start[i], start[i] + size[i]) of ``rows``, one after
-    another, each in rank order of ``values`` (one per row) times its
-    ``sign[i]``, ties by position: the order ``rank_order`` gives the
-    group's signed values on its own.
-
-    One ``rank_order`` of the values ranks both signs: position p's rank
-    is ``rank[p]``, and among the negated values ``rank[n + p]``, the
-    reverse of its rank but in the same order within its run of equal
-    values."""
-    n = len(rows)
-    order = rank_order(values)
-    r = np.arange(n)
-    rank = np.empty(2 * n, dtype=np.int64)
-    rank[order] = r
-    if (sign < 0).any():
-        ranked = values[order]
-        first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-        tie = np.diff(first, append=n)  # the lengths of the runs of equal values
-        rank[n:][order] = n + r - np.repeat(2 * first + tie, tie)
-    member = _concat_ranges(start, size)
-    key = np.repeat(np.arange(len(size)) * n, size)
-    key += rank[member + n * np.repeat(sign < 0, size)]
-    return rows[member[np.argsort(key)]]
 
 
 def _ranked_level(coords, colors, weights, rows, start, size, sign, axis):

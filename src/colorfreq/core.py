@@ -123,7 +123,11 @@ class BoxQuery:
 
     @classmethod
     def dominance(cls, corner: Sequence[float]) -> "BoxQuery":
-        return cls([(-INF, c) for c in corner])
+        try:
+            bounds = [(-INF, c) for c in corner]
+        except TypeError:
+            raise MalformedQueryError(f"corner {corner!r} is not a sequence of numbers") from None
+        return cls(bounds)
 
     @classmethod
     def interval(cls, lo: float, hi: float) -> "BoxQuery":
@@ -265,7 +269,10 @@ class PointSet:
     __slots__ = ("coords", "colors", "weights", "mode", "phi", "labels")
 
     def __init__(self, coords, colors, weights=None, mode=COUNT, labels=None):
-        coords = np.array(coords, dtype=np.float64)
+        try:
+            coords = np.array(coords, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise MalformedInputError("coordinates must be numbers") from None
         if coords.ndim != 2:
             raise MalformedInputError("coords must be a 2-D (n, d) array")
         if coords.size and not np.all(np.isfinite(coords)):
@@ -352,8 +359,7 @@ class PointSet:
             weights.append(w)
         if d is None:
             raise MalformedInputError("cannot infer dimension of an empty point list")
-        arr = np.asarray(coords, dtype=np.float64).reshape(len(coords), d)
-        return cls(arr, colors, weights, mode=mode, labels=labels)
+        return cls(coords, colors, weights, mode=mode, labels=labels)
 
     @classmethod
     def empty(cls, d: int, mode=COUNT) -> "PointSet":

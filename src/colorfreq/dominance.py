@@ -101,28 +101,9 @@ class ColorAccumulator:
         self.touch_ops += 1
 
     def add_entries(self, entries) -> None:
-        """``add`` of every (color, weight) pair of ``entries``, in order,
-        with the merges of ``_report_walk``."""
-        phi, slots, touched, combine = self.phi, self.slots, self.touched, self.mode.combine
-        add, top = combine is operator.add, combine is max
-        added = 0
+        """``add`` of every (color, weight) pair of ``entries``, in order."""
         for c, w in entries:
-            if not 0 <= c < phi:
-                self.touch_ops += added
-                raise ContractViolationError(f"color {c} outside [0, {phi})")
-            cur = slots[c]
-            if cur is None:
-                slots[c] = w
-                touched.append(c)
-            elif add:
-                slots[c] = cur + w
-            elif top:
-                if w > cur:
-                    slots[c] = w
-            else:
-                slots[c] = combine(cur, w)
-            added += 1
-        self.touch_ops += added
+            self.add(c, w)
 
     def drain_and_reset(self) -> list:
         out = []
@@ -259,15 +240,9 @@ class DominanceTree:
     def _forest(cls, coords, colors, weights, sizes, s, phi, mode):
         """The skeletons of trees over consecutive runs of ``sizes`` points,
         each run in rank order of its first axis, ties by input order (see
-        ``_ranked_ranges``), as one forest for one ``_fill``."""
+        ``_ranked_groups``), as one forest for one ``_fill``."""
         self = cls.__new__(cls)
         self._init_from_parts(coords, colors, weights, s=s, phi=phi, mode=mode, sizes=sizes)
-        return self
-
-    @classmethod
-    def _from_parts(cls, coords, colors, weights, s, phi, mode):
-        self = cls._skeleton(coords, colors, weights, s, phi, mode)
-        _fill(self)
         return self
 
     def _init_from_parts(self, coords, colors, weights, s, phi, mode, sizes=None):
@@ -289,7 +264,7 @@ class DominanceTree:
                                       np.column_stack((start[:-1], start[1:])), mode)
             self.coords_r = self.colors_r = self.weights_r = self.sorted0 = None
             self.parent = self.prefix = self.index = None
-            self.stored_entries = self.base.entries
+            self.stored_entries = self.base.stored_entries
             self.build_ops = self.base.build_ops
             self.node_count = sum(1 for m in sizes if m)
             self.height = 0
@@ -342,16 +317,16 @@ class DominanceTree:
                                 np.column_stack((run_base, run_base + cut - lo)), self.mode,
                                 None if rank is None else rank[rows],
                                 None if ints is None else ints[rows])
-            self.stored_entries += sub.m
         else:
-            rows = _ranked_ranges(lo, cut - lo, self.coords_r[:, 1])
+            rows = _ranked_groups(np.arange(len(self.coords_r)), lo, cut - lo, self.coords_r[:, 1],
+                                  np.ones(len(lo)))
             sub = DominanceTree._forest(
                 self.coords_r[rows, 1:], self.colors_r[rows],
                 [weights[i] for i in rows.tolist()], (cut - lo).tolist(),
                 self.s, self.phi, self.mode,
             )
             _fill(sub)
-            self.stored_entries += sub.stored_entries
+        self.stored_entries += sub.stored_entries
         self.build_ops += sub.build_ops
         return sub
 
@@ -373,29 +348,19 @@ class DominanceTree:
         return session.accumulator.drain_and_reset()
 
     def _corner_of(self, q) -> tuple:
-        if isinstance(q, BoxQuery):
-            bounds = q.bounds
-            if len(bounds) != self.d:
-                raise MalformedQueryError(
-                    f"query dimension {len(bounds)} != structure dimension {self.d}"
-                )
-            corner = []
-            for lo, hi in bounds:
-                if lo != -INF:
-                    raise MalformedQueryError("dominance structure cannot take lower bounds")
-                corner.append(hi)
-            return tuple(corner)
-        try:
-            corner = tuple(float(c) for c in q)
-        except (TypeError, ValueError):
-            raise MalformedQueryError(f"corner {q!r} is not a sequence of numbers") from None
-        if len(corner) != self.d:
+        if not isinstance(q, BoxQuery):
+            q = BoxQuery.dominance(q)
+        bounds = q.bounds
+        if len(bounds) != self.d:
             raise MalformedQueryError(
-                f"corner dimension {len(corner)} != structure dimension {self.d}"
+                f"query dimension {len(bounds)} != structure dimension {self.d}"
             )
-        if any(c != c for c in corner):
-            raise MalformedQueryError("corner has NaN coordinates")
-        return corner
+        corner = []
+        for lo, hi in bounds:
+            if lo != -INF:
+                raise MalformedQueryError("dominance structure cannot take lower bounds")
+            corner.append(hi)
+        return tuple(corner)
 
     def _query_into(self, corner, session: QuerySession, t: int = 0) -> None:
         """Accumulate the answer of tree ``t`` for ``corner`` into the
@@ -558,16 +523,35 @@ def _concat_ranges(lo, sizes):
     return np.arange(total) + np.repeat(lo - (ends - sizes), sizes)
 
 
-def _ranked_ranges(lo, sizes, values):
-    """``_concat_ranges(lo, sizes)`` with each range in rank order of
-    ``values`` (one per position), ties by position: the order
-    ``rank_order`` gives the range on its own.  One ``rank_order`` of
-    ``values`` ranks every range, however often the ranges overlap."""
-    member = _concat_ranges(lo, sizes)
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[rank_order(values)] = np.arange(len(values))
-    run = np.repeat(np.arange(len(sizes)), sizes)
-    return member[np.argsort(run * len(values) + rank[member])]
+def _ranked_groups(rows, start, size, values, sign):
+    """The groups [start[i], start[i] + size[i]) of ``rows``, one after
+    another, each in rank order of ``values`` (one per row) times its
+    ``sign[i]``, ties by position: the order ``rank_order`` gives the
+    group's signed values on its own.
+
+    One ``rank_order`` of the values ranks both signs: position p's rank
+    is ``rank[p]``, and among the negated values ``rank[n + p]``, the
+    reverse of its rank but in the same order within its run of equal
+    values.  With no negative sign the negated ranks are not made."""
+    n = len(rows)
+    order = rank_order(values)
+    r = np.arange(n)
+    member = _concat_ranges(start, size)
+    key = np.repeat(np.arange(len(size)) * n, size)
+    flip = sign < 0
+    if flip.any():
+        rank = np.empty(2 * n, dtype=np.int64)
+        ranked = values[order]
+        first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        tie = np.diff(first, append=n)  # the lengths of the runs of equal values
+        rank[n:][order] = n + r - np.repeat(2 * first + tie, tie)
+        at = member + n * np.repeat(flip, size)
+    else:
+        rank = np.empty(n, dtype=np.int64)
+        at = member
+    rank[order] = r
+    key += rank[at]
+    return rows[member[np.argsort(key)]]
 
 
 def _fill(forest) -> None:
@@ -612,7 +596,7 @@ def _strip_columns(forest):
     rank array is allocated with the weights, before the ranking's
     temporaries, so that the two lie together under the blocks and free
     as one space.  A d >= 3 forest takes its weights list alone: its
-    strips are ranked as one forest by ``_ranked_ranges``.
+    strips are ranked as one forest by ``_ranked_groups``.
     """
     if forest.d != 2:
         return forest.weights_r, None, None

@@ -8,7 +8,8 @@ bound, whose prefix weight is exactly the answer for the color.
 
 The quadrant reports go through a heap-ordered binary index over the rank
 axis (a static priority search tree), giving O(log n + k) index probes per
-query.
+query.  Points come in as a ``PointSet``, which checks them; the builder
+adds only the check that color ids fit its int32 column.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
 _SMALL = 8  # below this size a linear scan beats any index
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 _COLOR_ERROR = "color ids must be below 2**31"
+_VALUES_ERROR = "values must be one coordinate per point"
 
 
 def _zeros(typecode: str, n: int) -> array:
@@ -74,8 +76,9 @@ class Frequency1D:
 
     Range ``j`` owns the block positions [start[j], start[j+1]), and the
     heap nodes of the same indexes, one node per entry.  ``_build_ranges``
-    builds every block; ``Frequency1D(...)`` and ``build_1d`` check their
-    input and build one range starting at 0.  By block position:
+    builds every block; ``Frequency1D(...)`` and ``build_1d`` build one
+    range starting at 0 from a ``PointSet``, which checks the points.  By
+    block position:
     ``sorted_values``, ``colors`` and ``prefix_weight``, each range in rank
     order.  Each range also has its own build ops (``_ops``) and
     ``_may_cancel`` flag.
@@ -122,9 +125,9 @@ class Frequency1D:
     inside one range about 3x faster than numpy searches a slice of it.
     ``_build_ranges`` allocates a block's columns by entry before its
     temporaries, so that freeing those leaves no holes between blocks.
-    Color ids must be below 2**31 and count totals must fit int64, or the
-    build raises ``MalformedInputError``.  The public methods read a
-    one-range structure.
+    Color ids must be below 2**31, or the build raises
+    ``MalformedInputError``.  The public methods read a one-range
+    structure.
     """
 
     __slots__ = (
@@ -144,42 +147,12 @@ class Frequency1D:
 
     def __init__(self, values, colors, weights=None, mode=COUNT):
         try:
-            values = np.asarray(values, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise MalformedInputError("values must be numbers") from None
-        colors = np.asarray(colors)
-        m = len(values)
+            values = np.asarray(values)
+        except ValueError:  # ragged
+            raise MalformedInputError(_VALUES_ERROR) from None
         if values.ndim != 1:
-            raise MalformedInputError("values must be one coordinate per point")
-        if colors.shape != (m,):
-            raise MalformedInputError("need one color per value")
-        if m and colors.dtype.kind not in "iu":
-            raise MalformedInputError("color ids must be integers")
-        is_count = isinstance(mode, CountMode)
-        if weights is None:
-            weights = [1] * m
-        elif is_count:
-            try:
-                weights = list(map(operator.index, weights))
-            except TypeError:
-                raise MalformedInputError("count-mode weights must be integers") from None
-        else:
-            weights = list(weights)
-        if len(weights) != m:
-            raise MalformedInputError("need one weight per value")
-        if not np.isfinite(values).all():
-            raise MalformedInputError("coordinates must be finite")
-        if m and colors.min() < 0:
-            raise MalformedInputError("color ids must be non-negative")
-        if m and colors.max() > _INT32_MAX:
-            raise MalformedInputError(_COLOR_ERROR)
-        # count weights stay Python ints, so every prefix total is exact, and
-        # one that does not fit int64 raises when it is stored
-        weights = np.array(weights, dtype=object) if is_count else _weight_array(weights, mode)
-        try:
-            f = _build_ranges(values, colors.astype(np.int64), weights, [(0, m)], mode)
-        except OverflowError:
-            raise MalformedInputError("count-mode weights overflow int64 totals") from None
+            raise MalformedInputError(_VALUES_ERROR)
+        f = build_1d(PointSet(values[:, None], colors, weights, mode))
         self._set(mode, f.sorted_values, f.colors, f.prefix_weight, (f.lo, f.pri, f.pos, f.skip),
                   f.start, f._ops, f._may_cancel)
 
@@ -198,11 +171,7 @@ class Frequency1D:
     # -- rank space ----------------------------------------------------------
 
     @property
-    def size(self) -> int:
-        return self.m
-
-    @property
-    def entries(self) -> int:
+    def stored_entries(self) -> int:
         """Number of stored mapped points (space instrumentation)."""
         return self.m
 
@@ -457,8 +426,7 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT, rank=None,
     ``values``, ``colors`` and ``weights`` are 1-D arrays in one fixed
     order, the weights from ``_weight_array``.  Count weights are int64
     from a ``PointSet``, whose overflow guard keeps every prefix total
-    exact, or Python ints as objects, whose prefix totals are then exact,
-    and one that does not fit int64 raises ``OverflowError``.  Range ``j``
+    exact.  Range ``j``
     of the block holds the points [lo, cut) for ``ranges[j] = (lo, cut)``,
     laid out as ``Frequency1D`` describes; ``ranges`` is a sequence of
     pairs or a two-column array, which makes no Python object per range.
@@ -560,16 +528,16 @@ def build_1d(points, mode=COUNT) -> Frequency1D:
     """Build the 1-D structure from 1-D points.
 
     Accepts a ``PointSet`` with d == 1 or an iterable of ``(x, color[, weight])``
-    tuples / ColoredPoints.  It answers prefix queries; ``build_box(points,
-    bounded_axes=(0,))`` answers intervals.
+    tuples / ColoredPoints, whose ``PointSet`` checks them.  It answers prefix
+    queries; ``build_box(points, bounded_axes=(0,))`` answers intervals.
     """
     if isinstance(points, PointSet):
         ps = points
+    elif isinstance(points, (list, tuple)) and not points:
+        ps = PointSet.empty(1, mode)
     else:
-        points = list(points)
-        if not points:
-            return Frequency1D(np.zeros(0), np.zeros(0, dtype=np.int64), mode=mode)
         ps = PointSet.from_points(points, mode=mode)
     if ps.d != 1:
         raise MalformedInputError(f"build_1d needs 1-D points, got d={ps.d}")
-    return Frequency1D(ps.coords[:, 0], ps.colors, ps.weight_list(), mode=ps.mode)
+    return _build_ranges(ps.coords[:, 0], ps.colors, _weight_array(ps.weights, ps.mode),
+                         [(0, ps.n)], ps.mode)

@@ -55,12 +55,12 @@ from .dominance import (
     ColorAccumulator,
     DominanceTree,
     _check_fanout,
-    _ranked_ranges,
+    _ranked_groups,
     _scan_range,
     _strip_columns,
     _strip_spans,
 )
-from .freq1d import Frequency1D, _weight_array
+from .freq1d import _weight_array
 
 # A block of the offline sweep holds at most _BLOCK entries (a larger strip
 # is a block of its own), and a step whose own strips hold more builds no
@@ -172,12 +172,6 @@ class _LiveMeter:
 
     def remove(self, entries: int):
         self.live -= entries
-
-
-def _struct_entries(struct) -> int:
-    if isinstance(struct, Frequency1D):
-        return struct.entries
-    return struct.stored_entries
 
 
 def _plan(forest, xs, batched: bool, budget: int) -> list:
@@ -308,7 +302,7 @@ def _sweep_dominance(forest, rqs, rests, sessions, summary, meter, budget=0):
         cuts = plan[block][3]
         for c in cuts.tolist():
             prefix[c] = None
-        meter.remove(_struct_entries(held.pop(block)))
+        meter.remove(held.pop(block).stored_entries)
         summary.total_destroyed += len(cuts)
 
     b = 0  # the next block to build
@@ -323,7 +317,7 @@ def _sweep_dominance(forest, rqs, rests, sessions, summary, meter, budget=0):
                     prefix[c] = struct
                     index[c] = j
                 held[b] = struct
-                entries = _struct_entries(struct)
+                entries = struct.stored_entries
                 summary.total_built += len(cut)
                 summary.entries_built += entries
                 meter.add(entries)
@@ -444,8 +438,8 @@ def _children(coords, colors, weights, lo, mid, hi, s, phi, mode) -> DominanceTr
     (y, x), from the layer's columns: tree 0 is the low child with x
     negated, tree 1 the high child, each in rank order of y, ties by x
     rank."""
-    rows = lo + _ranked_ranges(np.array([0, mid - lo]), np.array([mid - lo, hi - mid]),
-                               coords[lo:hi, 1])
+    rows = _ranked_groups(np.arange(lo, hi), np.array([0, mid - lo]),
+                          np.array([mid - lo, hi - mid]), coords[lo:hi, 1], np.ones(2))
     child = coords[np.ix_(rows, [1, 0])]
     child[:mid - lo, 1] = -child[:mid - lo, 1]
     return DominanceTree._forest(child, colors[rows], list(map(weights.__getitem__, rows.tolist())),

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoxQuery, CountMode, MalformedQueryError, PointSet
+from .core import BoxQuery, CountMode, MalformedInputError, MalformedQueryError, PointSet
 
 
 def brute_force(points: PointSet, q: BoxQuery) -> list:
     """Exact per-color totals inside ``q`` by definition: one O(n*d) scan."""
+    if not isinstance(points, PointSet):
+        raise MalformedInputError(f"{points!r} is not a PointSet")
     if not isinstance(q, BoxQuery):
         raise MalformedQueryError(f"{q!r} is not a BoxQuery")
     mask = q.mask(points.coords)

@@ -456,10 +456,9 @@ def reference_sweep(coords, colors, weights, mode, phi, qids, corners, sweep_axi
             if d == 2:
                 struct = reference_1d(skel.coords_r[lo:c, 1], skel.colors_r[lo:c],
                                       skel.weights_r[lo:c], mode)
-                entries = struct.entries
             else:
                 struct = skel._build_substructure(np.array([lo]), np.array([c]), skel.weights_r)
-                entries = struct.stored_entries
+            entries = struct.stored_entries
             live.append((struct, 0))
             sizes.append(entries)
             summary.total_built += 1

@@ -316,7 +316,7 @@ def _fill_one_by_one(forest):
             if forest.d == 2:
                 sub = reference_1d(forest.coords_r[lo:cut, 1], forest.colors_r[lo:cut],
                                    forest.weights_r[lo:cut], forest.mode)
-                forest.stored_entries += sub.entries
+                forest.stored_entries += sub.stored_entries
                 forest.build_ops += sub.build_ops
             else:
                 sub = forest._build_substructure(np.array([lo]), np.array([cut]),

@@ -62,9 +62,16 @@ _SLAB = cf.BoxQuery([(100.0, 600.0), (-INF, 500.0)])
     (lambda: cf.PointSet.from_points([1]), cf.MalformedInputError),
     (lambda: cf.build_dominance(None), cf.MalformedInputError),
     (lambda: cf.normalize_query(_CORNER, None), cf.ParameterError),
+    (lambda: cf.PointSet([["a"]], [0]), cf.MalformedInputError),
+    (lambda: cf.PointSet.from_points([(("a",), 0)]), cf.MalformedInputError),
+    (lambda: cf.build_1d(None), cf.MalformedInputError),
+    (lambda: cf.brute_force(None, _CORNER), cf.MalformedInputError),
+    (lambda: cf.BoxQuery.dominance(5), cf.MalformedQueryError),
 ], ids=["3sided-not-a-pair", "dominance-not-a-pair", "corner-string", "corner-none",
         "bound-string", "1d-string", "bounds-none", "oracle-none", "3sided-none",
-        "dominance-none", "points-none", "point-not-a-tuple", "build-none", "flags-none"])
+        "dominance-none", "points-none", "point-not-a-tuple", "build-none", "flags-none",
+        "coords-string", "point-coords-string", "1d-none", "oracle-points-none",
+        "corner-not-a-sequence"])
 def test_malformed_calls_raise_typed_errors(call, error):
     # queries not given as (id, query) pairs, bounds or values that are not
     # numbers, and None in place of a batch, a query, points or flags raise

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import colorfreq as cf
@@ -55,7 +55,7 @@ def test_singleton_chain():
 
 def test_empty_structure():
     f = cf.build_1d([])
-    assert f.size == 0
+    assert f.stored_entries == 0
     assert f.query_prefix(10.0) == []
 
 
@@ -94,11 +94,49 @@ def test_malformed_input_rejected():
 
 def test_count_totals_past_int64_rejected():
     # prefix totals are stored as int64, as PointSet bounds them
-    for weights in ([2**62, 2**62], [-(2**62), -(2**62) - 1], [2**63]):
+    for weights in ([2**62, 2**62], [-(2**62), -(2**62) - 1], [2**63],
+                    [2**62, -(2**62), 2**62]):
         with pytest.raises(cf.MalformedInputError, match="overflow int64 totals"):
-            cf.Frequency1D([0.0, 1.0][: len(weights)], [0] * len(weights), weights)
+            cf.Frequency1D([0.0, 1.0, 2.0][: len(weights)], [0] * len(weights), weights)
+        with pytest.raises(cf.MalformedInputError, match="overflow int64 totals"):
+            cf.build_1d([(float(x), 0, w) for x, w in enumerate(weights)])
     f = cf.Frequency1D([0.0, 1.0], [0, 0], [2**62, 2**62 - 1])
     assert f.query_prefix(1.0) == [(0, 2**63 - 1)]
+
+
+# values, colors and weights with some of every kind that PointSet rejects:
+# non-finite values, negative color ids, and count weights whose |sum|
+# passes int64
+POINTS_1D = st.lists(
+    st.tuples(st.sampled_from([0.0, 1.0, 2.5, -1.0, math.inf, -math.inf, math.nan]),
+              st.integers(-1, 4),
+              st.sampled_from([0, 1, -2, 5, 2**62, -(2**62)])),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POINTS_1D, st.sampled_from(["count", "max"]))
+@example([(0.0, 0, 2**62), (1.0, 0, -(2**62)), (2.0, 0, 2**62)], "count")
+def test_frequency1d_and_build_1d_check_points_alike(points, mode_name):
+    # both builders check through PointSet: the same error or the same block
+    mode = cf.COUNT if mode_name == "count" else cf.MAX_SEMIGROUP
+    v = np.array([p[0] for p in points], dtype=np.float64)
+    c = np.array([p[1] for p in points], dtype=np.int64)
+    w = [p[2] for p in points]
+    outcomes = []
+    for build in (lambda: cf.Frequency1D(v, c, w, mode),
+                  lambda: cf.build_1d(cf.PointSet(v[:, None], c, w, mode))):
+        try:
+            outcomes.append(build())
+        except cf.MalformedInputError as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_block(got, want)
 
 
 def test_color_ids_past_int32_rejected():
@@ -171,7 +209,7 @@ def test_oracle_equivalence_1000_random_instances():
             for x, c in zip(rng.integers(0, grid, n), rng.integers(0, phi, n))
         ]
         f = cf.build_1d(pts)
-        m = f.size
+        m = f.m
         box = interval_box(pts)
         box_session = box.new_session()
         for _ in range(2):
@@ -290,7 +328,7 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
         return
     block = freq1d._build_ranges(ys, cols, freq1d._weight_array(w, mode), ranges, mode)
     assert len(block.start) == len(ranges) + 1
-    assert block.entries == block.start[-1] == len(block.lo)
+    assert block.stored_entries == block.start[-1] == len(block.lo)
     succ = block.succ
     for j, (lo, cut) in enumerate(ranges):
         want = reference_1d(ys[lo:cut], cols[lo:cut], w[lo:cut], mode)
