@@ -58,7 +58,7 @@ from .dominance import (
     _ready,
     _scan_range,
 )
-from .freq1d import _column, _sort_charge, _weight_array
+from .freq1d import _column, _sort_charge
 
 _LAYER_LEAF = 2  # leaf capacity of layer trees; keeps copies within log2(n)+1
 
@@ -134,13 +134,13 @@ def _ranked_level(coords, colors, weights, rows, start, size, sign, axis):
     """A level's layers on ``axis``: the groups [start[i], start[i] +
     size[i]) of ``rows``, each signed by its row of ``sign`` and ranked by
     ``_ranked_groups``, as ``(rows, coords, colors, weights, vals)``: the
-    rows, their points signed, their colors, their weights as a tuple, and
-    the rank values ``coords[:, axis]`` as an ``array('d')``."""
+    rows, their points signed, their colors, their weights (a gather of
+    ``PointSet.weights``), and the rank values ``coords[:, axis]`` as an
+    ``array('d')``."""
     rows = _ranked_groups(rows, start, size, coords[rows, axis], sign[:, axis])
     signed = coords[rows]
     signed *= np.repeat(sign, size, axis=0)
-    return (rows, signed, colors[rows], tuple(weights[rows].tolist()),
-            array("d", signed[:, axis].tobytes()))
+    return rows, signed, colors[rows], weights[rows], array("d", signed[:, axis].tobytes())
 
 
 def _parts_of(size, sign, axis, layer_parts):
@@ -180,16 +180,17 @@ def _parts_of(size, sign, axis, layer_parts):
 class _Level:
     """The layers on one axis, as columns.  Layer i is the rows [start[i],
     start[i + 1]): its points in rank order on ``axis`` (ties by their
-    order on input), signed, with their colors, weights and rank values
-    ``vals``.  ``inner_low``/``inner_high`` hold per row, at the row of a
-    node's mid, the node's inner structures, and ``full_low``/``full_high``
-    per layer its full ones: layer ids of the next level, or tree ids of
-    the forest at the last level."""
+    order on input), signed, with their colors, weights (gathered from
+    ``PointSet.weights``) and rank values ``vals``.
+    ``inner_low``/``inner_high`` hold per row, at the row of a node's mid,
+    the node's inner structures, and ``full_low``/``full_high`` per layer
+    its full ones: layer ids of the next level, or tree ids of the forest
+    at the last level."""
 
     axis: int
     coords: np.ndarray
     colors: np.ndarray
-    weights: tuple
+    weights: np.ndarray
     vals: array
     start: array
     inner_low: array
@@ -249,13 +250,12 @@ class BoxTree:
         axis for the forest.  The levels' sorts are booked.
         """
         n, d = ps.n, ps.d
-        weights = _weight_array(ps.weights, ps.mode)
         layer_parts = functools.cache(_layer_parts)  # sizes repeat within a build
         rows = np.arange(n)
         start, size, sign = np.zeros(1, dtype=np.int64), np.array([n]), np.ones((1, d))
         levels = []
         for axis in axes:
-            rows, *columns = _ranked_level(ps.coords, ps.colors, weights, rows, start, size,
+            rows, *columns = _ranked_level(ps.coords, ps.colors, ps.weights, rows, start, size,
                                            sign, axis)
             for m, count in Counter(size.tolist()).items():
                 self.build_ops += count * _sort_charge(m)
@@ -263,7 +263,7 @@ class BoxTree:
             levels.append(_Level(axis, *columns, *layout))
         rows = _ranked_groups(rows, start, size, ps.coords[rows, 0], sign[:, 0])
         coords = ps.coords[rows] * np.repeat(sign, size, axis=0)
-        return tuple(levels), DominanceTree._forest(coords, ps.colors[rows], weights[rows],
+        return tuple(levels), DominanceTree._forest(coords, ps.colors[rows], ps.weights[rows],
                                                     size.tolist(), self.s, self.phi, self.mode)
 
     # -- queries -----------------------------------------------------------------

@@ -263,7 +263,10 @@ class PointSet:
     """A fixed set of colored, weighted points in R^d.
 
     Color ids are dense: ``phi`` equals one plus the largest id present.
-    Weights default to the integer 1 in count mode.
+    ``weights`` is one read-only 1-D array, the column every structure
+    slices: int64 in count mode, where weights default to 1, and one
+    Python object per point otherwise (default the int 1), so that a tuple
+    weight stays one scalar.
     """
 
     __slots__ = ("coords", "colors", "weights", "mode", "phi", "labels")
@@ -289,12 +292,13 @@ class PointSet:
         self.colors = colors
         self.mode = mode
         self.phi = int(colors.max()) + 1 if colors.size else 0
+        n = len(coords)
         if isinstance(mode, CountMode):
             if weights is None:
-                w = np.ones(len(coords), dtype=np.int64)
+                w = np.ones(n, dtype=np.int64)
             else:
                 w = np.asarray(weights)
-                if w.shape != (len(coords),):
+                if w.shape != (n,):
                     raise MalformedInputError("weights must be one per point")
                 if w.size and not np.issubdtype(w.dtype, np.integer):
                     raise MalformedInputError("count-mode weights must be integers")
@@ -303,18 +307,20 @@ class PointSet:
                 if sum(map(abs, w.tolist())) > INT64_MAX:
                     raise MalformedInputError("count-mode weights overflow int64 totals")
                 w = w.astype(np.int64)
-            w.setflags(write=False)
-            self.weights = w
         else:
-            if weights is None:
-                self.weights = tuple([1] * len(coords))
-            else:
-                seq = list(weights)
-                if len(seq) != len(coords):
-                    raise MalformedInputError("weights must be one per point")
-                self.weights = tuple(seq)
+            try:
+                w = np.fromiter([1] * n if weights is None else weights, dtype=object)
+            except TypeError:
+                raise MalformedInputError("weights must be an iterable of weights") from None
+            if w.shape != (n,):
+                raise MalformedInputError("weights must be one per point")
+        w.setflags(write=False)
+        self.weights = w
         if labels is not None:
-            labels = tuple(str(x) for x in labels)
+            try:
+                labels = tuple(map(str, labels))
+            except TypeError:
+                raise MalformedInputError("labels must be an iterable of labels") from None
             if len(labels) < self.phi:
                 raise MalformedInputError("need one label per color id")
         self.labels = labels
@@ -376,31 +382,17 @@ class PointSet:
         return self.coords.shape[1]
 
     def weight_at(self, i: int):
-        if isinstance(self.mode, CountMode):
-            return int(self.weights[i])
-        return self.weights[i]
+        return self.weights.item(i)
 
     def weight_list(self) -> list:
-        if isinstance(self.mode, CountMode):
-            return self.weights.tolist()
-        return list(self.weights)
-
-    def subset(self, indices) -> "PointSet":
-        indices = np.asarray(indices)
-        w = (
-            self.weights[indices]
-            if isinstance(self.mode, CountMode)
-            else [self.weights[i] for i in indices]
-        )
-        return PointSet(self.coords[indices], self.colors[indices], w, self.mode, self.labels)
+        return self.weights.tolist()
 
     def reflected(self, axes: Iterable[int]) -> "PointSet":
         """Copy with the listed coordinate axes negated."""
         coords = self.coords.copy()
         for a in axes:
             coords[:, a] = -coords[:, a]
-        w = self.weights if isinstance(self.mode, CountMode) else list(self.weights)
-        return PointSet(coords, self.colors, w, self.mode, self.labels)
+        return PointSet(coords, self.colors, self.weights, self.mode, self.labels)
 
     def label_of(self, color: int) -> str:
         if self.labels is not None:
@@ -518,8 +510,7 @@ def read_dataset(path, d: int | None = None, mode=COUNT) -> PointSet:
             ids[lab] = len(ids)
         colors.append(ids[lab])
     labels = list(ids)
-    w = np.asarray(weights) if isinstance(mode, CountMode) else weights
-    return PointSet(np.asarray(coords).reshape(len(coords), d), colors, w, mode, labels)
+    return PointSet(np.asarray(coords).reshape(len(coords), d), colors, weights, mode, labels)
 
 
 def write_dataset(ps: PointSet, path) -> None:

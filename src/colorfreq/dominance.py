@@ -52,7 +52,6 @@ from .freq1d import (
     _max_ints,
     _report_walk,
     _sort_charge,
-    _weight_array,
 )
 
 # _fill streams the 1-D structures of a build through _build_ranges in
@@ -186,10 +185,12 @@ class DominanceTree:
     positions [start[t], start[t+1]) of ``coords_r``, ``colors_r``,
     ``weights_r`` and ``sorted0``, its points in rank order of their first
     axis (ties by input order), and its shape is ``parent[t]``, over its
-    own ranks.  ``prefix`` and ``index`` run over the whole forest: the
-    strip that rank c of tree t starts has its structure at
-    ``prefix[start[t] + c]``, and ``index`` picks a range of that 1-D block
-    or a tree of that forest on the remaining axes.  A d=1 forest is one
+    own ranks.  The columns are gathers of a ``PointSet``'s, taken as they
+    are: float64 coordinates, int64 colors and the weights as
+    ``PointSet.weights`` holds them.  ``prefix`` and ``index`` run over the
+    whole forest: the strip that rank c of tree t starts has its structure
+    at ``prefix[start[t] + c]``, and ``index`` picks a range of that 1-D
+    block or a tree of that forest on the remaining axes.  A d=1 forest is one
     1-D block, ``base``, whose range t is tree t.  A structure built from
     points, and each offline skeleton, is a forest of one tree; a box keeps
     the skeletons at the bottom of its layers as one forest.  The counters
@@ -246,7 +247,6 @@ class DominanceTree:
         return self
 
     def _init_from_parts(self, coords, colors, weights, s, phi, mode, sizes=None):
-        coords = np.asarray(coords, dtype=np.float64)
         n, d = coords.shape
         one_tree = sizes is None
         sizes = [n] if one_tree else sizes
@@ -259,8 +259,7 @@ class DominanceTree:
         self.stored_entries = 0
         self.build_ops = 0
         if d == 1:
-            self.base = _build_ranges(coords[:, 0], np.asarray(colors, dtype=np.int64),
-                                      _weight_array(weights, mode),
+            self.base = _build_ranges(coords[:, 0], colors, weights,
                                       np.column_stack((start[:-1], start[1:])), mode)
             self.coords_r = self.colors_r = self.weights_r = self.sorted0 = None
             self.parent = self.prefix = self.index = None
@@ -273,8 +272,8 @@ class DominanceTree:
         # one tree ranks its points here; a forest's runs come ranked
         order = rank_order(coords[:, 0]) if one_tree else slice(None)
         self.coords_r = coords[order]
-        self.colors_r = np.asarray(colors, dtype=np.int64)[order]
-        self.weights_r = _weight_array(weights, mode)[order].tolist()
+        self.colors_r = colors[order]
+        self.weights_r = weights[order]
         self.sorted0 = array("d", self.coords_r[:, 0].tobytes())
         shapes = {m: _strips(m, s) for m in set(sizes)}
         self.parent = [shapes[m][0] for m in sizes]
@@ -291,14 +290,14 @@ class DominanceTree:
 
     # -- construction ----------------------------------------------------------
 
-    def _build_substructure(self, lo, cut, weights, rank=None, ints=None):
+    def _build_substructure(self, lo, cut, rank=None, ints=None):
         """The structures of the strips [lo[i], cut[i]) of this forest's
         columns on the remaining axes, built as one, and their counters
         added to the forest's.
 
         ``lo`` and ``cut`` are int64 arrays; strips with one lo that come
-        together nest, their cuts ascending.  ``weights``, ``rank`` and
-        ``ints`` are columns of the forest, from ``_strip_columns``.  For
+        together nest, their cuts ascending.  ``rank`` and ``ints`` are
+        columns of the forest, from ``_strip_columns``.  For
         d = 2 the result is one ``_build_ranges`` block whose range i is
         strip i: its data is one slice per run of strips with one lo, from
         lo to the run's last cut, since such strips nest, ranked by ``rank``
@@ -313,7 +312,7 @@ class DominanceTree:
             base = np.cumsum(part_size) - part_size  # each run's slice in rows
             run_base = base[np.cumsum(first) - 1]
             rows = _concat_ranges(part_lo, part_size)
-            sub = _build_ranges(self.coords_r[rows, 1], self.colors_r[rows], weights[rows],
+            sub = _build_ranges(self.coords_r[rows, 1], self.colors_r[rows], self.weights_r[rows],
                                 np.column_stack((run_base, run_base + cut - lo)), self.mode,
                                 None if rank is None else rank[rows],
                                 None if ints is None else ints[rows])
@@ -321,9 +320,8 @@ class DominanceTree:
             rows = _ranked_groups(np.arange(len(self.coords_r)), lo, cut - lo, self.coords_r[:, 1],
                                   np.ones(len(lo)))
             sub = DominanceTree._forest(
-                self.coords_r[rows, 1:], self.colors_r[rows],
-                [weights[i] for i in rows.tolist()], (cut - lo).tolist(),
-                self.s, self.phi, self.mode,
+                self.coords_r[rows, 1:], self.colors_r[rows], self.weights_r[rows],
+                (cut - lo).tolist(), self.s, self.phi, self.mode,
             )
             _fill(sub)
         self.stored_entries += sub.stored_entries
@@ -421,7 +419,7 @@ class DominanceTree:
                 if coords.item(p, axis) > c:
                     break
             else:
-                acc.add(self.colors_r.item(p), self.weights_r[p])
+                acc.add(self.colors_r.item(p), self.weights_r.item(p))
 
     # -- instrumentation ---------------------------------------------------------
 
@@ -586,26 +584,24 @@ def _fill(forest) -> None:
 
 
 def _strip_columns(forest):
-    """``(weights, rank, ints)``: the columns of ``forest`` that
-    ``_build_substructure`` takes with its strips.
+    """``(rank, ints)``: the columns of ``forest`` that
+    ``_build_substructure`` takes with its strips, besides the forest's own.
 
-    For d = 2 these are the weights as ``_build_ranges`` takes them, the
-    int32 rank of each row's y among all the forest's rows, which orders
-    each strip as ``rank_order`` orders it on its own, and the weights of
-    ``_max_ints``.  A forest's rows rank once for all its blocks.  The
-    rank array is allocated with the weights, before the ranking's
-    temporaries, so that the two lie together under the blocks and free
-    as one space.  A d >= 3 forest takes its weights list alone: its
+    For d = 2 these are the int32 rank of each row's y among all the
+    forest's rows, which orders each strip as ``rank_order`` orders it on
+    its own, and the weights of ``_max_ints``.  A forest's rows rank once
+    for all its blocks.  The rank array is allocated with ``ints``, before
+    the ranking's temporaries, so that the two lie together under the
+    blocks and free as one space.  A d >= 3 forest takes neither: its
     strips are ranked as one forest by ``_ranked_groups``.
     """
     if forest.d != 2:
-        return forest.weights_r, None, None
+        return None, None
     n = len(forest.weights_r)
     rank = np.empty(n, dtype=np.int32)
-    weights = _weight_array(forest.weights_r, forest.mode)
     ints = _max_ints(forest.weights_r, forest.mode)
     rank[rank_order(forest.coords_r[:, 1])] = np.arange(n, dtype=np.int32)
-    return weights, rank, ints
+    return rank, ints
 
 
 def _strip_chunks(forest):
@@ -634,7 +630,7 @@ def _scan_range(coords, colors, weights, start: int, stop: int, bounds, acc) -> 
             if v < lo or v > hi:
                 break
         else:
-            acc.add(colors.item(pos), weights[pos])
+            acc.add(colors.item(pos), weights.item(pos))
 
 
 def ceil_log(base: int, n: int) -> int:

@@ -279,19 +279,8 @@ def _report_walk(walk, q: float, slots, touched: list, combine) -> tuple[int, in
     return probes, touches
 
 
-def _weight_array(weights, mode) -> np.ndarray:
-    """``weights`` as the 1-D array ``_build_ranges`` takes: int64 counts, or
-    one object per weight, filled element by element so that tuple weights
-    stay scalars.  An array of that kind is taken as it is, not copied."""
-    if isinstance(mode, CountMode):
-        return np.asarray(weights, dtype=np.int64)
-    if isinstance(weights, np.ndarray):
-        return weights
-    return np.fromiter(weights, dtype=object, count=len(weights))
-
-
 def _max_ints(weights, mode):
-    """``weights`` (a sequence) as an integer array when ``_build_ranges``
+    """``weights`` (a weight column) as an integer array when ``_build_ranges``
     may take its max path: ``mode.combine`` is ``max`` and every weight is
     a Python int, not a bool, that fits int64.  None otherwise, and the
     semigroup loop runs.  A forest checks this once for all its blocks and
@@ -424,13 +413,13 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT, rank=None,
     in one numpy pass: the builder of every ``Frequency1D``.
 
     ``values``, ``colors`` and ``weights`` are 1-D arrays in one fixed
-    order, the weights from ``_weight_array``.  Count weights are int64
-    from a ``PointSet``, whose overflow guard keeps every prefix total
-    exact.  Range ``j``
-    of the block holds the points [lo, cut) for ``ranges[j] = (lo, cut)``,
-    laid out as ``Frequency1D`` describes; ``ranges`` is a sequence of
-    pairs or a two-column array, which makes no Python object per range.
-    A range, or the whole block, may be empty.
+    order, the weights ``PointSet.weights`` or a gather of it: int64
+    counts, whose overflow guard keeps every prefix total exact, or
+    objects.  Range ``j`` of the block holds the points [lo, cut) for
+    ``ranges[j] = (lo, cut)``, laid out as ``Frequency1D`` describes;
+    ``ranges`` is a sequence of pairs or a two-column array, which makes
+    no Python object per range.  A range, or the whole block, may be
+    empty.
 
     ``rank`` gives each value a rank that orders every range as
     ``rank_order`` orders it on its own: distinct inside a range, ascending
@@ -539,5 +528,4 @@ def build_1d(points, mode=COUNT) -> Frequency1D:
         ps = PointSet.from_points(points, mode=mode)
     if ps.d != 1:
         raise MalformedInputError(f"build_1d needs 1-D points, got d={ps.d}")
-    return _build_ranges(ps.coords[:, 0], ps.colors, _weight_array(ps.weights, ps.mode),
-                         [(0, ps.n)], ps.mode)
+    return _build_ranges(ps.coords[:, 0], ps.colors, ps.weights, [(0, ps.n)], ps.mode)

@@ -60,7 +60,6 @@ from .dominance import (
     _strip_columns,
     _strip_spans,
 )
-from .freq1d import _weight_array
 
 # A block of the offline sweep holds at most _BLOCK entries (a larger strip
 # is a block of its own), and a step whose own strips hold more builds no
@@ -394,8 +393,8 @@ def answer_offline_dominance(job: OfflineJob) -> SweepSummary:
     corners = corners[order][:, axes]
     qids = [qids[i] for i in order.tolist()]
     sweep = corners[:, 0].tolist()
-    skel = DominanceTree._skeleton(np.asarray(ps.coords, dtype=np.float64)[:, axes], ps.colors,
-                                   ps.weight_list(), s=job.s, phi=ps.phi, mode=ps.mode)
+    skel = DominanceTree._skeleton(ps.coords[:, axes], ps.colors, ps.weights, s=job.s,
+                                   phi=ps.phi, mode=ps.mode)
     session = QuerySession(ColorAccumulator(ps.phi, ps.mode))
     acc = session.accumulator
     if ps.d == 1:
@@ -442,8 +441,8 @@ def _children(coords, colors, weights, lo, mid, hi, s, phi, mode) -> DominanceTr
                           np.array([mid - lo, hi - mid]), coords[lo:hi, 1], np.ones(2))
     child = coords[np.ix_(rows, [1, 0])]
     child[:mid - lo, 1] = -child[:mid - lo, 1]
-    return DominanceTree._forest(child, colors[rows], list(map(weights.__getitem__, rows.tolist())),
-                                 [mid - lo, hi - mid], s, phi, mode)
+    return DominanceTree._forest(child, colors[rows], weights[rows], [mid - lo, hi - mid], s, phi,
+                                 mode)
 
 
 def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> SweepSummary:
@@ -476,7 +475,7 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
     # the layer on x over all points: level 0 of a box's layout
     n = ps.n
     _, coords, colors, weights, vals = _ranked_level(
-        ps.coords, ps.colors, _weight_array(ps.weights, ps.mode), np.arange(n),
+        ps.coords, ps.colors, ps.weights, np.arange(n),
         np.zeros(1, dtype=np.int64), np.array([n]), np.ones((1, 2)), 0)
     summary.skeleton_nodes += _node_count(n)
 

@@ -120,7 +120,7 @@ def _scan_range(coords, colors, weights, start, stop, bounds, acc):
             if v < lo or v > hi:
                 break
         else:
-            acc.add(int(colors[pos]), weights[pos])
+            acc.add(int(colors[pos]), weights.item(pos))
 
 
 def _answer(self, structs, rest, rq, session):
@@ -455,9 +455,9 @@ def reference_sweep(coords, colors, weights, mode, phi, qids, corners, sweep_axi
             lo = skel.parent[0][c]
             if d == 2:
                 struct = reference_1d(skel.coords_r[lo:c, 1], skel.colors_r[lo:c],
-                                      skel.weights_r[lo:c], mode)
+                                      skel.weights_r[lo:c].tolist(), mode)
             else:
-                struct = skel._build_substructure(np.array([lo]), np.array([c]), skel.weights_r)
+                struct = skel._build_substructure(np.array([lo]), np.array([c]))
             entries = struct.stored_entries
             live.append((struct, 0))
             sizes.append(entries)
@@ -482,7 +482,7 @@ def reference_dominance(ps, queries, sweep_axis, s, sink):
     corners = np.array([q.corner() for _, q in queries], dtype=np.float64).reshape(-1, ps.d)
     last = -np.inf
     for qid, coord, entries in reference_sweep(
-        ps.coords, ps.colors, ps.weight_list(), ps.mode, ps.phi,
+        ps.coords, ps.colors, ps.weights, ps.mode, ps.phi,
         [qid for qid, _ in queries], corners, sweep_axis, s, summary, meter,
     ):
         summary.emit_order_violations += coord < last
@@ -510,8 +510,7 @@ def reference_3sided(ps, queries, s, sink):
     summary = cf.SweepSummary(ps.n, len(queries), 2, s, 1)
     meter = offline._LiveMeter()
     order = rank_order(ps.coords[:, 0])
-    weights = ps.weight_list()
-    columns = ps.coords[order], ps.colors[order], [weights[i] for i in order.tolist()]
+    columns = ps.coords[order], ps.colors[order], ps.weights[order]
     vals = columns[0][:, 0].tolist()
     summary.skeleton_nodes += boxes._node_count(ps.n)
 

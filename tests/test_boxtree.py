@@ -315,12 +315,11 @@ def _fill_one_by_one(forest):
             lo, cut = off + parent[c], off + c
             if forest.d == 2:
                 sub = reference_1d(forest.coords_r[lo:cut, 1], forest.colors_r[lo:cut],
-                                   forest.weights_r[lo:cut], forest.mode)
+                                   forest.weights_r[lo:cut].tolist(), forest.mode)
                 forest.stored_entries += sub.stored_entries
                 forest.build_ops += sub.build_ops
             else:
-                sub = forest._build_substructure(np.array([lo]), np.array([cut]),
-                                                 forest.weights_r)
+                sub = forest._build_substructure(np.array([lo]), np.array([cut]))
             forest.prefix[cut] = sub
 
 
@@ -374,11 +373,11 @@ def _build_one_by_one(self, ps, axes):
     def build(coords, colors, weights, lv):
         if lv == len(axes):
             order = rank_order(coords[:, 0])
-            parts.append((coords[order], colors[order], [weights[i] for i in order.tolist()]))
+            parts.append((coords[order], colors[order], weights[order]))
             return len(parts) - 1
         axis, n = axes[lv], len(coords)
         order = rank_order(coords[:, axis])
-        columns = coords[order], colors[order], [weights[i] for i in order.tolist()]
+        columns = coords[order], colors[order], weights[order]
         self.build_ops += _sort_charge(n)
         layer = len(records[lv])
         record = {"columns": columns, "low": [-1] * n, "high": [-1] * n}
@@ -394,14 +393,14 @@ def _build_one_by_one(self, ps, axes):
                           build(*layer_half(*columns, axis, 0, n, False), lv + 1))
         return layer
 
-    build(ps.coords, ps.colors, ps.weight_list(), 0)
+    build(ps.coords, ps.colors, ps.weights, 0)
     levels = []
     for axis, layers in zip(axes, records):
         coords, colors, weights = zip(*(r["columns"] for r in layers))
         coords = np.concatenate(coords)
         chain = itertools.chain.from_iterable
         levels.append(boxes._Level(
-            axis, coords, np.concatenate(colors), tuple(chain(weights)),
+            axis, coords, np.concatenate(colors), np.concatenate(weights),
             array("d", coords[:, axis].tobytes()),
             array("q", itertools.accumulate(map(len, colors), initial=0)),
             array("q", chain(r["low"] for r in layers)), array("q", chain(r["high"] for r in layers)),
@@ -409,7 +408,7 @@ def _build_one_by_one(self, ps, axes):
         ))
     coords, colors, weights = zip(*parts)
     return tuple(levels), cf.DominanceTree._forest(
-        np.concatenate(coords), np.concatenate(colors), list(itertools.chain.from_iterable(weights)),
+        np.concatenate(coords), np.concatenate(colors), np.concatenate(weights),
         [len(c) for c in colors], self.s, self.phi, self.mode,
     )
 
@@ -429,7 +428,7 @@ def _assert_same_layers(got, want, lv=0, g=0, w=0):
         (a, b), (c, e) = forest.start[g:g + 2], ref_forest.start[w:w + 2]
         assert np.array_equal(forest.coords_r[a:b], ref_forest.coords_r[c:e])
         assert np.array_equal(forest.colors_r[a:b], ref_forest.colors_r[c:e])
-        assert forest.weights_r[a:b] == ref_forest.weights_r[c:e]
+        assert np.array_equal(forest.weights_r[a:b], ref_forest.weights_r[c:e])
         assert forest.sorted0[a:b] == ref_forest.sorted0[c:e]
         assert forest.parent[g] == ref_forest.parent[w]
         return
@@ -438,7 +437,7 @@ def _assert_same_layers(got, want, lv=0, g=0, w=0):
     assert mine.axis == ref.axis
     assert np.array_equal(mine.coords[a:b], ref.coords[c:e])
     assert np.array_equal(mine.colors[a:b], ref.colors[c:e])
-    assert mine.weights[a:b] == ref.weights[c:e] and mine.vals[a:b] == ref.vals[c:e]
+    assert np.array_equal(mine.weights[a:b], ref.weights[c:e]) and mine.vals[a:b] == ref.vals[c:e]
     pairs = [(mine.full_low[g], ref.full_low[w]), (mine.full_high[g], ref.full_high[w])]
     for mid in range(e - c):
         if ref.inner_low[c + mid] < 0:
@@ -500,7 +499,7 @@ def test_forest_trees_are_ranked_as_skeletons_of_their_own(axes):
             a, b = forest.start[t], forest.start[t + 1]
             assert np.array_equal(forest.coords_r[a:b], ref.coords_r)
             assert np.array_equal(forest.colors_r[a:b], ref.colors_r)
-            assert forest.weights_r[a:b] == ref.weights_r
+            assert np.array_equal(forest.weights_r[a:b], ref.weights_r)
             assert forest.sorted0[a:b] == ref.sorted0
             assert forest.parent[t] is ref.parent[0]
             seen.append(t)
@@ -520,7 +519,7 @@ def test_forest_trees_are_ranked_as_skeletons_of_their_own(axes):
         visit(lv + 1, level.full_low[t], *layer_half(*columns, level.axis, 0, n, True))
         visit(lv + 1, level.full_high[t], *layer_half(*columns, level.axis, 0, n, False))
 
-    visit(0, 0, ps.coords, ps.colors, ps.weight_list())
+    visit(0, 0, ps.coords, ps.colors, ps.weights)
     assert sorted(seen) == list(range(len(forest.parent)))
 
 

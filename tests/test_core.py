@@ -67,11 +67,13 @@ _SLAB = cf.BoxQuery([(100.0, 600.0), (-INF, 500.0)])
     (lambda: cf.build_1d(None), cf.MalformedInputError),
     (lambda: cf.brute_force(None, _CORNER), cf.MalformedInputError),
     (lambda: cf.BoxQuery.dominance(5), cf.MalformedQueryError),
+    (lambda: cf.PointSet([[0.0]], [0], 5, cf.MAX_SEMIGROUP), cf.MalformedInputError),
+    (lambda: cf.PointSet([[0.0]], [0], labels=5), cf.MalformedInputError),
 ], ids=["3sided-not-a-pair", "dominance-not-a-pair", "corner-string", "corner-none",
         "bound-string", "1d-string", "bounds-none", "oracle-none", "3sided-none",
         "dominance-none", "points-none", "point-not-a-tuple", "build-none", "flags-none",
         "coords-string", "point-coords-string", "1d-none", "oracle-points-none",
-        "corner-not-a-sequence"])
+        "corner-not-a-sequence", "semigroup-weights-not-iterable", "labels-not-iterable"])
 def test_malformed_calls_raise_typed_errors(call, error):
     # queries not given as (id, query) pairs, bounds or values that are not
     # numbers, and None in place of a batch, a query, points or flags raise
@@ -227,6 +229,69 @@ def test_pointset_immutable():
     ps = cf.PointSet(np.zeros((2, 2)), [0, 1])
     with pytest.raises(ValueError):
         ps.coords[0, 0] = 5.0
+
+
+# a commutative semigroup on tuples, concatenation in sorted order; numpy
+# would spread a list of them into a second axis
+MERGE = cf.SemigroupMode(lambda a, b: tuple(sorted(a + b)), name="merge")
+
+
+def _object_array(w):
+    out = np.empty(len(w), dtype=object)
+    for i, x in enumerate(w):
+        out[i] = x
+    return out
+
+
+WEIGHT_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda w: (x for x in w),
+    "int64": lambda w: np.array(w, dtype=np.int64),
+    "object": _object_array,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(["count", "max", "merge"]), st.integers(0, 40),
+       st.integers(2, 4), st.integers(0, 2**31))
+def test_weights_are_one_column_in_every_form(data, mode_name, n, s, seed):
+    # the weight column every structure slices, whatever form the weights
+    # come in: int64 counts (from integer array-likes), or the given
+    # objects themselves
+    mode, values, forms = {
+        "count": (cf.COUNT, st.integers(-3, 3), ["list", "tuple", "int64"]),
+        "max": (cf.MAX_SEMIGROUP, st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1),
+                list(WEIGHT_FORMS)),
+        "merge": (MERGE, st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
+                  ["list", "tuple", "generator", "object"]),
+    }[mode_name]
+    w = data.draw(st.lists(values, min_size=n, max_size=n))
+    form = data.draw(st.sampled_from(forms))
+    rng = np.random.default_rng(seed)
+    ps = cf.PointSet(rng.integers(0, 7, (n, 2)).astype(float), rng.integers(0, 4, n),
+                     WEIGHT_FORMS[form](w), mode)
+    assert isinstance(ps.weights, np.ndarray) and ps.weights.shape == (n,)
+    assert not ps.weights.flags.writeable
+    assert ps.weights.dtype == (np.int64 if mode is cf.COUNT else object)
+    assert ps.weight_list() == w
+    if mode is not cf.COUNT and form != "int64":
+        assert all(ps.weight_at(i) is w[i] for i in range(n))
+    s = min(s, max(2, n))
+    dom = cf.build_dominance(ps, 2, s=s)
+    box = cf.build_box(ps, s=s, bounded_axes=(0,))
+    queries = []
+    for _ in range(10):
+        x1, x2 = sorted(rng.integers(-1, 8, 2).tolist())
+        queries.append(cf.BoxQuery([(x1, x2), (-INF, float(rng.integers(-1, 8)))]))
+    got = {}
+    cf.answer_offline_3sided(ps, list(enumerate(queries)), s, got.__setitem__)
+    for i, q in enumerate(queries):
+        corner = cf.BoxQuery.dominance([hi for _, hi in q.bounds])
+        assert canon(dom.query(corner)) == canon(cf.brute_force(ps, corner))
+        want = canon(cf.brute_force(ps, q))
+        assert canon(box.query(q)) == want
+        assert canon(got[i]) == want
 
 
 def test_colored_point_roundtrip():

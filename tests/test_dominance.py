@@ -134,9 +134,9 @@ def _reference_split(n, s):
 
 def test_strip_tree_matches_its_definition():
     for n in range(301):
-        coords = np.arange(2 * n, dtype=float).reshape(n, 2)
+        ps = cf.PointSet(np.arange(2 * n, dtype=float).reshape(n, 2), [0] * n, [1] * n)
         for s in (2, 3, 4, 7, 16):
-            t = cf.DominanceTree._skeleton(coords, [0] * n, [1] * n, s, 1, cf.COUNT)
+            t = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weights, s, 1, cf.COUNT)
             count, height, steps, pairs = _reference_split(n, s)
             assert (t.node_count, t.height) == (count, height)
             assert t.build_ops == (_sort_charge(n) + steps if n else 0)
@@ -150,11 +150,12 @@ def test_strip_tree_matches_its_definition():
 
 def test_strip_shape_is_computed_once_per_size():
     for n in range(65):
+        ps = cf.PointSet(np.zeros((n, 2)), [0] * n, [1] * n)
         for s in (2, 3, 4, 16):
             parent, count, height = dominance._strips(n, s)
             # one immutable tuple per size, whatever asks for it
             assert isinstance(parent, tuple) and dominance._strips(n, s)[0] is parent
-            assert cf.DominanceTree._skeleton(np.zeros((n, 2)), [0] * n, [1] * n, s, 1,
+            assert cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weights, s, 1,
                                               cf.COUNT).parent[0] is parent
             ref_count, ref_height, _, pairs = _reference_split(n, s)
             assert (count, height) == (ref_count, ref_height)
@@ -373,7 +374,7 @@ def test_batched_tree_counters_match_one_by_one_build():
     ps = cf.generate_points(3000, 2, 40, seed=5, grid=1500)
     batched = cf.build_dominance(ps, 2, s=4)
     # each strip built by a call of its own, over the same skeleton
-    single = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weight_list(), 4, ps.phi, ps.mode)
+    single = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weights, 4, ps.phi, ps.mode)
     columns = dominance._strip_columns(single)
     single.prefix[1:] = [single._build_substructure(np.array([single.parent[0][c]]),
                                                     np.array([c]), *columns)

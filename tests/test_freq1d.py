@@ -297,6 +297,12 @@ def test_prefix_matches_oracle_property(pairs, q):
 CONCAT = cf.SemigroupMode(lambda a, b: a + (b or ()), name="concat")
 
 
+def weight_column(w, mode):
+    """The weights ``w`` as ``PointSet.weights`` holds them, the column
+    ``_build_ranges`` takes."""
+    return cf.PointSet(np.zeros((len(w), 1)), [0] * len(w), w, mode).weights
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 1200),
@@ -326,7 +332,7 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
               if cut > lo]
     if not ranges:
         return
-    block = freq1d._build_ranges(ys, cols, freq1d._weight_array(w, mode), ranges, mode)
+    block = freq1d._build_ranges(ys, cols, weight_column(w, mode), ranges, mode)
     assert len(block.start) == len(ranges) + 1
     assert block.stored_entries == block.start[-1] == len(block.lo)
     succ = block.succ
@@ -396,7 +402,7 @@ def test_heap_stores_one_node_per_entry():
         lo += m
     ys = rng.integers(0, 50, lo).astype(float)
     cols = rng.integers(0, 5, lo)
-    block = freq1d._build_ranges(ys, cols, freq1d._weight_array([1] * lo, cf.COUNT), ranges)
+    block = freq1d._build_ranges(ys, cols, weight_column([1] * lo, cf.COUNT), ranges)
     assert len(block.start) == len(ranges) + 1
     heap_layout_holds_one_node_per_entry(block)
 
@@ -466,7 +472,7 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
     if mode is CONCAT:
         w = [None if x == 3 else (x, i) for i, x in enumerate(w)]
     if batched and m:
-        f = freq1d._build_ranges(ys, cols, freq1d._weight_array(w, mode), [(0, m)], mode)
+        f = freq1d._build_ranges(ys, cols, weight_column(w, mode), [(0, m)], mode)
     else:
         f = cf.Frequency1D(ys, cols, w, mode)
     succ, _ = chains(list(f.colors))
@@ -541,14 +547,14 @@ def test_blocks_ranked_by_the_forest_equal_blocks_ranked_on_their_own(shape, mod
         assert len(forest.start) > 2
     else:
         forest = cf.build_dominance(ps, 2, s=4)
-    weights, rank, ints = dominance._strip_columns(forest)
+    rank, ints = dominance._strip_columns(forest)
     assert rank.dtype == np.int32
     assert (ints is not None) == (mode is cf.MAX_SEMIGROUP)
     lo, cut = dominance._strip_ranges(forest)
     for a in range(0, len(lo), 97):
         b = min(a + 97, len(lo))
-        got = forest._build_substructure(lo[a:b], cut[a:b], weights, rank, ints)
-        want = forest._build_substructure(lo[a:b], cut[a:b], weights)
+        got = forest._build_substructure(lo[a:b], cut[a:b], rank, ints)
+        want = forest._build_substructure(lo[a:b], cut[a:b])
         assert_same_block(got, want)
 
 
@@ -565,8 +571,8 @@ def test_max_path_equals_the_loop_on_direct_blocks():
             w = [int(str(x)) for x in rng.choice([-2**31, 7, 2**31 - 1], n).tolist()]
         ranges = [sorted(rng.integers(0, n + 1, 2).tolist()) for _ in range(5)]
         ranges = [(lo, cut) for lo, cut in ranges if cut > lo] or [(0, n)]
-        weights = freq1d._weight_array(w, cf.MAX_SEMIGROUP)
-        ints = freq1d._max_ints(w, cf.MAX_SEMIGROUP)
+        weights = weight_column(w, cf.MAX_SEMIGROUP)
+        ints = freq1d._max_ints(weights, cf.MAX_SEMIGROUP)
         assert ints.tolist() == w
         got = freq1d._build_ranges(ys, cols, weights, ranges, cf.MAX_SEMIGROUP, ints=ints)
         want = freq1d._build_ranges(ys, cols, weights, ranges, cf.MAX_SEMIGROUP)
@@ -585,7 +591,7 @@ def test_max_path_takes_python_ints_that_fit_int64_only():
     # the loop then builds the same block as the one-by-one build
     for weights in ([3, 2**64, 2**64, 5], [1.5, 2.0, 2.0, -1.0], [True, 1, 1, False]):
         block = freq1d._build_ranges(np.arange(4.0), np.zeros(4, dtype=np.int64),
-                                     freq1d._weight_array(weights, cf.MAX_SEMIGROUP), [(0, 4)],
+                                     weight_column(weights, cf.MAX_SEMIGROUP), [(0, 4)],
                                      cf.MAX_SEMIGROUP)
         want = reference_1d(np.arange(4.0), [0] * 4, weights, cf.MAX_SEMIGROUP)
         assert_same_block(block, want)
@@ -618,8 +624,7 @@ def test_every_builder_lays_out_its_blocks_as_defined(n, grid, phi, seed, mode_n
     check_block(cf.Frequency1D(coords[:, 0], cols, w, mode), [(coords[:, 0], cols, w)])
     # ranges of any size, empty ones too, and a block of no entries
     ranges = np.sort(rng.integers(0, n + 1, (int(rng.integers(0, 6)), 2)), axis=1)
-    check_block(freq1d._build_ranges(coords[:, 0], cols, freq1d._weight_array(w, mode), ranges,
-                                     mode),
+    check_block(freq1d._build_ranges(coords[:, 0], cols, weight_column(w, mode), ranges, mode),
                 [(coords[lo:cut, 0], cols[lo:cut], w[lo:cut]) for lo, cut in ranges.tolist()])
     s = min(s, max(n, 2))
     corners = [cf.BoxQuery.dominance(c) for c in rng.integers(-1, grid + 1, (20, 3)).tolist()]

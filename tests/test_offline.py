@@ -150,7 +150,7 @@ def test_one_live_copy_invariant():
     rng = np.random.default_rng(10)
     corners = rng.uniform(0, 1000, (50, 2))
     corners = corners[np.argsort(corners[:, 0], kind="stable")]
-    skel = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weight_list(), 4, ps.phi, ps.mode)
+    skel = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weights, 4, ps.phi, ps.mode)
     rq = np.searchsorted(np.asarray(skel.sorted0), corners[:, 0], "right")
     summary = cf.SweepSummary(ps.n, len(corners), 2, 4, 0)
     meter = _LiveMeter()
