@@ -139,7 +139,8 @@ def _ranked_level(coords, colors, weights, rows, start, size, sign, axis):
     ``array('d')``."""
     rows = _ranked_groups(rows, start, size, coords[rows, axis], sign[:, axis])
     signed = coords[rows]
-    signed *= np.repeat(sign, size, axis=0)
+    if (sign < 0).any():
+        signed *= np.repeat(sign, size, axis=0)
     return rows, signed, colors[rows], weights[rows], array("d", signed[:, axis].tobytes())
 
 

@@ -105,7 +105,7 @@ class BoxQuery:
         for axis, bound in axes:
             try:
                 lo, hi = map(float, bound)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise MalformedQueryError(
                     f"axis {axis}: {bound!r} is not a (lower, upper) pair of numbers"
                 ) from None
@@ -193,6 +193,8 @@ def normalize_query(q: BoxQuery, reflect: Sequence[bool]) -> BoxQuery:
     was finite from below becomes finite from above.  Answers on reflected
     data with the normalized query equal answers on the original data.
     """
+    if not isinstance(q, BoxQuery):
+        raise MalformedQueryError(f"query must be a BoxQuery, not {type(q).__name__}")
     try:
         flags = len(reflect)
     except TypeError:
@@ -272,6 +274,8 @@ class PointSet:
     __slots__ = ("coords", "colors", "weights", "mode", "phi", "labels")
 
     def __init__(self, coords, colors, weights=None, mode=COUNT, labels=None):
+        if not isinstance(mode, (CountMode, SemigroupMode)):
+            raise ParameterError(f"{mode!r} is not a weight mode")
         try:
             coords = np.array(coords, dtype=np.float64)
         except (TypeError, ValueError):
@@ -297,7 +301,17 @@ class PointSet:
             if weights is None:
                 w = np.ones(n, dtype=np.int64)
             else:
-                w = np.asarray(weights)
+                if not isinstance(weights, np.ndarray) or weights.dtype == object:
+                    # any iterable, an object array too, whose items numpy
+                    # then types as it types a list's
+                    try:
+                        weights = list(weights)
+                    except TypeError:
+                        raise MalformedInputError("weights must be one per point") from None
+                try:
+                    w = np.asarray(weights)
+                except ValueError:  # ragged
+                    raise MalformedInputError("weights must be one per point") from None
                 if w.shape != (n,):
                     raise MalformedInputError("weights must be one per point")
                 if w.size and not np.issubdtype(w.dtype, np.integer):
@@ -389,8 +403,14 @@ class PointSet:
 
     def reflected(self, axes: Iterable[int]) -> "PointSet":
         """Copy with the listed coordinate axes negated."""
+        try:
+            axes = list(map(operator.index, axes))
+        except TypeError:
+            raise ParameterError(f"axes {axes!r} are not integers") from None
         coords = self.coords.copy()
         for a in axes:
+            if not 0 <= a < self.d:
+                raise ParameterError(f"axis {a} outside [0, {self.d})")
             coords[:, a] = -coords[:, a]
         return PointSet(coords, self.colors, self.weights, self.mode, self.labels)
 

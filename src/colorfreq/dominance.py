@@ -530,9 +530,12 @@ def _ranked_groups(rows, start, size, values, sign):
     One ``rank_order`` of the values ranks both signs: position p's rank
     is ``rank[p]``, and among the negated values ``rank[n + p]``, the
     reverse of its rank but in the same order within its run of equal
-    values.  With no negative sign the negated ranks are not made."""
+    values.  With no negative sign the negated ranks are not made, and one
+    group of all the rows is their rank order."""
     n = len(rows)
     order = rank_order(values)
+    if len(size) == 1 and size[0] == n and sign[0] > 0:
+        return rows[order]
     r = np.arange(n)
     member = _concat_ranges(start, size)
     key = np.repeat(np.arange(len(size)) * n, size)

@@ -9,7 +9,8 @@ bound, whose prefix weight is exactly the answer for the color.
 The quadrant reports go through a heap-ordered binary index over the rank
 axis (a static priority search tree), giving O(log n + k) index probes per
 query.  Points come in as a ``PointSet``, which checks them; the builder
-adds only the check that color ids fit its int32 column.
+adds only the check that color ids are below 2**31, which its widest color
+column holds.
 """
 
 from __future__ import annotations
@@ -42,6 +43,19 @@ def _zeros(typecode: str, n: int) -> array:
     """n zeros as an ``array(typecode)``, sized exactly (built from bytes,
     an array over-allocates by 1/16), and with no list of n ints made."""
     return array(typecode, [0]) * n
+
+
+# the typecodes a column may take, narrowest first: for integers in
+# [0, bound], and for integers in [-bound, bound]
+_UNSIGNED, _SIGNED = "BHi", "hiq"
+_LIMITS = {code: int(np.iinfo(code).max) for code in _UNSIGNED + _SIGNED}
+
+
+def _typecode(bound, codes: str) -> str:
+    """The first of ``codes`` whose items hold every integer of magnitude
+    up to ``bound``, or the last of them, which the caller's own check
+    covers."""
+    return next((code for code in codes if bound <= _LIMITS[code]), codes[-1])
 
 
 def _view(column: array) -> np.ndarray:
@@ -106,22 +120,30 @@ class Frequency1D:
     node of its own (``lo`` and ``pos`` the position, ``skip`` 1), so a
     scan of it is the linear scan.
 
-    Every column is a typed ``array``: the four heap columns and
-    ``colors`` are ``array('i')``, ``sorted_values`` ``array('d')`` and
-    count-mode ``prefix_weight`` ``array('q')``; semigroup prefixes are a
-    list of objects.  Per range, ``start`` is ``array('i')``, ``_ops``
+    Every column is a typed ``array``, and each integer column by entry
+    takes the narrowest typecode (``_typecode``) that holds a bound known
+    before the block is allocated: the four heap columns ``'B'``, ``'H'``
+    or ``'i'`` by the block's size, ``colors`` the same by the largest
+    color id on input, and count-mode ``prefix_weight`` ``'h'``, ``'i'`` or
+    ``'q'`` by the sum of |w| on input, which bounds every chain's total.
+    ``sorted_values`` is ``array('d')`` and semigroup prefixes are a list
+    of objects.  Per range, ``start`` is ``array('i')``, ``_ops``
     ``array('q')`` and ``_may_cancel`` ``array('b')``.  An entry then
-    costs bytes, not object slots: a
-    count-mode tree with n=50k and s=16 holds about 40 bytes of live heap
-    per entry, 36 of them column buffers, and a block is about a dozen
-    objects, however many ranges it holds.  Every prefix query reads the
+    costs bytes, not object slots: a count-mode tree with n=20k, phi=16
+    and s=16 has blocks of uint16 heap columns, uint8 colors and int16
+    prefixes, 19 bytes of column buffers per entry and about 24 of live
+    heap, and a block is about a dozen objects, however many ranges it
+    holds.  Every prefix query reads the
     columns in one loop, ``_report_walk``, which scans the ranges of a
     whole strip-tree walk in turn, straight into the accumulator's cells.
     Its cost is per node visited: a box2x2 query (n=2000, s=8, max
     weights) visits about 160 nodes and merges about 115 hits in about
     35 us, some 0.2 us per node on a 2-vCPU machine.  Reading an element
-    of an array costs about twice reading one of a tuple, which is the
-    price of the compact columns.  ``bisect`` searches the ``array('d')``
+    of an array costs about twice reading one of a tuple, whatever its
+    typecode (36 against 18 ns on that machine; 28 ns for ``'B'``, whose
+    values are cached ints), which is the price of the compact columns; a
+    narrower column costs no more to read and leaves a smaller heap to
+    walk.  ``bisect`` searches the ``array('d')``
     inside one range about 3x faster than numpy searches a slice of it.
     ``_build_ranges`` allocates a block's columns by entry before its
     temporaries, so that freeing those leaves no holes between blocks.
@@ -192,6 +214,10 @@ class Frequency1D:
 
     def query_prefix(self, q: float, session: QuerySession | None = None) -> list:
         """Per-color total weight of the points with coordinate <= q."""
+        try:
+            q = float(q)
+        except (TypeError, ValueError, OverflowError):
+            raise MalformedQueryError(f"query bound {q!r} is not a number") from None
         if q != q:
             raise MalformedQueryError("query bound is NaN")
         cells = _Cells()
@@ -443,10 +469,19 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT, rank=None,
     size = int(off[-1])
     # the block's columns by entry come before every temporary, which are
     # then freed above them, where the next build reuses the space, and not
-    # in holes between blocks that stay resident
-    ys_col, cols_col = _zeros("d", size), _zeros("i", size)
-    heap = [_zeros("i", size) for _ in range(4)]  # lo, pri, pos, skip
-    pref_col = _zeros("q", size) if isinstance(mode, CountMode) else None
+    # in holes between blocks that stay resident.  Each integer column takes
+    # the narrowest typecode for a bound known now: the block's size for
+    # the heap, the largest color id on input, and for count prefixes the
+    # sum of |w| on input (a float, exact below 2**53 and far above 2**31
+    # past it), which bounds every chain's total
+    top = int(colors.max(initial=0))
+    if top > _INT32_MAX:  # before colors enter an int64 key
+        raise MalformedInputError(_COLOR_ERROR)
+    count = isinstance(mode, CountMode)
+    bound = np.abs(weights).sum(dtype=np.float64) if count else 0
+    ys_col, cols_col = _zeros("d", size), _zeros(_typecode(top, _UNSIGNED), size)
+    heap = [_zeros(_typecode(size, _UNSIGNED), size) for _ in range(4)]  # lo, pri, pos, skip
+    pref_col = _zeros(_typecode(bound, _SIGNED), size) if count else None
     if rank is None:
         rank = np.empty(len(values), dtype=np.int64)
         rank[rank_order(values)] = np.arange(len(values))
@@ -458,8 +493,6 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT, rank=None,
     idx = idx[np.argsort(rid * (int(rank.max(initial=0)) + 1) + rank[idx])]
     _view(ys_col)[:] = values[idx]
     cols = colors[idx]
-    if cols.max(initial=0) > _INT32_MAX:  # before cols enters an int64 key
-        raise MalformedInputError(_COLOR_ERROR)
     _view(cols_col)[:] = cols
     w = weights[idx]
     wints = None if ints is None else ints[idx]
@@ -468,7 +501,7 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT, rank=None,
     # chains: group by (range, color) keeping rank order, link neighbours.
     # The key is unique, and below size * 2**31 <= 2**62: range j's keys
     # are [off[j] * C, off[j+1] * C), by color, then by rank
-    ncolors = int(cols.max(initial=0)) + 1
+    ncolors = top + 1
     grouped = np.argsort(off[:-1][rid] * ncolors + cols * sizes[rid] + pos)
     chain = (rid * ncolors + cols)[grouped]
     same = chain[1:] == chain[:-1]

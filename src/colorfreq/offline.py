@@ -376,6 +376,8 @@ def answer_offline_dominance(job: OfflineJob) -> SweepSummary:
     over all points, held for the batch.
     """
     ps = job.points
+    if not isinstance(ps, PointSet):
+        raise MalformedInputError(f"points must be a PointSet, not {type(ps).__name__}")
     try:
         operator.index(job.sweep_axis)
     except TypeError:
@@ -452,6 +454,8 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
     partial entry exactly once (``merge_entry_touches``).
     """
     ps = points
+    if not isinstance(ps, PointSet):
+        raise MalformedInputError(f"points must be a PointSet, not {type(ps).__name__}")
     if ps.d != 2:
         raise MalformedInputError(f"3-sided batches need planar data, got d={ps.d}")
     _check_fanout(s, ps.n)

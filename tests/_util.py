@@ -328,16 +328,32 @@ def check_block(block, parts):
         assert block._ops[j] == ops
 
 
+def check_typecodes(block, colors, weights):
+    """Assert that each integer column by entry of ``block`` has the
+    narrowest typecode that holds its bound on the block's input
+    ``colors`` and ``weights``: the block's size for the heap columns, the
+    largest color id for ``colors``, and the sum of |w| for count
+    prefixes."""
+    heap = freq1d._typecode(block.m, "BHi")
+    assert [c.typecode for c in (block.lo, block.pri, block.pos, block.skip)] == [heap] * 4
+    assert block.colors.typecode == freq1d._typecode(max(map(int, colors), default=0), "BHi")
+    if isinstance(block.mode, cf.CountMode):
+        bound = sum(abs(int(w)) for w in weights)
+        assert block.prefix_weight.typecode == freq1d._typecode(bound, "hiq")
+
+
 @contextmanager
 def checked_blocks():
     """Every block built inside is checked by ``check_block`` over the
-    points its call was given; yields the list of blocks checked."""
+    points its call was given, and by ``check_typecodes`` over its input;
+    yields the list of blocks checked."""
     build = freq1d._build_ranges
     seen = []
 
     def checked(values, colors, weights, ranges, *args, **kwargs):
         block = build(values, colors, weights, ranges, *args, **kwargs)
         weights = weights.tolist()
+        check_typecodes(block, colors, weights)
         check_block(block, [(values[lo:cut], colors[lo:cut], weights[lo:cut])
                             for lo, cut in np.asarray(ranges).reshape(-1, 2).tolist()])
         seen.append(block)

@@ -205,6 +205,11 @@ def test_ranked_groups_rank_each_signed_group_on_its_own(xs, data):
     want = [rows[a:a + m][rank_order(g * values[a:a + m])] for a, m, g in zip(start, size, sign)]
     got = boxes._ranked_groups(rows, start, size, values, sign)
     assert got.tolist() == np.concatenate([np.zeros(0, dtype=np.int64)] + want).tolist()
+    # one group of all the rows, signed +1, is ranked in one step: the order
+    # the general path gives it next to an empty group
+    whole = boxes._ranked_groups(rows, np.array([0]), np.array([n]), values, np.ones(1))
+    general = boxes._ranked_groups(rows, np.array([0, n]), np.array([n, 0]), values, np.ones(2))
+    assert whole.tolist() == general.tolist() == rows[rank_order(values)].tolist()
 
 
 def test_offline_3sided_counts_the_layer_nodes():

@@ -69,11 +69,24 @@ _SLAB = cf.BoxQuery([(100.0, 600.0), (-INF, 500.0)])
     (lambda: cf.BoxQuery.dominance(5), cf.MalformedQueryError),
     (lambda: cf.PointSet([[0.0]], [0], 5, cf.MAX_SEMIGROUP), cf.MalformedInputError),
     (lambda: cf.PointSet([[0.0]], [0], labels=5), cf.MalformedInputError),
+    (lambda: cf.answer_offline_3sided(None, [], 2), cf.MalformedInputError),
+    (lambda: cf.answer_offline_dominance(cf.OfflineJob(None, [])), cf.MalformedInputError),
+    (lambda: cf.Frequency1D([1.0], [0]).query_prefix("a"), cf.MalformedQueryError),
+    (lambda: cf.Frequency1D([1.0], [0]).query_prefix(None), cf.MalformedQueryError),
+    (lambda: _PS.reflected(None), cf.ParameterError),
+    (lambda: _PS.reflected([5]), cf.ParameterError),
+    (lambda: cf.build_dominance(_PS, 2, s=4).query([2**1100, 1]), cf.MalformedQueryError),
+    (lambda: cf.normalize_query(None, []), cf.MalformedQueryError),
+    (lambda: cf.PointSet([[0.0]], [0], None, None), cf.ParameterError),
+    (lambda: cf.PointSet([[0.0]], [0], None, "x"), cf.ParameterError),
 ], ids=["3sided-not-a-pair", "dominance-not-a-pair", "corner-string", "corner-none",
         "bound-string", "1d-string", "bounds-none", "oracle-none", "3sided-none",
         "dominance-none", "points-none", "point-not-a-tuple", "build-none", "flags-none",
         "coords-string", "point-coords-string", "1d-none", "oracle-points-none",
-        "corner-not-a-sequence", "semigroup-weights-not-iterable", "labels-not-iterable"])
+        "corner-not-a-sequence", "semigroup-weights-not-iterable", "labels-not-iterable",
+        "3sided-points-none", "dominance-points-none", "prefix-string", "prefix-none",
+        "reflect-none", "reflect-axis-outside", "corner-past-float", "normalize-none",
+        "mode-none", "mode-string"])
 def test_malformed_calls_raise_typed_errors(call, error):
     # queries not given as (id, query) pairs, bounds or values that are not
     # numbers, and None in place of a batch, a query, points or flags raise
@@ -247,6 +260,7 @@ WEIGHT_FORMS = {
     "list": list,
     "tuple": tuple,
     "generator": lambda w: (x for x in w),
+    "map": lambda w: map(w.__getitem__, range(len(w))),
     "int64": lambda w: np.array(w, dtype=np.int64),
     "object": _object_array,
 }
@@ -257,14 +271,14 @@ WEIGHT_FORMS = {
        st.integers(2, 4), st.integers(0, 2**31))
 def test_weights_are_one_column_in_every_form(data, mode_name, n, s, seed):
     # the weight column every structure slices, whatever form the weights
-    # come in: int64 counts (from integer array-likes), or the given
-    # objects themselves
+    # come in: int64 counts (from any iterable of integers, an object array
+    # of them too), or the given objects themselves
     mode, values, forms = {
-        "count": (cf.COUNT, st.integers(-3, 3), ["list", "tuple", "int64"]),
+        "count": (cf.COUNT, st.integers(-3, 3), list(WEIGHT_FORMS)),
         "max": (cf.MAX_SEMIGROUP, st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1),
                 list(WEIGHT_FORMS)),
         "merge": (MERGE, st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
-                  ["list", "tuple", "generator", "object"]),
+                  ["list", "tuple", "generator", "map", "object"]),
     }[mode_name]
     w = data.draw(st.lists(values, min_size=n, max_size=n))
     form = data.draw(st.sampled_from(forms))
@@ -292,6 +306,22 @@ def test_weights_are_one_column_in_every_form(data, mode_name, n, s, seed):
         want = canon(cf.brute_force(ps, q))
         assert canon(box.query(q)) == want
         assert canon(got[i]) == want
+
+
+def test_count_weights_keep_their_rules_in_every_form():
+    # an iterator or an object array of count weights is held to the rules
+    # of a list: integers only, and no total past int64
+    ps = cf.PointSet(np.zeros((3, 1)), [0, 1, 0], [2**40, -3, 5], cf.MAX_SEMIGROUP)
+    counts = cf.PointSet(ps.coords, ps.colors, ps.weights)
+    assert counts.weights.dtype == np.int64 and counts.weights.tolist() == [2**40, -3, 5]
+    for name, form in WEIGHT_FORMS.items():
+        if name == "int64":  # which would cast them
+            continue
+        for weights, message in (([1, 2.5], "must be integers"), ([1, None], "must be integers"),
+                                 ([2**64, 0], "must be integers"), ([True, False], "must be integers"),
+                                 ([2**62, 2**62], "overflow int64 totals"), ([1], "one per point")):
+            with pytest.raises(cf.MalformedInputError, match=message):
+                cf.PointSet(np.zeros((2, 1)), [0, 0], form(weights))
 
 
 def test_colored_point_roundtrip():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import colorfreq as cf
-from colorfreq import dominance
+from colorfreq import dominance, freq1d
 from colorfreq.freq1d import _sort_charge
 from _util import FIGURE_ANSWER, FIGURE_QUERY, canon, figure_instance, random_corner
 
@@ -415,8 +415,10 @@ def test_eager_build_makes_one_block_per_chunk(monkeypatch):
 
 
 def test_count_tree_columns_are_typed_and_compact():
-    # a 1-D column entry costs bytes, not an object slot: the heap columns
-    # and colors as int32, prefix totals as int64
+    # a 1-D column entry costs bytes, not an object slot, and each integer
+    # column by entry the fewest its bound allows: on 16 colors, unit
+    # weights and blocks of at most 2**16 entries, uint16 heap columns,
+    # uint8 colors and int16 prefix totals
     ps = cf.generate_points(20_000, 2, 16, seed=12)
     gc.collect()
     tracemalloc.start()
@@ -431,26 +433,32 @@ def test_count_tree_columns_are_typed_and_compact():
     assert blocks
     for b in blocks:
         codes = [column.typecode for column in (b.lo, b.pri, b.pos, b.skip, b.colors)]
-        assert codes == ["i"] * 5
-        assert b.prefix_weight.typecode == "q"
-    assert live / tree.stored_entries <= 64
+        assert codes == [freq1d._typecode(b.m, "BHi")] * 4 + ["B"]
+        assert b.prefix_weight.typecode == "h"
+    assert live / tree.stored_entries <= 28
 
 
 def test_count_tree_column_bytes_per_entry():
-    # the buffers of a block's typed columns, counted exactly: 36 bytes per
-    # entry for one heap node each (lo, pri, pos, skip), its color, value
-    # and prefix total, plus the per-range start, build ops and flag
+    # the buffers of a block's typed columns, counted exactly: 19 bytes per
+    # entry, 8 for one heap node (lo, pri, pos, skip as uint16), 1 for its
+    # color, 8 for its value and 2 for its prefix total, plus 13 per range
+    # for its start, build ops and flag and 4 for the block's last start
     ps = cf.generate_points(20_000, 2, 16, seed=12)
     tree = cf.DominanceTree(ps, 16)
     blocks = {id(b): b for b in tree.prefix if b is not None}.values()
-    total = 0
+    total = per_range = 0
     for b in blocks:
         assert [b.start.typecode, b._ops.typecode, b._may_cancel.typecode] == ["i", "q", "b"]
+        codes = [getattr(b, name).typecode for name in ("lo", "colors", "sorted_values",
+                                                         "prefix_weight")]
+        assert codes == ["H", "B", "d", "h"]
+        ranges = len(b.start) - 1
+        per_range += 13 * ranges + 4
         for name in cf.Frequency1D.__slots__:
             column = getattr(b, name)
             if isinstance(column, array):
                 total += column.itemsize * len(column)
-    assert total / tree.stored_entries <= 40
+    assert total == 19 * tree.stored_entries + per_range
 
 
 def test_larger_fanout_stores_more_and_probes_less_per_color():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import colorfreq as cf
 from colorfreq import dominance, freq1d
 from colorfreq.core import count_le
-from _util import canon, chains, check_block, checked_blocks, reference_1d
+from _util import canon, chains, check_block, check_typecodes, checked_blocks, reference_1d
 
 # Pinned probe-counter constants (recorded by this suite; measured worst
 # cases were ~1.3 and ~2.3 with the same per-k charges).
@@ -148,6 +148,76 @@ def test_color_ids_past_int32_rejected():
         cf.DominanceTree(ps, 2)
     f = cf.Frequency1D([0.0, 1.0], [0, 2**31 - 1])
     assert canon(f.query_prefix(1.0)) == ((0, 1), (2**31 - 1, 1))
+
+
+# -- typecodes: each column by entry as narrow as its bound -------------------
+
+
+def _chain(total, n=20):
+    """n count weights of one chain that runs up to ``total``, the sum of
+    their magnitudes too."""
+    step = 1 if total >= 0 else -1
+    return [total - step * (n - 1)] + [step] * (n - 1)
+
+
+# name: (entries, largest color id, count weights (None for ones), and the
+# typecodes of the heap columns, colors and prefixes)
+TYPECODE_CASES = {
+    "color 255": (40, 255, None, "BBh"),
+    "color 256": (40, 256, None, "BHh"),
+    "color 65535": (40, 65535, None, "BHh"),
+    "color 65536": (40, 65536, None, "Bih"),
+    "size 255": (255, 3, None, "BBh"),
+    "size 256": (256, 3, None, "HBh"),
+    "size 65535": (65535, 3, None, "HBi"),
+    "size 65536": (65536, 3, None, "iBi"),
+    "total 2**15-1": (20, 0, _chain(2**15 - 1), "BBh"),
+    "total 2**15": (20, 0, _chain(2**15), "BBi"),
+    "total -(2**15-1)": (20, 0, _chain(-(2**15 - 1)), "BBh"),
+    "total -2**15": (20, 0, _chain(-(2**15)), "BBi"),
+    "total 2**31-1": (20, 0, _chain(2**31 - 1), "BBi"),
+    "total 2**31": (20, 0, _chain(2**31), "BBq"),
+    "total -(2**31-1)": (20, 0, _chain(-(2**31 - 1)), "BBi"),
+    "total -2**31": (20, 0, _chain(-(2**31)), "BBq"),
+    "cancel 2**15-1": (2, 0, [2**14, -(2**14 - 1)], "BBh"),
+    "cancel 2**15": (2, 0, [2**14, -(2**14)], "BBi"),
+    "cancel 2**31-1": (2, 0, [2**30, -(2**30 - 1)], "BBi"),
+    "cancel 2**31": (2, 0, [2**30, -(2**30)], "BBq"),
+}
+
+
+@pytest.mark.parametrize("name", list(TYPECODE_CASES))
+def test_columns_take_the_narrowest_typecode_for_their_bound(name):
+    # blocks on both sides of every typecode boundary answer as the oracle
+    # does, and each column has the code of its bound on the block's input
+    n, top, weights, codes = TYPECODE_CASES[name]
+    rng = np.random.default_rng(len(name))
+    values = rng.integers(0, max(2, n // 3), n).astype(float)  # ties
+    colors = rng.integers(0, 4, n) if top else np.zeros(n, dtype=np.int64)
+    colors[n // 2] = top
+    ps = cf.PointSet(values[:, None], colors, weights)
+    f = cf.build_1d(ps)
+    assert [f.lo.typecode, f.colors.typecode, f.prefix_weight.typecode] == list(codes)
+    check_typecodes(f, ps.colors, ps.weights)
+    if n <= 256:
+        check_block(f, [(values, colors, ps.weights.tolist())])
+    for q in [-1.0, *np.quantile(values, np.linspace(0, 1, 9)), values.max() + 1]:
+        assert canon(f.query_prefix(q)) == canon(cf.brute_force(ps, cf.BoxQuery.dominance([q])))
+
+
+@pytest.mark.parametrize("size, code", [(255, "B"), (256, "H")])
+def test_heap_columns_take_the_code_of_the_block_size(size, code):
+    # heap positions run over the whole block: two ranges of 255 or 256
+    # entries in all, each of them small enough for 'B'
+    rng = np.random.default_rng(size)
+    values = rng.integers(0, 50, 300).astype(float)
+    ps = cf.PointSet(values[:, None], rng.integers(0, 5, 300), rng.integers(-2, 3, 300))
+    ranges = [(0, 128), (300 - (size - 128), 300)]
+    block = freq1d._build_ranges(values, ps.colors, ps.weights, ranges)
+    assert block.lo.typecode == code
+    check_typecodes(block, ps.colors, ps.weights)
+    check_block(block, [(values[a:b], ps.colors[a:b], ps.weights[a:b].tolist())
+                        for a, b in ranges])
 
 
 def test_inverted_interval_rejected():
@@ -332,7 +402,11 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
               if cut > lo]
     if not ranges:
         return
-    block = freq1d._build_ranges(ys, cols, weight_column(w, mode), ranges, mode)
+    weights = weight_column(w, mode)
+    block = freq1d._build_ranges(ys, cols, weights, ranges, mode)
+    # a block's typecodes follow its own input, and each range's reference
+    # its range's, so the two are compared by value
+    check_typecodes(block, cols, weights)
     assert len(block.start) == len(ranges) + 1
     assert block.stored_entries == block.start[-1] == len(block.lo)
     succ = block.succ
@@ -360,9 +434,7 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
         assert set(got) == set(cf.Frequency1D.__slots__)
         arrays = ("lo", "pri", "pos", "skip", "start", "_ops", "_may_cancel")
         for name in ("sorted_values", "colors", "prefix_weight") + arrays:
-            column, theirs = getattr(block, name), getattr(want, name)
-            assert type(column) is type(theirs), name
-            assert getattr(column, "typecode", None) == getattr(theirs, "typecode", None), name
+            assert type(getattr(block, name)) is type(getattr(want, name)), name
         for name, value in got.items():
             mine = getattr(want, name)
             if name == "sorted_values":
@@ -509,16 +581,22 @@ BLOCK_COLUMNS = ("sorted_values", "colors", "prefix_weight", "lo", "pri", "pos",
                  "start", "_ops", "_may_cancel")
 
 
+def assert_same_columns(got, want):
+    """Every column of two blocks equal, and max prefixes the very same
+    objects (a concatenation makes new ones in each build)."""
+    for name in BLOCK_COLUMNS:
+        assert list(getattr(got, name)) == list(getattr(want, name)), name
+    if got.mode.combine is max:
+        assert all(a is b for a, b in zip(got.prefix_weight, want.prefix_weight))
+
+
 def assert_same_block(got, want):
-    """Every column of two blocks equal and of one type, and max prefixes
-    the very same objects (a concatenation makes new ones in each build)."""
+    """Two builds of one input: every column equal and of one type."""
     for name in BLOCK_COLUMNS:
         mine, theirs = getattr(got, name), getattr(want, name)
         assert type(mine) is type(theirs), name
         assert getattr(mine, "typecode", None) == getattr(theirs, "typecode", None), name
-        assert list(mine) == list(theirs), name
-    if got.mode.combine is max:
-        assert all(a is b for a, b in zip(got.prefix_weight, want.prefix_weight))
+    assert_same_columns(got, want)
 
 
 def tied_weights(rng, n, mode):
@@ -588,14 +666,16 @@ def test_max_path_takes_python_ints_that_fit_int64_only():
     for weights in ([1, 2**63], [1, -2**63 - 1], [1, 2.0], [1, True], [1, None],
                     [(1,), (2,)], [1, np.int64(2)]):
         assert freq1d._max_ints(weights, cf.MAX_SEMIGROUP) is None, weights
-    # the loop then builds the same block as the one-by-one build
+    # the loop then builds the same columns as the one-by-one build, whose
+    # typecodes do not follow the block's input
     for weights in ([3, 2**64, 2**64, 5], [1.5, 2.0, 2.0, -1.0], [True, 1, 1, False]):
-        block = freq1d._build_ranges(np.arange(4.0), np.zeros(4, dtype=np.int64),
+        colors = np.zeros(4, dtype=np.int64)
+        block = freq1d._build_ranges(np.arange(4.0), colors,
                                      weight_column(weights, cf.MAX_SEMIGROUP), [(0, 4)],
                                      cf.MAX_SEMIGROUP)
         want = reference_1d(np.arange(4.0), [0] * 4, weights, cf.MAX_SEMIGROUP)
-        assert_same_block(block, want)
-        assert all(a is b for a, b in zip(block.prefix_weight, want.prefix_weight))
+        assert_same_columns(block, want)
+        check_typecodes(block, colors, weights)
     for mode in (cf.COUNT, CONCAT, cf.SemigroupMode(lambda a, b: max(a, b))):
         assert freq1d._max_ints([1, 2], mode) is None
 
