@@ -34,10 +34,10 @@ answer = tree.query(query, session)
 print(f"\nanswered with {session.substructure_queries} substructure queries "
       f"and {session.probes} index probes for k={len(answer)} colors")
 
-# One-dimensional data has a direct structure for prefixes; an interval
+# build_1d gives the d = 1 tree, which answers prefixes; an interval
 # is a box with a two-sided axis 0, as in any dimension.
 line = [(1.0, 0), (3.0, 0), (5.0, 0), (2.0, 1), (7.0, 1)]
 f = cf.build_1d(line)
-print("\n1-D prefix  x<=5:", sorted(f.query_prefix(5.0)))
+print("\n1-D prefix  x<=5:", sorted(f.query([5.0])))
 box = cf.build_box(line, bounded_axes=(0,))
 print("1-D interval [2,6]:", sorted(box.query(cf.BoxQuery.interval(2.0, 6.0))))

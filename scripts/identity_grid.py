@@ -156,8 +156,7 @@ def _cell(n, d, grid, mode_name, s, seed, nq):
         session = cf.QuerySession()
         for q in _queries(rng, nq, 1, span, (0,), grid):
             (_, hi), = q.bounds
-            session.probes = 0
-            got = f.query_prefix(hi, session)
+            got = f.query((hi,), session)
             yield ("prefix", got, session.probes)
     if d == 2:
         yield _three_sided(ps, _queries(rng, nq, 2, span, (0,), grid), s)

@@ -31,13 +31,14 @@ from .core import (
     write_dataset,
     write_queries,
 )
-from .freq1d import Frequency1D, build_1d
+from .freq1d import Frequency1D
 from .dominance import (
     ColorAccumulator,
     DominanceTree,
     TreeStats,
     box_fanout_bound,
     box_space_bound,
+    build_1d,
     build_dominance,
     ceil_log,
     dominance_path_bound,
@@ -67,7 +68,6 @@ __all__ = [
     "ContractViolationError",
     "CountMode",
     "DominanceTree",
-    "Frequency1D",
     "MAX_SEMIGROUP",
     "MalformedInputError",
     "MalformedQueryError",

@@ -433,7 +433,10 @@ class PointSet:
 
 def canonical_freq(entries) -> tuple:
     """Order-free canonical form used for multiset comparisons."""
-    return tuple(sorted((int(c), w) for c, w in entries))
+    try:
+        return tuple(sorted((int(c), w) for c, w in entries))
+    except (TypeError, ValueError):
+        raise MalformedInputError("entries must be (color, weight) pairs") from None
 
 
 def freq_total(entries) -> int:
@@ -477,8 +480,12 @@ class QuerySession:
 # '#' starts a comment, blank lines are skipped.
 
 
-def _data_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
+def _data_lines(path, error):
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except TypeError:
+        raise error(f"path {path!r} is not a file name") from None
+    with fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if line:
@@ -499,7 +506,7 @@ def read_dataset(path, d: int | None = None, mode=COUNT) -> PointSet:
     When ``d`` is omitted it is inferred from the first line: the first
     token that does not parse as a number is taken to be the color label.
     """
-    rows = [line.split() for line in _data_lines(path)]
+    rows = [line.split() for line in _data_lines(path, MalformedInputError)]
     if not rows:
         raise MalformedInputError(f"{path}: empty dataset")
     if d is None:
@@ -559,7 +566,7 @@ def write_dataset(ps: PointSet, path) -> None:
 
 def read_queries(path, d: int | None = None) -> list[BoxQuery]:
     out = []
-    for lineno, line in enumerate(_data_lines(path), start=1):
+    for lineno, line in enumerate(_data_lines(path, MalformedQueryError), start=1):
         toks = line.split()
         if d is None:
             if len(toks) % 2:

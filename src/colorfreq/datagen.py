@@ -6,6 +6,8 @@ same instance bit for bit.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .core import BoxQuery, COUNT, CountMode, INF, ParameterError, PointSet
@@ -29,6 +31,11 @@ def generate_points(
     every color distinct.  ``grid`` snaps coordinates to integers in
     [0, grid), which produces duplicates on purpose.
     """
+    try:
+        n, d, phi = map(operator.index, (n, d, phi))
+        grid = grid if grid is None else operator.index(grid)
+    except TypeError:
+        raise ParameterError(f"n={n!r} d={d!r} phi={phi!r} grid={grid!r}: not integers") from None
     if n < 0 or d < 1 or phi < 1:
         raise ParameterError(f"bad instance shape n={n} d={d} phi={phi}")
     if grid is not None and grid < 1:
@@ -64,6 +71,10 @@ def generate_queries(
     hi: float = DOMAIN,
 ) -> list[BoxQuery]:
     """Random boxes; ``sides[axis]`` is 1 (upper bound only) or 2 (interval)."""
+    try:
+        m, d, lo, hi = operator.index(m), operator.index(d), float(lo), float(hi)
+    except (TypeError, ValueError):
+        raise ParameterError(f"m={m!r} d={d!r} lo={lo!r} hi={hi!r}: not numbers") from None
     if sides is None:
         sides = tuple([1] * d)
     if len(sides) != d or any(x not in (1, 2) for x in sides):

@@ -72,6 +72,10 @@ class ColorAccumulator:
     __slots__ = ("phi", "mode", "slots", "touched", "touch_ops", "drain_ops", "_count_mode")
 
     def __init__(self, phi: int, mode=COUNT):
+        try:
+            phi = operator.index(phi)
+        except TypeError:
+            raise ParameterError(f"color count phi={phi!r} is not an integer") from None
         self.phi = phi
         self.mode = mode
         self.slots: list = [None] * phi
@@ -154,12 +158,17 @@ class ColorAccumulator:
 
 def _ready(session: QuerySession | None, phi: int, mode) -> QuerySession:
     """``session``, reset for a query of a structure over ``phi`` colors in
-    weight mode ``mode``, or a new session when it is None."""
+    weight mode ``mode``, or a new session when it is None.  A session or
+    accumulator of another type raises ``ContractViolationError``."""
     if session is None:
         return QuerySession(ColorAccumulator(phi, mode))
+    if not isinstance(session, QuerySession):
+        raise ContractViolationError(f"session: {type(session).__name__} is not a QuerySession")
     acc = session.accumulator
     if acc is None:
         session.accumulator = ColorAccumulator(phi, mode)
+    elif not isinstance(acc, ColorAccumulator):
+        raise ContractViolationError(f"session accumulator is a {type(acc).__name__}")
     elif acc.phi < phi or acc.mode is not mode:
         raise ContractViolationError(
             f"session accumulator over {acc.phi} colors in mode {acc.mode.name!r} "
@@ -713,6 +722,20 @@ def _coerce_points(points, mode=COUNT) -> PointSet:
     if isinstance(points, PointSet):
         return points
     return PointSet.from_points(points, mode=mode)
+
+
+def build_1d(points, mode=COUNT) -> DominanceTree:
+    """The 1-D structure: the d = 1 tree over a ``PointSet`` with d == 1 or
+    an iterable of ``(x, color[, weight])`` tuples / ColoredPoints, whose
+    ``PointSet`` checks them.  Its forest is one block, ``base``; it answers
+    prefixes, ``query((q,))``, and ``build_box(points, bounded_axes=(0,))``
+    intervals."""
+    if isinstance(points, (list, tuple)) and not points:
+        points = PointSet.empty(1, mode)
+    ps = _coerce_points(points, mode=mode)
+    if ps.d != 1:
+        raise MalformedInputError(f"build_1d needs 1-D points, got d={ps.d}")
+    return DominanceTree(ps, 2)
 
 
 def build_dominance(points, d: int | None = None, s: int = 2, mode=COUNT) -> DominanceTree:

@@ -8,14 +8,14 @@ bound, whose prefix weight is exactly the answer for the color.
 
 The quadrant reports go through a heap-ordered binary index over the rank
 axis (a static priority search tree), giving O(log n + k) index probes per
-query.  Points come in as a ``PointSet``, which checks them; the builder
-adds only the check that color ids are below 2**31, which its widest color
-column holds.
+query.  A block holds the indexes of many rank ranges: the strips of a tree,
+or the trees of a d = 1 forest, such as ``build_1d``'s.  Points come in as
+``PointSet`` columns, checked; the builder adds only the check that color
+ids are below 2**31, which its widest color column holds.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from array import array
 from bisect import bisect_left, bisect_right
@@ -25,10 +25,10 @@ import numpy as np
 from .core import (
     COUNT,
     INT64_MAX,
+    ContractViolationError,
     CountMode,
     MalformedInputError,
     MalformedQueryError,
-    PointSet,
     QuerySession,
     rank_order,
 )
@@ -36,7 +36,6 @@ from .core import (
 _SMALL = 8  # below this size a linear scan beats any index
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 _COLOR_ERROR = "color ids must be below 2**31"
-_VALUES_ERROR = "values must be one coordinate per point"
 
 
 def _zeros(typecode: str, n: int) -> array:
@@ -85,14 +84,14 @@ class _Cells(dict):
 
 
 class Frequency1D:
-    """The 1-D structure: mapped chain points plus quadrant indexes, for one
-    or more rank ranges held in one block.
+    """The 1-D block: mapped chain points plus quadrant indexes, for one or
+    more rank ranges.  It has no public constructor: the strip trees and the
+    offline sweeps hold blocks, and the d = 1 tree of ``build_1d`` is one.
 
     Range ``j`` owns the block positions [start[j], start[j+1]), and the
     heap nodes of the same indexes, one node per entry.  ``_build_ranges``
-    builds every block; ``Frequency1D(...)`` and ``build_1d`` build one
-    range starting at 0 from a ``PointSet``, which checks the points.  By
-    block position:
+    builds every block, from the columns of a ``PointSet``, which checked
+    the points.  By block position:
     ``sorted_values``, ``colors`` and ``prefix_weight``, each range in rank
     order.  Each range also has its own build ops (``_ops``) and
     ``_may_cancel`` flag.
@@ -148,8 +147,8 @@ class Frequency1D:
     ``_build_ranges`` allocates a block's columns by entry before its
     temporaries, so that freeing those leaves no holes between blocks.
     Color ids must be below 2**31, or the build raises
-    ``MalformedInputError``.  The public methods read a one-range
-    structure.
+    ``MalformedInputError``.  ``query_prefix`` reads range 0 on its own,
+    for tests; queries reach the ranges through the trees that hold them.
     """
 
     __slots__ = (
@@ -166,17 +165,6 @@ class Frequency1D:
         "_ops",
         "_may_cancel",
     )
-
-    def __init__(self, values, colors, weights=None, mode=COUNT):
-        try:
-            values = np.asarray(values)
-        except ValueError:  # ragged
-            raise MalformedInputError(_VALUES_ERROR) from None
-        if values.ndim != 1:
-            raise MalformedInputError(_VALUES_ERROR)
-        f = build_1d(PointSet(values[:, None], colors, weights, mode))
-        self._set(mode, f.sorted_values, f.colors, f.prefix_weight, (f.lo, f.pri, f.pos, f.skip),
-                  f.start, f._ops, f._may_cancel)
 
     def _set(self, mode, values, colors, pref, heap, start, ops, may_cancel) -> None:
         """Take the block's columns."""
@@ -201,19 +189,13 @@ class Frequency1D:
     def build_ops(self) -> int:
         return sum(self._ops)
 
-    @property
-    def succ(self) -> list[int]:
-        """Rank in its range of the next point of the same color (the
-        range's size for none), by position."""
-        out = [0] * self.m
-        for p, i in zip(self.pri, self.pos):
-            out[i] = p
-        return out
-
     # -- queries ---------------------------------------------------------------
 
     def query_prefix(self, q: float, session: QuerySession | None = None) -> list:
-        """Per-color total weight of the points with coordinate <= q."""
+        """Per-color total weight of the points of range 0 with coordinate
+        <= q; probes land on ``session`` when one is given."""
+        if session is not None and not isinstance(session, QuerySession):
+            raise ContractViolationError(f"session: {type(session).__name__} is not a QuerySession")
         try:
             q = float(q)
         except (TypeError, ValueError, OverflowError):
@@ -226,19 +208,6 @@ class Frequency1D:
         if session is not None:
             session.probes += probes
         return [(c, cells[c]) for c in touched]
-
-    # -- introspection (tests, demos) -----------------------------------------
-
-    def chain_of(self, color: int) -> list[tuple[float, float, object]]:
-        """(value, successor value or +inf, prefix weight) triples for one color."""
-        out = []
-        succ = self.succ
-        for r in range(self.m):
-            if self.colors[r] == color:
-                s = succ[r]
-                nxt = float(self.sorted_values[s]) if s < self.m else math.inf
-                out.append((float(self.sorted_values[r]), nxt, self.prefix_weight[r]))
-        return out
 
 
 def _report_walk(walk, q: float, slots, touched: list, combine) -> tuple[int, int]:
@@ -545,20 +514,3 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT, rank=None,
                _column("i", off), _column("q", ops), _column("b", may_cancel))
     return block
 
-
-def build_1d(points, mode=COUNT) -> Frequency1D:
-    """Build the 1-D structure from 1-D points.
-
-    Accepts a ``PointSet`` with d == 1 or an iterable of ``(x, color[, weight])``
-    tuples / ColoredPoints, whose ``PointSet`` checks them.  It answers prefix
-    queries; ``build_box(points, bounded_axes=(0,))`` answers intervals.
-    """
-    if isinstance(points, PointSet):
-        ps = points
-    elif isinstance(points, (list, tuple)) and not points:
-        ps = PointSet.empty(1, mode)
-    else:
-        ps = PointSet.from_points(points, mode=mode)
-    if ps.d != 1:
-        raise MalformedInputError(f"build_1d needs 1-D points, got d={ps.d}")
-    return _build_ranges(ps.coords[:, 0], ps.colors, ps.weights, [(0, ps.n)], ps.mode)

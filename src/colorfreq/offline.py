@@ -375,6 +375,8 @@ def answer_offline_dominance(job: OfflineJob) -> SweepSummary:
     one tree; at d = 1 the skeleton is the whole structure, one 1-D block
     over all points, held for the batch.
     """
+    if not isinstance(job, OfflineJob):
+        raise MalformedInputError(f"job must be an OfflineJob, not {type(job).__name__}")
     ps = job.points
     if not isinstance(ps, PointSet):
         raise MalformedInputError(f"points must be a PointSet, not {type(ps).__name__}")

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import math
 from array import array
 from bisect import bisect_left
 from contextlib import ExitStack, contextmanager
@@ -240,6 +241,35 @@ def reference_queries():
 
 
 # -- the 1-D layout: a checker from its definition, and the one-by-one build -----
+
+
+def block_1d(values, colors, weights=None, mode=cf.COUNT):
+    """The one-range 1-D block over ``values`` (one coordinate per point),
+    ``colors`` and ``weights``: the base of the d = 1 tree that ``build_1d``
+    builds from their ``PointSet``, which checks them."""
+    return cf.build_1d(cf.PointSet(np.asarray(values)[:, None], colors, weights, mode)).base
+
+
+def succ(block):
+    """Rank in its range of the next point of the same color (the range's
+    size for none), by block position."""
+    out = [0] * block.m
+    for p, i in zip(block.pri, block.pos):
+        out[i] = p
+    return out
+
+
+def chain_of(block, color):
+    """(value, successor value or +inf, prefix weight) triples for one color
+    of a one-range block."""
+    out = []
+    nxt = succ(block)
+    for r in range(block.m):
+        if block.colors[r] == color:
+            s = nxt[r]
+            after = float(block.sorted_values[s]) if s < block.m else math.inf
+            out.append((float(block.sorted_values[r]), after, block.prefix_weight[r]))
+    return out
 
 
 def chains(colors):

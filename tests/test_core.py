@@ -53,7 +53,7 @@ _SLAB = cf.BoxQuery([(100.0, 600.0), (-INF, 500.0)])
     (lambda: cf.build_dominance(_PS, 2, s=4).query(("a", 1)), cf.MalformedQueryError),
     (lambda: cf.build_dominance(_PS, 2, s=4).query(None), cf.MalformedQueryError),
     (lambda: cf.BoxQuery([("a", 1)]), cf.MalformedQueryError),
-    (lambda: cf.Frequency1D(["a"], [0]), cf.MalformedInputError),
+    (lambda: cf.build_1d([("a", 0)]), cf.MalformedInputError),
     (lambda: cf.BoxQuery(None), cf.MalformedQueryError),
     (lambda: cf.brute_force(_PS, None), cf.MalformedQueryError),
     (lambda: cf.answer_offline_3sided(_PS, None, 2), cf.UnsupportedShapeError),
@@ -71,14 +71,29 @@ _SLAB = cf.BoxQuery([(100.0, 600.0), (-INF, 500.0)])
     (lambda: cf.PointSet([[0.0]], [0], labels=5), cf.MalformedInputError),
     (lambda: cf.answer_offline_3sided(None, [], 2), cf.MalformedInputError),
     (lambda: cf.answer_offline_dominance(cf.OfflineJob(None, [])), cf.MalformedInputError),
-    (lambda: cf.Frequency1D([1.0], [0]).query_prefix("a"), cf.MalformedQueryError),
-    (lambda: cf.Frequency1D([1.0], [0]).query_prefix(None), cf.MalformedQueryError),
+    (lambda: cf.build_1d([(1.0, 0)]).query(("a",)), cf.MalformedQueryError),
+    (lambda: cf.build_1d([(1.0, 0)]).query((None,)), cf.MalformedQueryError),
     (lambda: _PS.reflected(None), cf.ParameterError),
     (lambda: _PS.reflected([5]), cf.ParameterError),
     (lambda: cf.build_dominance(_PS, 2, s=4).query([2**1100, 1]), cf.MalformedQueryError),
     (lambda: cf.normalize_query(None, []), cf.MalformedQueryError),
     (lambda: cf.PointSet([[0.0]], [0], None, None), cf.ParameterError),
     (lambda: cf.PointSet([[0.0]], [0], None, "x"), cf.ParameterError),
+    (lambda: cf.build_dominance(_PS, 2, s=4).query(_CORNER, 5), cf.ContractViolationError),
+    (lambda: cf.build_box(_PS, s=4, bounded_axes=(0,)).query(_SLAB, 5),
+     cf.ContractViolationError),
+    (lambda: cf.build_dominance(_PS, 2, s=4).query(_CORNER, cf.QuerySession(5)),
+     cf.ContractViolationError),
+    (lambda: cf.build_1d([(1.0, 0)]).base.query_prefix(1.0, 5), cf.ContractViolationError),
+    (lambda: cf.answer_offline_dominance(None), cf.MalformedInputError),
+    (lambda: cf.generate_points(None, 2, 3, seed=0), cf.ParameterError),
+    (lambda: cf.generate_points(10, 2, 3, seed=0, grid="a"), cf.ParameterError),
+    (lambda: cf.generate_queries(None, 2, seed=0), cf.ParameterError),
+    (lambda: cf.generate_queries(3, 2, 0, lo="a"), cf.ParameterError),
+    (lambda: cf.canonical_freq(None), cf.MalformedInputError),
+    (lambda: cf.read_dataset(None), cf.MalformedInputError),
+    (lambda: cf.read_queries(None), cf.MalformedQueryError),
+    (lambda: cf.ColorAccumulator(None), cf.ParameterError),
 ], ids=["3sided-not-a-pair", "dominance-not-a-pair", "corner-string", "corner-none",
         "bound-string", "1d-string", "bounds-none", "oracle-none", "3sided-none",
         "dominance-none", "points-none", "point-not-a-tuple", "build-none", "flags-none",
@@ -86,11 +101,16 @@ _SLAB = cf.BoxQuery([(100.0, 600.0), (-INF, 500.0)])
         "corner-not-a-sequence", "semigroup-weights-not-iterable", "labels-not-iterable",
         "3sided-points-none", "dominance-points-none", "prefix-string", "prefix-none",
         "reflect-none", "reflect-axis-outside", "corner-past-float", "normalize-none",
-        "mode-none", "mode-string"])
+        "mode-none", "mode-string", "session-int", "box-session-int",
+        "session-accumulator-int", "block-session-int", "offline-job-none",
+        "points-count-none", "points-grid-string", "queries-count-none",
+        "queries-lo-string", "canonical-none", "dataset-path-none", "queries-path-none",
+        "accumulator-phi-none"])
 def test_malformed_calls_raise_typed_errors(call, error):
     # queries not given as (id, query) pairs, bounds or values that are not
-    # numbers, and None in place of a batch, a query, points or flags raise
-    # the typed errors, never a bare TypeError, ValueError or AttributeError
+    # numbers, None in place of a batch, a query, points, flags, a count or a
+    # path, and a session that is not one raise the typed errors, never a
+    # bare TypeError, ValueError or AttributeError
     with pytest.raises(error):
         call()
 

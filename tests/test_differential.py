@@ -74,7 +74,7 @@ def test_1d_prefix_and_interval(data):
     box = cf.build_box(ps, s=data.draw(fanouts(ps.n)), bounded_axes=(0,))
     for _ in range(3):
         hi = data.draw(value(grid))
-        assert_oracle(ps, cf.BoxQuery([(-INF, hi)]), f.query_prefix(hi))
+        assert_oracle(ps, cf.BoxQuery([(-INF, hi)]), f.query((hi,)))
         lo = data.draw(value(grid).filter(lambda v: v <= hi))
         q = cf.BoxQuery([(lo, hi)])
         assert_oracle(ps, q, box.query(q))

@@ -13,7 +13,7 @@ import pytest
 import colorfreq as cf
 from colorfreq import dominance, freq1d
 from colorfreq.freq1d import _sort_charge
-from _util import FIGURE_ANSWER, FIGURE_QUERY, canon, figure_instance, random_corner
+from _util import FIGURE_ANSWER, FIGURE_QUERY, canon, chain_of, figure_instance, random_corner
 
 TREE_BUILD_C = 2.0  # pinned; measured worst was ~0.7
 
@@ -63,10 +63,10 @@ def test_d1_tree_is_the_1d_structure():
     pts = [(1.0, 0), (3.0, 0), (5.0, 0), (2.0, 1), (7.0, 1)]
     t = cf.build_dominance(cf.PointSet.from_points(pts), 1, s=2)
     f = cf.build_1d(pts)
-    assert t.base.chain_of(0) == f.chain_of(0)
-    assert t.base.chain_of(1) == f.chain_of(1)
+    assert chain_of(t.base, 0) == chain_of(f.base, 0)
+    assert chain_of(t.base, 1) == chain_of(f.base, 1)
     for q in (0.0, 2.5, 5.0, 9.0):
-        assert canon(t.query((q,))) == canon(f.query_prefix(q))
+        assert canon(t.query((q,))) == canon(f.query((q,)))
 
 
 def test_d1_forest_is_one_block():

@@ -10,7 +10,17 @@ from hypothesis import strategies as st
 import colorfreq as cf
 from colorfreq import dominance, freq1d
 from colorfreq.core import count_le
-from _util import canon, chains, check_block, check_typecodes, checked_blocks, reference_1d
+from _util import (
+    block_1d,
+    canon,
+    chain_of,
+    chains,
+    check_block,
+    check_typecodes,
+    checked_blocks,
+    reference_1d,
+    succ,
+)
 
 # Pinned probe-counter constants (recorded by this suite; measured worst
 # cases were ~1.3 and ~2.3 with the same per-k charges).
@@ -43,34 +53,34 @@ def interval(box, lo, hi, session=None):
 
 
 def test_chain_example():
-    f = cf.build_1d([(1.0, RED), (3.0, RED), (5.0, RED), (2.0, BLUE), (7.0, BLUE)])
-    assert f.chain_of(RED) == [(1.0, 3.0, 1), (3.0, 5.0, 2), (5.0, math.inf, 3)]
-    assert f.chain_of(BLUE) == [(2.0, 7.0, 1), (7.0, math.inf, 2)]
+    f = cf.build_1d([(1.0, RED), (3.0, RED), (5.0, RED), (2.0, BLUE), (7.0, BLUE)]).base
+    assert chain_of(f, RED) == [(1.0, 3.0, 1), (3.0, 5.0, 2), (5.0, math.inf, 3)]
+    assert chain_of(f, BLUE) == [(2.0, 7.0, 1), (7.0, math.inf, 2)]
 
 
 def test_singleton_chain():
-    f = cf.build_1d([(4.0, RED)])
-    assert f.chain_of(RED) == [(4.0, math.inf, 1)]
+    f = cf.build_1d([(4.0, RED)]).base
+    assert chain_of(f, RED) == [(4.0, math.inf, 1)]
 
 
 def test_empty_structure():
     f = cf.build_1d([])
     assert f.stored_entries == 0
-    assert f.query_prefix(10.0) == []
+    assert f.query((10.0,)) == []
 
 
 def test_prefix_examples():
     f = cf.build_1d(FIVE_POINTS)
-    assert canon(f.query_prefix(5.0)) == ((RED, 3), (BLUE, 1))
-    assert f.query_prefix(0.0) == []
-    assert canon(f.query_prefix(7.0)) == ((RED, 3), (BLUE, 2))
+    assert canon(f.query((5.0,))) == ((RED, 3), (BLUE, 1))
+    assert f.query((0.0,)) == []
+    assert canon(f.query((7.0,))) == ((RED, 3), (BLUE, 2))
 
 
 def test_interval_examples():
     box = interval_box(FIVE_POINTS)
     assert canon(interval(box, 2.0, 6.0)) == ((RED, 2), (BLUE, 1))
     assert interval(box, 4.0, 4.0) == []
-    everything = cf.build_1d(FIVE_POINTS).query_prefix(math.inf)
+    everything = cf.build_1d(FIVE_POINTS).query((math.inf,))
     assert canon(interval(box, -10.0, 10.0)) == canon(everything)
 
 
@@ -85,11 +95,11 @@ def test_malformed_input_rejected():
         ([[1.0, 2.0]], [0], None),  # one 2-D point
     ):
         with pytest.raises(cf.MalformedInputError):
-            cf.Frequency1D(values, colors, weights)
+            block_1d(values, colors, weights)
     # integer weights of any type, and no points at all, stay accepted
-    f = cf.Frequency1D([1.0, 2.0], np.array([0, 0], dtype=np.uint8), [np.int64(2), True])
+    f = block_1d([1.0, 2.0], np.array([0, 0], dtype=np.uint8), [np.int64(2), True])
     assert f.query_prefix(5.0) == [(0, 3)]
-    assert cf.Frequency1D([], []).query_prefix(0.0) == []
+    assert block_1d([], []).query_prefix(0.0) == []
 
 
 def test_count_totals_past_int64_rejected():
@@ -97,10 +107,10 @@ def test_count_totals_past_int64_rejected():
     for weights in ([2**62, 2**62], [-(2**62), -(2**62) - 1], [2**63],
                     [2**62, -(2**62), 2**62]):
         with pytest.raises(cf.MalformedInputError, match="overflow int64 totals"):
-            cf.Frequency1D([0.0, 1.0, 2.0][: len(weights)], [0] * len(weights), weights)
+            block_1d([0.0, 1.0, 2.0][: len(weights)], [0] * len(weights), weights)
         with pytest.raises(cf.MalformedInputError, match="overflow int64 totals"):
             cf.build_1d([(float(x), 0, w) for x, w in enumerate(weights)])
-    f = cf.Frequency1D([0.0, 1.0], [0, 0], [2**62, 2**62 - 1])
+    f = block_1d([0.0, 1.0], [0, 0], [2**62, 2**62 - 1])
     assert f.query_prefix(1.0) == [(0, 2**63 - 1)]
 
 
@@ -118,15 +128,17 @@ POINTS_1D = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(POINTS_1D, st.sampled_from(["count", "max"]))
 @example([(0.0, 0, 2**62), (1.0, 0, -(2**62)), (2.0, 0, 2**62)], "count")
-def test_frequency1d_and_build_1d_check_points_alike(points, mode_name):
-    # both builders check through PointSet: the same error or the same block
+def test_build_1d_and_build_dominance_check_points_alike(points, mode_name):
+    # build_1d takes the points as tuples and build_dominance as a PointSet;
+    # both check through PointSet: the same error, or two blocks laid out
+    # as defined and equal
     mode = cf.COUNT if mode_name == "count" else cf.MAX_SEMIGROUP
     v = np.array([p[0] for p in points], dtype=np.float64)
     c = np.array([p[1] for p in points], dtype=np.int64)
     w = [p[2] for p in points]
     outcomes = []
-    for build in (lambda: cf.Frequency1D(v, c, w, mode),
-                  lambda: cf.build_1d(cf.PointSet(v[:, None], c, w, mode))):
+    for build in (lambda: cf.build_1d(points, mode),
+                  lambda: cf.build_dominance(cf.PointSet(v[:, None], c, w, mode), s=2)):
         try:
             outcomes.append(build())
         except cf.MalformedInputError as exc:
@@ -136,17 +148,19 @@ def test_frequency1d_and_build_1d_check_points_alike(points, mode_name):
     if isinstance(want, str):
         assert got == want
     else:
-        assert_same_block(got, want)
+        for tree in (got, want):
+            check_block(tree.base, [(v, c, w)])
+        assert_same_block(got.base, want.base)
 
 
 def test_color_ids_past_int32_rejected():
     # color ids are stored as int32, by both builders
     with pytest.raises(cf.MalformedInputError, match="below 2"):
-        cf.Frequency1D([0.0, 1.0], [0, 2**31])
+        block_1d([0.0, 1.0], [0, 2**31])
     ps = cf.PointSet([[0.0, 0.0], [1.0, 1.0]], [2**31, 0])
     with pytest.raises(cf.MalformedInputError, match="below 2"):
         cf.DominanceTree(ps, 2)
-    f = cf.Frequency1D([0.0, 1.0], [0, 2**31 - 1])
+    f = block_1d([0.0, 1.0], [0, 2**31 - 1])
     assert canon(f.query_prefix(1.0)) == ((0, 1), (2**31 - 1, 1))
 
 
@@ -196,13 +210,14 @@ def test_columns_take_the_narrowest_typecode_for_their_bound(name):
     colors = rng.integers(0, 4, n) if top else np.zeros(n, dtype=np.int64)
     colors[n // 2] = top
     ps = cf.PointSet(values[:, None], colors, weights)
-    f = cf.build_1d(ps)
+    tree = cf.build_1d(ps)
+    f = tree.base
     assert [f.lo.typecode, f.colors.typecode, f.prefix_weight.typecode] == list(codes)
     check_typecodes(f, ps.colors, ps.weights)
     if n <= 256:
         check_block(f, [(values, colors, ps.weights.tolist())])
     for q in [-1.0, *np.quantile(values, np.linspace(0, 1, 9)), values.max() + 1]:
-        assert canon(f.query_prefix(q)) == canon(cf.brute_force(ps, cf.BoxQuery.dominance([q])))
+        assert canon(tree.query((q,))) == canon(cf.brute_force(ps, cf.BoxQuery.dominance([q])))
 
 
 @pytest.mark.parametrize("size, code", [(255, "B"), (256, "H")])
@@ -229,7 +244,7 @@ def test_inverted_interval_rejected():
 def test_nan_query_bounds_rejected():
     points = [(1.0, 0), (3.0, 0), (5.0, 1)]
     f, box = cf.build_1d(points), interval_box(points)
-    for query in (lambda: f.query_prefix(math.nan), lambda: interval(box, 0.0, math.nan),
+    for query in (lambda: f.query((math.nan,)), lambda: interval(box, 0.0, math.nan),
                   lambda: interval(box, math.nan, 4.0)):
         with pytest.raises(cf.MalformedQueryError):
             query()
@@ -239,7 +254,7 @@ def test_quadrant_hits_at_most_one_point_per_color():
     rng = np.random.default_rng(3)
     for _ in range(50):
         m = int(rng.integers(1, 120))
-        f = cf.Frequency1D(
+        f = block_1d(
             rng.integers(0, 30, m).astype(float), rng.integers(0, 8, m)
         )
         q = float(rng.integers(-1, 31))
@@ -255,9 +270,9 @@ def test_chain_completeness_recovers_sorted_sequences():
         m = int(rng.integers(1, 150))
         vals = rng.integers(0, 40, m).astype(float)
         cols = rng.integers(0, 6, m)
-        f = cf.Frequency1D(vals, cols)
+        f = block_1d(vals, cols)
         for c in set(cols.tolist()):
-            chain = f.chain_of(c)
+            chain = chain_of(f, c)
             assert [x for x, _, _ in chain] == sorted(vals[cols == c].tolist())
             # links: successor of one mapped point is the next point
             for (x1, nxt, _), (x2, _, _) in zip(chain, chain[1:]):
@@ -268,7 +283,6 @@ def test_chain_completeness_recovers_sorted_sequences():
 
 def test_oracle_equivalence_1000_random_instances():
     rng = np.random.default_rng(1234)
-    session = cf.QuerySession()
     checked = 0
     for _ in range(1000):
         n = int(rng.integers(0, 501))
@@ -279,13 +293,13 @@ def test_oracle_equivalence_1000_random_instances():
             for x, c in zip(rng.integers(0, grid, n), rng.integers(0, phi, n))
         ]
         f = cf.build_1d(pts)
-        m = f.m
+        m = f.stored_entries
+        session = f.new_session()
         box = interval_box(pts)
         box_session = box.new_session()
         for _ in range(2):
             q = float(rng.uniform(-1, grid + 1))
-            session.reset()
-            got = f.query_prefix(q, session)
+            got = f.query((q,), session)
             assert canon(got) == oracle_1d(pts, -math.inf, q)
             k = len(got)
             assert session.probes <= PREFIX_C1 * math.log2(m + 1) + PREFIX_C2 * k
@@ -312,8 +326,8 @@ def test_prefix_difference_identity():
         ]
         f = cf.build_1d(pts)
         lo, hi = sorted(rng.uniform(-1, grid, 2))
-        upper = dict(f.query_prefix(hi))
-        below = dict(f.query_prefix(math.nextafter(lo, -math.inf)))
+        upper = dict(f.query((hi,)))
+        below = dict(f.query((math.nextafter(lo, -math.inf),)))
         diff = {
             c: upper[c] - below.get(c, 0)
             for c in upper
@@ -327,22 +341,22 @@ def test_build_ops_linearithmic():
     for n in (1, 10, 100, 1000, 5000):
         vals = rng.integers(0, n + 1, n).astype(float)
         cols = rng.integers(0, max(1, n // 3), n)
-        f = cf.Frequency1D(vals, cols)
+        f = block_1d(vals, cols)
         assert f.build_ops <= BUILD_C * n * math.log2(n + 1)
 
 
 def test_weighted_prefix_weights_accumulate():
     f = cf.build_1d([(1.0, 0, 5), (2.0, 0, 2), (3.0, 1, 9)])
-    assert f.chain_of(0) == [(1.0, 2.0, 5), (2.0, math.inf, 7)]
-    assert canon(f.query_prefix(2.5)) == ((0, 7),)
-    assert canon(f.query_prefix(3.0)) == ((0, 7), (1, 9))
+    assert chain_of(f.base, 0) == [(1.0, 2.0, 5), (2.0, math.inf, 7)]
+    assert canon(f.query((2.5,))) == ((0, 7),)
+    assert canon(f.query((3.0,))) == ((0, 7), (1, 9))
 
 
 def test_cancelling_count_weights_leave_the_color_out():
     ps = cf.PointSet.from_points([(1.0, RED, 1), (2.0, RED, -1), (3.0, BLUE, 2), (4.0, BLUE, 0)])
     f = cf.build_1d(ps)
-    assert f.query_prefix(5.0) == [(BLUE, 2)]
-    assert f.query_prefix(2.0) == []
+    assert f.query((5.0,)) == [(BLUE, 2)]
+    assert f.query((2.0,)) == []
     assert interval(interval_box(ps), 1.0, 5.0) == [(BLUE, 2)]
     assert cf.build_dominance(ps, 1, s=2).query((5.0,)) == [(BLUE, 2)]
     assert cf.brute_force(ps, cf.BoxQuery.dominance((5.0,))) == [(BLUE, 2)]
@@ -358,7 +372,31 @@ def test_cancelling_count_weights_leave_the_color_out():
 def test_prefix_matches_oracle_property(pairs, q):
     pts = [(float(x), c) for x, c in pairs]
     f = cf.build_1d(pts) if pts else cf.build_1d([])
-    assert canon(f.query_prefix(float(q))) == oracle_1d(pts, -math.inf, q)
+    assert canon(f.query((float(q),))) == oracle_1d(pts, -math.inf, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 5), st.integers(-3, 3)), max_size=60),
+    st.lists(st.integers(-1, 31), min_size=1, max_size=5),
+    st.sampled_from(["count", "max"]),
+)
+def test_build_1d_answers_as_brute_force_with_one_substructure_query(triples, qs, mode_name):
+    # signed count weights, which cancel, and max weights; each prefix query
+    # is one substructure query that touches each reported color once
+    mode = cf.COUNT if mode_name == "count" else cf.MAX_SEMIGROUP
+    ps = cf.PointSet(np.array([[float(x)] for x, _, _ in triples]).reshape(-1, 1),
+                     [c for _, c, _ in triples], [w for _, _, w in triples], mode)
+    tree = cf.build_1d(ps)
+    assert isinstance(tree, cf.DominanceTree) and tree.stored_entries == ps.n
+    session = tree.new_session()
+    acc = session.accumulator
+    for q in qs:
+        before = acc.touch_ops
+        got = tree.query((float(q),), session)
+        assert canon(got) == canon(cf.brute_force(ps, cf.BoxQuery.dominance([float(q)])))
+        assert session.substructure_queries == 1
+        assert acc.touch_ops - before == len(got)
 
 
 # tuple concatenation: a semigroup that is neither commutative nor scalar;
@@ -409,7 +447,7 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
     check_typecodes(block, cols, weights)
     assert len(block.start) == len(ranges) + 1
     assert block.stored_entries == block.start[-1] == len(block.lo)
-    succ = block.succ
+    ranks = succ(block)
     for j, (lo, cut) in enumerate(ranges):
         want = reference_1d(ys[lo:cut], cols[lo:cut], w[lo:cut], mode)
         a, b = block.start[j], block.start[j + 1]
@@ -442,7 +480,7 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
             elif name in arrays:
                 mine = list(mine)
             assert value == mine, name
-        assert succ[a:b] == want.succ
+        assert ranks[a:b] == succ(want)
 
 
 def heap_layout_holds_one_node_per_entry(f):
@@ -466,7 +504,7 @@ def test_heap_stores_one_node_per_entry():
     for m in sizes:
         ys = rng.integers(0, max(1, m // 2), m).astype(float)
         cols = rng.integers(0, 5, m)
-        heap_layout_holds_one_node_per_entry(cf.Frequency1D(ys, cols))
+        heap_layout_holds_one_node_per_entry(block_1d(ys, cols))
     # many ranges per block, of every size in the list, in shuffled order
     ranges, lo = [], 0
     for m in rng.permutation([m for m in sizes if m] * 2).tolist():
@@ -546,10 +584,10 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
     if batched and m:
         f = freq1d._build_ranges(ys, cols, weight_column(w, mode), [(0, m)], mode)
     else:
-        f = cf.Frequency1D(ys, cols, w, mode)
-    succ, _ = chains(list(f.colors))
-    assert f.succ == succ
-    occ = reference_index(succ)
+        f = block_1d(ys, cols, w, mode)
+    ranks, _ = chains(list(f.colors))
+    assert succ(f) == ranks
+    occ = reference_index(ranks)
 
     for q in rng.integers(-1, grid + 1, 6).tolist():
         rq = count_le(f.sorted_values, q)
@@ -564,7 +602,7 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
         sessions[0].probes += probes
         accs[0].touch_ops += touches
         accs[1].add_entries(f.query_prefix(q, sessions[1]))
-        hits, sessions[2].probes = reference_report(succ, occ, 0, rq, rq)
+        hits, sessions[2].probes = reference_report(ranks, occ, 0, rq, rq)
         accs[2].add_entries((f.colors[i], f.prefix_weight[i]) for i in hits
                             if not (f._may_cancel[0] and f.prefix_weight[i] == 0))
         for acc, session in zip(accs[1:], sessions[1:]):
@@ -701,7 +739,7 @@ def test_every_builder_lays_out_its_blocks_as_defined(n, grid, phi, seed, mode_n
     w = tied_weights(rng, n, mode)
     if mode is cf.COUNT:
         w = w.tolist()
-    check_block(cf.Frequency1D(coords[:, 0], cols, w, mode), [(coords[:, 0], cols, w)])
+    check_block(block_1d(coords[:, 0], cols, w, mode), [(coords[:, 0], cols, w)])
     # ranges of any size, empty ones too, and a block of no entries
     ranges = np.sort(rng.integers(0, n + 1, (int(rng.integers(0, 6)), 2)), axis=1)
     check_block(freq1d._build_ranges(coords[:, 0], cols, weight_column(w, mode), ranges, mode),

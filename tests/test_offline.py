@@ -525,7 +525,7 @@ def test_plane_sweeps_build_only_blocks():
     rng = np.random.default_rng(31)
     dominance = [(i, random_corner(rng, 2)) for i in range(100)]
     three_sided = [(i, random_query(rng, 2, sides=(2, 1))) for i in range(100)]
-    with mock.patch.object(cf.Frequency1D, "__init__", side_effect=AssertionError) as init:
+    with mock.patch.object(cf.DominanceTree, "__init__", side_effect=AssertionError) as init:
         for axis in (0, 1):
             cf.answer_offline_dominance(cf.OfflineJob(ps, dominance, axis, 4))
         cf.answer_offline_3sided(ps, three_sided, 4)
