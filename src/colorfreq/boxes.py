@@ -265,7 +265,7 @@ class BoxTree:
         rows = _ranked_groups(rows, start, size, ps.coords[rows, 0], sign[:, 0])
         coords = ps.coords[rows] * np.repeat(sign, size, axis=0)
         return tuple(levels), DominanceTree._forest(coords, ps.colors[rows], ps.weights[rows],
-                                                    size.tolist(), self.s, self.phi, self.mode)
+                                                    self.s, self.phi, self.mode, size.tolist())
 
     # -- queries -----------------------------------------------------------------
 

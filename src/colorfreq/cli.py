@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (MalformedInputError, MalformedQueryError, ParameterError,
-            UnsupportedShapeError) as exc:
+            UnsupportedShapeError, OSError) as exc:
         print(f"colorfreq: error: {exc}", file=sys.stderr)
         return 2
 

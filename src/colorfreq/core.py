@@ -547,6 +547,8 @@ def write_dataset(ps: PointSet, path) -> None:
     differ, since the format names colors only by their labels.  Weights
     must be integers, which is all the format reads.
     """
+    if not isinstance(ps, PointSet):
+        raise MalformedInputError(f"points must be a PointSet, not {type(ps).__name__}")
     labels = [ps.label_of(c) for c in sorted(set(ps.colors.tolist()))]
     for label in labels:
         if not label or "#" in label or any(ch.isspace() for ch in label):
@@ -585,6 +587,9 @@ def read_queries(path, d: int | None = None) -> list[BoxQuery]:
 
 
 def write_queries(queries: Iterable[BoxQuery], path) -> None:
+    try:
+        lines = [" ".join(f"{lo!r} {hi!r}" for lo, hi in q.bounds) + "\n" for q in queries]
+    except (AttributeError, TypeError, ValueError):
+        raise MalformedQueryError("queries must be an iterable of BoxQuery objects") from None
     with open(path, "w", encoding="utf-8") as fh:
-        for q in queries:
-            fh.write(" ".join(f"{repr(lo)} {repr(hi)}" for lo, hi in q.bounds) + "\n")
+        fh.writelines(lines)

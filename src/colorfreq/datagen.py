@@ -34,13 +34,14 @@ def generate_points(
     try:
         n, d, phi = map(operator.index, (n, d, phi))
         grid = grid if grid is None else operator.index(grid)
-    except TypeError:
-        raise ParameterError(f"n={n!r} d={d!r} phi={phi!r} grid={grid!r}: not integers") from None
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ParameterError(f"n={n!r} d={d!r} phi={phi!r} grid={grid!r} seed={seed!r}: "
+                             "not integers") from None
     if n < 0 or d < 1 or phi < 1:
         raise ParameterError(f"bad instance shape n={n} d={d} phi={phi}")
     if grid is not None and grid < 1:
         raise ParameterError(f"grid={grid} leaves no integer in [0, grid)")
-    rng = np.random.default_rng(seed)
     if grid is not None:
         coords = rng.integers(0, grid, size=(n, d)).astype(np.float64)
     else:
@@ -73,15 +74,15 @@ def generate_queries(
     """Random boxes; ``sides[axis]`` is 1 (upper bound only) or 2 (interval)."""
     try:
         m, d, lo, hi = operator.index(m), operator.index(d), float(lo), float(hi)
+        sides = (1,) * d if sides is None else tuple(sides)
+        rng = np.random.default_rng(seed)
     except (TypeError, ValueError):
-        raise ParameterError(f"m={m!r} d={d!r} lo={lo!r} hi={hi!r}: not numbers") from None
-    if sides is None:
-        sides = tuple([1] * d)
+        raise ParameterError(f"m={m!r} d={d!r} seed={seed!r} lo={lo!r} hi={hi!r} "
+                             f"sides={sides!r}: not numbers and a sequence") from None
     if len(sides) != d or any(x not in (1, 2) for x in sides):
         raise ParameterError(f"sides must be d values from {{1,2}}, got {sides}")
     if m < 0:
         raise ParameterError(f"query count m={m} is negative")
-    rng = np.random.default_rng(seed)
     out = []
     for _ in range(m):
         bounds = []

@@ -85,8 +85,11 @@ class ColorAccumulator:
         self._count_mode = isinstance(mode, CountMode)
 
     def add(self, color: int, weight) -> None:
-        if not 0 <= color < self.phi:
-            raise ContractViolationError(f"color {color} outside [0, {self.phi})")
+        try:
+            if not 0 <= color < self.phi:
+                raise ContractViolationError(f"color {color} outside [0, {self.phi})")
+        except TypeError:
+            raise ContractViolationError(f"color {color!r} is not an integer") from None
         slots = self.slots
         cur = slots[color]
         if cur is None:
@@ -239,18 +242,12 @@ class DominanceTree:
         _fill(self)
 
     @classmethod
-    def _skeleton(cls, coords, colors, weights, s, phi, mode):
-        """Rank order and strip tree only: the offline sweep builds the
-        per-strip substructures itself, in the blocks it plans."""
-        self = cls.__new__(cls)
-        self._init_from_parts(coords, colors, weights, s=s, phi=phi, mode=mode)
-        return self
-
-    @classmethod
-    def _forest(cls, coords, colors, weights, sizes, s, phi, mode):
-        """The skeletons of trees over consecutive runs of ``sizes`` points,
-        each run in rank order of its first axis, ties by input order (see
-        ``_ranked_groups``), as one forest for one ``_fill``."""
+    def _forest(cls, coords, colors, weights, s, phi, mode, sizes=None):
+        """The skeletons, rank order and strip trees only, of trees over
+        consecutive runs of ``sizes`` points, each run in rank order of its
+        first axis, ties by input order (see ``_ranked_groups``), or of one
+        tree over all the points: for ``_fill``, or for the offline sweep,
+        which builds the strips' structures in the blocks it plans."""
         self = cls.__new__(cls)
         self._init_from_parts(coords, colors, weights, s=s, phi=phi, mode=mode, sizes=sizes)
         return self
@@ -284,13 +281,13 @@ class DominanceTree:
         self.colors_r = colors[order]
         self.weights_r = weights[order]
         self.sorted0 = array("d", self.coords_r[:, 0].tobytes())
-        shapes = {m: _strips(m, s) for m in set(sizes)}
+        shapes = {m: _shape(m, s) for m in set(sizes)}
         self.parent = [shapes[m][0] for m in sizes]
         self.prefix = [None] * n
         self.index = [0] * n
         self.node_count = self.height = 0
         for m, trees in Counter(sizes).items():
-            _, nodes, height = shapes[m]
+            _, nodes, height = shapes[m][:3]
             self.node_count += trees * nodes
             self.height = max(self.height, height)
             if m:
@@ -330,7 +327,7 @@ class DominanceTree:
                                   np.ones(len(lo)))
             sub = DominanceTree._forest(
                 self.coords_r[rows, 1:], self.colors_r[rows], self.weights_r[rows],
-                (cut - lo).tolist(), self.s, self.phi, self.mode,
+                self.s, self.phi, self.mode, (cut - lo).tolist(),
             )
             _fill(sub)
         self.stored_entries += sub.stored_entries
@@ -371,30 +368,24 @@ class DominanceTree:
 
     def _query_into(self, corner, session: QuerySession, t: int = 0) -> None:
         """Accumulate the answer of tree ``t`` for ``corner`` into the
-        session's accumulator: the walk of ``_walk_to``, as the (structure,
-        index) pairs ``_answer`` takes."""
+        session's accumulator: ``_answer`` over the walk to the rank just
+        below it."""
         if self.d == 1:
             self._answer(((self.base, t),), corner, 0, session)
             return
         off = self.start[t]
         rq = count_le(self.sorted0, corner[0], off, self.start[t + 1])
-        if rq == 0:
-            return
-        prefix, index, parent = self.prefix, self.index, self.parent[t]
+        if rq:
+            self._answer(self._walk(rq - 1, t), corner[1:], off + rq, session)
+
+    def _walk(self, x: int, t: int = 0) -> list:
+        """The walk to rank ``x`` of tree ``t``, shared by online queries
+        and the offline sweep: the (structure, index) pairs of the ranks c
+        whose ranges [parent[c], c) tile [0, x), ascending."""
+        off, parent, prefix, index = self.start[t], self.parent[t], self.prefix, self.index
         walk = []
-        x = rq - 1
         while x:
             walk.append((prefix[off + x], index[off + x]))
-            x = parent[x]
-        walk.reverse()
-        self._answer(walk, corner[1:], off + rq, session)
-
-    def _walk_to(self, x: int, t: int = 0) -> list:
-        """The ranks c of tree ``t`` whose ranges [parent[c], c) tile [0, x),
-        ascending."""
-        parent, walk = self.parent[t], []
-        while x:
-            walk.append(x)
             x = parent[x]
         walk.reverse()
         return walk
@@ -437,86 +428,61 @@ class DominanceTree:
 
 
 @functools.lru_cache(maxsize=512)
-def _strips(n: int, s: int):
-    """The strip tree over ranks [0, n) as ``(parent, node_count, height)``,
-    computed once per size and shared: ``parent`` is a tuple.
+def _shape(n: int, s: int):
+    """The strip tree over ranks [0, n) as ``(parent, node_count, height,
+    lo, cut, hi)``, computed once per size and shared.
 
     A node of more than one rank splits into min(s, size) strips, the first
     ``size % s`` of them one rank longer than the rest; each strip is a
-    child node, and single ranks are leaves.  ``parent[c]`` is the first
-    rank of the node in which c starts a strip other than the first (0 for
-    c = 0); ``height`` is the depth of the deepest leaf.
+    child node, and single ranks are leaves.  ``parent`` is a tuple:
+    ``parent[c]`` is the first rank of the node in which c starts a strip
+    other than the first (0 for c = 0).  ``height`` is the depth of the
+    deepest leaf.  ``lo``, ``cut`` and ``hi`` are read-only int64 arrays
+    with one entry per rank c >= 1, ordered by parent rank, then by c:
+    [lo, cut) = [parent[c], c) is the range c's structure covers, and
+    [cut, hi) is the strip c starts, which holds exactly the ranks whose
+    walk contains c (see ``offline_build_bound``).  The nodes of one depth
+    split at once.
     """
-    parent = [0] * n
+    parent, end = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     node_count, height = min(n, 1), 0
-    level = [(0, n)] if n > 1 else []
-    while level:
+    start = np.zeros(int(n > 1), dtype=np.int64)  # the nodes to split, first ranks and sizes
+    size = start + n
+    while len(start):
         height += 1
-        deeper = []
-        for lo, hi in level:
-            q, r = divmod(hi - lo, s)
-            k = min(s, hi - lo)
-            node_count += k
-            a = lo
-            for i in range(k):
-                b = a + q + (i < r)
-                if i:
-                    parent[a] = lo
-                if b - a > 1:
-                    deeper.append((a, b))
-                a = b
-        level = deeper
-    return tuple(parent), node_count, height
-
-
-@functools.lru_cache(maxsize=512)
-def _strip_order(n: int, s: int):
-    """The strips [parent[c], c) of the tree over n ranks, c >= 1, as two
-    read-only arrays ``(lo, cut)`` ordered by parent rank, then by c.
-
-    Strips with one parent rank all start there and nest, so one slice
-    from it to the last of their cuts holds them all.
-    """
-    parent = np.array(_strips(n, s)[0], dtype=np.int64)
+        q, r = np.divmod(size, s)
+        k = np.minimum(s, size)  # each node's strips
+        node_count += int(k.sum())
+        node = np.repeat(np.arange(len(k)), k)
+        i = np.arange(len(node)) - np.repeat(np.cumsum(k) - k, k)  # strip i of its node
+        q, r = q[node], r[node]
+        a = start[node] + i * q + np.minimum(i, r)
+        width = q + (i < r)
+        later = i > 0  # a node's first strip starts at the node's own rank
+        parent[a[later]] = start[node[later]]
+        end[a[later]] = (a + width)[later]
+        deeper = width > 1
+        start, size = a[deeper], width[deeper]
     cut = np.argsort(parent[1:], kind="stable") + 1
-    lo = parent[cut]
-    lo.flags.writeable = cut.flags.writeable = False
-    return lo, cut
-
-
-@functools.lru_cache(maxsize=512)
-def _strip_spans(n: int, s: int):
-    """``(parent, end)`` of the tree over n ranks as read-only int64
-    arrays: rank c >= 1 starts the strip [parent[c], c), and the ranks
-    whose walk holds it are [c, end[c]) (end[0] = n).
-
-    Those are the ranks whose chain through ``parent`` reaches c (see
-    ``offline_build_bound``), so end[c] is c plus the size of c's subtree
-    under ``parent``.
-    """
-    parent = _strips(n, s)[0]
-    size = [1] * n
-    for x in range(n - 1, 0, -1):
-        size[parent[x]] += size[x]
-    parent, end = (np.array(a, dtype=np.int64) for a in (parent, size))
-    end += np.arange(n)
-    parent.flags.writeable = end.flags.writeable = False
-    return parent, end
+    lo, hi = parent[cut], end[cut]
+    lo.flags.writeable = cut.flags.writeable = hi.flags.writeable = False
+    ranks, at = np.unique(parent, return_inverse=True)  # one int object per parent rank
+    return tuple(map(ranks.tolist().__getitem__, at.tolist())), node_count, height, lo, cut, hi
 
 
 def _strip_ranges(forest):
     """(lo, cut) of every strip of ``forest``, as positions of its columns:
     trees of one size together, sizes ascending, then tree by tree in
-    ``_strip_order``.  A forest of one tree reads its shape's cached,
+    ``_shape`` order.  A forest of one tree reads its shape's cached,
     read-only arrays; a forest of several gets int32 copies.  These live
     while the forest's blocks are built, so they are kept small."""
     if len(forest.start) == 2 and forest.start[1] > 1:
-        return _strip_order(forest.start[1], forest.s)
+        return _shape(forest.start[1], forest.s)[3:5]
     start = np.array(forest.start, dtype=np.int64)
     sizes = np.diff(start)
     los, cuts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for m in sorted(set(sizes.tolist()) - {0, 1}):
-        lo, cut = _strip_order(m, forest.s)
+        lo, cut = _shape(m, forest.s)[3:5]
         off = start[:-1][sizes == m, None]
         los.append((off + lo).ravel())
         cuts.append((off + cut).ravel())

@@ -43,6 +43,7 @@ import numpy as np
 
 from .core import (
     BoxQuery,
+    ContractViolationError,
     INF,
     MalformedInputError,
     PointSet,
@@ -57,8 +58,8 @@ from .dominance import (
     _check_fanout,
     _ranked_groups,
     _scan_range,
+    _shape,
     _strip_columns,
-    _strip_spans,
 )
 
 # A block of the offline sweep holds at most _BLOCK entries (a larger strip
@@ -145,6 +146,8 @@ class SweepSummary:
 
 def peak_space_report(summary: SweepSummary) -> dict:
     """Read-only snapshot of the working-space and stream-order counters."""
+    if not isinstance(summary, SweepSummary):
+        raise MalformedInputError(f"summary must be a SweepSummary, not {type(summary).__name__}")
     return {
         "peakLiveEntries": summary.peak_live_entries,
         "totalBuilt": summary.total_built,
@@ -178,11 +181,11 @@ def _plan(forest, xs, batched: bool, budget: int) -> list:
     ``(build step, release step, lo, cut)`` in build order.
 
     ``xs[i]`` is an int64 array of tree i's pinned rank at each step,
-    ascending.  Step t holds, for every tree i, the strips [parent[c], c)
-    of the walk to ``xs[i][t]``.  The walks that hold a strip c are those
-    to the ranks [c, end[c]) of ``_strip_spans``, so the steps whose walk
-    holds it form one run: it enters at the first and pops at the step
-    after the last (the number of steps when that is the last).  The strips
+    ascending.  Step t holds, for every tree i, the strips [lo, cut) of
+    the walk to ``xs[i][t]``.  The walks that hold a strip are those to
+    the ranks [cut, hi) of ``_shape``, so the steps whose walk holds it
+    form one run: it enters at the first and pops at the step after the
+    last (the number of steps when that is the last).  The strips
     are listed in the order they enter, at one step tree by tree, each
     tree's ascending.  A block's ``lo`` and ``cut`` are int64 arrays of its
     strips' bounds as positions of the forest's columns; it is built at the
@@ -203,14 +206,13 @@ def _plan(forest, xs, batched: bool, budget: int) -> list:
     steps = len(xs[0])
     los, cuts, enter, pops = [], [], [], []
     for x, off, m in zip(xs, forest.start, np.diff(forest.start).tolist()):
-        parent, end = _strip_spans(m, forest.s)
-        first = np.searchsorted(x, np.arange(1, m))
-        last = np.searchsorted(x, end[1:])
-        c = np.flatnonzero(first < last) + 1
-        los.append(off + parent[c])
-        cuts.append(off + c)
-        enter.append(first[c - 1])
-        pops.append(last[c - 1])
+        lo, cut, hi = _shape(m, forest.s)[3:]
+        first, last = np.searchsorted(x, cut), np.searchsorted(x, hi)
+        held = first < last
+        los.append(off + lo[held])
+        cuts.append(off + cut[held])
+        enter.append(first[held])
+        pops.append(last[held])
     lo, cut, enter, pops = (np.concatenate(a) for a in (los, cuts, enter, pops))
     order = np.argsort(enter * forest.start[-1] + cut)  # by step, then position
     lo, cut, enter, pops = lo[order], cut[order], enter[order], pops[order].tolist()
@@ -322,8 +324,7 @@ def _sweep_dominance(forest, rqs, rests, sessions, summary, meter, budget=0):
                 meter.add(entries)
                 b += 1
 
-            walks = [[(prefix[off + c], index[off + c]) for c in forest._walk_to(x[t], i)]
-                     for i, (off, x) in enumerate(zip(offs, xs))]
+            walks = [forest._walk(x[t], i) for i, x in enumerate(xs)]
             for k in range(step_start[t], step_start[t + 1]):
                 for off, walk, rq, rest, session in zip(offs, walks, rqs, rests, sessions):
                     session.reset()
@@ -391,14 +392,15 @@ def answer_offline_dominance(job: OfflineJob) -> SweepSummary:
     summary = SweepSummary(ps.n, len(job.queries), ps.d, job.s, job.sweep_axis)
     meter = _LiveMeter()
     sink = job.sink or (lambda qid, entries: None)
+    if not callable(sink):
+        raise ContractViolationError(f"sink {sink!r} is not callable")
 
     axes = [job.sweep_axis] + [a for a in range(ps.d) if a != job.sweep_axis]
     order = rank_order(corners[:, job.sweep_axis])  # ties keep input order
     corners = corners[order][:, axes]
     qids = [qids[i] for i in order.tolist()]
     sweep = corners[:, 0].tolist()
-    skel = DominanceTree._skeleton(ps.coords[:, axes], ps.colors, ps.weights, s=job.s,
-                                   phi=ps.phi, mode=ps.mode)
+    skel = DominanceTree._forest(ps.coords[:, axes], ps.colors, ps.weights, job.s, ps.phi, ps.mode)
     session = QuerySession(ColorAccumulator(ps.phi, ps.mode))
     acc = session.accumulator
     if ps.d == 1:
@@ -445,8 +447,8 @@ def _children(coords, colors, weights, lo, mid, hi, s, phi, mode) -> DominanceTr
                           np.array([mid - lo, hi - mid]), coords[lo:hi, 1], np.ones(2))
     child = coords[np.ix_(rows, [1, 0])]
     child[:mid - lo, 1] = -child[:mid - lo, 1]
-    return DominanceTree._forest(child, colors[rows], weights[rows], [mid - lo, hi - mid], s, phi,
-                                 mode)
+    return DominanceTree._forest(child, colors[rows], weights[rows], s, phi, mode,
+                                 [mid - lo, hi - mid])
 
 
 def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> SweepSummary:
@@ -462,6 +464,8 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
         raise MalformedInputError(f"3-sided batches need planar data, got d={ps.d}")
     _check_fanout(s, ps.n)
     sink = sink or (lambda qid, entries: None)
+    if not callable(sink):
+        raise ContractViolationError(f"sink {sink!r} is not callable")
     # the batch as columns, query i in row i
     qids, x1s, x2s, ys = [], array("d"), array("d"), array("d")
     for qid, q in _pairs(queries):

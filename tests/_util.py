@@ -46,6 +46,16 @@ def random_corner(rng, d, lo=-50.0, hi=1100.0):
     return cf.BoxQuery.dominance([float(x) for x in rng.uniform(lo, hi, d)])
 
 
+def walk_ranks(tree, x, t=0):
+    """The ranks c of tree ``t`` whose ranges [parent[c], c) tile [0, x),
+    ascending: the ranks of ``tree._walk(x, t)``."""
+    parent, walk = tree.parent[t], []
+    while x:
+        walk.append(x)
+        x = parent[x]
+    return walk[::-1]
+
+
 # Nine-point planar instance mirroring the introductory picture: four red
 # and three blue points inside (-inf,10] x (-inf,10], one green and one
 # purple outside.
@@ -146,7 +156,7 @@ def _query_into(self, corner, session, t=0):
     rq = count_le(self.sorted0, corner[0], off, self.start[t + 1])
     if rq == 0:
         return
-    self._answer([(self.prefix[off + c], self.index[off + c]) for c in self._walk_to(rq - 1, t)],
+    self._answer([(self.prefix[off + c], self.index[off + c]) for c in walk_ranks(self, rq - 1, t)],
                  corner[1:], off + rq, session)
 
 
@@ -480,7 +490,7 @@ def reference_sweep(coords, colors, weights, mode, phi, qids, corners, sweep_axi
     axes = [sweep_axis] + [a for a in range(d) if a != sweep_axis]
     jobs = sorted(((tuple(corner[a] for a in axes), qid)
                    for qid, corner in zip(qids, corners.tolist())), key=lambda job: job[0][0])
-    skel = cf.DominanceTree._skeleton(coords[:, axes], colors, weights, s, phi, mode)
+    skel = cf.DominanceTree._forest(coords[:, axes], colors, weights, s, phi, mode)
     summary.skeleton_nodes += skel.node_count
     session = cf.QuerySession(cf.ColorAccumulator(phi, mode))
     pinned = {}
@@ -489,7 +499,7 @@ def reference_sweep(coords, colors, weights, mode, phi, qids, corners, sweep_axi
         pinned.setdefault(max(rq - 1, 0), []).append((corner, qid, rq))
     walk, live, sizes = [], [], []
     for x in sorted(pinned):
-        nxt = skel._walk_to(x)
+        nxt = walk_ranks(skel, x)
         keep = 0
         while keep < min(len(walk), len(nxt)) and walk[keep] == nxt[keep]:
             keep += 1

@@ -414,7 +414,7 @@ def _build_one_by_one(self, ps, axes):
     coords, colors, weights = zip(*parts)
     return tuple(levels), cf.DominanceTree._forest(
         np.concatenate(coords), np.concatenate(colors), np.concatenate(weights),
-        [len(c) for c in colors], self.s, self.phi, self.mode,
+        self.s, self.phi, self.mode, [len(c) for c in colors],
     )
 
 
@@ -500,7 +500,7 @@ def test_forest_trees_are_ranked_as_skeletons_of_their_own(axes):
 
     def visit(lv, t, coords, colors, weights):
         if lv == len(bt.levels):
-            ref = cf.DominanceTree._skeleton(coords, colors, weights, 4, ps.phi, ps.mode)
+            ref = cf.DominanceTree._forest(coords, colors, weights, 4, ps.phi, ps.mode)
             a, b = forest.start[t], forest.start[t + 1]
             assert np.array_equal(forest.coords_r[a:b], ref.coords_r)
             assert np.array_equal(forest.colors_r[a:b], ref.colors_r)

@@ -320,6 +320,10 @@ def test_typed_errors_print_one_line(tmp_path, capsys):
         (["verify", *files, "--sides", "3,1"], "--sides needs 2 comma-separated values"),
         (gen_args(tmp_path / "neg", m=-1), "query count m=-1 is negative"),
         (gen_args(tmp_path / "grid", extra=("--grid", "0")), "grid=0 leaves no integer"),
+        (["verify", str(tmp_path / "missing.txt"), files[1]], "No such file or directory"),
+        (["stats", str(tmp_path)], "Is a directory"),
+        (["offline", *files, "--out", str(tmp_path / "nowhere" / "out.txt")],
+         "No such file or directory"),
     ]
     for argv, message in cases:
         assert main(argv) == 2

@@ -94,6 +94,17 @@ _SLAB = cf.BoxQuery([(100.0, 600.0), (-INF, 500.0)])
     (lambda: cf.read_dataset(None), cf.MalformedInputError),
     (lambda: cf.read_queries(None), cf.MalformedQueryError),
     (lambda: cf.ColorAccumulator(None), cf.ParameterError),
+    (lambda: cf.ColorAccumulator(2).add("a", 1), cf.ContractViolationError),
+    (lambda: cf.ColorAccumulator(2).add(None, 1), cf.ContractViolationError),
+    (lambda: cf.generate_points(10, 2, 3, seed="a"), cf.ParameterError),
+    (lambda: cf.generate_queries(3, 2, 0, sides=5), cf.ParameterError),
+    # a path that cannot be opened: the check comes before the file
+    (lambda: cf.write_dataset(None, os.path.join(os.devnull, "p.txt")), cf.MalformedInputError),
+    (lambda: cf.write_queries(None, os.path.join(os.devnull, "q.txt")), cf.MalformedQueryError),
+    (lambda: cf.answer_offline_3sided(_PS, [(0, _SLAB)], 2, sink=5), cf.ContractViolationError),
+    (lambda: cf.answer_offline_dominance(cf.OfflineJob(_PS, [(0, _CORNER)], sink=5)),
+     cf.ContractViolationError),
+    (lambda: cf.peak_space_report(None), cf.MalformedInputError),
 ], ids=["3sided-not-a-pair", "dominance-not-a-pair", "corner-string", "corner-none",
         "bound-string", "1d-string", "bounds-none", "oracle-none", "3sided-none",
         "dominance-none", "points-none", "point-not-a-tuple", "build-none", "flags-none",
@@ -105,7 +116,9 @@ _SLAB = cf.BoxQuery([(100.0, 600.0), (-INF, 500.0)])
         "session-accumulator-int", "block-session-int", "offline-job-none",
         "points-count-none", "points-grid-string", "queries-count-none",
         "queries-lo-string", "canonical-none", "dataset-path-none", "queries-path-none",
-        "accumulator-phi-none"])
+        "accumulator-phi-none", "accumulator-color-string", "accumulator-color-none",
+        "points-seed-string", "queries-sides-int", "write-dataset-none", "write-queries-none",
+        "3sided-sink-int", "dominance-sink-int", "space-report-none"])
 def test_malformed_calls_raise_typed_errors(call, error):
     # queries not given as (id, query) pairs, bounds or values that are not
     # numbers, None in place of a batch, a query, points, flags, a count or a

@@ -13,7 +13,15 @@ import pytest
 import colorfreq as cf
 from colorfreq import dominance, freq1d
 from colorfreq.freq1d import _sort_charge
-from _util import FIGURE_ANSWER, FIGURE_QUERY, canon, chain_of, figure_instance, random_corner
+from _util import (
+    FIGURE_ANSWER,
+    FIGURE_QUERY,
+    canon,
+    chain_of,
+    figure_instance,
+    random_corner,
+    walk_ranks,
+)
 
 TREE_BUILD_C = 2.0  # pinned; measured worst was ~0.7
 
@@ -136,34 +144,40 @@ def test_strip_tree_matches_its_definition():
     for n in range(301):
         ps = cf.PointSet(np.arange(2 * n, dtype=float).reshape(n, 2), [0] * n, [1] * n)
         for s in (2, 3, 4, 7, 16):
-            t = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weights, s, 1, cf.COUNT)
+            t = cf.DominanceTree._forest(ps.coords, ps.colors, ps.weights, s, 1, cf.COUNT)
             count, height, steps, pairs = _reference_split(n, s)
             assert (t.node_count, t.height) == (count, height)
             assert t.build_ops == (_sort_charge(n) + steps if n else 0)
             assert {(t.parent[0][c], c) for c in range(1, n)} == pairs
+            cut, hi = dominance._shape(n, s)[4:]
+            ranks = np.arange(n)
+            held = (cut[:, None] <= ranks) & (ranks < hi[:, None])  # strip i holds rank x
             for x in range(n):
                 # the walk's ranges [parent[c], c) are non-empty and tile [0, x)
-                ranges = [(t.parent[0][c], c) for c in t._walk_to(x)]
+                walk = walk_ranks(t, x)
+                ranges = [(t.parent[0][c], c) for c in walk]
                 assert all(lo < c for lo, c in ranges)
                 assert [lo for lo, _ in ranges] + [x] == [0] + [c for _, c in ranges]
+                # rank c is on the walk to x exactly when its strip [c, hi) holds x
+                assert sorted(cut[held[:, x]].tolist()) == walk
 
 
 def test_strip_shape_is_computed_once_per_size():
     for n in range(65):
         ps = cf.PointSet(np.zeros((n, 2)), [0] * n, [1] * n)
         for s in (2, 3, 4, 16):
-            parent, count, height = dominance._strips(n, s)
+            parent, count, height, lo, cut, hi = dominance._shape(n, s)
             # one immutable tuple per size, whatever asks for it
-            assert isinstance(parent, tuple) and dominance._strips(n, s)[0] is parent
-            assert cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weights, s, 1,
-                                              cf.COUNT).parent[0] is parent
+            assert isinstance(parent, tuple) and dominance._shape(n, s)[0] is parent
+            assert cf.DominanceTree._forest(ps.coords, ps.colors, ps.weights, s, 1,
+                                            cf.COUNT).parent[0] is parent
             ref_count, ref_height, _, pairs = _reference_split(n, s)
             assert (count, height) == (ref_count, ref_height)
             assert {(parent[c], c) for c in range(1, n)} == pairs
             # the strips by parent rank, then by start
-            lo, cut = dominance._strip_order(n, s)
             strips = sorted((parent[c], c) for c in range(1, n))
             assert list(zip(lo.tolist(), cut.tolist())) == strips
+            assert not (lo.flags.writeable or cut.flags.writeable or hi.flags.writeable)
     # the skeletons of one size in a box share one shape
     forest = cf.build_box(cf.generate_points(300, 2, 8, seed=3), s=4, bounded_axes=(0, 1)).forest
     shapes = {}
@@ -374,7 +388,7 @@ def test_batched_tree_counters_match_one_by_one_build():
     ps = cf.generate_points(3000, 2, 40, seed=5, grid=1500)
     batched = cf.build_dominance(ps, 2, s=4)
     # each strip built by a call of its own, over the same skeleton
-    single = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weights, 4, ps.phi, ps.mode)
+    single = cf.DominanceTree._forest(ps.coords, ps.colors, ps.weights, 4, ps.phi, ps.mode)
     columns = dominance._strip_columns(single)
     single.prefix[1:] = [single._build_substructure(np.array([single.parent[0][c]]),
                                                     np.array([c]), *columns)

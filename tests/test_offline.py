@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import colorfreq as cf
-from _util import canon, random_corner, random_query, reference_3sided, reference_dominance
+from _util import (
+    canon,
+    random_corner,
+    random_query,
+    reference_3sided,
+    reference_dominance,
+    walk_ranks,
+)
 from colorfreq import offline
 from colorfreq.core import count_le
 from colorfreq.offline import _LiveMeter, _sweep_dominance
@@ -150,7 +157,7 @@ def test_one_live_copy_invariant():
     rng = np.random.default_rng(10)
     corners = rng.uniform(0, 1000, (50, 2))
     corners = corners[np.argsort(corners[:, 0], kind="stable")]
-    skel = cf.DominanceTree._skeleton(ps.coords, ps.colors, ps.weights, 4, ps.phi, ps.mode)
+    skel = cf.DominanceTree._forest(ps.coords, ps.colors, ps.weights, 4, ps.phi, ps.mode)
     rq = np.searchsorted(np.asarray(skel.sorted0), corners[:, 0], "right")
     summary = cf.SweepSummary(ps.n, len(corners), 2, 4, 0)
     meter = _LiveMeter()
@@ -331,10 +338,10 @@ def _strip_runs(forest, xs):
     whose walk does not hold it (the number of steps for none)."""
     runs = []
     steps = len(xs[0])
-    walks = [[set(forest._walk_to(x, i)) for x in xs[i]] for i in range(len(xs))]
+    walks = [[set(walk_ranks(forest, x, i)) for x in xs[i]] for i in range(len(xs))]
     for t in range(steps):
         for i, off in enumerate(forest.start[:-1]):
-            for c in forest._walk_to(xs[i][t], i):
+            for c in walk_ranks(forest, xs[i][t], i):
                 if t == 0 or c not in walks[i][t - 1]:
                     pop = next((u for u in range(t + 1, steps) if c not in walks[i][u]), steps)
                     # the steps whose walk holds a strip form one run
