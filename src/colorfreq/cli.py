@@ -140,9 +140,6 @@ def cmd_verify(args) -> int:
     for qid, q in enumerate(queries):
         touch_before, drain_before = acc.touch_ops, acc.drain_ops
         entries = struct.query(q, session)
-        if args.corrupt and qid == 0 and entries:
-            c0, w0 = entries[0]
-            entries = [(c0, w0 + 1)] + entries[1:]
         online[qid] = canonical_freq(entries)
         expected = brute_force(ps, q)
         if online[qid] != canonical_freq(expected):
@@ -302,8 +299,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
         if name == "offline":
             p.add_argument("--sweep-axis", type=int, default=0)
-        if name == "verify":
-            p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("stats", help="build-only instrumentation")

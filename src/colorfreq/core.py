@@ -441,7 +441,10 @@ def canonical_freq(entries) -> tuple:
 
 def freq_total(entries) -> int:
     """Sum of reported counts (count mode only)."""
-    return sum(int(w) for _, w in entries)
+    try:
+        return sum(int(w) for _, w in entries)
+    except (TypeError, ValueError):
+        raise MalformedInputError("entries must be (color, count) pairs") from None
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +483,17 @@ class QuerySession:
 # '#' starts a comment, blank lines are skipped.
 
 
-def _data_lines(path, error):
+def _open(path, mode, error):
+    """``open(path, mode)`` as UTF-8 text, ``error`` raised for a path that
+    is not a file name."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except TypeError:
         raise error(f"path {path!r} is not a file name") from None
-    with fh:
+
+
+def _data_lines(path, error):
+    with _open(path, "r", error) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if line:
@@ -559,7 +567,7 @@ def write_dataset(ps: PointSet, path) -> None:
         weights = [operator.index(w) for w in ps.weight_list()]
     except TypeError:
         raise MalformedInputError("only integer weights can be written") from None
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w", MalformedInputError) as fh:
         for i, w in enumerate(weights):
             coords = " ".join(repr(float(x)) for x in ps.coords[i])
             tail = f" {w}" if w != 1 else ""
@@ -591,5 +599,5 @@ def write_queries(queries: Iterable[BoxQuery], path) -> None:
         lines = [" ".join(f"{lo!r} {hi!r}" for lo, hi in q.bounds) + "\n" for q in queries]
     except (AttributeError, TypeError, ValueError):
         raise MalformedQueryError("queries must be an iterable of BoxQuery objects") from None
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w", MalformedQueryError) as fh:
         fh.writelines(lines)

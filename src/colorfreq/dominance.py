@@ -85,13 +85,13 @@ class ColorAccumulator:
         self._count_mode = isinstance(mode, CountMode)
 
     def add(self, color: int, weight) -> None:
+        slots = self.slots
         try:
             if not 0 <= color < self.phi:
                 raise ContractViolationError(f"color {color} outside [0, {self.phi})")
+            cur = slots[color]
         except TypeError:
             raise ContractViolationError(f"color {color!r} is not an integer") from None
-        slots = self.slots
-        cur = slots[color]
         if cur is None:
             slots[color] = weight
             self.touched.append(color)

@@ -93,8 +93,10 @@ class Frequency1D:
     builds every block, from the columns of a ``PointSet``, which checked
     the points.  By block position:
     ``sorted_values``, ``colors`` and ``prefix_weight``, each range in rank
-    order.  Each range also has its own build ops (``_ops``) and
-    ``_may_cancel`` flag.
+    order.  The block also keeps ``build_ops``, the build counter summed
+    over its ranges, and ``cancel``, true when some count weight on its
+    input is <= 0: only then can a chain's prefix total be 0, which a
+    report leaves out.  Every semigroup block has it false.
 
     The successor ranks inside each range (``succ``; the range's size for
     none) are the priorities of a static max-heap per range, held in the
@@ -126,15 +128,14 @@ class Frequency1D:
     color id on input, and count-mode ``prefix_weight`` ``'h'``, ``'i'`` or
     ``'q'`` by the sum of |w| on input, which bounds every chain's total.
     ``sorted_values`` is ``array('d')`` and semigroup prefixes are a list
-    of objects.  Per range, ``start`` is ``array('i')``, ``_ops``
-    ``array('q')`` and ``_may_cancel`` ``array('b')``.  An entry then
-    costs bytes, not object slots: a count-mode tree with n=20k, phi=16
-    and s=16 has blocks of uint16 heap columns, uint8 colors and int16
-    prefixes, 19 bytes of column buffers per entry and about 24 of live
-    heap, and a block is about a dozen objects, however many ranges it
-    holds.  Every prefix query reads the
-    columns in one loop, ``_report_walk``, which scans the ranges of a
-    whole strip-tree walk in turn, straight into the accumulator's cells.
+    of objects.  The one column by range, ``start``, is ``array('i')``.
+    An entry then costs bytes, not object slots: a count-mode tree with
+    n=20k, phi=16 and s=16 has blocks of uint16 heap columns, uint8 colors
+    and int16 prefixes, 19 bytes of column buffers per entry and about 24
+    of live heap, and a block is about ten objects, however many ranges it
+    holds.  Every prefix query reads the columns in one loop,
+    ``_report_walk``, which scans the ranges of a whole strip-tree walk in
+    turn, straight into the accumulator's cells.
     Its cost is per node visited: a box2x2 query (n=2000, s=8, max
     weights) visits about 160 nodes and merges about 115 hits in about
     35 us, some 0.2 us per node on a 2-vCPU machine.  Reading an element
@@ -162,21 +163,9 @@ class Frequency1D:
         "pri",
         "pos",
         "skip",
-        "_ops",
-        "_may_cancel",
+        "build_ops",
+        "cancel",
     )
-
-    def _set(self, mode, values, colors, pref, heap, start, ops, may_cancel) -> None:
-        """Take the block's columns."""
-        self.mode = mode
-        self.m = len(values)
-        self.sorted_values = values
-        self.colors = colors
-        self.prefix_weight = pref
-        self.lo, self.pri, self.pos, self.skip = heap
-        self.start = start
-        self._ops = ops
-        self._may_cancel = may_cancel
 
     # -- rank space ----------------------------------------------------------
 
@@ -184,10 +173,6 @@ class Frequency1D:
     def stored_entries(self) -> int:
         """Number of stored mapped points (space instrumentation)."""
         return self.m
-
-    @property
-    def build_ops(self) -> int:
-        return sum(self._ops)
 
     # -- queries ---------------------------------------------------------------
 
@@ -222,8 +207,9 @@ def _report_walk(walk, q: float, slots, touched: list, combine) -> tuple[int, in
     ``cur + w`` when ``combine`` is ``operator.add`` (count mode), the
     later weight only when ``w > cur`` when it is ``max`` (which is what
     ``max(cur, w)`` returns, ties to the earlier object), and
-    ``combine(cur, w)`` otherwise.  Count totals of zero are left out.
-    Colors were checked when the blocks were built.
+    ``combine(cur, w)`` otherwise.  Count totals of zero are left out,
+    which only a block whose ``cancel`` is set can hold.  Colors were
+    checked when the blocks were built.
 
     A range's scan walks its heap in preorder up to the first node whose
     range starts at or past block position ``rq`` = start + r: a node whose
@@ -240,11 +226,10 @@ def _report_walk(walk, q: float, slots, touched: list, combine) -> tuple[int, in
         if f is not block:
             block = f
             values, lo, pri, pos, skip = f.sorted_values, f.lo, f.pri, f.pos, f.skip
-            cols, pref, start, may_cancel = f.colors, f.prefix_weight, f.start, f._may_cancel
+            cols, pref, start, cancel = f.colors, f.prefix_weight, f.start, f.cancel
         a, b = start[j], start[j + 1]
         rq = bisect_right(values, q, a, b)
         r = rq - a
-        cancel = may_cancel[j]
         k = a
         end = bisect_left(lo, rq, a, b)
         while k < end:
@@ -479,13 +464,13 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT, rank=None,
     succ[earlier] = pos[later]
     first = np.ones(size, dtype=bool)  # each chain's first, in chain order
     first[1:] = ~same
-    may_cancel = np.zeros(nr, dtype=bool)
+    cancel = False  # a prefix total can be 0 only after a count weight <= 0
     if pref_col is not None:
         wg = w[grouped]
         total = np.cumsum(wg)
         _view(pref_col)[grouped] = total - (total - wg)[first][np.cumsum(first) - 1]
         del wg, total
-        may_cancel[rid[w <= 0]] = True
+        cancel = bool((w <= 0).any())
     elif wints is not None and size:
         pref_col = _max_prefixes(w, wints, grouped, first)
     if pref_col is None:
@@ -510,7 +495,9 @@ def _build_ranges(values, colors, weights, ranges, mode=COUNT, rank=None,
     ops = 2 * sizes + charge + np.where(indexed, depths + charge, 0)
 
     block = Frequency1D.__new__(Frequency1D)
-    block._set(mode, ys_col, cols_col, pref_col, heap,
-               _column("i", off), _column("q", ops), _column("b", may_cancel))
+    block.mode, block.m, block.start = mode, size, _column("i", off)
+    block.sorted_values, block.colors, block.prefix_weight = ys_col, cols_col, pref_col
+    block.lo, block.pri, block.pos, block.skip = heap
+    block.build_ops, block.cancel = int(ops.sum()), cancel
     return block
 

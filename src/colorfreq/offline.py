@@ -75,6 +75,16 @@ from .dominance import (
 _BLOCK = 1 << 12
 
 
+def _sink(sink):
+    """A batch's sink: a no-op for None, else ``sink`` itself, which must be
+    callable."""
+    if sink is None:
+        return lambda qid, entries: None
+    if not callable(sink):
+        raise ContractViolationError(f"sink {sink!r} is not callable")
+    return sink
+
+
 @dataclass
 class OfflineJob:
     """A batch of dominance queries plus the sink receiving each answer once."""
@@ -391,9 +401,7 @@ def answer_offline_dominance(job: OfflineJob) -> SweepSummary:
     qids, corners = _dominance_corners(job.queries, ps.d)
     summary = SweepSummary(ps.n, len(job.queries), ps.d, job.s, job.sweep_axis)
     meter = _LiveMeter()
-    sink = job.sink or (lambda qid, entries: None)
-    if not callable(sink):
-        raise ContractViolationError(f"sink {sink!r} is not callable")
+    sink = _sink(job.sink)
 
     axes = [job.sweep_axis] + [a for a in range(ps.d) if a != job.sweep_axis]
     order = rank_order(corners[:, job.sweep_axis])  # ties keep input order
@@ -463,9 +471,7 @@ def answer_offline_3sided(points: PointSet, queries, s: int, sink=None) -> Sweep
     if ps.d != 2:
         raise MalformedInputError(f"3-sided batches need planar data, got d={ps.d}")
     _check_fanout(s, ps.n)
-    sink = sink or (lambda qid, entries: None)
-    if not callable(sink):
-        raise ContractViolationError(f"sink {sink!r} is not callable")
+    sink = _sink(sink)
     # the batch as columns, query i in row i
     qids, x1s, x2s, ys = [], array("d"), array("d"), array("d")
     for qid, q in _pairs(queries):

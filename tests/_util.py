@@ -93,7 +93,7 @@ def _scan_prefix(f, j, q, slots, touched, combine):
     r = count_le(f.sorted_values, q, a, b)
     rq = a + r
     pri, pos, skip = f.pri, f.pos, f.skip
-    cols, pref, cancel = f.colors, f.prefix_weight, f._may_cancel[j]
+    cols, pref, count = f.colors, f.prefix_weight, isinstance(f.mode, cf.CountMode)
     k = a
     end = bisect_left(f.lo, rq, a, b)
     probes = touches = 0
@@ -106,7 +106,7 @@ def _scan_prefix(f, j, q, slots, touched, combine):
         k += 1
         if i < rq:
             w = pref[i]
-            if cancel and w == 0:
+            if count and w == 0:  # count totals of zero are left out
                 continue
             c = cols[i]
             cur = slots[c]
@@ -337,14 +337,16 @@ def check_block(block, parts):
     against the definition, not against another build: the values in rank
     order (ties by input order), each ``succ`` the next rank of its color,
     each prefix the running combine of its chain, the heap of each range,
-    and the build counters."""
+    and the build counters: ``build_ops`` summed over the ranges, and
+    ``cancel`` set exactly when some count weight on input is <= 0."""
     mode = block.mode
     count = isinstance(mode, cf.CountMode)
     start = list(block.start)
     assert start[0] == 0 and len(start) == len(parts) + 1
     assert block.m == start[-1] == len(block.sorted_values) == len(block.colors)
-    assert len(block.prefix_weight) == block.m and len(block._ops) == len(parts)
+    assert len(block.prefix_weight) == block.m
     heap = (block.lo, block.pri, block.pos, block.skip)
+    ops = 0
     for j, (values, colors, weights) in enumerate(parts):
         a, b = start[j], start[j + 1]
         m = b - a
@@ -360,12 +362,12 @@ def check_block(block, parts):
             prev = None if p < 0 else pref[p]
             pref.append(w if prev is None else mode.combine(prev, w))
         assert list(block.prefix_weight[a:b]) == pref
-        assert block._may_cancel[j] == (count and any(w <= 0 for w in weights))
         charge = _sort_charge(m)
-        ops = 2 * m + charge
+        ops += 2 * m + charge
         steps = _check_heap(heap, a, b, succ)
         ops += steps + charge if m > _SMALL else 0
-        assert block._ops[j] == ops
+    assert block.build_ops == ops
+    assert block.cancel == (count and any(w <= 0 for *_, weights in parts for w in weights))
 
 
 def check_typecodes(block, colors, weights):
@@ -464,9 +466,12 @@ def reference_1d(values, colors, weights=None, mode=cf.COUNT):
         pref = array("q", pref)
     *heap, steps = _reference_heap(succ)
     f = cf.Frequency1D.__new__(cf.Frequency1D)
-    f._set(mode, array("d", values[order].tolist()), array("i", cols), pref, heap,
-           array("i", [0, m]), array("q", [2 * m + _sort_charge(m) + steps]),
-           array("b", [count and m > 0 and min(weights) <= 0]))
+    f.mode, f.m, f.start = mode, m, array("i", [0, m])
+    f.sorted_values = array("d", values[order].tolist())
+    f.colors, f.prefix_weight = array("i", cols), pref
+    f.lo, f.pri, f.pos, f.skip = heap
+    f.build_ops = 2 * m + _sort_charge(m) + steps
+    f.cancel = count and m > 0 and min(weights) <= 0
     return f
 
 

@@ -62,9 +62,21 @@ def test_verify_clean_and_corrupt(tmp_path, capsys):
     assert main(args) == 0
     report = capsys.readouterr().out
     assert "0 mismatches" in report
-    assert main(args + ["--corrupt"]) == 1
+    # one wrong online answer, the first query's, is caught and shown
+    real, answered = cf.DominanceTree.query, []
+
+    def corrupting(self, q, session=None):
+        entries = real(self, q, session)
+        answered.append(q)
+        if len(answered) == 1 and entries:
+            (c0, w0), *rest = entries
+            entries = [(c0, w0 + 1), *rest]
+        return entries
+
+    with mock.patch.object(cf.DominanceTree, "query", corrupting):
+        assert main(args) == 1
     report = capsys.readouterr().out
-    assert "first differing query" in report
+    assert "first differing query #0" in report
 
 
 def test_verify_counts_offline_disagreements(tmp_path, capsys):

@@ -105,6 +105,14 @@ _SLAB = cf.BoxQuery([(100.0, 600.0), (-INF, 500.0)])
     (lambda: cf.answer_offline_dominance(cf.OfflineJob(_PS, [(0, _CORNER)], sink=5)),
      cf.ContractViolationError),
     (lambda: cf.peak_space_report(None), cf.MalformedInputError),
+    (lambda: cf.ColorAccumulator(2).add(1.5, 1), cf.ContractViolationError),
+    (lambda: cf.write_dataset(_PS, None), cf.MalformedInputError),
+    (lambda: cf.write_queries([], None), cf.MalformedQueryError),
+    (lambda: cf.freq_total(None), cf.MalformedInputError),
+    (lambda: cf.freq_total([(0, "a")]), cf.MalformedInputError),
+    (lambda: cf.answer_offline_3sided(_PS, [(0, _SLAB)], 2, sink=0), cf.ContractViolationError),
+    (lambda: cf.answer_offline_dominance(cf.OfflineJob(_PS, [(0, _CORNER)], sink=0)),
+     cf.ContractViolationError),
 ], ids=["3sided-not-a-pair", "dominance-not-a-pair", "corner-string", "corner-none",
         "bound-string", "1d-string", "bounds-none", "oracle-none", "3sided-none",
         "dominance-none", "points-none", "point-not-a-tuple", "build-none", "flags-none",
@@ -118,7 +126,9 @@ _SLAB = cf.BoxQuery([(100.0, 600.0), (-INF, 500.0)])
         "queries-lo-string", "canonical-none", "dataset-path-none", "queries-path-none",
         "accumulator-phi-none", "accumulator-color-string", "accumulator-color-none",
         "points-seed-string", "queries-sides-int", "write-dataset-none", "write-queries-none",
-        "3sided-sink-int", "dominance-sink-int", "space-report-none"])
+        "3sided-sink-int", "dominance-sink-int", "space-report-none",
+        "accumulator-color-float", "write-dataset-path-none", "write-queries-path-none",
+        "freq-total-none", "freq-total-string", "3sided-sink-zero", "dominance-sink-zero"])
 def test_malformed_calls_raise_typed_errors(call, error):
     # queries not given as (id, query) pairs, bounds or values that are not
     # numbers, None in place of a batch, a query, points, flags, a count or a

@@ -455,19 +455,19 @@ def test_count_tree_columns_are_typed_and_compact():
 def test_count_tree_column_bytes_per_entry():
     # the buffers of a block's typed columns, counted exactly: 19 bytes per
     # entry, 8 for one heap node (lo, pri, pos, skip as uint16), 1 for its
-    # color, 8 for its value and 2 for its prefix total, plus 13 per range
-    # for its start, build ops and flag and 4 for the block's last start
+    # color, 8 for its value and 2 for its prefix total, plus 4 per range
+    # for its start and 4 for the block's last start
     ps = cf.generate_points(20_000, 2, 16, seed=12)
     tree = cf.DominanceTree(ps, 16)
     blocks = {id(b): b for b in tree.prefix if b is not None}.values()
     total = per_range = 0
     for b in blocks:
-        assert [b.start.typecode, b._ops.typecode, b._may_cancel.typecode] == ["i", "q", "b"]
+        assert b.start.typecode == "i"
         codes = [getattr(b, name).typecode for name in ("lo", "colors", "sorted_values",
                                                          "prefix_weight")]
         assert codes == ["H", "B", "d", "h"]
         ranges = len(b.start) - 1
-        per_range += 13 * ranges + 4
+        per_range += 4 * ranges + 4
         for name in cf.Frequency1D.__slots__:
             column = getattr(b, name)
             if isinstance(column, array):

@@ -1,6 +1,7 @@
 """The 1-D frequency structure: chains, quadrant queries, intervals, probes."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -362,6 +363,28 @@ def test_cancelling_count_weights_leave_the_color_out():
     assert cf.brute_force(ps, cf.BoxQuery.dominance((5.0,))) == [(BLUE, 2)]
 
 
+def test_one_cancel_flag_per_block_reports_as_one_per_range():
+    # range 0 holds a red chain that cancels to 0; range 1, indexed past
+    # _SMALL, holds positive weights only, so its prefixes are never 0 and
+    # the flag its block shares with range 0 skips nothing there
+    ys = np.array([1.0, 2.0, 3.0] + [float(x) for x in range(20)])
+    cols = np.array([RED, RED, BLUE] + [x % 3 for x in range(20)])
+    w = np.array([1, -1, 2] + [1 + x % 4 for x in range(20)])
+    block = freq1d._build_ranges(ys, cols, w, [(0, 3), (3, 23)])
+    alone = [freq1d._build_ranges(ys, cols, w, [part]) for part in ((0, 3), (3, 23))]
+    assert block.cancel and [f.cancel for f in alone] == [True, False]
+    slots, touched = [None] * 3, []
+    assert freq1d._report_walk(((block, 0),), 2.5, slots, touched, operator.add) == (2, 0)
+    assert touched == []  # red's total 0 is left out
+    for q in np.arange(-1.0, 21.0, 0.5).tolist():
+        got, want = cf.ColorAccumulator(3), cf.ColorAccumulator(3)
+        counters = freq1d._report_walk(((block, 0), (block, 1)), q, got.slots, got.touched,
+                                       operator.add)
+        assert counters == freq1d._report_walk(((alone[0], 0), (alone[1], 0)), q, want.slots,
+                                               want.touched, operator.add)
+        assert got.touched == want.touched and got.slots == want.slots
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
@@ -448,8 +471,10 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
     assert len(block.start) == len(ranges) + 1
     assert block.stored_entries == block.start[-1] == len(block.lo)
     ranks = succ(block)
+    wants = []
     for j, (lo, cut) in enumerate(ranges):
         want = reference_1d(ys[lo:cut], cols[lo:cut], w[lo:cut], mode)
+        wants.append(want)
         a, b = block.start[j], block.start[j + 1]
 
         def unshift(column):  # block positions to ranks in the range
@@ -466,11 +491,10 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
             "pri": list(block.pri[a:b]),
             "pos": unshift(block.pos[a:b]),
             "skip": list(block.skip[a:b]),
-            "_ops": [block._ops[j]],
-            "_may_cancel": [block._may_cancel[j]],
         }
-        assert set(got) == set(cf.Frequency1D.__slots__)
-        arrays = ("lo", "pri", "pos", "skip", "start", "_ops", "_may_cancel")
+        # the block values are checked over all ranges below
+        assert set(got) | {"build_ops", "cancel"} == set(cf.Frequency1D.__slots__)
+        arrays = ("lo", "pri", "pos", "skip", "start")
         for name in ("sorted_values", "colors", "prefix_weight") + arrays:
             assert type(getattr(block, name)) is type(getattr(want, name)), name
         for name, value in got.items():
@@ -481,6 +505,8 @@ def test_batched_build_matches_one_by_one(n, grid, phi, seed, low, spans, mode_n
                 mine = list(mine)
             assert value == mine, name
         assert ranks[a:b] == succ(want)
+    assert block.build_ops == sum(want.build_ops for want in wants)
+    assert block.cancel == any(want.cancel for want in wants)
 
 
 def heap_layout_holds_one_node_per_entry(f):
@@ -604,7 +630,7 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
         accs[1].add_entries(f.query_prefix(q, sessions[1]))
         hits, sessions[2].probes = reference_report(ranks, occ, 0, rq, rq)
         accs[2].add_entries((f.colors[i], f.prefix_weight[i]) for i in hits
-                            if not (f._may_cancel[0] and f.prefix_weight[i] == 0))
+                            if not (f.cancel and f.prefix_weight[i] == 0))
         for acc, session in zip(accs[1:], sessions[1:]):
             assert acc.slots == accs[0].slots
             assert sorted(acc.touched) == sorted(accs[0].touched)
@@ -616,14 +642,15 @@ def test_prefix_scan_and_report_match_the_reference_heap(m, grid, phi, seed, mod
 
 
 BLOCK_COLUMNS = ("sorted_values", "colors", "prefix_weight", "lo", "pri", "pos", "skip",
-                 "start", "_ops", "_may_cancel")
+                 "start")
 
 
 def assert_same_columns(got, want):
-    """Every column of two blocks equal, and max prefixes the very same
-    objects (a concatenation makes new ones in each build)."""
+    """Every column and block value of two blocks equal, and max prefixes
+    the very same objects (a concatenation makes new ones in each build)."""
     for name in BLOCK_COLUMNS:
         assert list(getattr(got, name)) == list(getattr(want, name)), name
+    assert (got.build_ops, got.cancel) == (want.build_ops, want.cancel)
     if got.mode.combine is max:
         assert all(a is b for a, b in zip(got.prefix_weight, want.prefix_weight))
 

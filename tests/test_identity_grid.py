@@ -51,3 +51,10 @@ def test_expect_exits_1_when_the_records_or_the_hash_differ(tmp_path, monkeypatc
         assert ("expected" in err) == (moved is not None)
         if moved:
             assert err.rstrip().endswith(f"sections moved: {moved}")
+
+
+def test_the_quick_grid_equals_the_committed_identity(capsys):
+    # answers and counters of the source tree against IDENTITY.json, the
+    # check CI runs, so that a local run catches a moved section too
+    expect = SCRIPT.parent.parent / "IDENTITY.json"
+    assert identity_grid.main(["--quick", "--expect", str(expect)]) == 0
